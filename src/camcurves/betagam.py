@@ -14,6 +14,13 @@ by Fisher-scoring steps for the coefficients and one-dimensional Newton
 steps for log(phi), with step halving so the objective never decreases.
 Smoothing parameters are chosen by AIC = -2*loglik + 2*(EDF + 1) over a
 log-spaced grid, searched coordinate-wise with warm starts.
+
+Deviance is measured against the saturated fit (one mean per observation)
+and the null deviance against the intercept-only fit, both at the fitted
+phi.  Both come from one solver: at fixed phi the Beta score equation for a
+mean is digamma(mu*phi) - digamma((1-mu)*phi) = t, with t = logit-star(y_i)
+for the saturated fit and t = mean(logit-star(y)) for the intercept-only
+fit (Ferrari & Cribari-Neto 2004).
 """
 
 from __future__ import annotations
@@ -22,13 +29,12 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats
-from scipy.special import digamma, gammaln
+from scipy.special import chdtrc, digamma, gammaln, ndtr
 
 from ._numeric import inv_logit, logit, trigamma
 from .errors import ConvergenceError, InputError
 from .metrics import METRIC_KINDS, MetricObservation
-from .splines import KnotVector, _cardinal_rows, _natural_spline_system, place_knots
+from .splines import KnotVector, _cardinal_rows, build_basis, center_basis, place_knots
 
 DEFAULT_LAMBDA_GRID = tuple(10.0 ** np.linspace(-4.0, 6.0, 21))
 
@@ -172,8 +178,8 @@ def penalized_loglik(beta, log_phi: float, X, y, penalty):
     return value, grad
 
 
-def _ll_sum(y, eta, phi, ylog, y1log):
-    mu = inv_logit(eta)
+def _ll_sum(mu, phi, ylog, y1log):
+    """Summed Beta log density, given log(y) and log(1-y)."""
     a = mu * phi
     b = (1.0 - mu) * phi
     return float(
@@ -249,8 +255,7 @@ def _assemble(spec: ModelSpec, observations: Sequence[MetricObservation]) -> _De
             raise InputError(f"unsupported smooth covariate {term.covariate!r}")
         x = np.log(sizes)
         knot_vector = place_knots(np.unique(x), k=term.k)
-        raw = _cardinal_rows(x, knot_vector.knots)
-        _, S = _natural_spline_system(knot_vector.knots)
+        basis = build_basis(x, knot_vector)
         if term.by_factor is None:
             groups = [(None, np.ones(n, dtype=bool))]
         else:
@@ -262,18 +267,16 @@ def _assemble(spec: ModelSpec, observations: Sequence[MetricObservation]) -> _De
             arr = np.array([getattr(o, term.by_factor) for o in data])
             groups = [(level, arr == level) for level in factor_levels[term.by_factor]]
         for level, mask in groups:
-            B = raw * mask[:, None]
-            col_sums = B.sum(axis=0)
-            norm = np.linalg.norm(col_sums)
-            Q, _ = np.linalg.qr(col_sums.reshape(-1, 1) / norm, mode="complete")
-            Z = Q[:, 1:]
+            centred = center_basis(basis, weights=mask)
             label = term.label if level is None else f"{term.label}[{level}]"
             first = len(names)
-            names.extend(f"{label}.{j}" for j in range(Z.shape[1]))
-            columns = tuple(range(first, first + Z.shape[1]))
+            names.extend(f"{label}.{j}" for j in range(centred.rank))
+            columns = tuple(range(first, first + centred.rank))
             term_index[label] = columns
-            smooth_blocks.append((label, level, columns, Z.T @ S @ Z, Z))
-            blocks.append(B @ Z)
+            smooth_blocks.append(
+                (label, level, columns, centred.penalty_matrix, centred.constraint)
+            )
+            blocks.append(centred.basis_matrix * mask[:, None])
 
     X = np.column_stack([X_par] + blocks) if blocks else X_par
     _check_rank(X, names)
@@ -329,7 +332,7 @@ def _fit_penalized(X, y, P, beta0, phi0, tol, max_iter):
     phi = float(phi0)
 
     def objective(b, ph):
-        return _ll_sum(y, X @ b, ph, ylog, y1log) - 0.5 * float(b @ P @ b)
+        return _ll_sum(inv_logit(X @ b), ph, ylog, y1log) - 0.5 * float(b @ P @ b)
 
     cur = objective(beta, phi)
     history = [cur]
@@ -421,10 +424,8 @@ def _fit_at_lambda(design: _Design, lambdas, warm, tol, max_iter) -> _FitResult:
     else:
         beta0, phi0 = warm
     beta, phi, _, history = _fit_penalized(X, y, P, beta0, phi0, tol, max_iter)
-    ylog = np.log(y)
-    y1log = np.log1p(-y)
-    ll = _ll_sum(y, X @ beta, phi, ylog, y1log)
     mu = inv_logit(X @ beta)
+    ll = _ll_sum(mu, phi, np.log(y), np.log1p(-y))
     a = mu * phi
     b = (1.0 - mu) * phi
     w = phi * phi * (trigamma(a) + trigamma(b)) * (mu * (1.0 - mu)) ** 2
@@ -546,26 +547,29 @@ def term_edf(model: AdditiveModel) -> dict:
 
 
 def wald_p(model: AdditiveModel, term: str) -> float:
-    """Wald p-value for a term: normal test for single coefficients, joint
-    chi-square for multi-level factors, chi-square with df = rounded EDF for
-    smooth blocks."""
+    """Wald p-value for a term or a single coefficient (see _joint_term_p)."""
     if term in model.term_index:
         idx = list(model.term_index[term])
     elif term in model.coef_names:
         idx = [model.coef_names.index(term)]
     else:
         raise InputError(f"unknown term {term!r}")
+    return _joint_term_p(model, idx)
+
+
+def _joint_term_p(model: AdditiveModel, idx) -> float:
+    """Wald p-value for the coefficients `idx`: normal test for one parametric
+    coefficient, joint chi-square otherwise, with df = rounded EDF for smooth
+    blocks and df = len(idx) for factors."""
     beta = model.coef[idx]
     V = model.covariance[np.ix_(idx, idx)]
-    if term.startswith("s("):
-        df = max(1, int(round(float(model.edf_by_coef[idx].sum()))))
-        stat = float(beta @ np.linalg.solve(V, beta))
-        return float(stats.chi2.sf(stat, df))
-    if len(idx) == 1:
+    smooth = model.coef_names[idx[0]].startswith("s(")
+    if len(idx) == 1 and not smooth:
         z = float(beta[0]) / float(np.sqrt(V[0, 0]))
-        return float(2.0 * stats.norm.sf(abs(z)))
+        return float(2.0 * ndtr(-abs(z)))
+    df = max(1, int(round(float(model.edf_by_coef[idx].sum())))) if smooth else len(idx)
     stat = float(beta @ np.linalg.solve(V, beta))
-    return float(stats.chi2.sf(stat, len(idx)))
+    return float(chdtrc(df, stat))
 
 
 # ---------------------------------------------------------------------------
@@ -573,96 +577,71 @@ def wald_p(model: AdditiveModel, term: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _saturated_loglik(y, phi):
-    """Per-observation maximum of the Beta log-likelihood over mu, summed.
+def _beta_mean(t, phi) -> np.ndarray:
+    """Means mu in (0, 1) solving digamma(mu*phi) - digamma((1-mu)*phi) = t.
 
-    Solves digamma(mu*phi) - digamma((1-mu)*phi) = logit-star(y) per
-    observation by damped Newton (the left side is increasing in mu).
+    Elementwise damped Newton from inv_logit(t); the left side is increasing
+    in mu, and a step that leaves (0, 1) is replaced by bisection towards the
+    bound it crossed.
     """
-    ystar = np.log(y) - np.log1p(-y)
-    mu = np.clip(y, 1e-9, 1.0 - 1e-9).copy()
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    mu = np.clip(inv_logit(t), 1e-9, 1.0 - 1e-9)
     for _ in range(100):
         a = mu * phi
         b = (1.0 - mu) * phi
-        g = digamma(a) - digamma(b) - ystar
-        gp = phi * (trigamma(a) + trigamma(b))
-        step = -g / gp
+        step = -(digamma(a) - digamma(b) - t) / (phi * (trigamma(a) + trigamma(b)))
         nxt = mu + step
         bad = (nxt <= 0.0) | (nxt >= 1.0)
         nxt[bad] = 0.5 * (mu[bad] + np.where(step[bad] > 0.0, 1.0, 0.0))
         mu = nxt
         if float(np.max(np.abs(step))) < 1e-13:
             break
-    a = mu * phi
-    b = (1.0 - mu) * phi
-    return float(
-        np.sum(
-            gammaln(phi) - gammaln(a) - gammaln(b)
-            + (a - 1.0) * np.log(y) + (b - 1.0) * np.log1p(-y)
-        )
-    )
+    return mu
+
+
+def _saturated_loglik(y, phi):
+    """Beta log-likelihood with each observation at its own best mean."""
+    ylog, y1log = np.log(y), np.log1p(-y)
+    return _ll_sum(_beta_mean(ylog - y1log, phi), phi, ylog, y1log)
 
 
 def _null_loglik(y, phi):
     """Intercept-only Beta log-likelihood at fixed phi."""
-    ylog = np.log(y)
-    y1log = np.log1p(-y)
-    ystar = ylog - y1log
-    eta = float(logit(np.clip(np.mean(y), 1e-6, 1.0 - 1e-6)))
-    cur = _ll_sum(y, np.full_like(y, eta), phi, ylog, y1log)
-    for _ in range(200):
-        mu = inv_logit(eta)
-        a = mu * phi
-        b = (1.0 - mu) * phi
-        u = float(np.sum(phi * (ystar - (digamma(a) - digamma(b))) * mu * (1.0 - mu)))
-        w = float(np.sum(phi * phi * (trigamma(a) + trigamma(b)) * (mu * (1.0 - mu)) ** 2))
-        step = u / w
-        t = 1.0
-        accepted = False
-        for _ in range(30):
-            cand = eta + t * step
-            val = _ll_sum(y, np.full_like(y, cand), phi, ylog, y1log)
-            if val >= cur - 1e-12:
-                eta, cur = cand, val
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted or abs(t * step) < 1e-12:
-            break
-    return cur
+    ylog, y1log = np.log(y), np.log1p(-y)
+    return _ll_sum(_beta_mean(np.mean(ylog - y1log), phi), phi, ylog, y1log)
+
+
+def _fit_statistics(y, mu, phi, edf_total: float) -> dict:
+    """Deviance, null deviance, deviance explained and adjusted R^2 of means mu."""
+    ll = _ll_sum(mu, phi, np.log(y), np.log1p(-y))
+    ll_sat = _saturated_loglik(y, phi)
+    # the saturated likelihood is the supremum; tiny negatives are float noise
+    deviance = max(2.0 * (ll_sat - ll), 0.0)
+    null_deviance = max(2.0 * (ll_sat - _null_loglik(y, phi)), 0.0)
+    n = y.size
+    tss = float(((y - y.mean()) ** 2).sum())
+    rss = float(((y - mu) ** 2).sum())
+    return {
+        "deviance": deviance,
+        "null_deviance": null_deviance,
+        "deviance_explained": 0.0 if null_deviance <= 1e-10 else 1.0 - deviance / null_deviance,
+        "adj_r_squared": (
+            0.0 if tss <= 0.0 else 1.0 - (rss / max(n - edf_total, 1.0)) / (tss / (n - 1))
+        ),
+    }
 
 
 def _bulk_mean(model: AdditiveModel, data: Sequence[MetricObservation]) -> np.ndarray:
-    """Predicted means for many observations, evaluating each smooth block once."""
-    n = len(data)
-    eta = np.full(n, float(model.coef[model.term_index[INTERCEPT][0]]))
-    for factor, levels in model.factor_levels.items():
-        coef_of = {
-            level: (
-                0.0
-                if level == model.references[factor]
-                else float(model.coef[model.coef_names.index(f"{factor}[{level}]")])
-            )
-            for level in levels
-        }
-        for i, o in enumerate(data):
-            level = getattr(o, factor)
-            if level not in coef_of:
-                raise InputError(f"unknown level {level!r} for factor {factor!r}")
-            eta[i] += coef_of[level]
-    if model.smooth_labels():
-        x = np.log(np.array([o.num_tr_images for o in data], dtype=float))
-        raw = _cardinal_rows(x, model.knot_vector.knots)
-        for label in model.smooth_labels():
-            if model.smooth_by is None:
-                mask = np.ones(n, dtype=bool)
-            else:
-                level = label[label.rindex("[") + 1 : -1]
-                mask = np.array([getattr(o, model.smooth_by) == level for o in data])
-            if not mask.any():
-                continue
-            Z = model.smooth_constraints[label]
-            eta[mask] += (raw[mask] @ Z) @ model.coef[list(model.term_index[label])]
+    """Predicted means for many observations, one linear predictor per cell."""
+    cells: dict = {}
+    for i, o in enumerate(data):
+        key = tuple(getattr(o, factor) for factor in model.factor_levels)
+        cells.setdefault(key, []).append(i)
+    sizes = np.array([o.num_tr_images for o in data], dtype=float)
+    eta = np.empty(len(data))
+    for key, rows in cells.items():
+        cell = dict(zip(model.factor_levels, key))
+        eta[rows] = model.linear_predictor(cell, sizes[rows])
     return inv_logit(eta)
 
 
@@ -674,20 +653,8 @@ def fit_stats(model: AdditiveModel, observations: Sequence[MetricObservation]) -
     y = np.array([o.value for o in data])
     if np.any(y <= 0.0) or np.any(y >= 1.0):
         raise InputError("observations contain boundary values; apply squeeze() first")
-    mu = _bulk_mean(model, data)
-    ll = float(np.sum(beta_loglik(y, mu, model.phi)[0]))
-    ll_sat = _saturated_loglik(y, model.phi)
-    ll_null = _null_loglik(y, model.phi)
-    # the saturated likelihood is the supremum; tiny negatives are float noise
-    deviance = max(2.0 * (ll_sat - ll), 0.0)
-    null_deviance = max(2.0 * (ll_sat - ll_null), 0.0)
-    dev_expl = 0.0 if null_deviance <= 1e-10 else 1.0 - deviance / null_deviance
-    n = y.size
-    edf_total = float(model.edf_by_coef.sum())
-    tss = float(((y - y.mean()) ** 2).sum())
-    rss = float(((y - mu) ** 2).sum())
-    adj_r2 = 0.0 if tss <= 0.0 else 1.0 - (rss / max(n - edf_total, 1.0)) / (tss / (n - 1))
-    return {"deviance_explained": dev_expl, "adj_r_squared": adj_r2}
+    stats = _fit_statistics(y, _bulk_mean(model, data), model.phi, float(model.edf_by_coef.sum()))
+    return {key: stats[key] for key in ("deviance_explained", "adj_r_squared")}
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +707,7 @@ def fit(
         result = _fit_at_lambda(design, chosen, None, tol, max_iter)
     else:
         chosen, result = _search_lambdas(design, lambda_grid, tol, max_iter, screen_tol)
-    return _package_model(spec, design, chosen, result, observations)
+    return _package_model(spec, design, chosen, result)
 
 
 def _search_lambdas(design, lambda_grid, tol, max_iter, screen_tol):
@@ -781,13 +748,14 @@ def _search_lambdas(design, lambda_grid, tol, max_iter, screen_tol):
     return lam, final
 
 
-def _package_model(spec, design, chosen, result, observations) -> AdditiveModel:
+def _package_model(spec, design, chosen, result) -> AdditiveModel:
     lambdas = {}
     constraints = {}
     for lam, (label, _level, _columns, _S, Z) in zip(chosen, design.smooth_blocks):
         lambdas[label] = float(lam)
         constraints[label] = Z
-    model = AdditiveModel(
+    mu = inv_logit(design.X @ result.beta)
+    return AdditiveModel(
         spec=spec,
         coef=result.beta,
         coef_names=tuple(design.coef_names),
@@ -804,33 +772,12 @@ def _package_model(spec, design, chosen, result, observations) -> AdditiveModel:
         fit_stats=FitStats(
             loglik=result.loglik,
             aic=result.aic,
-            deviance=np.nan,
-            null_deviance=np.nan,
-            deviance_explained=np.nan,
-            adj_r_squared=np.nan,
             n_obs=design.y.size,
             iterations=result.iterations,
+            **_fit_statistics(design.y, mu, result.phi, float(result.edf_by_coef.sum())),
         ),
         observed_sizes=design.observed_sizes,
         pll_history=result.pll_history,
-    )
-    extra = fit_stats(model, observations)
-    ll_sat = _saturated_loglik(design.y, model.phi)
-    ll_null = _null_loglik(design.y, model.phi)
-    deviance = max(2.0 * (ll_sat - result.loglik), 0.0)
-    null_deviance = max(2.0 * (ll_sat - ll_null), 0.0)
-    return replace(
-        model,
-        fit_stats=FitStats(
-            loglik=result.loglik,
-            aic=result.aic,
-            deviance=deviance,
-            null_deviance=null_deviance,
-            deviance_explained=extra["deviance_explained"],
-            adj_r_squared=extra["adj_r_squared"],
-            n_obs=design.y.size,
-            iterations=result.iterations,
-        ),
     )
 
 
@@ -845,23 +792,8 @@ class EliminationStep:
     p_value: float
 
 
-def _joint_term_p(model: AdditiveModel, term_labels) -> float:
-    idx = [j for label in term_labels for j in model.term_index[label]]
-    beta = model.coef[idx]
-    V = model.covariance[np.ix_(idx, idx)]
-    if term_labels[0].startswith("s("):
-        df = max(1, int(round(float(model.edf_by_coef[idx].sum()))))
-    else:
-        df = len(idx)
-    if len(idx) == 1 and not term_labels[0].startswith("s("):
-        z = float(beta[0]) / float(np.sqrt(V[0, 0]))
-        return float(2.0 * stats.norm.sf(abs(z)))
-    stat = float(beta @ np.linalg.solve(V, beta))
-    return float(stats.chi2.sf(stat, df))
-
-
 def _candidate_terms(spec: ModelSpec, model: AdditiveModel):
-    """Droppable terms and the block labels each covers.
+    """Droppable terms and the coefficient indices each covers.
 
     A factor serving as the by-factor of a retained smooth is structurally
     required and not a candidate.
@@ -871,10 +803,10 @@ def _candidate_terms(spec: ModelSpec, model: AdditiveModel):
     for t in spec.parametric_terms:
         if t.name in protected:
             continue
-        out[t.name] = [t.name]
+        out[t.name] = list(model.term_index[t.name])
     for t in spec.smooth_terms:
         labels = [l for l in model.smooth_labels() if l == t.label or l.startswith(t.label + "[")]
-        out[t.label] = labels
+        out[t.label] = [j for label in labels for j in model.term_index[label]]
     return out
 
 
@@ -898,7 +830,7 @@ def backward_eliminate(
         candidates = _candidate_terms(spec, model)
         if not candidates:
             break
-        pvals = {term: _joint_term_p(model, labels) for term, labels in candidates.items()}
+        pvals = {term: _joint_term_p(model, idx) for term, idx in candidates.items()}
         worst = max(pvals, key=lambda t: (pvals[t], t))
         if pvals[worst] <= alpha:
             break

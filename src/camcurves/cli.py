@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -99,6 +101,22 @@ def _parse_cell(raw: str) -> dict:
     return {"dataset": parts[0], "tuning": parts[1], "architecture": parts[2]}
 
 
+def _parse_numbers(raw: str, flag: str, convert) -> list:
+    """Comma-separated finite numbers of one flag; empty items are skipped."""
+    values = []
+    for item in (s.strip() for s in raw.split(",")):
+        if not item:
+            continue
+        try:
+            value = convert(item)
+            if not math.isfinite(value):
+                raise ValueError(item)
+        except ValueError:
+            raise InputError(f"{flag}: {item!r} is not a finite {convert.__name__}") from None
+        values.append(value)
+    return values
+
+
 def _cmd_metrics(args) -> int:
     records = io.parse_predictions(args.predictions)
     if args.classes:
@@ -157,27 +175,18 @@ def _cmd_fit_ols(args) -> int:
 
 
 def _cmd_fit_gam(args) -> int:
+    fit_kwargs = {}
+    if args.lambdas:
+        fit_kwargs["lambdas"] = _parse_numbers(args.lambdas, "--lambdas", float)
     observations = io.parse_observations(args.observations)
     spec = betagam.default_spec(args.metric)
     prepared = [
         o
         if 0.0 < o.value < 1.0
-        else metrics.MetricObservation(
-            metric=o.metric,
-            value=betagam.squeeze(o.value, spec.squeeze_eps),
-            dataset=o.dataset,
-            class_label=o.class_label,
-            num_tr_images=o.num_tr_images,
-            architecture=o.architecture,
-            tuning=o.tuning,
-            augmentation=o.augmentation,
-        )
+        else dataclasses.replace(o, value=betagam.squeeze(o.value, spec.squeeze_eps))
         for o in observations
         if o.metric == args.metric
     ]
-    fit_kwargs = {}
-    if args.lambdas:
-        fit_kwargs["lambdas"] = [float(v) for v in args.lambdas.split(",")]
     if args.eliminate:
         model, trace = betagam.backward_eliminate(spec, prepared, alpha=args.alpha, **fit_kwargs)
         for step in trace:
@@ -257,10 +266,10 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_design(args) -> int:
+    ladder = _parse_numbers(args.ladder, "--ladder", int)
     pools, locations = io.parse_image_index(args.manifest_in)
     if args.select:
         pools = {label: design.equal_space_select(ids, args.select) for label, ids in pools.items()}
-    ladder = [int(v) for v in args.ladder.split(",") if v.strip()]
     manifest = design.split_design(
         pools,
         test_size=args.test,

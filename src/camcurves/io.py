@@ -45,7 +45,10 @@ OBSERVATION_COLUMNS = (
 def atomic_write(path: str):
     """Write to a temp file in the target directory, rename on success."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             yield handle

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 
 from camcurves import ConvergenceError, InputError, betagam
 from camcurves._numeric import inv_logit
@@ -20,7 +20,7 @@ from camcurves.betagam import (
     term_edf,
     wald_p,
 )
-from camcurves.betagam import _assemble, _penalty_matrix
+from camcurves.betagam import _assemble, _null_loglik, _penalty_matrix, _saturated_loglik
 
 from conftest import make_obs, observation_rows
 
@@ -91,6 +91,37 @@ class TestBetaLoglik:
             up = beta_loglik(y, mu, math.exp(logphi + step))[0]
             down = beta_loglik(y, mu, math.exp(logphi - step))[0]
             assert d_logphi == pytest.approx((up - down) / (2 * step), rel=1e-6, abs=1e-9)
+
+
+def scipy_loglik(y, eta, phi):
+    mu = inv_logit(eta)
+    return float(np.sum(stats.beta.logpdf(y, mu * phi, (1.0 - mu) * phi)))
+
+
+def bounded_max(f):
+    """Maximum of f over eta in [-15, 15] by bounded Brent search."""
+    res = optimize.minimize_scalar(
+        lambda eta: -f(eta), bounds=(-15.0, 15.0), method="bounded", options={"xatol": 1e-10}
+    )
+    return -res.fun
+
+
+class TestReferenceLikelihoods:
+    PHIS = (2.0, 30.0, 800.0, 1e5)
+
+    @pytest.mark.parametrize("mean", [0.03, 0.5, 0.96])
+    def test_null_loglik_matches_bounded_maximisation(self, mean):
+        rng = np.random.default_rng(11)
+        y = squeeze(rng.beta(mean * 40.0, (1.0 - mean) * 40.0, 300))
+        for phi in self.PHIS:
+            oracle = bounded_max(lambda eta: scipy_loglik(y, eta, phi))
+            assert _null_loglik(y, phi) == pytest.approx(oracle, rel=1e-10, abs=1e-8)
+
+    def test_saturated_loglik_matches_per_row_maximisation(self):
+        y = np.array([1e-4, 0.02, 0.31, 0.5, 0.87, 0.999])
+        for phi in self.PHIS:
+            oracle = sum(bounded_max(lambda eta: scipy_loglik(v, eta, phi)) for v in y)
+            assert _saturated_loglik(y, phi) == pytest.approx(oracle, rel=1e-10, abs=1e-8)
 
 
 class TestPenalizedObjectiveGradient:
@@ -248,6 +279,30 @@ class TestFit:
                 if abs(model.coef[j] - value) <= 3 * se[j]:
                     covered += 1
         assert covered / total >= 0.99
+
+
+class TestFitStatistics:
+    def test_public_fit_stats_reproduces_the_fit(
+        self, calibrated_acc_model, calibrated_observations
+    ):
+        model = calibrated_acc_model
+        public = betagam.fit_stats(model, calibrated_observations)
+        assert public["deviance_explained"] == pytest.approx(
+            model.fit_stats.deviance_explained, rel=1e-9
+        )
+        assert public["adj_r_squared"] == pytest.approx(model.fit_stats.adj_r_squared, rel=1e-9)
+
+    def test_deviance_explained_is_one_minus_deviance_ratio(self, calibrated_acc_model):
+        rng = np.random.default_rng(13)
+        models = [
+            calibrated_acc_model,
+            betagam.fit(single_smooth_spec(), simulate_rows(rng)),
+            betagam.fit(single_smooth_spec("FPR"), simulate_rows(rng, beta0=-4.0, metric="FPR")),
+        ]
+        for model in models:
+            s = model.fit_stats
+            assert 0.0 < s.deviance <= s.null_deviance
+            assert s.deviance_explained == 1.0 - s.deviance / s.null_deviance
 
 
 def hand_built_model(coef_value=0.050, se=0.009):

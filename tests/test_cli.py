@@ -1,0 +1,78 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import camcurves
+from camcurves import cli, io
+
+from conftest import observation_rows
+
+SIZES = (10, 20, 50, 150, 500, 1000)
+
+
+def assert_one_input_error(code, capsys, *fragments):
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INPUT
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input-error: ")
+    for fragment in fragments:
+        assert fragment in lines[0]
+
+
+@pytest.fixture
+def observations_csv(tmp_path):
+    rng = np.random.default_rng(0)
+    sizes = np.tile(SIZES, 8)
+    values = rng.beta(80 * 0.8, 80 * 0.2, sizes.size)
+    path = tmp_path / "obs.csv"
+    io.write_observations_csv(str(path), observation_rows(values, sizes))
+    return str(path)
+
+
+def test_bad_lambda_item_is_an_input_error(observations_csv, tmp_path, capsys):
+    argv = ["fit-gam", "--observations", observations_csv, "--metric", "ACC"]
+    code = cli.main(argv + ["--lambdas", "1,x,3", "--out", str(tmp_path / "m.json")])
+    assert_one_input_error(code, capsys, "--lambdas", "'x'")
+
+
+def test_bad_ladder_item_is_an_input_error(tmp_path, capsys):
+    index = tmp_path / "index.csv"
+    index.write_text("image_id,class\n" + "".join(f"i{j},c{j % 2}\n" for j in range(40)))
+    argv = ["design", "--manifest-in", str(index), "--seed", "1", "--ladder", "5,abc"]
+    code = cli.main(argv + ["--out", str(tmp_path / "d.json")])
+    assert_one_input_error(code, capsys, "--ladder", "'abc'")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--seed", "1"],
+        ["plan", "--preset", "table1", "--target-acc", "0.9"],
+        ["fit-gam", "--metric", "ACC", "--lambdas", "1"],
+    ],
+    ids=["simulate", "plan", "fit-gam"],
+)
+def test_out_in_missing_directory_is_an_input_error(argv, observations_csv, tmp_path, capsys):
+    out = str(tmp_path / "missing" / "out.file")
+    if argv[0] == "fit-gam":
+        argv = argv + ["--observations", observations_csv]
+    assert_one_input_error(cli.main(argv + ["--out", out]), capsys, out)
+    assert not (tmp_path / "missing").exists()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(camcurves.__file__).resolve().parent.parent)
+    code = "import sys, camcurves.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"
