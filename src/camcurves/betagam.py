@@ -21,6 +21,14 @@ phi.  Both come from one solver: at fixed phi the Beta score equation for a
 mean is digamma(mu*phi) - digamma((1-mu)*phi) = t, with t = logit-star(y_i)
 for the saturated fit and t = mean(logit-star(y)) for the intercept-only
 fit (Ferrari & Cribari-Neto 2004).
+
+The Beta family is exponential in (log y, log(1-y)), so observations that
+share a design row enter the likelihood only through their count and their
+sums of log y and log(1-y).  The design is therefore assembled once on the
+distinct rows of the covariates the model uses, and every P-IRLS step,
+likelihood evaluation, covariance and EDF works on those rows with counts
+and summed logs.  Only the starting values and the fit statistics (the
+saturated likelihood and adjusted R^2) read the individual observations.
 """
 
 from __future__ import annotations
@@ -178,12 +186,20 @@ def penalized_loglik(beta, log_phi: float, X, y, penalty):
     return value, grad
 
 
-def _ll_sum(mu, phi, ylog, y1log):
-    """Summed Beta log density, given log(y) and log(1-y)."""
+def _ll_sum(mu, phi, n, sum_ylog, sum_y1log):
+    """Summed Beta log density of design rows at means mu.
+
+    Row r holds n[r] observations whose log(y) and log(1-y) sum to
+    sum_ylog[r] and sum_y1log[r]; n = 1 gives the per-observation density.
+    """
     a = mu * phi
     b = (1.0 - mu) * phi
     return float(
-        np.sum(gammaln(phi) - gammaln(a) - gammaln(b) + (a - 1.0) * ylog + (b - 1.0) * y1log)
+        np.sum(
+            n * (gammaln(phi) - gammaln(a) - gammaln(b))
+            + (a - 1.0) * sum_ylog
+            + (b - 1.0) * sum_y1log
+        )
     )
 
 
@@ -194,8 +210,14 @@ def _ll_sum(mu, phi, ylog, y1log):
 
 @dataclass
 class _Design:
-    X: np.ndarray
-    y: np.ndarray
+    """The model matrix on the distinct design rows, with their sufficient statistics."""
+
+    X: np.ndarray  # m distinct rows x p coefficients
+    n: np.ndarray  # observations per row
+    sum_ylog: np.ndarray  # per-row sum of log(y)
+    sum_y1log: np.ndarray  # per-row sum of log(1-y)
+    y: np.ndarray  # per-observation response
+    inverse: np.ndarray  # observation -> row index into X
     coef_names: list
     term_index: dict
     n_parametric: int
@@ -216,15 +238,29 @@ def _assemble(spec: ModelSpec, observations: Sequence[MetricObservation]) -> _De
         raise InputError(
             "response contains boundary values; apply squeeze() before fitting"
         )
-    n = len(data)
+    for term in spec.smooth_terms:
+        if term.covariate != "num_tr_images":
+            raise InputError(f"unsupported smooth covariate {term.covariate!r}")
+
+    # one design row per distinct combination of the covariates the model uses,
+    # in sorted order so that the rows do not depend on the observation order
+    key_names = [t.name for t in spec.parametric_terms]
+    key_names += sorted({t.covariate for t in spec.smooth_terms})
+    obs_keys = [tuple(getattr(o, k) for k in key_names) for o in data]
+    keys = sorted(set(obs_keys))
+    row_of = {key: r for r, key in enumerate(keys)}
+    inverse = np.fromiter((row_of[key] for key in obs_keys), dtype=np.intp, count=len(data))
+    m = len(keys)
+    counts = np.bincount(inverse, minlength=m).astype(float)
+    column = {name: [key[j] for key in keys] for j, name in enumerate(key_names)}
 
     factor_levels: dict = {}
     references: dict = {}
-    cols = [np.ones(n)]
+    cols = [np.ones(m)]
     names = [INTERCEPT]
     term_index: dict = {INTERCEPT: (0,)}
     for term in spec.parametric_terms:
-        values = [getattr(o, term.name) for o in data]
+        values = column[term.name]
         levels = sorted(set(values))
         if term.reference not in levels:
             raise InputError(
@@ -249,25 +285,23 @@ def _assemble(spec: ModelSpec, observations: Sequence[MetricObservation]) -> _De
     knot_vector = None
     smooth_by = None
     blocks = []
-    sizes = np.array([o.num_tr_images for o in data], dtype=float)
     for term in spec.smooth_terms:
-        if term.covariate != "num_tr_images":
-            raise InputError(f"unsupported smooth covariate {term.covariate!r}")
-        x = np.log(sizes)
+        x = np.log(np.array(column[term.covariate], dtype=float))
         knot_vector = place_knots(np.unique(x), k=term.k)
         basis = build_basis(x, knot_vector)
         if term.by_factor is None:
-            groups = [(None, np.ones(n, dtype=bool))]
+            groups = [(None, np.ones(m, dtype=bool))]
         else:
             if term.by_factor not in factor_levels:
                 raise InputError(
                     f"smooth by-factor {term.by_factor!r} is not a parametric term of the model"
                 )
             smooth_by = term.by_factor
-            arr = np.array([getattr(o, term.by_factor) for o in data])
+            arr = np.array(column[term.by_factor])
             groups = [(level, arr == level) for level in factor_levels[term.by_factor]]
         for level, mask in groups:
-            centred = center_basis(basis, weights=mask)
+            # count-weighted, so the constraint sums over the observations
+            centred = center_basis(basis, weights=mask * counts)
             label = term.label if level is None else f"{term.label}[{level}]"
             first = len(names)
             names.extend(f"{label}.{j}" for j in range(centred.rank))
@@ -282,7 +316,11 @@ def _assemble(spec: ModelSpec, observations: Sequence[MetricObservation]) -> _De
     _check_rank(X, names)
     return _Design(
         X=X,
+        n=counts,
+        sum_ylog=np.bincount(inverse, np.log(y), m),
+        sum_y1log=np.bincount(inverse, np.log1p(-y), m),
         y=y,
+        inverse=inverse,
         coef_names=names,
         term_index=term_index,
         n_parametric=n_par,
@@ -291,11 +329,14 @@ def _assemble(spec: ModelSpec, observations: Sequence[MetricObservation]) -> _De
         factor_levels=factor_levels,
         references=references,
         smooth_by=smooth_by,
-        observed_sizes=tuple(sorted(set(int(s) for s in sizes))),
+        observed_sizes=tuple(sorted({int(o.num_tr_images) for o in data})),
     )
 
 
 def _check_rank(X: np.ndarray, names: Sequence[str]):
+    m, p = X.shape
+    if m < p:  # zero rows give R one diagonal entry per column
+        X = np.vstack([X, np.zeros((p - m, p))])
     _, R = np.linalg.qr(X)
     diag = np.abs(np.diag(R))
     bad = diag < diag.max() * 1e-10
@@ -318,21 +359,22 @@ def _penalty_matrix(design: _Design, lambdas: Sequence[float]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _fit_penalized(X, y, P, beta0, phi0, tol, max_iter):
+def _fit_penalized(design: _Design, P, beta0, phi0, tol, max_iter):
     """Alternate coefficient Fisher scoring and log-phi Newton with step halving.
 
+    Works on the distinct design rows: each row's score, Fisher weight and
+    log-phi terms are its observations' terms summed in closed form.
     Returns (beta, phi, penalized loglik, history of accepted objective values).
     Raises ConvergenceError when the objective change stays above `tol` for
     `max_iter` outer iterations.
     """
-    ylog = np.log(y)
-    y1log = np.log1p(-y)
-    ystar = ylog - y1log
+    X, n, sum_ylog, sum_y1log = design.X, design.n, design.sum_ylog, design.sum_y1log
+    sum_ystar = sum_ylog - sum_y1log
     beta = beta0.copy()
     phi = float(phi0)
 
     def objective(b, ph):
-        return _ll_sum(inv_logit(X @ b), ph, ylog, y1log) - 0.5 * float(b @ P @ b)
+        return _ll_sum(inv_logit(X @ b), ph, n, sum_ylog, sum_y1log) - 0.5 * float(b @ P @ b)
 
     cur = objective(beta, phi)
     history = [cur]
@@ -343,8 +385,8 @@ def _fit_penalized(X, y, P, beta0, phi0, tol, max_iter):
         a = mu * phi
         b = (1.0 - mu) * phi
         mm = mu * (1.0 - mu)
-        u = phi * (ystar - (digamma(a) - digamma(b))) * mm
-        w = phi * phi * (trigamma(a) + trigamma(b)) * mm * mm
+        u = phi * (sum_ystar - n * (digamma(a) - digamma(b))) * mm
+        w = n * phi * phi * (trigamma(a) + trigamma(b)) * mm * mm
         grad = X.T @ u - P @ beta
         step = np.linalg.solve((X.T * w) @ X + P, grad)
         t = 1.0
@@ -361,12 +403,12 @@ def _fit_penalized(X, y, P, beta0, phi0, tol, max_iter):
         b = (1.0 - mu) * phi
         d1 = phi * float(
             np.sum(
-                digamma(phi) - mu * digamma(a) - (1.0 - mu) * digamma(b)
-                + mu * ylog + (1.0 - mu) * y1log
+                n * (digamma(phi) - mu * digamma(a) - (1.0 - mu) * digamma(b))
+                + mu * sum_ylog + (1.0 - mu) * sum_y1log
             )
         )
         d2 = d1 + phi * phi * float(
-            np.sum(trigamma(phi) - mu * mu * trigamma(a) - (1.0 - mu) ** 2 * trigamma(b))
+            np.sum(n * (trigamma(phi) - mu * mu * trigamma(a) - (1.0 - mu) ** 2 * trigamma(b)))
         )
         if d2 >= 0.0:  # not locally concave; fall back to a gradient step
             d2 = -abs(d1) - 1e-6
@@ -391,11 +433,13 @@ def _fit_penalized(X, y, P, beta0, phi0, tol, max_iter):
     )
 
 
-def _initial_values(X, y, P):
+def _initial_values(design: _Design, P):
+    """Penalized least squares on logit(y), and phi from the residual variance."""
+    X, y, inverse = design.X, design.y, design.inverse
     p = X.shape[1]
-    z = logit(np.clip(y, 1e-3, 1.0 - 1e-3))
-    beta0 = np.linalg.solve(X.T @ X + P + 1e-8 * np.eye(p), X.T @ z)
-    mu0 = np.clip(inv_logit(X @ beta0), 1e-4, 1.0 - 1e-4)
+    z = np.bincount(inverse, logit(np.clip(y, 1e-3, 1.0 - 1e-3)), X.shape[0])
+    beta0 = np.linalg.solve((X.T * design.n) @ X + P + 1e-8 * np.eye(p), X.T @ z)
+    mu0 = np.clip(inv_logit(X @ beta0), 1e-4, 1.0 - 1e-4)[inverse]
     resid_var = float(np.var(y - mu0))
     if resid_var <= 0.0:
         phi0 = 1e4
@@ -418,17 +462,14 @@ class _FitResult:
 
 def _fit_at_lambda(design: _Design, lambdas, warm, tol, max_iter) -> _FitResult:
     P = _penalty_matrix(design, lambdas)
-    X, y = design.X, design.y
-    if warm is None:
-        beta0, phi0 = _initial_values(X, y, P)
-    else:
-        beta0, phi0 = warm
-    beta, phi, _, history = _fit_penalized(X, y, P, beta0, phi0, tol, max_iter)
+    beta0, phi0 = _initial_values(design, P) if warm is None else warm
+    beta, phi, _, history = _fit_penalized(design, P, beta0, phi0, tol, max_iter)
+    X = design.X
     mu = inv_logit(X @ beta)
-    ll = _ll_sum(mu, phi, np.log(y), np.log1p(-y))
+    ll = _ll_sum(mu, phi, design.n, design.sum_ylog, design.sum_y1log)
     a = mu * phi
     b = (1.0 - mu) * phi
-    w = phi * phi * (trigamma(a) + trigamma(b)) * (mu * (1.0 - mu)) ** 2
+    w = design.n * phi * phi * (trigamma(a) + trigamma(b)) * (mu * (1.0 - mu)) ** 2
     XtWX = (X.T * w) @ X
     covariance = np.linalg.inv(XtWX + P)
     edf_by_coef = np.einsum("ij,ji->i", covariance, XtWX)
@@ -602,18 +643,18 @@ def _beta_mean(t, phi) -> np.ndarray:
 def _saturated_loglik(y, phi):
     """Beta log-likelihood with each observation at its own best mean."""
     ylog, y1log = np.log(y), np.log1p(-y)
-    return _ll_sum(_beta_mean(ylog - y1log, phi), phi, ylog, y1log)
+    return _ll_sum(_beta_mean(ylog - y1log, phi), phi, 1.0, ylog, y1log)
 
 
 def _null_loglik(y, phi):
     """Intercept-only Beta log-likelihood at fixed phi."""
     ylog, y1log = np.log(y), np.log1p(-y)
-    return _ll_sum(_beta_mean(np.mean(ylog - y1log), phi), phi, ylog, y1log)
+    return _ll_sum(_beta_mean(np.mean(ylog - y1log), phi), phi, y.size, ylog.sum(), y1log.sum())
 
 
 def _fit_statistics(y, mu, phi, edf_total: float) -> dict:
     """Deviance, null deviance, deviance explained and adjusted R^2 of means mu."""
-    ll = _ll_sum(mu, phi, np.log(y), np.log1p(-y))
+    ll = _ll_sum(mu, phi, 1.0, np.log(y), np.log1p(-y))
     ll_sat = _saturated_loglik(y, phi)
     # the saturated likelihood is the supremum; tiny negatives are float noise
     deviance = max(2.0 * (ll_sat - ll), 0.0)
@@ -754,7 +795,7 @@ def _package_model(spec, design, chosen, result) -> AdditiveModel:
     for lam, (label, _level, _columns, _S, Z) in zip(chosen, design.smooth_blocks):
         lambdas[label] = float(lam)
         constraints[label] = Z
-    mu = inv_logit(design.X @ result.beta)
+    mu = inv_logit(design.X @ result.beta)[design.inverse]
     return AdditiveModel(
         spec=spec,
         coef=result.beta,

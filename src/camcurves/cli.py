@@ -178,6 +178,7 @@ def _cmd_fit_gam(args) -> int:
     fit_kwargs = {}
     if args.lambdas:
         fit_kwargs["lambdas"] = _parse_numbers(args.lambdas, "--lambdas", float)
+    io.check_writable(args.out)  # before the fit, which takes seconds
     observations = io.parse_observations(args.observations)
     spec = betagam.default_spec(args.metric)
     prepared = [
@@ -268,7 +269,7 @@ def _cmd_plan(args) -> int:
 def _cmd_design(args) -> int:
     ladder = _parse_numbers(args.ladder, "--ladder", int)
     pools, locations = io.parse_image_index(args.manifest_in)
-    if args.select:
+    if args.select is not None:
         pools = {label: design.equal_space_select(ids, args.select) for label, ids in pools.items()}
     manifest = design.split_design(
         pools,

@@ -41,14 +41,26 @@ OBSERVATION_COLUMNS = (
 )
 
 
+def _temp_file(path: str):
+    """Create a temp file beside `path`; (fd, temp path), or InputError naming `path`."""
+    directory = os.path.dirname(os.path.abspath(path))
+    try:
+        return tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def check_writable(path: str) -> None:
+    """Raise now the InputError that atomic_write(path) would raise on opening."""
+    fd, tmp = _temp_file(path)
+    os.close(fd)
+    os.unlink(tmp)
+
+
 @contextmanager
 def atomic_write(path: str):
     """Write to a temp file in the target directory, rename on success."""
-    directory = os.path.dirname(os.path.abspath(path))
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
+    fd, tmp = _temp_file(path)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             yield handle

@@ -130,26 +130,73 @@ class TestPenalizedObjectiveGradient:
         obs = simulate_rows(rng, n_per_size=20)
         design = _assemble(single_smooth_spec(), obs)
         P = _penalty_matrix(design, [0.7])
-        p = design.X.shape[1]
+        X = design.X[design.inverse]  # one model-matrix row per observation
+        p = X.shape[1]
         step = 1e-6
         for _ in range(10):
             beta = rng.normal(0, 0.4, p)
             logphi = float(rng.normal(math.log(40), 0.4))
-            _, grad = penalized_loglik(beta, logphi, design.X, design.y, P)
+            _, grad = penalized_loglik(beta, logphi, X, design.y, P)
             fd = np.empty_like(grad)
             for j in range(p):
                 e = np.zeros(p)
                 e[j] = step
                 fd[j] = (
-                    penalized_loglik(beta + e, logphi, design.X, design.y, P)[0]
-                    - penalized_loglik(beta - e, logphi, design.X, design.y, P)[0]
+                    penalized_loglik(beta + e, logphi, X, design.y, P)[0]
+                    - penalized_loglik(beta - e, logphi, X, design.y, P)[0]
                 ) / (2 * step)
             fd[-1] = (
-                penalized_loglik(beta, logphi + step, design.X, design.y, P)[0]
-                - penalized_loglik(beta, logphi - step, design.X, design.y, P)[0]
+                penalized_loglik(beta, logphi + step, X, design.y, P)[0]
+                - penalized_loglik(beta, logphi - step, X, design.y, P)[0]
             ) / (2 * step)
             rel = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
             assert rel < 1e-5
+
+
+class TestCollapsedDesign:
+    def test_calibrated_grid_collapses_to_distinct_rows(self, calibrated_observations):
+        data = [o for o in calibrated_observations if o.metric == "ACC"]
+        design = _assemble(default_spec("ACC"), data)
+        y = np.array([o.value for o in data])
+        assert design.X.shape[0] == 216
+        assert design.n.sum() == len(data) == 7776
+        np.testing.assert_array_equal(design.n, np.bincount(design.inverse))
+        np.testing.assert_array_equal(design.y, y)
+        assert design.sum_ylog.sum() == pytest.approx(np.log(y).sum(), rel=1e-12)
+        assert design.sum_y1log.sum() == pytest.approx(np.log1p(-y).sum(), rel=1e-12)
+        # each by-level smooth sums to zero over the observations, not the rows
+        smooth_columns = [j for _, _, cols, _, _ in design.smooth_blocks for j in cols]
+        column_sums = design.X[design.inverse][:, smooth_columns].sum(axis=0)
+        np.testing.assert_allclose(column_sums, 0.0, atol=1e-9)
+
+    def test_distinct_observations_keep_every_row(self):
+        rng = np.random.default_rng(12)
+        sizes = np.arange(10, 130)
+        y = rng.beta(0.8 * 50, 0.2 * 50, sizes.size)
+        design = _assemble(single_smooth_spec(), observation_rows(y, sizes))
+        assert design.X.shape[0] == sizes.size
+        np.testing.assert_array_equal(design.n, 1.0)
+
+    def test_loglik_matches_per_observation_oracle(
+        self, calibrated_acc_model, calibrated_observations
+    ):
+        model = calibrated_acc_model
+        data = [o for o in calibrated_observations if o.metric == "ACC"]
+        design = _assemble(model.spec, data)
+        mu = inv_logit(design.X @ model.coef)[design.inverse]
+        ll, _, _ = beta_loglik(design.y, mu, model.phi)
+        assert model.fit_stats.loglik == pytest.approx(float(np.sum(ll)), rel=1e-10)
+
+    def test_shuffled_observations_give_the_same_fit(
+        self, calibrated_acc_model, calibrated_observations
+    ):
+        data = [o for o in calibrated_observations if o.metric == "ACC"]
+        np.random.default_rng(14).shuffle(data)
+        model = betagam.fit(default_spec("ACC"), data)
+        assert model.lambdas == calibrated_acc_model.lambdas
+        assert model.fit_stats.loglik == pytest.approx(
+            calibrated_acc_model.fit_stats.loglik, rel=1e-9
+        )
 
 
 class TestFit:

@@ -65,6 +65,30 @@ def test_out_in_missing_directory_is_an_input_error(argv, observations_csv, tmp_
     assert not (tmp_path / "missing").exists()
 
 
+def test_fit_gam_rejects_missing_out_directory_before_fitting(
+    observations_csv, tmp_path, capsys, monkeypatch
+):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit-gam fitted before checking --out")
+
+    monkeypatch.setattr(cli.betagam, "fit", no_fit)
+    monkeypatch.setattr(cli.betagam, "backward_eliminate", no_fit)
+    out = str(tmp_path / "missing" / "m.json")
+    argv = ["fit-gam", "--observations", observations_csv, "--metric", "ACC", "--out", out]
+    for extra in ([], ["--eliminate"]):
+        assert_one_input_error(cli.main(argv + extra), capsys, f"cannot write {out}")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_select_zero_is_an_input_error(tmp_path, capsys):
+    index = tmp_path / "index.csv"
+    index.write_text("image_id,class\n" + "".join(f"i{j},c{j % 2}\n" for j in range(40)))
+    argv = ["design", "--manifest-in", str(index), "--seed", "1", "--select", "0"]
+    code = cli.main(argv + ["--out", str(tmp_path / "d.json")])
+    assert_one_input_error(code, capsys, "selection count must be >= 1")
+    assert not (tmp_path / "d.json").exists()
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     src = str(Path(camcurves.__file__).resolve().parent.parent)
     code = "import sys, camcurves.cli; print('scipy.stats' in sys.modules)"
