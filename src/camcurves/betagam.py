@@ -29,6 +29,12 @@ distinct rows of the covariates the model uses, and every P-IRLS step,
 likelihood evaluation, covariance and EDF works on those rows with counts
 and summed logs.  Only the starting values and the fit statistics (the
 saturated likelihood and adjusted R^2) read the individual observations.
+
+`_model_rows` is the one encoding of covariates into model-matrix rows: the
+intercept, the treatment dummies and the centred by-level spline blocks.  The
+fit builds its distinct rows with it, and every prediction (a cell over an
+array of sizes, or the public fit_stats over a dataset) builds its rows with
+it from the fitted model, so a cell cannot be encoded two ways.
 """
 
 from __future__ import annotations
@@ -42,9 +48,13 @@ from scipy.special import chdtrc, digamma, gammaln, ndtr
 from ._numeric import inv_logit, logit, trigamma
 from .errors import ConvergenceError, InputError
 from .metrics import METRIC_KINDS, MetricObservation
-from .splines import KnotVector, _cardinal_rows, build_basis, center_basis, place_knots
+from .splines import KnotVector, build_basis, center_basis, place_knots
 
 DEFAULT_LAMBDA_GRID = tuple(10.0 ** np.linspace(-4.0, 6.0, 21))
+
+# tolerance on the penalized log-likelihood change of a final fit and of a
+# screened grid candidate, and the outer iteration budget of every fit
+_TOL, _SCREEN_TOL, _MAX_ITER = 1e-8, 1e-5, 200
 
 _PHI_MIN, _PHI_MAX = 1e-2, 1e8
 
@@ -210,7 +220,11 @@ def _ll_sum(mu, phi, n, sum_ylog, sum_y1log):
 
 @dataclass
 class _Design:
-    """The model matrix on the distinct design rows, with their sufficient statistics."""
+    """The model matrix on the distinct design rows, with their sufficient statistics.
+
+    The fields from `spec` to `smooth_constraints` carry the names and meaning
+    of the same fields of AdditiveModel, so `_model_rows` reads either.
+    """
 
     X: np.ndarray  # m distinct rows x p coefficients
     n: np.ndarray  # observations per row
@@ -218,15 +232,54 @@ class _Design:
     sum_y1log: np.ndarray  # per-row sum of log(1-y)
     y: np.ndarray  # per-observation response
     inverse: np.ndarray  # observation -> row index into X
+    spec: ModelSpec
     coef_names: list
     term_index: dict
-    n_parametric: int
-    smooth_blocks: list  # (label, by_level, columns, penalty k-1 x k-1, Z)
-    knot_vector: KnotVector | None
     factor_levels: dict
     references: dict
+    knot_vector: KnotVector | None
     smooth_by: str | None
+    smooth_constraints: dict  # smooth label -> k x (k-1) reparameterization
+    smooth_penalties: dict  # smooth label -> (k-1) x (k-1) curvature penalty
     observed_sizes: tuple
+
+
+def _model_rows(model, columns: Mapping, sizes) -> np.ndarray:
+    """Model-matrix rows at covariate values: the one encoding of covariates.
+
+    `model` is a _Design or an AdditiveModel.  `columns` maps each factor of
+    the model to its level per row, or to one level for every row; `sizes`
+    holds num_tr_images per row.  A row holds the intercept, the treatment
+    dummies and, for each by-level smooth, the centred basis at log(size) on
+    the rows of its level and 0 elsewhere.
+    """
+    sizes = np.atleast_1d(np.asarray(sizes, dtype=float))
+    if np.any(sizes <= 0.0):
+        raise InputError("num_tr_images must be positive")
+    X = np.zeros((sizes.size, len(model.coef_names)))
+    X[:, model.term_index[INTERCEPT][0]] = 1.0
+    values = {}
+    for factor, levels in model.factor_levels.items():
+        if factor not in columns:
+            raise InputError(f"cell is missing a level for factor {factor!r}")
+        values[factor] = np.broadcast_to(np.asarray(columns[factor]), sizes.shape)
+        unknown = set(values[factor].tolist()).difference(levels)
+        if unknown:
+            raise InputError(f"unknown level {min(unknown, key=str)!r} for factor {factor!r}")
+        others = [level for level in levels if level != model.references[factor]]
+        for level, j in zip(others, model.term_index[factor]):
+            X[:, j] = values[factor] == level
+    if model.spec.smooth_terms:
+        raw = build_basis(np.log(sizes), model.knot_vector).basis_matrix
+    for term in model.spec.smooth_terms:
+        by = term.by_factor
+        for level in (None,) if by is None else model.factor_levels[by]:
+            label = term.label if level is None else f"{term.label}[{level}]"
+            block = raw @ model.smooth_constraints[label]
+            if level is not None:
+                block = block * (values[by] == level)[:, None]
+            X[:, list(model.term_index[label])] = block
+    return X
 
 
 def _assemble(spec: ModelSpec, observations: Sequence[MetricObservation]) -> _Design:
@@ -238,6 +291,8 @@ def _assemble(spec: ModelSpec, observations: Sequence[MetricObservation]) -> _De
         raise InputError(
             "response contains boundary values; apply squeeze() before fitting"
         )
+    if len(spec.smooth_terms) > 1:  # a model carries one knot vector
+        raise InputError("at most one smooth term is supported")
     for term in spec.smooth_terms:
         if term.covariate != "num_tr_images":
             raise InputError(f"unsupported smooth covariate {term.covariate!r}")
@@ -256,81 +311,65 @@ def _assemble(spec: ModelSpec, observations: Sequence[MetricObservation]) -> _De
 
     factor_levels: dict = {}
     references: dict = {}
-    cols = [np.ones(m)]
     names = [INTERCEPT]
     term_index: dict = {INTERCEPT: (0,)}
     for term in spec.parametric_terms:
-        values = column[term.name]
-        levels = sorted(set(values))
+        levels = sorted(set(column[term.name]))
         if term.reference not in levels:
             raise InputError(
                 f"reference level {term.reference!r} of factor {term.name!r} absent from data"
             )
         factor_levels[term.name] = tuple(levels)
         references[term.name] = term.reference
-        idx = []
-        arr = np.array(values)
-        for level in levels:
-            if level == term.reference:
-                continue
-            idx.append(len(names))
-            names.append(f"{term.name}[{level}]")
-            cols.append((arr == level).astype(float))
-        term_index[term.name] = tuple(idx)
+        others = [level for level in levels if level != term.reference]
+        term_index[term.name] = tuple(range(len(names), len(names) + len(others)))
+        names.extend(f"{term.name}[{level}]" for level in others)
 
-    X_par = np.column_stack(cols)
-    n_par = X_par.shape[1]
-
-    smooth_blocks = []
     knot_vector = None
     smooth_by = None
-    blocks = []
+    constraints: dict = {}
+    penalties: dict = {}
     for term in spec.smooth_terms:
         x = np.log(np.array(column[term.covariate], dtype=float))
         knot_vector = place_knots(np.unique(x), k=term.k)
         basis = build_basis(x, knot_vector)
-        if term.by_factor is None:
-            groups = [(None, np.ones(m, dtype=bool))]
-        else:
-            if term.by_factor not in factor_levels:
-                raise InputError(
-                    f"smooth by-factor {term.by_factor!r} is not a parametric term of the model"
-                )
-            smooth_by = term.by_factor
-            arr = np.array(column[term.by_factor])
-            groups = [(level, arr == level) for level in factor_levels[term.by_factor]]
-        for level, mask in groups:
+        smooth_by = term.by_factor
+        if smooth_by is not None and smooth_by not in factor_levels:
+            raise InputError(
+                f"smooth by-factor {smooth_by!r} is not a parametric term of the model"
+            )
+        for level in (None,) if smooth_by is None else factor_levels[smooth_by]:
+            mask = np.ones(m) if level is None else np.array(column[smooth_by]) == level
             # count-weighted, so the constraint sums over the observations
             centred = center_basis(basis, weights=mask * counts)
             label = term.label if level is None else f"{term.label}[{level}]"
-            first = len(names)
+            term_index[label] = tuple(range(len(names), len(names) + centred.rank))
             names.extend(f"{label}.{j}" for j in range(centred.rank))
-            columns = tuple(range(first, first + centred.rank))
-            term_index[label] = columns
-            smooth_blocks.append(
-                (label, level, columns, centred.penalty_matrix, centred.constraint)
-            )
-            blocks.append(centred.basis_matrix * mask[:, None])
+            constraints[label] = centred.constraint
+            penalties[label] = centred.penalty_matrix
 
-    X = np.column_stack([X_par] + blocks) if blocks else X_par
-    _check_rank(X, names)
-    return _Design(
-        X=X,
+    design = _Design(
+        X=None,
         n=counts,
         sum_ylog=np.bincount(inverse, np.log(y), m),
         sum_y1log=np.bincount(inverse, np.log1p(-y), m),
         y=y,
         inverse=inverse,
+        spec=spec,
         coef_names=names,
         term_index=term_index,
-        n_parametric=n_par,
-        smooth_blocks=smooth_blocks,
-        knot_vector=knot_vector,
         factor_levels=factor_levels,
         references=references,
+        knot_vector=knot_vector,
         smooth_by=smooth_by,
+        smooth_constraints=constraints,
+        smooth_penalties=penalties,
         observed_sizes=tuple(sorted({int(o.num_tr_images) for o in data})),
     )
+    # a model without a smooth term reads no size
+    design.X = _model_rows(design, column, column.get("num_tr_images", np.ones(m)))
+    _check_rank(design.X, names)
+    return design
 
 
 def _check_rank(X: np.ndarray, names: Sequence[str]):
@@ -348,7 +387,8 @@ def _check_rank(X: np.ndarray, names: Sequence[str]):
 def _penalty_matrix(design: _Design, lambdas: Sequence[float]) -> np.ndarray:
     p = design.X.shape[1]
     P = np.zeros((p, p))
-    for lam, (label, _level, columns, S, _Z) in zip(lambdas, design.smooth_blocks):
+    for lam, (label, S) in zip(lambdas, design.smooth_penalties.items()):
+        columns = design.term_index[label]
         i0, i1 = columns[0], columns[-1] + 1
         P[i0:i1, i0:i1] = lam * S
     return P
@@ -359,14 +399,14 @@ def _penalty_matrix(design: _Design, lambdas: Sequence[float]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _fit_penalized(design: _Design, P, beta0, phi0, tol, max_iter):
+def _fit_penalized(design: _Design, P, beta0, phi0, tol):
     """Alternate coefficient Fisher scoring and log-phi Newton with step halving.
 
     Works on the distinct design rows: each row's score, Fisher weight and
     log-phi terms are its observations' terms summed in closed form.
     Returns (beta, phi, penalized loglik, history of accepted objective values).
     Raises ConvergenceError when the objective change stays above `tol` for
-    `max_iter` outer iterations.
+    _MAX_ITER outer iterations.
     """
     X, n, sum_ylog, sum_y1log = design.X, design.n, design.sum_ylog, design.sum_y1log
     sum_ystar = sum_ylog - sum_y1log
@@ -378,7 +418,7 @@ def _fit_penalized(design: _Design, P, beta0, phi0, tol, max_iter):
 
     cur = objective(beta, phi)
     history = [cur]
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         base = cur
         eta = X @ beta
         mu = inv_logit(eta)
@@ -426,9 +466,9 @@ def _fit_penalized(design: _Design, P, beta0, phi0, tol, max_iter):
         if abs(cur - base) < tol:
             return beta, phi, cur, history
     raise ConvergenceError(
-        f"penalized fit did not converge in {max_iter} iterations "
+        f"penalized fit did not converge in {_MAX_ITER} iterations "
         f"(last objective change {abs(cur - base):.3e})",
-        iterations=max_iter,
+        iterations=_MAX_ITER,
         last_change=abs(cur - base),
     )
 
@@ -460,10 +500,10 @@ class _FitResult:
     pll_history: tuple
 
 
-def _fit_at_lambda(design: _Design, lambdas, warm, tol, max_iter) -> _FitResult:
+def _fit_at_lambda(design: _Design, lambdas, warm, tol) -> _FitResult:
     P = _penalty_matrix(design, lambdas)
     beta0, phi0 = _initial_values(design, P) if warm is None else warm
-    beta, phi, _, history = _fit_penalized(design, P, beta0, phi0, tol, max_iter)
+    beta, phi, _, history = _fit_penalized(design, P, beta0, phi0, tol)
     X = design.X
     mu = inv_logit(X @ beta)
     ll = _ll_sum(mu, phi, design.n, design.sum_ylog, design.sum_y1log)
@@ -533,36 +573,7 @@ class AdditiveModel:
 
     def linear_predictor(self, cell: Mapping, num_tr_images) -> np.ndarray:
         """Linear predictor at one covariate cell over an array of sizes."""
-        sizes = np.atleast_1d(np.asarray(num_tr_images, dtype=float))
-        if np.any(sizes <= 0.0):
-            raise InputError("num_tr_images must be positive")
-        eta = float(self.coef[self.term_index[INTERCEPT][0]])
-        for factor, levels in self.factor_levels.items():
-            if factor not in cell:
-                raise InputError(f"cell is missing a level for factor {factor!r}")
-            level = cell[factor]
-            if level not in levels:
-                raise InputError(f"unknown level {level!r} for factor {factor!r}")
-            if level != self.references[factor]:
-                j = self.coef_names.index(f"{factor}[{level}]")
-                eta += float(self.coef[j])
-        eta = np.full(sizes.shape, eta)
-        if self.smooth_labels():
-            label = self._smooth_label_for(cell)
-            Z = self.smooth_constraints[label]
-            rows = _cardinal_rows(np.log(sizes), self.knot_vector.knots) @ Z
-            eta += rows @ self.coef[list(self.term_index[label])]
-        return eta
-
-    def _smooth_label_for(self, cell: Mapping) -> str:
-        labels = self.smooth_labels()
-        if self.smooth_by is None:
-            return labels[0]
-        level = cell.get(self.smooth_by)
-        for label in labels:
-            if label.endswith(f"[{level}]"):
-                return label
-        raise InputError(f"no smooth for {self.smooth_by!r} level {level!r}")
+        return _model_rows(self, cell, num_tr_images) @ self.coef
 
     def predict(self, cell: Mapping) -> float:
         """Mean response at one covariate cell; cell must carry num_tr_images."""
@@ -672,20 +683,6 @@ def _fit_statistics(y, mu, phi, edf_total: float) -> dict:
     }
 
 
-def _bulk_mean(model: AdditiveModel, data: Sequence[MetricObservation]) -> np.ndarray:
-    """Predicted means for many observations, one linear predictor per cell."""
-    cells: dict = {}
-    for i, o in enumerate(data):
-        key = tuple(getattr(o, factor) for factor in model.factor_levels)
-        cells.setdefault(key, []).append(i)
-    sizes = np.array([o.num_tr_images for o in data], dtype=float)
-    eta = np.empty(len(data))
-    for key, rows in cells.items():
-        cell = dict(zip(model.factor_levels, key))
-        eta[rows] = model.linear_predictor(cell, sizes[rows])
-    return inv_logit(eta)
-
-
 def fit_stats(model: AdditiveModel, observations: Sequence[MetricObservation]) -> dict:
     """Deviance explained and adjusted R^2 of a model on a dataset."""
     data = [o for o in observations if o.metric == model.metric]
@@ -694,7 +691,9 @@ def fit_stats(model: AdditiveModel, observations: Sequence[MetricObservation]) -
     y = np.array([o.value for o in data])
     if np.any(y <= 0.0) or np.any(y >= 1.0):
         raise InputError("observations contain boundary values; apply squeeze() first")
-    stats = _fit_statistics(y, _bulk_mean(model, data), model.phi, float(model.edf_by_coef.sum()))
+    columns = {factor: [getattr(o, factor) for o in data] for factor in model.factor_levels}
+    X = _model_rows(model, columns, [o.num_tr_images for o in data])
+    stats = _fit_statistics(y, inv_logit(X @ model.coef), model.phi, float(model.edf_by_coef.sum()))
     return {key: stats[key] for key in ("deviance_explained", "adj_r_squared")}
 
 
@@ -708,10 +707,6 @@ def fit(
     observations: Sequence[MetricObservation],
     *,
     lambdas: Sequence[float] | None = None,
-    lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-    screen_tol: float = 1e-5,
 ) -> AdditiveModel:
     """Fit the Beta additive model described by `spec`.
 
@@ -724,44 +719,34 @@ def fit(
         used.  Values must already be strictly inside (0, 1).
     lambdas : optional
         Fixed smoothing parameters, one per smooth block, to bypass the AIC
-        grid search.
-    lambda_grid : sequence of float
-        Candidate smoothing parameters for the coordinate-wise AIC search.
-    tol, max_iter : float, int
-        Convergence tolerance on the penalized log-likelihood change and the
-        outer iteration budget of the final fit.
-    screen_tol : float
-        Looser tolerance used while screening grid candidates; the selected
-        model is always refitted at `tol`.
+        search over DEFAULT_LAMBDA_GRID.
     """
     design = _assemble(spec, observations)
-    n_smooth = len(design.smooth_blocks)
+    n_smooth = len(design.smooth_penalties)
     if lambdas is not None:
         if len(lambdas) != n_smooth:
             raise InputError(f"need {n_smooth} smoothing parameters, got {len(lambdas)}")
         if any(l < 0 for l in lambdas):
             raise InputError("smoothing parameters must be >= 0")
-        chosen = [float(l) for l in lambdas]
-        result = _fit_at_lambda(design, chosen, None, tol, max_iter)
-    elif n_smooth == 0:
-        chosen = []
-        result = _fit_at_lambda(design, chosen, None, tol, max_iter)
+    if lambdas is None and n_smooth > 0:
+        chosen, result = _search_lambdas(design)
     else:
-        chosen, result = _search_lambdas(design, lambda_grid, tol, max_iter, screen_tol)
+        chosen = [] if lambdas is None else [float(l) for l in lambdas]
+        result = _fit_at_lambda(design, chosen, None, _TOL)
     return _package_model(spec, design, chosen, result)
 
 
-def _search_lambdas(design, lambda_grid, tol, max_iter, screen_tol):
-    grid = sorted(float(g) for g in lambda_grid)
-    n_smooth = len(design.smooth_blocks)
-    start = min(grid, key=lambda g: abs(np.log10(g))) if grid else 1.0
+def _search_lambdas(design):
+    grid = [float(g) for g in DEFAULT_LAMBDA_GRID]
+    n_smooth = len(design.smooth_penalties)
+    start = min(grid, key=lambda g: abs(np.log10(g)))
     lam = [start] * n_smooth
     cache = {}
 
     def evaluate(lam_tuple, warm):
         if lam_tuple in cache:
             return cache[lam_tuple]
-        res = _fit_at_lambda(design, list(lam_tuple), warm, screen_tol, max_iter)
+        res = _fit_at_lambda(design, list(lam_tuple), warm, _SCREEN_TOL)
         cache[lam_tuple] = res
         return res
 
@@ -785,16 +770,11 @@ def _search_lambdas(design, lambda_grid, tol, max_iter, screen_tol):
             warm = (res.beta, res.phi)
         if not changed:
             break
-    final = _fit_at_lambda(design, lam, warm, tol, max_iter)
+    final = _fit_at_lambda(design, lam, warm, _TOL)
     return lam, final
 
 
 def _package_model(spec, design, chosen, result) -> AdditiveModel:
-    lambdas = {}
-    constraints = {}
-    for lam, (label, _level, _columns, _S, Z) in zip(chosen, design.smooth_blocks):
-        lambdas[label] = float(lam)
-        constraints[label] = Z
     mu = inv_logit(design.X @ result.beta)[design.inverse]
     return AdditiveModel(
         spec=spec,
@@ -805,8 +785,8 @@ def _package_model(spec, design, chosen, result) -> AdditiveModel:
         references=design.references,
         knot_vector=design.knot_vector,
         smooth_by=design.smooth_by,
-        smooth_constraints=constraints,
-        lambdas=lambdas,
+        smooth_constraints=design.smooth_constraints,
+        lambdas={label: float(lam) for label, lam in zip(design.smooth_constraints, chosen)},
         phi=result.phi,
         covariance=result.covariance,
         edf_by_coef=result.edf_by_coef,
@@ -855,7 +835,7 @@ def backward_eliminate(
     full_spec: ModelSpec,
     observations: Sequence[MetricObservation],
     alpha: float = 0.05,
-    **fit_kwargs,
+    lambdas: Sequence[float] | None = None,
 ):
     """Drop the least significant term with p > alpha, refit, repeat.
 
@@ -865,7 +845,7 @@ def backward_eliminate(
     if not 0.0 < alpha < 1.0:
         raise InputError(f"alpha must lie in (0, 1), got {alpha}")
     spec = full_spec
-    model = fit(spec, observations, **fit_kwargs)
+    model = fit(spec, observations, lambdas=lambdas)
     trace = []
     while True:
         candidates = _candidate_terms(spec, model)
@@ -877,5 +857,5 @@ def backward_eliminate(
             break
         trace.append(EliminationStep(dropped=worst, p_value=pvals[worst]))
         spec = spec.without(worst)
-        model = fit(spec, observations, **fit_kwargs)
+        model = fit(spec, observations, lambdas=lambdas)
     return model, trace

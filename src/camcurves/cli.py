@@ -175,9 +175,7 @@ def _cmd_fit_ols(args) -> int:
 
 
 def _cmd_fit_gam(args) -> int:
-    fit_kwargs = {}
-    if args.lambdas:
-        fit_kwargs["lambdas"] = _parse_numbers(args.lambdas, "--lambdas", float)
+    lambdas = _parse_numbers(args.lambdas, "--lambdas", float) if args.lambdas else None
     io.check_writable(args.out)  # before the fit, which takes seconds
     observations = io.parse_observations(args.observations)
     spec = betagam.default_spec(args.metric)
@@ -189,11 +187,11 @@ def _cmd_fit_gam(args) -> int:
         if o.metric == args.metric
     ]
     if args.eliminate:
-        model, trace = betagam.backward_eliminate(spec, prepared, alpha=args.alpha, **fit_kwargs)
+        model, trace = betagam.backward_eliminate(spec, prepared, alpha=args.alpha, lambdas=lambdas)
         for step in trace:
             print(f"dropped {step.dropped} (p = {step.p_value:.4g})")
     else:
-        model = betagam.fit(spec, prepared, **fit_kwargs)
+        model = betagam.fit(spec, prepared, lambdas=lambdas)
     io.save_model(model, args.out)
     stats = model.fit_stats
     print(

@@ -111,34 +111,50 @@ def gam_required_sample_size(
 ) -> PlanResult:
     """Smallest n whose prediction meets the target for every larger n.
 
-    Spline fits need not be monotone, so the scan applies a conservative
+    Spline fits need not be monotone, so the search applies a conservative
     last-crossing rule over the integer grid 1..search_ceiling: sizes inside
-    a local dip above the target are never recommended.
+    a local dip above the target are never recommended.  Beyond the last knot
+    the natural spline is linear in log n, so the prediction is monotone
+    there (a model without a smooth is constant in n).  The scan therefore
+    predicts every size only up to ceil(exp(last knot)); past it the sizes
+    that fail form a prefix of the tail, whose end is found by bisection.
+    Time and memory follow the knot range, not the ceiling.
     """
     if model.metric != query.metric:
         raise InputError(f"model is for {model.metric}, query is for {query.metric}")
-    sizes = np.arange(1, query.search_ceiling + 1, dtype=float)
-    values = model.predict_sizes(cell, sizes)
-    meets = values >= query.target if query.direction == AT_LEAST else values <= query.target
-    # suffix scan: position of the last failure decides the first safe size
-    fail_idx = np.flatnonzero(~meets)
-    source = f"beta-gam[{model.metric}]"
-    max_observed = max(model.observed_sizes) if model.observed_sizes else None
-    if fail_idx.size == sizes.size:
-        n = None
-    elif fail_idx.size == 0:
-        n = 1
+
+    def meets(values):
+        return values >= query.target if query.direction == AT_LEAST else values <= query.target
+
+    ceiling = query.search_ceiling
+    last_knot = model.knot_vector.knots[-1] if model.knot_vector is not None else 0.0
+    scanned = min(ceiling, math.ceil(math.exp(last_knot)))
+    values = model.predict_sizes(cell, np.arange(1, scanned + 1, dtype=float))
+    fail_idx = np.flatnonzero(~meets(values))
+    last = int(fail_idx[-1]) + 1 if fail_idx.size else 0  # last failing size; 0 for none
+    if scanned < ceiling:
+        if not meets(model.predict_sizes(cell, [ceiling])[0]):
+            last = ceiling
+        else:  # the failing tail sizes are a prefix: lo fails or ends the scan, hi meets
+            lo, hi = scanned, ceiling
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if meets(model.predict_sizes(cell, [mid])[0]) else (mid, hi)
+            if lo > scanned:
+                last = lo
+    n = last + 1 if last < ceiling else None
+    if n is None:
+        value = None
     else:
-        n = int(fail_idx[-1]) + 2  # first index after the last failing size
-        if n > query.search_ceiling:
-            n = None
+        value = float(values[n - 1] if n <= scanned else model.predict_sizes(cell, [n])[0])
+    max_observed = max(model.observed_sizes) if model.observed_sizes else None
     return PlanResult(
         metric=query.metric,
         target=query.target,
         required_n=n,
-        predicted_value=None if n is None else float(values[n - 1]),
+        predicted_value=value,
         extrapolated=bool(n is not None and max_observed is not None and n > max_observed),
-        source=source,
+        source=f"beta-gam[{model.metric}]",
     )
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -165,7 +166,7 @@ class TestCollapsedDesign:
         assert design.sum_ylog.sum() == pytest.approx(np.log(y).sum(), rel=1e-12)
         assert design.sum_y1log.sum() == pytest.approx(np.log1p(-y).sum(), rel=1e-12)
         # each by-level smooth sums to zero over the observations, not the rows
-        smooth_columns = [j for _, _, cols, _, _ in design.smooth_blocks for j in cols]
+        smooth_columns = [j for s in design.smooth_constraints for j in design.term_index[s]]
         column_sums = design.X[design.inverse][:, smooth_columns].sum(axis=0)
         np.testing.assert_allclose(column_sums, 0.0, atol=1e-9)
 
@@ -186,6 +187,22 @@ class TestCollapsedDesign:
         mu = inv_logit(design.X @ model.coef)[design.inverse]
         ll, _, _ = beta_loglik(design.y, mu, model.phi)
         assert model.fit_stats.loglik == pytest.approx(float(np.sum(ll)), rel=1e-10)
+
+    def test_prediction_encodes_every_training_row_as_the_fit(
+        self, calibrated_acc_model, calibrated_observations
+    ):
+        model = calibrated_acc_model
+        data = [o for o in calibrated_observations if o.metric == "ACC"]
+        design = _assemble(model.spec, data)
+        fitted = inv_logit(design.X @ model.coef)
+        first = {}
+        for i, r in enumerate(design.inverse):
+            first.setdefault(r, data[i])
+        assert len(first) == design.X.shape[0]
+        for r, o in first.items():
+            cell = {f: getattr(o, f) for f in model.factor_levels}
+            predicted = model.predict_sizes(cell, o.num_tr_images)[0]
+            assert predicted == pytest.approx(fitted[r], rel=0, abs=1e-12)
 
     def test_shuffled_observations_give_the_same_fit(
         self, calibrated_acc_model, calibrated_observations
@@ -241,11 +258,12 @@ class TestFit:
         with pytest.raises(InputError, match="rank-deficient"):
             betagam.fit(spec, obs)
 
-    def test_nonconvergence_reported_with_diagnostics(self):
+    def test_nonconvergence_reported_with_diagnostics(self, monkeypatch):
         rng = np.random.default_rng(1)
         obs = simulate_rows(rng)
+        monkeypatch.setattr(betagam, "_MAX_ITER", 1)
         with pytest.raises(ConvergenceError) as err:
-            betagam.fit(single_smooth_spec(), obs, lambdas=[1.0], max_iter=1)
+            betagam.fit(single_smooth_spec(), obs, lambdas=[1.0])
         assert err.value.iterations == 1
         assert err.value.last_change is not None
 
@@ -338,6 +356,12 @@ class TestFitStatistics:
             model.fit_stats.deviance_explained, rel=1e-9
         )
         assert public["adj_r_squared"] == pytest.approx(model.fit_stats.adj_r_squared, rel=1e-9)
+
+    def test_unknown_level_rejected(self, calibrated_acc_model, calibrated_observations):
+        data = [o for o in calibrated_observations if o.metric == "ACC"][:50]
+        data[7] = replace(data[7], dataset="MARS")
+        with pytest.raises(InputError, match="MARS"):
+            betagam.fit_stats(calibrated_acc_model, data)
 
     def test_deviance_explained_is_one_minus_deviance_ratio(self, calibrated_acc_model):
         rng = np.random.default_rng(13)

@@ -100,3 +100,14 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         check=True,
     )
     assert done.stdout.strip() == "False"
+
+
+def test_plan_with_a_huge_ceiling_stays_bounded(calibrated_acc_model, tmp_path, capsys):
+    model = str(tmp_path / "acc.json")
+    io.save_model(calibrated_acc_model, model)
+    argv = ["plan", "--model", model, "--cell", "WI,deep,resNet18", "--ceiling", "1000000000000"]
+    for target in ("0.95", "0.9999"):
+        code = cli.main(argv + ["--target", target])
+        err = capsys.readouterr().err
+        assert code in (cli.EXIT_OK, cli.EXIT_INFEASIBLE)
+        assert "Traceback" not in err

@@ -139,6 +139,67 @@ class TestGamInversion:
             gam_required_sample_size(calibrated_acc_model, cell, PlanQuery("ACC", 0.9))
 
 
+CELLS = (
+    {"tuning": "deep", "dataset": "AU", "architecture": "dnsNet121"},
+    {"tuning": "shallow", "dataset": "SE", "architecture": "resNet152"},
+    {"tuning": "deep", "dataset": "WI", "architecture": "resNet18"},
+    {"tuning": "shallow", "dataset": "WI", "architecture": "dnsNet201"},
+)
+
+
+@pytest.fixture(scope="module")
+def calibrated_fpr_model(calibrated_observations):
+    data = [o for o in calibrated_observations if o.metric == "FPR"]
+    return betagam.fit(betagam.default_spec("FPR"), data)
+
+
+def last_crossing(model, cell, query):
+    """The last-crossing rule on every integer size up to the ceiling."""
+    sizes = np.arange(1, query.search_ceiling + 1)
+    values = model.predict_sizes(cell, sizes)
+    meets = values >= query.target if query.direction == "at_least" else values <= query.target
+    fails = np.flatnonzero(~meets)
+    if fails.size == 0:
+        return 1
+    n = int(fails[-1]) + 2
+    return n if n <= query.search_ceiling else None
+
+
+class TestBoundedScan:
+    TARGETS = {"ACC": (0.93, 0.96, 0.97, 0.99, 0.995), "FPR": (0.05, 0.03, 0.02, 0.015, 0.002)}
+
+    def test_matches_full_last_crossing_scan(self, calibrated_acc_model, calibrated_fpr_model):
+        tail_answers = 0
+        for model in (calibrated_acc_model, calibrated_fpr_model):
+            for cell in CELLS:
+                for target in self.TARGETS[model.metric]:
+                    query = PlanQuery(model.metric, target, search_ceiling=20_000)
+                    result = gam_required_sample_size(model, cell, query)
+                    assert result.required_n == last_crossing(model, cell, query)
+                    if result.required_n is not None:
+                        expected = model.predict_sizes(cell, [result.required_n])[0]
+                        assert result.predicted_value == pytest.approx(expected, rel=1e-12)
+                        tail_answers += result.required_n > 1000
+        assert tail_answers >= 3  # the bisected tail beyond the last knot is exercised
+
+    def test_huge_ceiling_predicts_only_the_knot_range(self, calibrated_acc_model, monkeypatch):
+        model = calibrated_acc_model
+        seen = []
+        predict_sizes = type(model).predict_sizes
+
+        def spy(self, cell, sizes):
+            seen.append(np.size(sizes))
+            return predict_sizes(self, cell, sizes)
+
+        monkeypatch.setattr(type(model), "predict_sizes", spy)
+        bound = math.ceil(math.exp(model.knot_vector.knots[-1])) + 64
+        for cell in CELLS:
+            seen.clear()
+            query = PlanQuery("ACC", 0.99, search_ceiling=10**12)
+            gam_required_sample_size(model, cell, query)
+            assert 0 < sum(seen) <= bound
+
+
 class TestPlanReport:
     def test_binding_requirement_from_presets(self):
         report = plan_report({"ACC": 0.95, "FPR": 0.02}, table1_presets())
