@@ -238,7 +238,6 @@ class _Design:
     factor_levels: dict
     references: dict
     knot_vector: KnotVector | None
-    smooth_by: str | None
     smooth_constraints: dict  # smooth label -> k x (k-1) reparameterization
     smooth_penalties: dict  # smooth label -> (k-1) x (k-1) curvature penalty
     observed_sizes: tuple
@@ -326,20 +325,17 @@ def _assemble(spec: ModelSpec, observations: Sequence[MetricObservation]) -> _De
         names.extend(f"{term.name}[{level}]" for level in others)
 
     knot_vector = None
-    smooth_by = None
     constraints: dict = {}
     penalties: dict = {}
     for term in spec.smooth_terms:
         x = np.log(np.array(column[term.covariate], dtype=float))
         knot_vector = place_knots(np.unique(x), k=term.k)
         basis = build_basis(x, knot_vector)
-        smooth_by = term.by_factor
-        if smooth_by is not None and smooth_by not in factor_levels:
-            raise InputError(
-                f"smooth by-factor {smooth_by!r} is not a parametric term of the model"
-            )
-        for level in (None,) if smooth_by is None else factor_levels[smooth_by]:
-            mask = np.ones(m) if level is None else np.array(column[smooth_by]) == level
+        by = term.by_factor
+        if by is not None and by not in factor_levels:
+            raise InputError(f"smooth by-factor {by!r} is not a parametric term of the model")
+        for level in (None,) if by is None else factor_levels[by]:
+            mask = np.ones(m) if level is None else np.array(column[by]) == level
             # count-weighted, so the constraint sums over the observations
             centred = center_basis(basis, weights=mask * counts)
             label = term.label if level is None else f"{term.label}[{level}]"
@@ -361,7 +357,6 @@ def _assemble(spec: ModelSpec, observations: Sequence[MetricObservation]) -> _De
         factor_levels=factor_levels,
         references=references,
         knot_vector=knot_vector,
-        smooth_by=smooth_by,
         smooth_constraints=constraints,
         smooth_penalties=penalties,
         observed_sizes=tuple(sorted({int(o.num_tr_images) for o in data})),
@@ -554,7 +549,6 @@ class AdditiveModel:
     factor_levels: dict
     references: dict
     knot_vector: KnotVector | None
-    smooth_by: str | None
     smooth_constraints: dict  # smooth label -> k x (k-1) reparameterization
     lambdas: dict  # smooth label -> smoothing parameter
     phi: float
@@ -784,7 +778,6 @@ def _package_model(spec, design, chosen, result) -> AdditiveModel:
         factor_levels=design.factor_levels,
         references=design.references,
         knot_vector=design.knot_vector,
-        smooth_by=design.smooth_by,
         smooth_constraints=design.smooth_constraints,
         lambdas={label: float(lam) for label, lam in zip(design.smooth_constraints, chosen)},
         phi=result.phi,

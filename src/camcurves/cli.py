@@ -81,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("simulate", help="synthetic experiment-grid observations")
-    p.add_argument("--cells", default="default", choices=["default"])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
 
@@ -298,10 +297,10 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = design.default_grid_config(seed=args.seed)
-    observations = design.simulate_grid(config)
+    observations = design.simulate_grid(args.seed)
     io.write_observations_csv(args.out, observations)
-    print(f"wrote {len(observations)} observations ({config.n_cells} cells) to {args.out}")
+    cells = math.prod(len(axis) for axis in design.GRID_AXES)
+    print(f"wrote {len(observations)} observations ({cells} cells) to {args.out}")
     return EXIT_OK
 
 

@@ -2,26 +2,27 @@
 
 Design side: deterministic equal-spacing subsampling of time-ordered image
 sequences, seeded exclusive test splits with nested training subsets, and a
-location-coverage check.
+location-coverage check of a split.
 
-Simulation side: a 864-cell experiment grid (3 datasets x 6 training sizes
-x 6 architectures x 2 tuning schemes x 4 augmentation schemes) emitting
+Simulation side: `simulate_grid(seed)` draws the one calibrated 864-cell
+experiment grid (3 datasets x 6 training sizes x 6 architectures x 2 tuning
+schemes x 4 augmentation schemes) from the module constants below, emitting
 per-class Beta-distributed metric values whose logit-scale means follow a
-log-size law plus calibrated per-dataset adjustments.  Default parameters
-are calibrated so the simulated dataset-average trajectories reproduce the
-reference trajectories in REFERENCE_TRAJECTORIES.
+log-size law plus per-dataset adjustments, calibrated so the simulated
+dataset-average trajectories reproduce REFERENCE_TRAJECTORIES.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import product
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from ._numeric import inv_logit, logit
 from .errors import InputError
-from .metrics import METRIC_KINDS, MetricObservation, PredictionRecord
+from .metrics import METRIC_KINDS, MetricObservation
 
 DEFAULT_SIZE_LADDER = (10, 20, 50, 150, 500, 1000)
 DEFAULT_TEST_SIZE = 250
@@ -31,6 +32,8 @@ ARCHITECTURES = ("dnsNet121", "dnsNet161", "dnsNet201", "resNet18", "resNet50", 
 TUNINGS = ("deep", "shallow")
 # augmentation schemes: which of train/test sets receives augmented copies
 AUGMENTATIONS = ("trainOnly", "trainAndTest", "testOnly", "none")
+# the axes of the simulated grid, in the order its cells are drawn and written
+GRID_AXES = (DATASETS, DEFAULT_SIZE_LADDER, ARCHITECTURES, TUNINGS, AUGMENTATIONS)
 
 DEFAULT_CLASSES = {
     "AU": ("blank", "cat", "dog", "fox", "horse", "kangaroo", "lyrebird", "others", "pig"),
@@ -82,6 +85,9 @@ DEFAULT_TUNING_OFFSETS = {"ACC": 0.050, "PRC": 0.045, "TPR": 0.074, "FPR": 0.0}
 
 DEFAULT_CLASS_OFFSET_SD = 0.25
 DEFAULT_PHI_SIM = 250.0
+
+# fewest distinct camera locations a class's training pool and test split need
+MIN_LOCATIONS = 3
 
 # anchors clamped away from 0/1 before taking logits (trajectories are
 # reported to two decimals, so 0.00 means "below half a percent")
@@ -194,64 +200,33 @@ class CoverageReport:
     violations: tuple = ()
     detail: str = ""
 
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
 
 def validate_location_coverage(
-    subject, locations: Mapping[str, str] | None = None, min_locations: int = 3
+    manifest: SamplingManifest, locations: Mapping[str, str]
 ) -> CoverageReport:
-    """Check each class spans at least `min_locations` camera locations.
+    """Check that each class spans at least MIN_LOCATIONS camera locations.
 
-    `subject` is either a SamplingManifest (checked per class for the
-    training pool and the test split, using the `locations` id->location
-    mapping) or a sequence of PredictionRecord (checked per true class using
-    each record's own location_id).  Missing location metadata yields a
-    "cannot_validate" report, never a silent pass.
+    The training pool and the test split of every class are checked
+    separately, through the `locations` id -> location mapping.  An image id
+    without a location yields a "cannot_validate" report, never a silent pass.
     """
     per_split: dict = {}
-    if isinstance(subject, SamplingManifest):
-        if locations is None:
-            return CoverageReport(
-                status="cannot_validate", detail="no id->location mapping supplied"
-            )
-        missing = []
-        for label, cd in subject.classes.items():
-            test = set(cd.test_ids)
-            train_pool = [i for i in cd.pool if i not in test]
-            for split, ids in (("train", train_pool), ("test", cd.test_ids)):
-                locs = set()
-                for i in ids:
-                    if i not in locations:
-                        missing.append(i)
-                    else:
-                        locs.add(locations[i])
-                per_split[(label, split)] = len(locs)
-        if missing:
-            return CoverageReport(
-                status="cannot_validate",
-                detail=f"{len(missing)} image ids lack a location (e.g. {missing[0]!r})",
-            )
-    else:
-        records = list(subject)
-        if not records:
-            return CoverageReport(status="cannot_validate", detail="no records")
-        if any(not isinstance(r, PredictionRecord) for r in records):
-            raise InputError("expected a SamplingManifest or PredictionRecord sequence")
-        if any(r.location_id is None for r in records):
-            return CoverageReport(
-                status="cannot_validate", detail="records lack location ids"
-            )
-        by_class: dict = {}
-        for r in records:
-            by_class.setdefault(r.true_class, set()).add(r.location_id)
-        for label, locs in by_class.items():
-            per_split[(label, "test")] = len(locs)
+    missing = []
+    for label, cd in manifest.classes.items():
+        test = set(cd.test_ids)
+        train_pool = [i for i in cd.pool if i not in test]
+        for split, ids in (("train", train_pool), ("test", cd.test_ids)):
+            missing.extend(i for i in ids if i not in locations)
+            per_split[(label, split)] = len({locations[i] for i in ids if i in locations})
+    if missing:
+        return CoverageReport(
+            status="cannot_validate",
+            detail=f"{len(missing)} image ids lack a location (e.g. {missing[0]!r})",
+        )
     violations = tuple(
         CoverageViolation(class_label=label, split=split, distinct_locations=count)
         for (label, split), count in sorted(per_split.items())
-        if count < min_locations
+        if count < MIN_LOCATIONS
     )
     return CoverageReport(status="violations" if violations else "ok", violations=violations)
 
@@ -259,80 +234,6 @@ def validate_location_coverage(
 # ---------------------------------------------------------------------------
 # experiment-grid simulator
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MetricEffects:
-    """Logit-scale generative components for one metric.
-
-    The mean for a cell is intercept + dataset offset + size_slope*ln(n)
-    + size adjustment (a per-(dataset, size) deviation from the log-linear
-    law) + architecture offset + tuning offset, plus a per-class offset.
-    """
-
-    intercept: float
-    dataset_offsets: dict  # dataset -> logit offset (reference dataset 0)
-    architecture_offsets: dict  # architecture -> logit offset
-    tuning_offset: float  # added for the second tuning level
-    size_slope: float  # per unit ln(num_tr_images)
-    size_adjustments: dict  # (dataset, size) -> logit deviation
-
-    def base_logit(self, dataset: str, size: int) -> float:
-        return (
-            self.intercept
-            + self.dataset_offsets[dataset]
-            + self.size_slope * float(np.log(size))
-            + self.size_adjustments.get((dataset, size), 0.0)
-        )
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    """Shape and generative parameters of the synthetic experiment grid."""
-
-    datasets: tuple = DATASETS
-    size_ladder: tuple = DEFAULT_SIZE_LADDER
-    architectures: tuple = ARCHITECTURES
-    tunings: tuple = TUNINGS
-    augmentations: tuple = AUGMENTATIONS
-    classes: dict = None
-    effects: dict = None  # metric -> MetricEffects
-    class_offset_sd: float = DEFAULT_CLASS_OFFSET_SD
-    phi_sim: float = DEFAULT_PHI_SIM
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.phi_sim <= 0.0:
-            raise InputError("phi_sim must be positive")
-        if self.class_offset_sd < 0.0:
-            raise InputError("class_offset_sd must be >= 0")
-        shape = (
-            len(self.datasets),
-            len(self.size_ladder),
-            len(self.architectures),
-            len(self.tunings),
-            len(self.augmentations),
-        )
-        if shape != (3, 6, 6, 2, 4):
-            raise InputError(
-                f"experiment grid must be 3 datasets x 6 sizes x 6 architectures "
-                f"x 2 tunings x 4 augmentations, got {shape}"
-            )
-        if self.classes is None or self.effects is None:
-            raise InputError("classes and effects must be provided; see default_grid_config()")
-        for d in self.datasets:
-            if d not in self.classes or len(self.classes[d]) != 9:
-                raise InputError(f"dataset {d!r} needs exactly 9 class labels")
-
-    @property
-    def n_cells(self) -> int:
-        return (
-            len(self.datasets)
-            * len(self.size_ladder)
-            * len(self.architectures)
-            * len(self.tunings)
-            * len(self.augmentations)
-        )
 
 
 def _gauss_hermite_mean(eta0: float, offsets: np.ndarray, sd: float, nodes, weights) -> tuple:
@@ -343,13 +244,13 @@ def _gauss_hermite_mean(eta0: float, offsets: np.ndarray, sd: float, nodes, weig
     return float((weights * p).sum() / scale), float((weights * p * (1.0 - p)).sum() / scale)
 
 
-def _calibrate_bases(metric: str, arch_offsets, tuning_offset, class_sd) -> dict:
+def _calibrate_bases(metric: str) -> dict:
     """Solve the base logit per (dataset, size) so the simulated grid mean
     over architectures, tunings and class offsets matches the reference
     trajectory value."""
     nodes, weights = np.polynomial.hermite.hermgauss(20)
-    arch = np.array([arch_offsets[a] for a in ARCHITECTURES])
-    tun = np.array([0.0, tuning_offset])
+    arch = np.array([DEFAULT_ARCH_OFFSETS[metric][a] for a in ARCHITECTURES])
+    tun = np.array([0.0, DEFAULT_TUNING_OFFSETS[metric]])
     combo = (arch[:, None] + tun[None, :]).ravel()
     out = {}
     for dataset in DATASETS:
@@ -357,7 +258,9 @@ def _calibrate_bases(metric: str, arch_offsets, tuning_offset, class_sd) -> dict
             t = float(np.clip(target, _ANCHOR_CLAMP, 1.0 - _ANCHOR_CLAMP))
             eta = float(logit(t))
             for _ in range(60):
-                mean, deriv = _gauss_hermite_mean(eta, combo, class_sd, nodes, weights)
+                mean, deriv = _gauss_hermite_mean(
+                    eta, combo, DEFAULT_CLASS_OFFSET_SD, nodes, weights
+                )
                 step = (t - mean) / deriv
                 eta += step
                 if abs(step) < 1e-13:
@@ -366,103 +269,86 @@ def _calibrate_bases(metric: str, arch_offsets, tuning_offset, class_sd) -> dict
     return out
 
 
-def _decompose_bases(bases: dict) -> tuple:
-    """Split base logits into intercept + dataset offsets + log-size slope
-    + per-(dataset, size) adjustments (adjustments average to zero per dataset)."""
+def _base_logits() -> dict:
+    """Calibrated base logit of every (metric, dataset, size).
+
+    The solved bases are split into intercept + dataset offset + slope*ln(n)
+    + a per-(dataset, size) adjustment (adjustments average to zero per
+    dataset), and each base is returned as that sum, added in this order.
+    The sum differs from the solved base by up to 1 ulp in half of the
+    entries; the simulated values depend on those last bits, so returning
+    the solved base would change every recorded simulator output.
+    """
     lnn = np.log(np.array(DEFAULT_SIZE_LADDER, dtype=float))
     xc = lnn - lnn.mean()
-    num = 0.0
-    for d in DATASETS:
-        e = np.array([bases[(d, s)] for s in DEFAULT_SIZE_LADDER])
-        num += float(xc @ (e - e.mean()))
-    slope = num / (len(DATASETS) * float(xc @ xc))
-    level = {
-        d: float(np.mean([bases[(d, s)] for s in DEFAULT_SIZE_LADDER]) - slope * lnn.mean())
-        for d in DATASETS
-    }
-    intercept = level["AU"]
-    offsets = {d: level[d] - intercept for d in DATASETS}
-    adjustments = {
-        (d, s): bases[(d, s)] - intercept - offsets[d] - slope * float(np.log(s))
-        for d in DATASETS
-        for s in DEFAULT_SIZE_LADDER
-    }
-    return intercept, offsets, slope, adjustments
-
-
-def default_grid_config(seed: int = 0) -> GridConfig:
-    """The calibrated default grid: trajectories, architecture and tuning
-    effects, and noise levels chosen so the simulated dataset means track
-    REFERENCE_TRAJECTORIES."""
-    effects = {}
+    out = {}
     for metric in METRIC_KINDS:
-        arch = DEFAULT_ARCH_OFFSETS[metric]
-        tun = DEFAULT_TUNING_OFFSETS[metric]
-        bases = _calibrate_bases(metric, arch, tun, DEFAULT_CLASS_OFFSET_SD)
-        intercept, offsets, slope, adjustments = _decompose_bases(bases)
-        effects[metric] = MetricEffects(
-            intercept=intercept,
-            dataset_offsets=offsets,
-            architecture_offsets=dict(arch),
-            tuning_offset=tun,
-            size_slope=slope,
-            size_adjustments=adjustments,
-        )
-    return GridConfig(classes=dict(DEFAULT_CLASSES), effects=effects, seed=int(seed))
+        bases = _calibrate_bases(metric)
+        num = 0.0
+        for d in DATASETS:
+            e = np.array([bases[(d, s)] for s in DEFAULT_SIZE_LADDER])
+            num += float(xc @ (e - e.mean()))
+        slope = num / (len(DATASETS) * float(xc @ xc))
+        level = {
+            d: float(np.mean([bases[(d, s)] for s in DEFAULT_SIZE_LADDER]) - slope * lnn.mean())
+            for d in DATASETS
+        }
+        intercept = level[DATASETS[0]]
+        for d, s in product(DATASETS, DEFAULT_SIZE_LADDER):
+            offset = level[d] - intercept
+            trend = slope * float(np.log(s))
+            adjustment = bases[(d, s)] - intercept - offset - trend
+            out[(metric, d, s)] = intercept + offset + trend + adjustment
+    return out
 
 
-def simulate_grid(config: GridConfig) -> list:
-    """Draw the full experiment grid: one observation per cell, class and metric.
+def simulate_grid(seed: int) -> list:
+    """Draw the calibrated experiment grid: one observation per cell, class and metric.
 
-    Every cell gets its own random substream keyed by the master seed and the
-    cell coordinates, so output is bit-identical regardless of evaluation
-    order or parallel schedule.  Per-class offsets are drawn once per
-    (metric, dataset) on the logit scale and centered, so realized dataset
-    means stay on the calibrated trajectories.
+    The cells are the product of GRID_AXES, each with the classes of
+    DEFAULT_CLASSES.  A value is Beta with precision DEFAULT_PHI_SIM and a
+    mean whose logit is the base logit of its (metric, dataset, size) +
+    architecture offset + tuning offset + class offset.  Class offsets are
+    drawn once per (metric, dataset) and centred, so realized dataset means
+    stay on the calibrated trajectories.
+
+    Each cell draws from its own substream of `seed`, keyed by its axis
+    indices, and the class offsets from substreams keyed by (metric,
+    dataset), so the values of a cell do not depend on the other cells.
     """
-    metrics = METRIC_KINDS
     class_offsets = {}
-    for mi, metric in enumerate(metrics):
-        for di, dataset in enumerate(config.datasets):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=config.seed, spawn_key=(_CLASS_OFFSET_KEY, mi, di))
-            )
-            offs = rng.normal(0.0, config.class_offset_sd, len(config.classes[dataset]))
-            class_offsets[(metric, dataset)] = offs - offs.mean()
+    for (mi, metric), (di, dataset) in product(enumerate(METRIC_KINDS), enumerate(DATASETS)):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(_CLASS_OFFSET_KEY, mi, di))
+        )
+        offs = rng.normal(0.0, DEFAULT_CLASS_OFFSET_SD, len(DEFAULT_CLASSES[dataset]))
+        class_offsets[(metric, dataset)] = offs - offs.mean()
 
+    logits = _base_logits()
     observations = []
-    for di, dataset in enumerate(config.datasets):
-        labels = config.classes[dataset]
-        for ni, size in enumerate(config.size_ladder):
-            for ai, arch in enumerate(config.architectures):
-                for ti, tuning in enumerate(config.tunings):
-                    for gi, aug in enumerate(config.augmentations):
-                        rng = np.random.default_rng(
-                            np.random.SeedSequence(
-                                entropy=config.seed, spawn_key=(di, ni, ai, ti, gi)
-                            )
-                        )
-                        for metric in metrics:
-                            eff = config.effects[metric]
-                            eta = (
-                                eff.base_logit(dataset, size)
-                                + eff.architecture_offsets[arch]
-                                + (eff.tuning_offset if ti == 1 else 0.0)
-                                + class_offsets[(metric, dataset)]
-                            )
-                            mu = inv_logit(eta)
-                            values = rng.beta(mu * config.phi_sim, (1.0 - mu) * config.phi_sim)
-                            for label, value in zip(labels, values):
-                                observations.append(
-                                    MetricObservation(
-                                        metric=metric,
-                                        value=float(value),
-                                        dataset=dataset,
-                                        class_label=label,
-                                        num_tr_images=int(size),
-                                        architecture=arch,
-                                        tuning=tuning,
-                                        augmentation=aug,
-                                    )
-                                )
+    for key in product(*(range(len(axis)) for axis in GRID_AXES)):
+        dataset, size, arch, tuning, aug = (axis[i] for axis, i in zip(GRID_AXES, key))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+        for metric in METRIC_KINDS:
+            eta = (
+                logits[(metric, dataset, size)]
+                + DEFAULT_ARCH_OFFSETS[metric][arch]
+                + (DEFAULT_TUNING_OFFSETS[metric] if tuning == TUNINGS[1] else 0.0)
+                + class_offsets[(metric, dataset)]
+            )
+            mu = inv_logit(eta)
+            values = rng.beta(mu * DEFAULT_PHI_SIM, (1.0 - mu) * DEFAULT_PHI_SIM)
+            observations.extend(
+                MetricObservation(
+                    metric=metric,
+                    value=float(value),
+                    dataset=dataset,
+                    class_label=label,
+                    num_tr_images=size,
+                    architecture=arch,
+                    tuning=tuning,
+                    augmentation=aug,
+                )
+                for label, value in zip(DEFAULT_CLASSES[dataset], values)
+            )
     return observations

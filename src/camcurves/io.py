@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .betagam import AdditiveModel, FactorTerm, FitStats, ModelSpec, SmoothTerm
-from .curves import LearningCurveModel, transform_for
+from .curves import LearningCurveModel
 from .errors import InputError
 from .metrics import METRIC_KINDS, MetricObservation, PredictionRecord
 from .splines import KnotVector
@@ -258,7 +258,8 @@ def model_to_dict(model) -> dict:
             "factor_levels": {k: list(v) for k, v in model.factor_levels.items()},
             "references": dict(model.references),
             "knots": model.knot_vector.knots.tolist() if model.knot_vector else None,
-            "smooth_by": model.smooth_by,
+            # read by no loader; kept so the model JSON layout stays the same
+            "smooth_by": next((t.by_factor for t in model.spec.smooth_terms), None),
             "smooth_constraints": {
                 k: v.tolist() for k, v in model.smooth_constraints.items()
             },
@@ -282,15 +283,54 @@ def model_to_dict(model) -> dict:
 
 
 def model_from_dict(payload: Mapping):
-    if payload.get("schema") != MODEL_SCHEMA:
+    """The model a model_to_dict document describes; InputError if it is malformed."""
+    if not isinstance(payload, Mapping) or payload.get("schema") != MODEL_SCHEMA:
         raise InputError(f"not a {MODEL_SCHEMA} document")
+    try:
+        model = _model_from_payload(payload)
+        if isinstance(model, AdditiveModel):
+            _check_gam_parts(model)
+    except KeyError as exc:
+        raise InputError(f"model is missing key {exc.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed model: {exc}") from None
+    return model
+
+
+def _check_gam_parts(model: AdditiveModel):
+    """Raise InputError unless the arrays and indices of a loaded GAM agree."""
+    p = len(model.coef_names)
+    shapes = {
+        "coef": (model.coef.shape, (p,)),
+        "edf_by_coef": (model.edf_by_coef.shape, (p,)),
+        "covariance": (model.covariance.shape, (p, p)),
+    }
+    for name, (shape, expected) in shapes.items():
+        if shape != expected:
+            raise InputError(f"model {name} has shape {shape}, coef_names needs {expected}")
+    indices = sorted(i for idx in model.term_index.values() for i in idx)
+    if indices != list(range(p)):
+        raise InputError(f"model term_index does not cover coefficients 0..{p - 1} once each")
+    factors = {t.name: t.reference for t in model.spec.parametric_terms}
+    if set(model.factor_levels) != set(factors) or model.references != factors:
+        raise InputError("model factor_levels and references disagree with its parametric terms")
+    for name, levels in model.factor_levels.items():
+        if factors[name] not in levels or len(model.term_index.get(name, ())) != len(levels) - 1:
+            raise InputError(f"model levels of factor {name!r} disagree with its coefficients")
+    knots = model.knot_vector.count if model.knot_vector else 0
+    for label in model.smooth_labels():
+        shape = (knots, len(model.term_index[label]))
+        constraint = model.smooth_constraints.get(label)
+        if constraint is None or constraint.shape != shape:
+            rows, cols = shape
+            raise InputError(f"model has no {rows} x {cols} smooth constraint for {label!r}")
+
+
+def _model_from_payload(payload: Mapping):
     family = payload.get("model_family")
     if family == "ols_log":
-        metric = payload["metric"]
-        if payload["transform"] != transform_for(metric):
-            raise InputError("model transform inconsistent with its metric kind")
-        return LearningCurveModel(
-            metric=metric,
+        return LearningCurveModel(  # checks the transform against the metric
+            metric=payload["metric"],
             intercept=float(payload["intercept"]),
             slope=float(payload["slope"]),
             transform=payload["transform"],
@@ -323,7 +363,6 @@ def model_from_dict(payload: Mapping):
                 if payload.get("knots")
                 else None
             ),
-            smooth_by=payload.get("smooth_by"),
             smooth_constraints={
                 k: np.array(v, dtype=float)
                 for k, v in payload["smooth_constraints"].items()

@@ -36,8 +36,7 @@ def observation_rows(values, sizes, **kwargs):
 
 @pytest.fixture(scope="session")
 def calibrated_observations():
-    config = design.default_grid_config(seed=CALIBRATION_SEED)
-    return design.simulate_grid(config)
+    return design.simulate_grid(CALIBRATION_SEED)
 
 
 @pytest.fixture(scope="session")

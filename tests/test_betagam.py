@@ -390,7 +390,6 @@ def hand_built_model(coef_value=0.050, se=0.009):
         factor_levels={"tuning": ("deep", "shallow")},
         references={"tuning": "deep"},
         knot_vector=None,
-        smooth_by=None,
         smooth_constraints={},
         lambdas={},
         phi=50.0,

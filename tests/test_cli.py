@@ -111,3 +111,78 @@ def test_plan_with_a_huge_ceiling_stays_bounded(calibrated_acc_model, tmp_path, 
         err = capsys.readouterr().err
         assert code in (cli.EXIT_OK, cli.EXIT_INFEASIBLE)
         assert "Traceback" not in err
+
+
+def _drop_phi(d):
+    del d["phi"]
+
+
+def _drop_wi_constraint(d):
+    del d["smooth_constraints"]["s(num_tr_images):dataset[WI]"]
+
+
+def _drop_last_coef(d):
+    d["coef"].pop()
+
+
+def _drop_last_edf(d):
+    d["edf_by_coef"].pop()
+
+
+def _drop_covariance_row(d):
+    d["covariance"].pop()
+
+
+def _shift_tuning_index(d):
+    d["term_index"]["tuning"] = [i + 1 for i in d["term_index"]["tuning"]]
+
+
+def _drop_tuning_reference(d):
+    del d["references"]["tuning"]
+
+
+def _drop_tuning_levels(d):
+    del d["factor_levels"]["tuning"]
+
+
+@pytest.mark.parametrize(
+    "edit, fragment",
+    [
+        (_drop_phi, "missing key 'phi'"),
+        (_drop_wi_constraint, "s(num_tr_images):dataset[WI]"),
+        (_drop_last_coef, "coef has shape"),
+        (_drop_last_edf, "edf_by_coef has shape"),
+        (_drop_covariance_row, "covariance has shape"),
+        (_shift_tuning_index, "term_index does not cover"),
+        (_drop_tuning_reference, "disagree with its parametric terms"),
+        (_drop_tuning_levels, "disagree with its parametric terms"),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_malformed_gam_file_is_an_input_error(
+    calibrated_acc_model, tmp_path, capsys, edit, fragment
+):
+    payload = io.model_to_dict(calibrated_acc_model)
+    edit(payload)
+    model = tmp_path / "acc.json"
+    model.write_text(io.canonical_json(payload))
+    argv = ["plan", "--model", str(model), "--target", "0.95", "--cell", "WI,deep,resNet18"]
+    assert_one_input_error(cli.main(argv), capsys, fragment)
+
+
+@pytest.mark.parametrize(
+    "edit, fragment",
+    [
+        (lambda d: d.pop("slope"), "missing key 'slope'"),
+        (lambda d: d.update(transform="log_inverse_n"), "uses the 'log_n' transform"),
+    ],
+    ids=["missing-slope", "wrong-transform"],
+)
+def test_malformed_ols_file_is_an_input_error(tmp_path, capsys, edit, fragment):
+    points = [(n, 0.6 + 0.05 * i) for i, n in enumerate(SIZES)]
+    payload = io.model_to_dict(camcurves.fit_log_curve(points, "ACC"))
+    edit(payload)
+    model = tmp_path / "acc.json"
+    model.write_text(io.canonical_json(payload))
+    code = cli.main(["plan", "--model", str(model), "--target", "0.9"])
+    assert_one_input_error(code, capsys, fragment)
