@@ -722,6 +722,9 @@ def fit(
             raise InputError(f"need {n_smooth} smoothing parameters, got {len(lambdas)}")
         if any(l < 0 for l in lambdas):
             raise InputError("smoothing parameters must be >= 0")
+        scales = [float(np.abs(S).max()) for S in design.smooth_penalties.values()]
+        if not all(np.isfinite(float(l) * s) for l, s in zip(lambdas, scales)):
+            raise InputError(f"smoothing parameters {list(lambdas)} give a non-finite penalty")
     if lambdas is None and n_smooth > 0:
         chosen, result = _search_lambdas(design)
     else:

@@ -68,7 +68,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-tpr", type=float)
     p.add_argument("--target-fpr", type=float)
     p.add_argument("--cell", help="dataset,tuning,architecture (needed for GAM models)")
-    p.add_argument("--ceiling", type=int, default=planner.DEFAULT_SEARCH_CEILING)
+    p.add_argument(
+        "--ceiling",
+        type=int,
+        default=planner.DEFAULT_SEARCH_CEILING,
+        help="largest size searched: the answer is the smallest n from which every size up "
+        "to the ceiling meets the target; unattainable otherwise (default: %(default)s)",
+    )
     p.add_argument("--out", help="write the report as JSON")
 
     p = sub.add_parser("design", help="balanced sampling design from an image index")
@@ -278,7 +284,7 @@ def _cmd_design(args) -> int:
     extra = {}
     if locations:
         report = design.validate_location_coverage(manifest, locations)
-        extra["location_coverage"] = {
+        coverage = {
             "status": report.status,
             "violations": [
                 {
@@ -289,8 +295,12 @@ def _cmd_design(args) -> int:
                 for v in report.violations
             ],
         }
+        if report.detail:
+            coverage["detail"] = report.detail
+        extra["location_coverage"] = coverage
         if report.status != "ok":
-            print(f"location coverage: {report.status}", file=sys.stderr)
+            detail = f": {report.detail}" if report.detail else ""
+            print(f"location coverage: {report.status}{detail}", file=sys.stderr)
     io.save_manifest(manifest, args.out, extra=extra)
     print(f"wrote design for {len(manifest.classes)} classes to {args.out}")
     return EXIT_OK

@@ -21,7 +21,7 @@ import numpy as np
 from .betagam import AdditiveModel, FactorTerm, FitStats, ModelSpec, SmoothTerm
 from .curves import LearningCurveModel
 from .errors import InputError
-from .metrics import METRIC_KINDS, MetricObservation, PredictionRecord
+from .metrics import MetricObservation, PredictionRecord
 from .splines import KnotVector
 
 MODEL_SCHEMA = "camcurves-model/1"
@@ -147,34 +147,31 @@ def parse_observations(path: str) -> list:
     rows = _open_csv(path, OBSERVATION_COLUMNS, ())
     observations = []
     for lineno, row in rows:
-        where = f"{path}:{lineno}"
-        metric = row["metric"]
-        if metric not in METRIC_KINDS:
-            raise InputError(f"{where}: unknown metric kind {metric!r}")
         try:
             value = float(row["value"])
         except ValueError as exc:
-            raise InputError(f"{where}: bad value {row['value']!r}") from exc
-        if not 0.0 <= value <= 1.0:
-            raise InputError(f"{where}: value {value} outside [0, 1]")
+            raise InputError(f"{path}:{lineno}: bad value {row['value']!r}") from exc
         try:
             size = int(row["num_tr_images"])
         except ValueError as exc:
-            raise InputError(f"{where}: bad num_tr_images {row['num_tr_images']!r}") from exc
-        if size < 1:
-            raise InputError(f"{where}: num_tr_images must be positive, got {size}")
-        observations.append(
-            MetricObservation(
-                metric=metric,
-                value=value,
-                dataset=row["dataset"],
-                class_label=row["class"],
-                num_tr_images=size,
-                architecture=row["architecture"],
-                tuning=row["tuning"],
-                augmentation=row["augmentation"],
+            raise InputError(
+                f"{path}:{lineno}: bad num_tr_images {row['num_tr_images']!r}"
+            ) from exc
+        try:
+            observations.append(
+                MetricObservation(
+                    metric=row["metric"],
+                    value=value,
+                    dataset=row["dataset"],
+                    class_label=row["class"],
+                    num_tr_images=size,
+                    architecture=row["architecture"],
+                    tuning=row["tuning"],
+                    augmentation=row["augmentation"],
+                )
             )
-        )
+        except InputError as exc:  # the row checks live in the constructor
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
     return observations
 
 

@@ -267,6 +267,16 @@ class TestFit:
         assert err.value.iterations == 1
         assert err.value.last_change is not None
 
+    @pytest.mark.parametrize("lam", [1e308, float("inf"), float("nan")])
+    def test_non_finite_penalty_rejected_before_fitting(self, monkeypatch, lam):
+        def no_iterations(*args, **kwargs):
+            raise AssertionError("P-IRLS ran on a non-finite penalty")
+
+        monkeypatch.setattr(betagam, "_fit_penalized", no_iterations)
+        obs = simulate_rows(np.random.default_rng(1))
+        with pytest.raises(InputError, match="non-finite penalty"):
+            betagam.fit(single_smooth_spec(), obs, lambdas=[lam])
+
     def test_objective_never_decreases_across_iterations(self):
         rng = np.random.default_rng(2)
         obs = simulate_rows(rng)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -38,6 +39,36 @@ def test_bad_lambda_item_is_an_input_error(observations_csv, tmp_path, capsys):
     argv = ["fit-gam", "--observations", observations_csv, "--metric", "ACC"]
     code = cli.main(argv + ["--lambdas", "1,x,3", "--out", str(tmp_path / "m.json")])
     assert_one_input_error(code, capsys, "--lambdas", "'x'")
+
+
+def test_huge_lambda_is_an_input_error(observations_csv, tmp_path, capsys):
+    out = tmp_path / "m.json"
+    argv = ["fit-gam", "--observations", observations_csv, "--metric", "ACC"]
+    code = cli.main(argv + ["--lambdas", "1e308", "--out", str(out)])
+    assert_one_input_error(code, capsys, "non-finite penalty")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, raw, fragment",
+    [
+        ("metric", "MAP", "unknown metric kind 'MAP'"),
+        ("value", "high", "bad value 'high'"),
+        ("value", "1.5", "outside [0, 1]"),
+        ("num_tr_images", "ten", "bad num_tr_images 'ten'"),
+        ("num_tr_images", "0", "must be a positive integer"),
+    ],
+    ids=["metric", "value", "value-range", "size", "zero-size"],
+)
+def test_bad_observation_row_names_its_line(tmp_path, capsys, field, raw, fragment):
+    path = tmp_path / "obs.csv"
+    io.write_observations_csv(str(path), observation_rows([0.8, 0.9], [10, 20]))
+    header, first, second = path.read_text().splitlines()
+    cells = second.split(",")
+    cells[header.split(",").index(field)] = raw
+    path.write_text("\n".join([header, first, ",".join(cells)]) + "\n")
+    code = cli.main(["aggregate", "--observations", str(path), "--by", "dataset"])
+    assert_one_input_error(code, capsys, f"{path}:3: ", fragment)
 
 
 def test_bad_ladder_item_is_an_input_error(tmp_path, capsys):
@@ -87,6 +118,20 @@ def test_select_zero_is_an_input_error(tmp_path, capsys):
     code = cli.main(argv + ["--out", str(tmp_path / "d.json")])
     assert_one_input_error(code, capsys, "selection count must be >= 1")
     assert not (tmp_path / "d.json").exists()
+
+
+def test_design_reports_which_ids_lack_a_location(tmp_path, capsys):
+    rows = [f"i{j},c{j % 2},{'' if j == 5 else f'L{j % 8}'}\n" for j in range(40)]
+    index = tmp_path / "index.csv"
+    index.write_text("image_id,class,location_id\n" + "".join(rows))
+    out = tmp_path / "d.json"
+    argv = ["design", "--manifest-in", str(index), "--seed", "1", "--test", "5"]
+    code = cli.main(argv + ["--ladder", "5,10", "--out", str(out)])
+    assert code == cli.EXIT_OK
+    detail = "1 image ids lack a location (e.g. 'i5')"
+    assert capsys.readouterr().err == f"location coverage: cannot_validate: {detail}\n"
+    coverage = json.loads(out.read_text())["location_coverage"]
+    assert coverage == {"status": "cannot_validate", "violations": [], "detail": detail}
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

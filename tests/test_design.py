@@ -44,6 +44,21 @@ class TestSimulateGrid:
         assert design.simulate_grid(CALIBRATION_SEED) == calibrated_observations
         assert design.simulate_grid(CALIBRATION_SEED + 1) != calibrated_observations
 
+    def test_each_cell_draws_from_its_own_substream(self, calibrated_observations, monkeypatch):
+        # walk the cells (and the class-offset keys) in reverse order
+        monkeypatch.setattr(design, "product", lambda *axes: reversed(list(product(*axes))))
+        reversed_walk = design.simulate_grid(CALIBRATION_SEED)
+
+        def by_cell(observations):
+            return {
+                (o.dataset, o.num_tr_images, o.architecture, o.tuning, o.augmentation,
+                 o.class_label, o.metric): o.value
+                for o in observations
+            }
+
+        assert reversed_walk != calibrated_observations  # the order did change
+        assert by_cell(reversed_walk) == by_cell(calibrated_observations)
+
     def test_dataset_means_track_the_reference_trajectories(self, calibrated_observations):
         values = defaultdict(list)
         for o in calibrated_observations:

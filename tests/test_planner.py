@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from camcurves import (
     InfeasiblePlanError,
     InputError,
+    LearningCurveModel,
     PlanQuery,
     betagam,
     gam_required_sample_size,
@@ -37,13 +39,31 @@ class TestLogCurveInversion:
         assert result.required_n == 1
 
     def test_wrong_slope_direction_unattainable(self):
-        from camcurves import LearningCurveModel
-
         falling = LearningCurveModel(
             metric="ACC", intercept=0.6, slope=-0.01, transform="log_n",
             adj_r_squared=0.5, n_obs=6,
         )
         result = required_sample_size(falling, PlanQuery("ACC", 0.9))
+        assert result.required_n is None
+
+    def test_worsening_curve_must_meet_target_up_to_ceiling(self):
+        falling = LearningCurveModel(
+            metric="ACC", intercept=0.95, slope=-0.01, transform="log_n",
+            adj_r_squared=0.5, n_obs=6,
+        )
+        assert predict_metric(falling, 1) >= 0.9 > predict_metric(falling, 1000)
+        result = required_sample_size(falling, PlanQuery("ACC", 0.9, search_ceiling=1000))
+        assert result.required_n is None
+        # met at every size up to a ceiling below the crossing near n = 148
+        result = required_sample_size(falling, PlanQuery("ACC", 0.9, search_ceiling=100))
+        assert result.required_n == 1
+
+    def test_nearly_flat_curve_is_unattainable(self):
+        flat = LearningCurveModel(
+            metric="PRC", intercept=0.27, slope=3e-4, transform="log_n",
+            adj_r_squared=0.5, n_obs=6,
+        )  # the target would need n = exp(2100)
+        result = required_sample_size(flat, PlanQuery("PRC", 0.9, search_ceiling=10**12))
         assert result.required_n is None
 
     def test_unreachable_within_ceiling(self):
@@ -54,10 +74,6 @@ class TestLogCurveInversion:
     def test_target_outside_unit_interval_rejected(self):
         with pytest.raises(InputError):
             PlanQuery("ACC", 1.5)
-
-    def test_direction_consistency_enforced(self):
-        with pytest.raises(InputError):
-            PlanQuery("ACC", 0.9, direction="at_most")
 
     def test_threshold_is_sharp_for_monotone_curves(self):
         model = table1_presets()["ACC"]
@@ -156,8 +172,11 @@ def calibrated_fpr_model(calibrated_observations):
 def last_crossing(model, cell, query):
     """The last-crossing rule on every integer size up to the ceiling."""
     sizes = np.arange(1, query.search_ceiling + 1)
-    values = model.predict_sizes(cell, sizes)
-    meets = values >= query.target if query.direction == "at_least" else values <= query.target
+    if isinstance(model, LearningCurveModel):
+        values = np.array([predict_metric(model, n) for n in sizes])
+    else:
+        values = model.predict_sizes(cell, sizes)
+    meets = values <= query.target if query.metric == "FPR" else values >= query.target
     fails = np.flatnonzero(~meets)
     if fails.size == 0:
         return 1
@@ -181,6 +200,18 @@ class TestBoundedScan:
                         assert result.predicted_value == pytest.approx(expected, rel=1e-12)
                         tail_answers += result.required_n > 1000
         assert tail_answers >= 3  # the bisected tail beyond the last knot is exercised
+
+    def test_presets_match_full_last_crossing_scan(self):
+        targets = {"ACC": (0.8, 0.9, 0.95, 0.99), "PRC": (0.5, 0.7, 0.9, 0.99),
+                   "TPR": (0.3, 0.6, 0.8, 0.95), "FPR": (0.1, 0.05, 0.02, 0.01)}
+        for metric, model in table1_presets().items():
+            for target, ceiling in product(targets[metric], (1000, 20_000)):
+                query = PlanQuery(metric, target, search_ceiling=ceiling)
+                result = required_sample_size(model, query)
+                assert result.required_n == last_crossing(model, None, query)
+                if result.required_n is not None:
+                    expected = predict_metric(model, result.required_n)
+                    assert result.predicted_value == expected
 
     def test_huge_ceiling_predicts_only_the_knot_range(self, calibrated_acc_model, monkeypatch):
         model = calibrated_acc_model
@@ -218,8 +249,6 @@ class TestPlanReport:
         assert [r.metric for r in report.results] == ["ACC"]
 
     def test_all_unattainable_is_explicit(self):
-        from camcurves import LearningCurveModel
-
         falling = LearningCurveModel(
             metric="ACC", intercept=0.6, slope=-0.01, transform="log_n",
             adj_r_squared=0.5, n_obs=6,
