@@ -35,6 +35,10 @@ intercept, the treatment dummies and the centred by-level spline blocks.  The
 fit builds its distinct rows with it, and every prediction (a cell over an
 array of sizes, or the public fit_stats over a dataset) builds its rows with
 it from the fitted model, so a cell cannot be encoded two ways.
+
+Only the functions that evaluate the likelihood or a Wald test import
+scipy.special, so loading, predicting from and planning with a fitted model
+run on numpy alone.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import chdtrc, digamma, gammaln, ndtr
 
 from ._numeric import inv_logit, logit, trigamma
 from .errors import ConvergenceError, InputError
@@ -151,6 +154,8 @@ def beta_loglik(y, mu, phi):
     Shapes are alpha = mu*phi and beta = (1-mu)*phi.  Returns
     (loglik, d/d logit(mu), d/d log(phi)), elementwise over broadcast inputs.
     """
+    from scipy.special import digamma, gammaln
+
     y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -202,6 +207,8 @@ def _ll_sum(mu, phi, n, sum_ylog, sum_y1log):
     Row r holds n[r] observations whose log(y) and log(1-y) sum to
     sum_ylog[r] and sum_y1log[r]; n = 1 gives the per-observation density.
     """
+    from scipy.special import gammaln
+
     a = mu * phi
     b = (1.0 - mu) * phi
     return float(
@@ -401,8 +408,11 @@ def _fit_penalized(design: _Design, P, beta0, phi0, tol):
     log-phi terms are its observations' terms summed in closed form.
     Returns (beta, phi, penalized loglik, history of accepted objective values).
     Raises ConvergenceError when the objective change stays above `tol` for
-    _MAX_ITER outer iterations.
+    _MAX_ITER outer iterations, or at once when the objective or the
+    coefficient step is not finite, since step halving can then accept nothing.
     """
+    from scipy.special import digamma
+
     X, n, sum_ylog, sum_y1log = design.X, design.n, design.sum_ylog, design.sum_y1log
     sum_ystar = sum_ylog - sum_y1log
     beta = beta0.copy()
@@ -411,9 +421,17 @@ def _fit_penalized(design: _Design, P, beta0, phi0, tol):
     def objective(b, ph):
         return _ll_sum(inv_logit(X @ b), ph, n, sum_ylog, sum_y1log) - 0.5 * float(b @ P @ b)
 
+    def check_finite(what, value, it):
+        if not np.all(np.isfinite(value)):
+            raise ConvergenceError(
+                f"penalized fit reached a non-finite {what} after {it} iterations",
+                iterations=it,
+            )
+
     cur = objective(beta, phi)
     history = [cur]
     for it in range(1, _MAX_ITER + 1):
+        check_finite("objective", cur, it - 1)
         base = cur
         eta = X @ beta
         mu = inv_logit(eta)
@@ -424,6 +442,7 @@ def _fit_penalized(design: _Design, P, beta0, phi0, tol):
         w = n * phi * phi * (trigamma(a) + trigamma(b)) * mm * mm
         grad = X.T @ u - P @ beta
         step = np.linalg.solve((X.T * w) @ X + P, grad)
+        check_finite("coefficient step", step, it - 1)
         t = 1.0
         for _ in range(40):
             cand = beta + t * step
@@ -607,6 +626,8 @@ def _joint_term_p(model: AdditiveModel, idx) -> float:
     """Wald p-value for the coefficients `idx`: normal test for one parametric
     coefficient, joint chi-square otherwise, with df = rounded EDF for smooth
     blocks and df = len(idx) for factors."""
+    from scipy.special import chdtrc, ndtr
+
     beta = model.coef[idx]
     V = model.covariance[np.ix_(idx, idx)]
     smooth = model.coef_names[idx[0]].startswith("s(")
@@ -630,6 +651,8 @@ def _beta_mean(t, phi) -> np.ndarray:
     in mu, and a step that leaves (0, 1) is replaced by bisection towards the
     bound it crossed.
     """
+    from scipy.special import digamma
+
     t = np.atleast_1d(np.asarray(t, dtype=float))
     mu = np.clip(inv_logit(t), 1e-9, 1.0 - 1e-9)
     for _ in range(100):

@@ -364,7 +364,7 @@ def main(argv=None) -> int:
     except InfeasiblePlanError as exc:
         print(f"infeasible-plan: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except ConvergenceError as exc:
+    except (ConvergenceError, np.linalg.LinAlgError) as exc:
         print(f"numerical-error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except CamcurvesError as exc:

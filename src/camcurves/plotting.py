@@ -5,8 +5,8 @@ deterministically so identical inputs give identical bytes."""
 from __future__ import annotations
 
 import math
+from html import escape
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 from .errors import InputError
 from .io import atomic_write
@@ -49,7 +49,7 @@ def curve_plot_svg(
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2:.0f}" y="22" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="15">{escape(title, quote=False)}</text>',
     ]
     # frame and y grid
     plot_box = (
@@ -93,7 +93,7 @@ def curve_plot_svg(
     parts.append(
         f'<text x="16" y="{(plot_box[1] + plot_box[3]) / 2:.0f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {(plot_box[1] + plot_box[3]) / 2:.0f})">{escape(y_label)}</text>'
+        f'transform="rotate(-90 16 {(plot_box[1] + plot_box[3]) / 2:.0f})">{escape(y_label, quote=False)}</text>'
     )
     for n, v in scatter:
         parts.append(

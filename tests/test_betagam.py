@@ -267,6 +267,15 @@ class TestFit:
         assert err.value.iterations == 1
         assert err.value.last_change is not None
 
+    def test_non_finite_objective_stops_at_once(self):
+        design = _assemble(single_smooth_spec(), simulate_rows(np.random.default_rng(1)))
+        design.sum_ylog[0] = np.nan
+        P = _penalty_matrix(design, [1.0])
+        beta0, phi0 = betagam._initial_values(design, P)
+        with pytest.raises(ConvergenceError, match="non-finite objective") as err:
+            betagam._fit_penalized(design, P, beta0, phi0, betagam._TOL)
+        assert err.value.iterations == 0
+
     @pytest.mark.parametrize("lam", [1e308, float("inf"), float("nan")])
     def test_non_finite_penalty_rejected_before_fitting(self, monkeypatch, lam):
         def no_iterations(*args, **kwargs):

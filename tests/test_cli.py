@@ -15,14 +15,18 @@ from conftest import observation_rows
 SIZES = (10, 20, 50, 150, 500, 1000)
 
 
-def assert_one_input_error(code, capsys, *fragments):
+def assert_one_error_line(code, capsys, exit_code, prefix, *fragments):
     err = capsys.readouterr().err
-    assert code == cli.EXIT_INPUT
+    assert code == exit_code
     assert "Traceback" not in err
     lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("input-error: ")
+    assert len(lines) == 1 and lines[0].startswith(prefix)
     for fragment in fragments:
         assert fragment in lines[0]
+
+
+def assert_one_input_error(code, capsys, *fragments):
+    assert_one_error_line(code, capsys, cli.EXIT_INPUT, "input-error: ", *fragments)
 
 
 @pytest.fixture
@@ -134,17 +138,73 @@ def test_design_reports_which_ids_lack_a_location(tmp_path, capsys):
     assert coverage == {"status": "cannot_validate", "violations": [], "detail": detail}
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+def test_linalg_failure_is_a_numerical_error(observations_csv, tmp_path, capsys, monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli.betagam, "fit", singular)
+    argv = ["fit-gam", "--observations", observations_csv, "--metric", "ACC"]
+    code = cli.main(argv + ["--out", str(tmp_path / "m.json")])
+    assert_one_error_line(code, capsys, cli.EXIT_NUMERICAL, "numerical-error: ", "Singular matrix")
+
+
+# Modules that only a fit needs (scipy) or that nothing needs but slow the
+# start of every command (xml.sax pulls in urllib.request, http.client and
+# email); `site` may preload urllib.parse, so urllib itself is not listed.
+HEAVY_MODULES = ("scipy", "xml.sax", "urllib.request", "http.client", "email")
+
+LOADED_AFTER_EACH_COMMAND = """
+import json, sys
+
+heavy = json.loads(sys.argv[1])
+
+
+def loaded():
+    return sorted(m for m in sys.modules if any(m == h or m.startswith(h + ".") for h in heavy))
+
+
+import camcurves.cli
+
+report = [["import", None, loaded()]]
+for argv in json.loads(sys.argv[2]):
+    report.append([argv[0], camcurves.cli.main(argv), loaded()])
+print(json.dumps(report))
+"""
+
+
+def test_cli_import_leaves_scipy_stats_unloaded(calibrated_acc_model, observations_csv, tmp_path):
+    """Importing the CLI and running any command but fit-gam loads no heavy module."""
+    io.save_model(calibrated_acc_model, str(tmp_path / "acc.json"))
+    index = tmp_path / "index.csv"
+    rows = "".join(f"i{j},c{j % 2},L{j % 8}\n" for j in range(40))
+    index.write_text("image_id,class,location_id\n" + rows)
+    cell = ["--cell", "WI,deep,resNet18"]
+    commands = [
+        ["simulate", "--seed", "1", "--out", "grid.csv"],
+        ["plan", "--model", "acc.json", "--target", "0.95", *cell],
+        ["plan", "--preset", "table1", "--target-acc", "0.9", "--target-fpr", "0.05"],
+        ["design", "--manifest-in", str(index), "--seed", "1", "--test", "5", "--ladder", "5,10",
+         "--out", "d.json"],
+        ["curve-plot", "--model", "acc.json", "--observations", "grid.csv", *cell,
+         "--out", "acc.svg"],
+        ["fit-gam", "--observations", observations_csv, "--metric", "ACC", "--lambdas", "1",
+         "--out", "m.json"],
+    ]
     src = str(Path(camcurves.__file__).resolve().parent.parent)
-    code = "import sys, camcurves.cli; print('scipy.stats' in sys.modules)"
     done = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", LOADED_AFTER_EACH_COMMAND, json.dumps(HEAVY_MODULES),
+         json.dumps(commands)],
+        cwd=tmp_path,
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         check=True,
     )
-    assert done.stdout.strip() == "False"
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert [step[1] for step in report] == [None] + [cli.EXIT_OK] * len(commands)
+    *before_fit, (_, _, after_fit) = report
+    assert [names for _, _, names in before_fit] == [[]] * len(before_fit)
+    assert "scipy.special" in after_fit
 
 
 def test_plan_with_a_huge_ceiling_stays_bounded(calibrated_acc_model, tmp_path, capsys):
