@@ -50,7 +50,7 @@ import numpy as np
 
 from ._numeric import inv_logit, logit, trigamma
 from .errors import ConvergenceError, InputError
-from .metrics import METRIC_KINDS, MetricObservation
+from .metrics import METRIC_KINDS, _distinct
 from .splines import KnotVector, build_basis, center_basis, place_knots
 
 DEFAULT_LAMBDA_GRID = tuple(10.0 ** np.linspace(-4.0, 6.0, 21))
@@ -288,11 +288,11 @@ def _model_rows(model, columns: Mapping, sizes) -> np.ndarray:
     return X
 
 
-def _assemble(spec: ModelSpec, observations: Sequence[MetricObservation]) -> _Design:
-    data = [o for o in observations if o.metric == spec.response]
-    if not data:
+def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
+    data = observations[observations.metric == spec.response]
+    if not len(data):
         raise InputError(f"no observations with metric {spec.response!r}")
-    y = np.array([o.value for o in data])
+    y = data.value
     if np.any(y <= 0.0) or np.any(y >= 1.0):
         raise InputError(
             "response contains boundary values; apply squeeze() before fitting"
@@ -307,10 +307,7 @@ def _assemble(spec: ModelSpec, observations: Sequence[MetricObservation]) -> _De
     # in sorted order so that the rows do not depend on the observation order
     key_names = [t.name for t in spec.parametric_terms]
     key_names += sorted({t.covariate for t in spec.smooth_terms})
-    obs_keys = [tuple(getattr(o, k) for k in key_names) for o in data]
-    keys = sorted(set(obs_keys))
-    row_of = {key: r for r, key in enumerate(keys)}
-    inverse = np.fromiter((row_of[key] for key in obs_keys), dtype=np.intp, count=len(data))
+    keys, inverse = _distinct(data, key_names)
     m = len(keys)
     counts = np.bincount(inverse, minlength=m).astype(float)
     column = {name: [key[j] for key in keys] for j, name in enumerate(key_names)}
@@ -366,7 +363,7 @@ def _assemble(spec: ModelSpec, observations: Sequence[MetricObservation]) -> _De
         knot_vector=knot_vector,
         smooth_constraints=constraints,
         smooth_penalties=penalties,
-        observed_sizes=tuple(sorted({int(o.num_tr_images) for o in data})),
+        observed_sizes=tuple(np.unique(data.num_tr_images).tolist()),
     )
     # a model without a smooth term reads no size
     design.X = _model_rows(design, column, column.get("num_tr_images", np.ones(m)))
@@ -700,16 +697,16 @@ def _fit_statistics(y, mu, phi, edf_total: float) -> dict:
     }
 
 
-def fit_stats(model: AdditiveModel, observations: Sequence[MetricObservation]) -> dict:
-    """Deviance explained and adjusted R^2 of a model on a dataset."""
-    data = [o for o in observations if o.metric == model.metric]
-    if not data:
+def fit_stats(model: AdditiveModel, observations: np.recarray) -> dict:
+    """Deviance explained and adjusted R^2 of a model on an observation table."""
+    data = observations[observations.metric == model.metric]
+    if not len(data):
         raise InputError(f"no observations with metric {model.metric!r}")
-    y = np.array([o.value for o in data])
+    y = data.value
     if np.any(y <= 0.0) or np.any(y >= 1.0):
         raise InputError("observations contain boundary values; apply squeeze() first")
-    columns = {factor: [getattr(o, factor) for o in data] for factor in model.factor_levels}
-    X = _model_rows(model, columns, [o.num_tr_images for o in data])
+    columns = {factor: data[factor] for factor in model.factor_levels}
+    X = _model_rows(model, columns, data.num_tr_images)
     stats = _fit_statistics(y, inv_logit(X @ model.coef), model.phi, float(model.edf_by_coef.sum()))
     return {key: stats[key] for key in ("deviance_explained", "adj_r_squared")}
 
@@ -721,7 +718,7 @@ def fit_stats(model: AdditiveModel, observations: Sequence[MetricObservation]) -
 
 def fit(
     spec: ModelSpec,
-    observations: Sequence[MetricObservation],
+    observations: np.recarray,
     *,
     lambdas: Sequence[float] | None = None,
 ) -> AdditiveModel:
@@ -731,9 +728,10 @@ def fit(
     ----------
     spec : ModelSpec
         Terms, reference levels and squeeze width.
-    observations : sequence of MetricObservation
-        Observations of any metric; only those matching spec.response are
-        used.  Values must already be strictly inside (0, 1).
+    observations : np.recarray
+        Observation table (see metrics.observation_table) of any metric;
+        only the rows of spec.response are used.  Their values must already
+        be strictly inside (0, 1).
     lambdas : optional
         Fixed smoothing parameters, one per smooth block, to bypass the AIC
         search over DEFAULT_LAMBDA_GRID.
@@ -852,7 +850,7 @@ def _candidate_terms(spec: ModelSpec, model: AdditiveModel):
 
 def backward_eliminate(
     full_spec: ModelSpec,
-    observations: Sequence[MetricObservation],
+    observations: np.recarray,
     alpha: float = 0.05,
     lambdas: Sequence[float] | None = None,
 ):

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import math
 import sys
 
@@ -146,10 +145,10 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_aggregate(args) -> int:
-    observations = io.parse_observations(args.observations)
+    table = io.parse_observations(args.observations)
     fields = [f.strip() for f in args.by.split(",") if f.strip()]
     group_by = fields if "metric" in fields else ["metric", *fields]
-    rows = metrics.aggregate(observations, group_by)
+    rows = metrics.aggregate(table, group_by)
     header = [*group_by, "mean", "std", "count"]
     lines = [header]
     for row in rows:
@@ -166,10 +165,11 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_fit_ols(args) -> int:
-    observations = io.parse_observations(args.observations)
-    points = [(o.num_tr_images, o.value) for o in observations if o.metric == args.metric]
-    if not points:
+    table = io.parse_observations(args.observations)
+    rows = table[table.metric == args.metric]
+    if not len(rows):
         raise InputError(f"no observations with metric {args.metric}")
+    points = list(zip(rows.num_tr_images.tolist(), rows.value.tolist()))
     model = curves.fit_log_curve(points, args.metric)
     io.save_model(model, args.out)
     print(
@@ -182,15 +182,12 @@ def _cmd_fit_ols(args) -> int:
 def _cmd_fit_gam(args) -> int:
     lambdas = _parse_numbers(args.lambdas, "--lambdas", float) if args.lambdas else None
     io.check_writable(args.out)  # before the fit, which takes seconds
-    observations = io.parse_observations(args.observations)
+    table = io.parse_observations(args.observations)
     spec = betagam.default_spec(args.metric)
-    prepared = [
-        o
-        if 0.0 < o.value < 1.0
-        else dataclasses.replace(o, value=betagam.squeeze(o.value, spec.squeeze_eps))
-        for o in observations
-        if o.metric == args.metric
-    ]
+    prepared = table[table.metric == args.metric]
+    # only values at exactly 0 or 1 are squeezed; the table holds none outside [0, 1]
+    boundary = (prepared.value == 0.0) | (prepared.value == 1.0)
+    prepared.value[boundary] = betagam.squeeze(prepared.value[boundary], spec.squeeze_eps)
     if args.eliminate:
         model, trace = betagam.backward_eliminate(spec, prepared, alpha=args.alpha, lambdas=lambdas)
         for step in trace:
@@ -307,24 +304,22 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    observations = design.simulate_grid(args.seed)
-    io.write_observations_csv(args.out, observations)
+    table = design.simulate_grid(args.seed)
+    io.write_observations_csv(args.out, table)
     cells = math.prod(len(axis) for axis in design.GRID_AXES)
-    print(f"wrote {len(observations)} observations ({cells} cells) to {args.out}")
+    print(f"wrote {len(table)} observations ({cells} cells) to {args.out}")
     return EXIT_OK
 
 
 def _cmd_curve_plot(args) -> int:
     model = io.load_model(args.model)
-    observations = io.parse_observations(args.observations)
-    scatter = [
-        (float(o.num_tr_images), o.value) for o in observations if o.metric == model.metric
-    ]
-    if not scatter:
+    table = io.parse_observations(args.observations)
+    rows = table[table.metric == model.metric]
+    if not len(rows):
         raise InputError(f"no observations with metric {model.metric}")
-    n_lo = min(n for n, _ in scatter)
-    n_hi = max(n for n, _ in scatter)
-    grid = np.exp(np.linspace(np.log(n_lo), np.log(n_hi), 200))
+    sizes = rows.num_tr_images.astype(float)
+    scatter = list(zip(sizes.tolist(), rows.value.tolist()))
+    grid = np.exp(np.linspace(np.log(sizes.min()), np.log(sizes.max()), 200))
     if isinstance(model, betagam.AdditiveModel):
         if not args.cell:
             raise InputError("plotting a GAM needs --cell dataset,tuning,architecture")

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._numeric import inv_logit, logit
 from .errors import InputError
-from .metrics import METRIC_KINDS, MetricObservation
+from .metrics import METRIC_KINDS, OBSERVATION_COLUMNS, observation_table
 
 DEFAULT_SIZE_LADDER = (10, 20, 50, 150, 500, 1000)
 DEFAULT_TEST_SIZE = 250
@@ -302,8 +302,9 @@ def _base_logits() -> dict:
     return out
 
 
-def simulate_grid(seed: int) -> list:
-    """Draw the calibrated experiment grid: one observation per cell, class and metric.
+def simulate_grid(seed: int) -> np.recarray:
+    """Draw the calibrated experiment grid: the observation table with one row per
+    cell, class and metric.
 
     The cells are the product of GRID_AXES, each with the classes of
     DEFAULT_CLASSES.  A value is Beta with precision DEFAULT_PHI_SIM and a
@@ -325,7 +326,7 @@ def simulate_grid(seed: int) -> list:
         class_offsets[(metric, dataset)] = offs - offs.mean()
 
     logits = _base_logits()
-    observations = []
+    rows = []
     for key in product(*(range(len(axis)) for axis in GRID_AXES)):
         dataset, size, arch, tuning, aug = (axis[i] for axis, i in zip(GRID_AXES, key))
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
@@ -338,17 +339,8 @@ def simulate_grid(seed: int) -> list:
             )
             mu = inv_logit(eta)
             values = rng.beta(mu * DEFAULT_PHI_SIM, (1.0 - mu) * DEFAULT_PHI_SIM)
-            observations.extend(
-                MetricObservation(
-                    metric=metric,
-                    value=float(value),
-                    dataset=dataset,
-                    class_label=label,
-                    num_tr_images=size,
-                    architecture=arch,
-                    tuning=tuning,
-                    augmentation=aug,
-                )
-                for label, value in zip(DEFAULT_CLASSES[dataset], values)
+            rows.extend(
+                (metric, value, dataset, label, size, arch, tuning, aug)
+                for label, value in zip(DEFAULT_CLASSES[dataset], values.tolist())
             )
-    return observations
+    return observation_table(dict(zip(OBSERVATION_COLUMNS, zip(*rows))))

@@ -21,7 +21,7 @@ import numpy as np
 from .betagam import AdditiveModel, FactorTerm, FitStats, ModelSpec, SmoothTerm
 from .curves import LearningCurveModel
 from .errors import InputError
-from .metrics import MetricObservation, PredictionRecord
+from .metrics import OBSERVATION_COLUMNS, PredictionRecord, observation_table
 from .splines import KnotVector
 
 MODEL_SCHEMA = "camcurves-model/1"
@@ -29,16 +29,6 @@ MANIFEST_SCHEMA = "camcurves-manifest/1"
 
 PREDICTION_COLUMNS = ("image_id", "true_class", "predicted_class")
 PREDICTION_OPTIONAL = ("location_id", "timestamp")
-OBSERVATION_COLUMNS = (
-    "metric",
-    "value",
-    "dataset",
-    "class",
-    "num_tr_images",
-    "architecture",
-    "tuning",
-    "augmentation",
-)
 
 
 def _temp_file(path: str):
@@ -82,32 +72,42 @@ def canonical_json(obj) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _open_csv(path: str, required: Sequence[str], optional: Sequence[str]):
+def _read_csv(path: str, required: Sequence[str], optional: Sequence[str]):
+    """(header, records, the line each record starts on) of a CSV file.
+
+    Blank lines are skipped; a record may span lines inside a quoted field.
+    """
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     with handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames
-        if header is None:
-            raise InputError(f"{path}: empty file")
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise InputError(f"{path}: missing required columns {missing}")
-        unknown = [c for c in header if c not in (*required, *optional)]
-        if unknown:
-            raise InputError(f"{path}: unrecognized columns {unknown}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if None in row and row[None]:
-                raise InputError(f"{path}:{lineno}: too many fields")
-            if any(row[c] is None for c in header):
-                raise InputError(f"{path}:{lineno}: too few fields")
-            rows.append((lineno, row))
-    if not rows:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise InputError(f"{path}: empty file")
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise InputError(f"{path}: missing required columns {missing}")
+            unknown = [c for c in header if c not in (*required, *optional)]
+            if unknown:
+                raise InputError(f"{path}: unrecognized columns {unknown}")
+            records, lines = [], []
+            start = reader.line_num + 1
+            for record in reader:
+                if record:
+                    if len(record) != len(header):
+                        many = "many" if len(record) > len(header) else "few"
+                        raise InputError(f"{path}:{start}: too {many} fields")
+                    records.append(record)
+                    lines.append(start)
+                start = reader.line_num + 1
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise InputError(f"{path}: unreadable as UTF-8 CSV ({exc})") from None
+    if not records:
         raise InputError(f"{path}: no records")
-    return rows
+    return header, records, lines
 
 
 def _parse_timestamp(raw: str, where: str):
@@ -120,9 +120,10 @@ def _parse_timestamp(raw: str, where: str):
 
 def parse_predictions(path: str) -> list:
     """Read PredictionRecord rows from a CSV file."""
-    rows = _open_csv(path, PREDICTION_COLUMNS, PREDICTION_OPTIONAL)
+    header, rows, lines = _read_csv(path, PREDICTION_COLUMNS, PREDICTION_OPTIONAL)
     records = []
-    for lineno, row in rows:
+    for lineno, record in zip(lines, rows):
+        row = dict(zip(header, record))
         where = f"{path}:{lineno}"
         for col in PREDICTION_COLUMNS:
             if not row[col]:
@@ -142,37 +143,33 @@ def parse_predictions(path: str) -> list:
     return records
 
 
-def parse_observations(path: str) -> list:
-    """Read MetricObservation rows from a CSV file."""
-    rows = _open_csv(path, OBSERVATION_COLUMNS, ())
-    observations = []
-    for lineno, row in rows:
+def parse_observations(path: str) -> np.recarray:
+    """Read the observation table (see metrics.observation_table) from a CSV file.
+
+    An InputError names the line of the first bad record.
+    """
+    header, records, lines = _read_csv(path, OBSERVATION_COLUMNS, ())
+    columns = dict(zip(header, zip(*records)))
+    del records  # free the row lists before the table is built
+    typed = dict(columns)
+    for name, convert in (("value", float), ("num_tr_images", np.int64)):
+        typed[name] = []
         try:
-            value = float(row["value"])
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: bad value {row['value']!r}") from exc
-        try:
-            size = int(row["num_tr_images"])
-        except ValueError as exc:
-            raise InputError(
-                f"{path}:{lineno}: bad num_tr_images {row['num_tr_images']!r}"
-            ) from exc
-        try:
-            observations.append(
-                MetricObservation(
-                    metric=row["metric"],
-                    value=value,
-                    dataset=row["dataset"],
-                    class_label=row["class"],
-                    num_tr_images=size,
-                    architecture=row["architecture"],
-                    tuning=row["tuning"],
-                    augmentation=row["augmentation"],
-                )
-            )
-        except InputError as exc:  # the row checks live in the constructor
-            raise InputError(f"{path}:{lineno}: {exc}") from exc
-    return observations
+            for text in columns[name]:
+                typed[name].append(convert(text))
+        except (ValueError, OverflowError):
+            pass
+
+    def where(i):
+        return f"{path}:{lines[i]}"
+
+    n = min(len(typed["value"]), len(typed["num_tr_images"]))
+    if n < len(lines):
+        # the records before the first unconvertible one are checked first
+        observation_table({name: values[:n] for name, values in typed.items()}, where)
+        name = "value" if len(typed["value"]) == n else "num_tr_images"
+        raise InputError(f"{path}:{lines[n]}: bad {name} {columns[name][n]!r}")
+    return observation_table(typed, where)
 
 
 def parse_image_index(path: str) -> tuple:
@@ -181,10 +178,11 @@ def parse_image_index(path: str) -> tuple:
     Returns (pools, locations): pools maps class -> ids in file order,
     locations maps image id -> location id (empty when the column is absent).
     """
-    rows = _open_csv(path, ("image_id", "class"), ("location_id", "timestamp"))
     pools: dict = {}
     locations: dict = {}
-    for lineno, row in rows:
+    header, rows, lines = _read_csv(path, ("image_id", "class"), ("location_id", "timestamp"))
+    for lineno, record in zip(lines, rows):
+        row = dict(zip(header, record))
         where = f"{path}:{lineno}"
         if not row["image_id"] or not row["class"]:
             raise InputError(f"{where}: empty image_id or class")
@@ -199,23 +197,12 @@ def parse_image_index(path: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def write_observations_csv(path: str, observations: Sequence[MetricObservation]):
+def write_observations_csv(path: str, table: np.recarray):
+    """Write an observation table as CSV; a value is written as its shortest repr."""
     with atomic_write(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(OBSERVATION_COLUMNS)
-        for o in observations:
-            writer.writerow(
-                [
-                    o.metric,
-                    repr(o.value),
-                    o.dataset,
-                    o.class_label,
-                    o.num_tr_images,
-                    o.architecture,
-                    o.tuning,
-                    o.augmentation,
-                ]
-            )
+        writer.writerows(zip(*(table[name].tolist() for name in OBSERVATION_COLUMNS)))
 
 
 # ---------------------------------------------------------------------------

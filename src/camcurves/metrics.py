@@ -2,6 +2,8 @@
 
 Each class is scored one-vs-rest from a multi-class confusion tally:
 accuracy, precision, true positive rate (recall) and false positive rate.
+Measured values are kept in one observation table (observation_table), which
+the CSV parser, the simulator, aggregate() and the model fits all share.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, fields
 from datetime import datetime
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -49,26 +51,51 @@ class PredictionRecord:
     timestamp: datetime | None = None
 
 
-@dataclass(frozen=True)
-class MetricObservation:
-    """One measured metric value together with the covariates of its cell."""
+# the columns of an observation table, named as in the header of an observation CSV
+OBSERVATION_COLUMNS = (
+    "metric",
+    "value",
+    "dataset",
+    "class",
+    "num_tr_images",
+    "architecture",
+    "tuning",
+    "augmentation",
+)
 
-    metric: str
-    value: float
-    dataset: str
-    class_label: str
-    num_tr_images: int
-    architecture: str
-    tuning: str
-    augmentation: str
 
-    def __post_init__(self):
-        if self.metric not in METRIC_KINDS:
-            raise InputError(f"unknown metric kind {self.metric!r}; expected one of {METRIC_KINDS}")
-        if not 0.0 <= self.value <= 1.0:
-            raise InputError(f"metric value {self.value} outside [0, 1]")
-        if self.num_tr_images < 1 or self.num_tr_images != int(self.num_tr_images):
-            raise InputError(f"num_tr_images {self.num_tr_images} must be a positive integer")
+def observation_table(columns: Mapping[str, Sequence], where=None) -> np.recarray:
+    """The observation table: a metric value per row with the covariates of its cell.
+
+    `columns` maps each name of OBSERVATION_COLUMNS to its values, one per
+    row.  The table is a record array with a field per column: floats for
+    `value`, 64-bit integers for `num_tr_images` and strings otherwise.
+    Raises InputError for the first row with an unknown metric kind, a value
+    outside [0, 1] or a num_tr_images that is not a positive integer, named
+    by `where(i)` for row i (default "observation i").
+    """
+    metric = np.asarray(columns["metric"], dtype=str)
+    value = np.asarray(columns["value"], dtype=float)
+    size = np.asarray(columns["num_tr_images"])
+    kinds = f"expected one of {METRIC_KINDS}"
+    checks = (  # (column, rows that pass, message about a failing value)
+        (metric, np.isin(metric, METRIC_KINDS), "unknown metric kind {!r}; " + kinds),
+        (value, (value >= 0.0) & (value <= 1.0), "metric value {} outside [0, 1]"),
+        (size, (size >= 1) & (size % 1 == 0), "num_tr_images {} must be a positive integer"),
+    )
+    # the first bad row is reported, and within it the first failed check
+    failures = [(int(np.argmin(ok)), k) for k, (_, ok, _) in enumerate(checks) if not ok.all()]
+    if failures:
+        i, k = min(failures)
+        column, _, message = checks[k]
+        name = f"observation {i}" if where is None else where(i)
+        raise InputError(f"{name}: " + message.format(column[i].item()))
+    typed = {"metric": metric, "value": value, "num_tr_images": size.astype(np.int64)}
+    arrays = [
+        typed[name] if name in typed else np.asarray(columns[name], dtype=str)
+        for name in OBSERVATION_COLUMNS
+    ]
+    return np.rec.fromarrays(arrays, names=OBSERVATION_COLUMNS)
 
 
 def tally_confusion(
@@ -144,34 +171,37 @@ class AggregateRow:
     count: int
 
 
-# covariate fields of MetricObservation that aggregate() may group by
-GROUPABLE_FIELDS = (
-    "metric",
-    "dataset",
-    "class_label",
-    "num_tr_images",
-    "architecture",
-    "tuning",
-    "augmentation",
-)
+def _distinct(table: np.recarray, names: Sequence[str]) -> tuple:
+    """The distinct tuples of the fields `names`, sorted, and each row's index among them."""
+    columns = [table[name] for name in names]
+    # np.lexsort sorts by its last key first
+    order = np.lexsort(columns[::-1]) if columns else np.arange(len(table))
+    starts = np.zeros(len(table), dtype=bool)  # where a new tuple begins in sorted order
+    starts[:1] = True
+    for column in columns:
+        ordered = column[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    inverse = np.empty(len(table), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    firsts = order[starts]
+    keys = list(zip(*(column[firsts].tolist() for column in columns))) if columns else [()]
+    return keys, inverse
 
 
-def aggregate(
-    observations: Sequence[MetricObservation], group_by: Sequence[str]
-) -> list[AggregateRow]:
-    """Mean and unbiased sample standard deviation of `value` per group."""
-    if not observations:
+def aggregate(table: np.recarray, group_by: Sequence[str]) -> list[AggregateRow]:
+    """Mean and unbiased sample standard deviation of `value` per group, in key order."""
+    if not len(table):
         raise InputError("no observations to aggregate")
+    groupable = tuple(name for name in OBSERVATION_COLUMNS if name != "value")
     for f in group_by:
-        if f not in GROUPABLE_FIELDS:
-            raise InputError(f"cannot group by {f!r}; valid fields: {GROUPABLE_FIELDS}")
-    groups: dict[tuple, list[float]] = {}
-    for obs in observations:
-        key = tuple(getattr(obs, f) for f in group_by)
-        groups.setdefault(key, []).append(obs.value)
+        if f not in groupable:
+            raise InputError(f"cannot group by {f!r}; valid fields: {groupable}")
+    keys, inverse = _distinct(table, group_by)
+    counts = np.bincount(inverse)
+    # each group's values in table order
+    values = np.split(table.value[np.argsort(inverse, kind="stable")], np.cumsum(counts)[:-1])
     rows = []
-    for key in sorted(groups, key=lambda k: tuple(map(str, k))):
-        vals = np.asarray(groups[key], dtype=float)
+    for key, vals in zip(keys, values):
         std = float(np.std(vals, ddof=1)) if vals.size >= 2 else None
         rows.append(AggregateRow(key=key, mean=float(vals.mean()), std=std, count=vals.size))
     return rows

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from camcurves import MetricObservation, betagam, design
+from camcurves import betagam, design, observation_table
+from camcurves.metrics import OBSERVATION_COLUMNS
 
 # master seed for the calibrated-grid fixtures; several structural checks
 # are seed-pinned by design (the suite asserts properties of one realization)
@@ -18,20 +19,27 @@ def make_obs(
     tuning="deep",
     augmentation="none",
 ):
-    return MetricObservation(
-        metric=metric,
-        value=float(value),
-        dataset=dataset,
-        class_label=class_label,
-        num_tr_images=int(num_tr_images),
-        architecture=architecture,
-        tuning=tuning,
-        augmentation=augmentation,
+    """One observation row: its values in OBSERVATION_COLUMNS order."""
+    return (
+        metric,
+        float(value),
+        dataset,
+        class_label,
+        int(num_tr_images),
+        architecture,
+        tuning,
+        augmentation,
     )
 
 
+def as_table(rows):
+    """The observation table of make_obs rows."""
+    columns = list(zip(*rows)) or [()] * len(OBSERVATION_COLUMNS)
+    return observation_table(dict(zip(OBSERVATION_COLUMNS, columns)))
+
+
 def observation_rows(values, sizes, **kwargs):
-    return [make_obs(v, n, **kwargs) for v, n in zip(values, sizes)]
+    return as_table([make_obs(v, n, **kwargs) for v, n in zip(values, sizes)])
 
 
 @pytest.fixture(scope="session")
@@ -42,5 +50,5 @@ def calibrated_observations():
 @pytest.fixture(scope="session")
 def calibrated_acc_model(calibrated_observations):
     spec = betagam.default_spec("ACC")
-    data = [o for o in calibrated_observations if o.metric == "ACC"]
+    data = calibrated_observations[calibrated_observations.metric == "ACC"]
     return betagam.fit(spec, data)

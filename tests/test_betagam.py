@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from camcurves.betagam import (
 )
 from camcurves.betagam import _assemble, _null_loglik, _penalty_matrix, _saturated_loglik
 
-from conftest import make_obs, observation_rows
+from conftest import as_table, make_obs, observation_rows
 
 SIZES = (10, 20, 50, 150, 500, 1000)
 
@@ -156,9 +155,9 @@ class TestPenalizedObjectiveGradient:
 
 class TestCollapsedDesign:
     def test_calibrated_grid_collapses_to_distinct_rows(self, calibrated_observations):
-        data = [o for o in calibrated_observations if o.metric == "ACC"]
+        data = calibrated_observations[calibrated_observations.metric == "ACC"]
         design = _assemble(default_spec("ACC"), data)
-        y = np.array([o.value for o in data])
+        y = data.value
         assert design.X.shape[0] == 216
         assert design.n.sum() == len(data) == 7776
         np.testing.assert_array_equal(design.n, np.bincount(design.inverse))
@@ -182,7 +181,7 @@ class TestCollapsedDesign:
         self, calibrated_acc_model, calibrated_observations
     ):
         model = calibrated_acc_model
-        data = [o for o in calibrated_observations if o.metric == "ACC"]
+        data = calibrated_observations[calibrated_observations.metric == "ACC"]
         design = _assemble(model.spec, data)
         mu = inv_logit(design.X @ model.coef)[design.inverse]
         ll, _, _ = beta_loglik(design.y, mu, model.phi)
@@ -192,7 +191,7 @@ class TestCollapsedDesign:
         self, calibrated_acc_model, calibrated_observations
     ):
         model = calibrated_acc_model
-        data = [o for o in calibrated_observations if o.metric == "ACC"]
+        data = calibrated_observations[calibrated_observations.metric == "ACC"]
         design = _assemble(model.spec, data)
         fitted = inv_logit(design.X @ model.coef)
         first = {}
@@ -207,8 +206,8 @@ class TestCollapsedDesign:
     def test_shuffled_observations_give_the_same_fit(
         self, calibrated_acc_model, calibrated_observations
     ):
-        data = [o for o in calibrated_observations if o.metric == "ACC"]
-        np.random.default_rng(14).shuffle(data)
+        data = calibrated_observations[calibrated_observations.metric == "ACC"]
+        data = data[np.random.default_rng(14).permutation(len(data))]
         model = betagam.fit(default_spec("ACC"), data)
         assert model.lambdas == calibrated_acc_model.lambdas
         assert model.fit_stats.loglik == pytest.approx(
@@ -228,7 +227,7 @@ class TestFit:
             betagam.fit(single_smooth_spec(), obs)
 
     def test_missing_reference_level_named(self):
-        obs = [make_obs(0.9, n, tuning="shallow") for n in SIZES] * 3
+        obs = as_table([make_obs(0.9, n, tuning="shallow") for n in SIZES] * 3)
         spec = ModelSpec(
             response="ACC",
             parametric_terms=(FactorTerm("tuning", "deep"),),
@@ -256,7 +255,7 @@ class TestFit:
             smooth_terms=(),
         )
         with pytest.raises(InputError, match="rank-deficient"):
-            betagam.fit(spec, obs)
+            betagam.fit(spec, as_table(obs))
 
     def test_nonconvergence_reported_with_diagnostics(self, monkeypatch):
         rng = np.random.default_rng(1)
@@ -305,8 +304,7 @@ class TestFit:
     def test_predictions_invariant_to_observation_order(self):
         rng = np.random.default_rng(4)
         obs = simulate_rows(rng)
-        shuffled = obs[:]
-        rng.shuffle(shuffled)
+        shuffled = obs[rng.permutation(len(obs))]
         m1 = betagam.fit(single_smooth_spec(), obs, lambdas=[1.0])
         m2 = betagam.fit(single_smooth_spec(), shuffled, lambdas=[1.0])
         grid = np.array([10.0, 35.0, 120.0, 800.0])
@@ -355,7 +353,7 @@ class TestFit:
                                         augmentation=g,
                                     )
                                 )
-            model = betagam.fit(default_spec("ACC"), obs, lambdas=[1e10, 1e10, 1e10])
+            model = betagam.fit(default_spec("ACC"), as_table(obs), lambdas=[1e10, 1e10, 1e10])
             se = np.sqrt(np.diag(model.covariance))
             for name, value in {**truth, "(intercept)": intercept}.items():
                 j = model.coef_names.index(name)
@@ -377,10 +375,10 @@ class TestFitStatistics:
         assert public["adj_r_squared"] == pytest.approx(model.fit_stats.adj_r_squared, rel=1e-9)
 
     def test_unknown_level_rejected(self, calibrated_acc_model, calibrated_observations):
-        data = [o for o in calibrated_observations if o.metric == "ACC"][:50]
-        data[7] = replace(data[7], dataset="MARS")
+        rows = calibrated_observations[calibrated_observations.metric == "ACC"][:50].tolist()
+        rows[7] = (*rows[7][:2], "MARS", *rows[7][3:])
         with pytest.raises(InputError, match="MARS"):
-            betagam.fit_stats(calibrated_acc_model, data)
+            betagam.fit_stats(calibrated_acc_model, as_table(rows))
 
     def test_deviance_explained_is_one_minus_deviance_ratio(self, calibrated_acc_model):
         rng = np.random.default_rng(13)
@@ -504,10 +502,12 @@ class TestWaldP:
             rng = np.random.default_rng(3000 + rep)
             n = 400
             y = rng.beta(0.8 * 60, 0.2 * 60, n)
-            obs = [
-                make_obs(v, 100, tuning=("deep" if i % 2 == 0 else "shallow"))
-                for i, v in enumerate(y)
-            ]
+            obs = as_table(
+                [
+                    make_obs(v, 100, tuning=("deep" if i % 2 == 0 else "shallow"))
+                    for i, v in enumerate(y)
+                ]
+            )
             model = betagam.fit(spec, obs)
             pvals.append(wald_p(model, "tuning"))
         assert stats.kstest(pvals, "uniform").pvalue > 0.01
@@ -530,7 +530,7 @@ class TestBackwardElimination:
             parametric_terms=(FactorTerm("tuning", "deep"), FactorTerm("dataset", "AU")),
             smooth_terms=(SmoothTerm(by_factor="dataset"),),
         )
-        model, trace = backward_eliminate(spec, obs)
+        model, trace = backward_eliminate(spec, as_table(obs))
         assert trace == []
         assert model.spec == spec
 
@@ -539,10 +539,12 @@ class TestBackwardElimination:
         n = 480
         sizes = np.tile(SIZES, n // 6)
         tunings = np.tile(["deep", "shallow"], n // 2)
-        obs = [
-            make_obs(v, s, metric="FPR", tuning=t)
-            for v, s, t in zip(rng.beta(0.05 * 300, 0.95 * 300, n), sizes, tunings)
-        ]
+        obs = as_table(
+            [
+                make_obs(v, s, metric="FPR", tuning=t)
+                for v, s, t in zip(rng.beta(0.05 * 300, 0.95 * 300, n), sizes, tunings)
+            ]
+        )
         spec = ModelSpec(
             response="FPR",
             parametric_terms=(FactorTerm("tuning", "deep"),),
@@ -555,7 +557,7 @@ class TestBackwardElimination:
     def test_by_factor_protected_while_smooth_retained(self, calibrated_observations):
         # the dataset factor backs the nested smooths; even if its own p were
         # large it must not be dropped before the smooth term
-        data = [o for o in calibrated_observations if o.metric == "ACC"]
+        data = calibrated_observations[calibrated_observations.metric == "ACC"]
         spec = default_spec("ACC")
         model, trace = backward_eliminate(spec, data)
         assert "dataset" in model.term_index
@@ -563,4 +565,4 @@ class TestBackwardElimination:
 
     def test_bad_alpha_rejected(self):
         with pytest.raises(InputError):
-            backward_eliminate(default_spec("ACC"), [make_obs(0.5, 10)], alpha=1.5)
+            backward_eliminate(default_spec("ACC"), observation_rows([0.5], [10]), alpha=1.5)

@@ -10,7 +10,7 @@ import pytest
 import camcurves
 from camcurves import cli, io
 
-from conftest import observation_rows
+from conftest import as_table, make_obs, observation_rows
 
 SIZES = (10, 20, 50, 150, 500, 1000)
 
@@ -61,8 +61,9 @@ def test_huge_lambda_is_an_input_error(observations_csv, tmp_path, capsys):
         ("value", "1.5", "outside [0, 1]"),
         ("num_tr_images", "ten", "bad num_tr_images 'ten'"),
         ("num_tr_images", "0", "must be a positive integer"),
+        ("num_tr_images", "99999999999999999999", "bad num_tr_images '99999999999999999999'"),
     ],
-    ids=["metric", "value", "value-range", "size", "zero-size"],
+    ids=["metric", "value", "value-range", "size", "zero-size", "size-beyond-64-bit"],
 )
 def test_bad_observation_row_names_its_line(tmp_path, capsys, field, raw, fragment):
     path = tmp_path / "obs.csv"
@@ -73,6 +74,65 @@ def test_bad_observation_row_names_its_line(tmp_path, capsys, field, raw, fragme
     path.write_text("\n".join([header, first, ",".join(cells)]) + "\n")
     code = cli.main(["aggregate", "--observations", str(path), "--by", "dataset"])
     assert_one_input_error(code, capsys, f"{path}:3: ", fragment)
+
+
+@pytest.mark.parametrize(
+    "record, fragment",
+    [
+        (b"ACC,0.9,AU,caf\xe9,10,a,deep,none", "can't decode byte 0xe9"),
+        (b"ACC,0.9,AU," + b"x" * 200_000 + b",10,a,deep,none", "field limit"),
+    ],
+    ids=["latin-1", "huge-field"],
+)
+def test_unreadable_csv_is_an_input_error(tmp_path, capsys, record, fragment):
+    path = tmp_path / "obs.csv"
+    header = ",".join(io.OBSERVATION_COLUMNS).encode()
+    path.write_bytes(header + b"\n" + record + b"\n")
+    code = cli.main(["aggregate", "--observations", str(path), "--by", "dataset"])
+    assert_one_input_error(code, capsys, f"{path}: unreadable as UTF-8 CSV", fragment)
+
+
+@pytest.mark.parametrize(
+    "second, third, expected",
+    [
+        (("value", "1.5"), ("num_tr_images", "ten"), ":2: metric value 1.5 outside [0, 1]"),
+        (("num_tr_images", "ten"), ("metric", "MAP"), ":2: bad num_tr_images 'ten'"),
+    ],
+    ids=["range-before-parse", "parse-before-range"],
+)
+def test_first_bad_observation_line_is_named(tmp_path, capsys, second, third, expected):
+    path = tmp_path / "obs.csv"
+    io.write_observations_csv(str(path), observation_rows([0.8, 0.9], [10, 20]))
+    header, *records = path.read_text().splitlines()
+    for i, (field, raw) in enumerate((second, third)):
+        cells = records[i].split(",")
+        cells[header.split(",").index(field)] = raw
+        records[i] = ",".join(cells)
+    path.write_text("\n".join([header, *records]) + "\n")
+    code = cli.main(["aggregate", "--observations", str(path), "--by", "dataset"])
+    assert_one_input_error(code, capsys, f"{path}{expected}")
+
+
+def test_aggregate_by_class_names_the_csv_column(tmp_path, capsys):
+    path = tmp_path / "obs.csv"
+    rows = [make_obs(0.8, 10, class_label="fox"), make_obs(0.6, 10, class_label="cat")]
+    io.write_observations_csv(str(path), as_table(rows + [make_obs(0.7, 10, class_label="fox")]))
+    argv = ["aggregate", "--observations", str(path), "--by"]
+    assert cli.main(argv + ["class"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "metric,class,mean,std,count",
+        "ACC,cat,0.60,,1",
+        "ACC,fox,0.75,0.071,2",
+    ]
+    code = cli.main(argv + ["class_label"])
+    assert_one_input_error(code, capsys, "cannot group by 'class_label'")
+
+
+def test_aggregate_orders_groups_by_their_typed_key(observations_csv, capsys):
+    argv = ["aggregate", "--observations", observations_csv, "--by", "num_tr_images"]
+    assert cli.main(argv) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[1] for line in lines[1:]] == ["10", "20", "50", "150", "500", "1000"]
 
 
 def test_bad_ladder_item_is_an_input_error(tmp_path, capsys):
@@ -113,6 +173,25 @@ def test_fit_gam_rejects_missing_out_directory_before_fitting(
     for extra in ([], ["--eliminate"]):
         assert_one_input_error(cli.main(argv + extra), capsys, f"cannot write {out}")
     assert not (tmp_path / "missing").exists()
+
+
+def test_fit_gam_squeezes_only_values_at_the_bounds(tmp_path, monkeypatch):
+    path = tmp_path / "obs.csv"
+    io.write_observations_csv(str(path), observation_rows([0.0, 5e-5, 1.0, 0.9, 0.85, 0.7], SIZES))
+    seen = []
+
+    class Spied(Exception):
+        pass
+
+    def spy(spec, observations, **kwargs):
+        seen.append(observations.value.tolist())
+        raise Spied
+
+    monkeypatch.setattr(cli.betagam, "fit", spy)
+    argv = ["fit-gam", "--observations", str(path), "--metric", "ACC"]
+    with pytest.raises(Spied):
+        cli.main(argv + ["--out", str(tmp_path / "m.json")])
+    assert seen == [[1e-4, 5e-5, 1.0 - 1e-4, 0.9, 0.85, 0.7]]
 
 
 def test_select_zero_is_an_input_error(tmp_path, capsys):

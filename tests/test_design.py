@@ -18,6 +18,17 @@ from conftest import CALIBRATION_SEED
 CALIBRATED_GRID_SHA256 = "769df85f0592e3701e9fa45e9251265998e18e406727b93ff21039d32d836d7d"
 
 
+# the fields that tell one simulated observation from every other
+CELL_CLASS_METRIC = (
+    "dataset", "num_tr_images", "architecture", "tuning", "augmentation", "class", "metric"
+)
+
+
+def row_keys(table, names=CELL_CLASS_METRIC):
+    """One tuple of the fields `names` per row of an observation table."""
+    return list(zip(*(table[name].tolist() for name in names)))
+
+
 class TestSimulateGrid:
     def test_calibrated_grid_csv_is_pinned(self, calibrated_observations, tmp_path):
         path = tmp_path / "grid.csv"
@@ -25,11 +36,7 @@ class TestSimulateGrid:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == CALIBRATED_GRID_SHA256
 
     def test_every_cell_class_and_metric_appears_once(self, calibrated_observations):
-        counts = Counter(
-            (o.dataset, o.num_tr_images, o.architecture, o.tuning, o.augmentation,
-             o.class_label, o.metric)
-            for o in calibrated_observations
-        )
+        counts = Counter(row_keys(calibrated_observations))
         expected = {
             (*cell, label, metric)
             for cell in product(*design.GRID_AXES)
@@ -41,28 +48,26 @@ class TestSimulateGrid:
         assert len(calibrated_observations) == 31_104
 
     def test_seed_determines_the_grid(self, calibrated_observations):
-        assert design.simulate_grid(CALIBRATION_SEED) == calibrated_observations
-        assert design.simulate_grid(CALIBRATION_SEED + 1) != calibrated_observations
+        grid = calibrated_observations.tolist()
+        assert design.simulate_grid(CALIBRATION_SEED).tolist() == grid
+        assert design.simulate_grid(CALIBRATION_SEED + 1).tolist() != grid
 
     def test_each_cell_draws_from_its_own_substream(self, calibrated_observations, monkeypatch):
         # walk the cells (and the class-offset keys) in reverse order
         monkeypatch.setattr(design, "product", lambda *axes: reversed(list(product(*axes))))
         reversed_walk = design.simulate_grid(CALIBRATION_SEED)
 
-        def by_cell(observations):
-            return {
-                (o.dataset, o.num_tr_images, o.architecture, o.tuning, o.augmentation,
-                 o.class_label, o.metric): o.value
-                for o in observations
-            }
+        def by_cell(table):
+            return dict(zip(row_keys(table), table.value.tolist()))
 
-        assert reversed_walk != calibrated_observations  # the order did change
+        assert reversed_walk.tolist() != calibrated_observations.tolist()  # the order did change
         assert by_cell(reversed_walk) == by_cell(calibrated_observations)
 
     def test_dataset_means_track_the_reference_trajectories(self, calibrated_observations):
         values = defaultdict(list)
-        for o in calibrated_observations:
-            values[(o.metric, o.dataset, o.num_tr_images)].append(o.value)
+        keys = row_keys(calibrated_observations, ("metric", "dataset", "num_tr_images"))
+        for key, value in zip(keys, calibrated_observations.value.tolist()):
+            values[key].append(value)
         for metric, trajectories in design.REFERENCE_TRAJECTORIES.items():
             for dataset, trajectory in trajectories.items():
                 for size, target in zip(design.DEFAULT_SIZE_LADDER, trajectory):

@@ -17,7 +17,7 @@ from camcurves import (
     true_positive_rate,
 )
 
-from conftest import make_obs
+from conftest import as_table, make_obs, observation_rows
 
 
 def rec(true, pred, image_id="img"):
@@ -161,36 +161,36 @@ class TestAggregate:
             make_obs(v, 10, dataset="AU", class_label=f"c{i}")
             for i, v in enumerate(self.AU_ACC_10)
         ]
-        rows = aggregate(obs, ["dataset", "num_tr_images"])
+        rows = aggregate(as_table(obs), ["dataset", "num_tr_images"])
         assert len(rows) == 1
         assert rows[0].mean == pytest.approx(0.892, abs=5e-4)
         assert round(rows[0].mean, 2) == 0.89
         assert rows[0].count == 9
 
     def test_single_observation_group(self):
-        rows = aggregate([make_obs(0.5, 10)], ["dataset"])
+        rows = aggregate(observation_rows([0.5], [10]), ["dataset"])
         assert rows[0].mean == 0.5
         assert rows[0].std is None
 
     def test_two_equal_observations(self):
-        rows = aggregate([make_obs(0.7, 10), make_obs(0.7, 10)], ["dataset"])
+        rows = aggregate(observation_rows([0.7, 0.7], [10, 10]), ["dataset"])
         assert rows[0].std == 0.0
         assert rows[0].count == 2
 
     def test_uses_unbiased_standard_deviation(self):
         vals = (0.2, 0.5, 0.8)
-        rows = aggregate([make_obs(v, 10) for v in vals], ["dataset"])
+        rows = aggregate(observation_rows(vals, [10] * 3), ["dataset"])
         assert rows[0].std == pytest.approx(float(np.std(vals, ddof=1)), rel=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
-            aggregate([], ["dataset"])
+            aggregate(observation_rows([], []), ["dataset"])
 
     def test_unknown_field_rejected(self):
         with pytest.raises(InputError, match="group"):
-            aggregate([make_obs(0.5, 10)], ["species"])
+            aggregate(observation_rows([0.5], [10]), ["species"])
 
     def test_groups_split_by_key(self):
         obs = [make_obs(0.5, 10, dataset="AU"), make_obs(0.9, 10, dataset="WI")]
-        rows = aggregate(obs, ["dataset"])
+        rows = aggregate(as_table(obs), ["dataset"])
         assert [r.key for r in rows] == [("AU",), ("WI",)]

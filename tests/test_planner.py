@@ -165,7 +165,7 @@ CELLS = (
 
 @pytest.fixture(scope="module")
 def calibrated_fpr_model(calibrated_observations):
-    data = [o for o in calibrated_observations if o.metric == "FPR"]
+    data = calibrated_observations[calibrated_observations.metric == "FPR"]
     return betagam.fit(betagam.default_spec("FPR"), data)
 
 
