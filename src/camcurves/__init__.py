@@ -11,7 +11,6 @@ from .betagam import (
     default_spec,
     fit,
     fit_stats,
-    predict,
     squeeze,
     term_edf,
     wald_p,
@@ -50,7 +49,7 @@ from .planner import (
     plan_report,
     required_sample_size,
 )
-from .splines import KnotVector, SmoothBasis, build_basis, center_basis, place_knots
+from .splines import KnotVector, basis_rows, centring, penalty_matrix, place_knots
 
 __version__ = "0.1.0"
 
@@ -70,15 +69,14 @@ __all__ = [
     "PlanResult",
     "PredictionRecord",
     "SamplingManifest",
-    "SmoothBasis",
     "SmoothTerm",
     "UndefinedMetricError",
     "accuracy",
     "aggregate",
     "backward_eliminate",
+    "basis_rows",
     "beta_loglik",
-    "build_basis",
-    "center_basis",
+    "centring",
     "default_spec",
     "equal_space_select",
     "false_positive_rate",
@@ -87,10 +85,10 @@ __all__ = [
     "fit_stats",
     "gam_required_sample_size",
     "observation_table",
+    "penalty_matrix",
     "place_knots",
     "plan_report",
     "precision",
-    "predict",
     "predict_metric",
     "required_sample_size",
     "simulate_grid",

@@ -51,7 +51,7 @@ import numpy as np
 from ._numeric import inv_logit, logit, trigamma
 from .errors import ConvergenceError, InputError
 from .metrics import METRIC_KINDS, _distinct
-from .splines import KnotVector, build_basis, center_basis, place_knots
+from .splines import KnotVector, basis_rows, centring, penalty_matrix, place_knots
 
 DEFAULT_LAMBDA_GRID = tuple(10.0 ** np.linspace(-4.0, 6.0, 21))
 
@@ -250,6 +250,13 @@ class _Design:
     observed_sizes: tuple
 
 
+def _smooth_blocks(term: SmoothTerm, factor_levels: Mapping) -> list:
+    """(level, label) of each by-level block of a smooth; (None, label) if unsplit."""
+    if term.by_factor is None:
+        return [(None, term.label)]
+    return [(level, f"{term.label}[{level}]") for level in factor_levels[term.by_factor]]
+
+
 def _model_rows(model, columns: Mapping, sizes) -> np.ndarray:
     """Model-matrix rows at covariate values: the one encoding of covariates.
 
@@ -276,14 +283,12 @@ def _model_rows(model, columns: Mapping, sizes) -> np.ndarray:
         for level, j in zip(others, model.term_index[factor]):
             X[:, j] = values[factor] == level
     if model.spec.smooth_terms:
-        raw = build_basis(np.log(sizes), model.knot_vector).basis_matrix
+        raw = basis_rows(np.log(sizes), model.knot_vector)
     for term in model.spec.smooth_terms:
-        by = term.by_factor
-        for level in (None,) if by is None else model.factor_levels[by]:
-            label = term.label if level is None else f"{term.label}[{level}]"
+        for level, label in _smooth_blocks(term, model.factor_levels):
             block = raw @ model.smooth_constraints[label]
             if level is not None:
-                block = block * (values[by] == level)[:, None]
+                block = block * (values[term.by_factor] == level)[:, None]
             X[:, list(model.term_index[label])] = block
     return X
 
@@ -334,19 +339,17 @@ def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
     for term in spec.smooth_terms:
         x = np.log(np.array(column[term.covariate], dtype=float))
         knot_vector = place_knots(np.unique(x), k=term.k)
-        basis = build_basis(x, knot_vector)
+        rows, S = basis_rows(x, knot_vector), penalty_matrix(knot_vector)
         by = term.by_factor
         if by is not None and by not in factor_levels:
             raise InputError(f"smooth by-factor {by!r} is not a parametric term of the model")
-        for level in (None,) if by is None else factor_levels[by]:
+        for level, label in _smooth_blocks(term, factor_levels):
             mask = np.ones(m) if level is None else np.array(column[by]) == level
             # count-weighted, so the constraint sums over the observations
-            centred = center_basis(basis, weights=mask * counts)
-            label = term.label if level is None else f"{term.label}[{level}]"
-            term_index[label] = tuple(range(len(names), len(names) + centred.rank))
-            names.extend(f"{label}.{j}" for j in range(centred.rank))
-            constraints[label] = centred.constraint
-            penalties[label] = centred.penalty_matrix
+            constraints[label], penalties[label] = centring(rows, S, mask * counts)
+            rank = len(penalties[label])
+            term_index[label] = tuple(range(len(names), len(names) + rank))
+            names.extend(f"{label}.{j}" for j in range(rank))
 
     design = _Design(
         X=None,
@@ -578,9 +581,6 @@ class AdditiveModel:
     def metric(self) -> str:
         return self.spec.response
 
-    def smooth_labels(self) -> tuple:
-        return tuple(t for t in self.term_index if t.startswith("s("))
-
     def linear_predictor(self, cell: Mapping, num_tr_images) -> np.ndarray:
         """Linear predictor at one covariate cell over an array of sizes."""
         return _model_rows(self, cell, num_tr_images) @ self.coef
@@ -594,10 +594,6 @@ class AdditiveModel:
     def predict_sizes(self, cell: Mapping, num_tr_images) -> np.ndarray:
         """Mean response at one covariate cell over an array of sizes."""
         return inv_logit(self.linear_predictor(cell, num_tr_images))
-
-
-def predict(model: AdditiveModel, cell: Mapping) -> float:
-    return model.predict(cell)
 
 
 def term_edf(model: AdditiveModel) -> dict:
@@ -843,8 +839,8 @@ def _candidate_terms(spec: ModelSpec, model: AdditiveModel):
             continue
         out[t.name] = list(model.term_index[t.name])
     for t in spec.smooth_terms:
-        labels = [l for l in model.smooth_labels() if l == t.label or l.startswith(t.label + "[")]
-        out[t.label] = [j for label in labels for j in model.term_index[label]]
+        blocks = _smooth_blocks(t, model.factor_levels)
+        out[t.label] = [j for _, label in blocks for j in model.term_index[label]]
     return out
 
 

@@ -128,6 +128,11 @@ class SamplingManifest:
     nested: bool = True
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise InputError("seed must be a non-negative integer")
+
+
 def split_design(
     pools: Mapping[str, Sequence],
     *,
@@ -144,10 +149,11 @@ def split_design(
     each subset is drawn independently instead.
     """
     ladder = tuple(sorted(int(s) for s in size_ladder))
-    if len(set(ladder)) != len(ladder) or ladder[0] < 1:
+    if not ladder or len(set(ladder)) != len(ladder) or ladder[0] < 1:
         raise InputError("size ladder must be distinct positive integers")
     if test_size < 1:
         raise InputError("test size must be >= 1")
+    _check_seed(seed)
     need = test_size + ladder[-1]
     rng = np.random.default_rng(seed)
     classes = {}
@@ -317,6 +323,7 @@ def simulate_grid(seed: int) -> np.recarray:
     indices, and the class offsets from substreams keyed by (metric,
     dataset), so the values of a cell do not depend on the other cells.
     """
+    _check_seed(seed)
     class_offsets = {}
     for (mi, metric), (di, dataset) in product(enumerate(METRIC_KINDS), enumerate(DATASETS)):
         rng = np.random.default_rng(

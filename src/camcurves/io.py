@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .betagam import AdditiveModel, FactorTerm, FitStats, ModelSpec, SmoothTerm
+from .betagam import AdditiveModel, FactorTerm, FitStats, ModelSpec, SmoothTerm, _smooth_blocks
 from .curves import LearningCurveModel
 from .errors import InputError
 from .metrics import OBSERVATION_COLUMNS, PredictionRecord, observation_table
@@ -302,12 +302,13 @@ def _check_gam_parts(model: AdditiveModel):
         if factors[name] not in levels or len(model.term_index.get(name, ())) != len(levels) - 1:
             raise InputError(f"model levels of factor {name!r} disagree with its coefficients")
     knots = model.knot_vector.count if model.knot_vector else 0
-    for label in model.smooth_labels():
-        shape = (knots, len(model.term_index[label]))
-        constraint = model.smooth_constraints.get(label)
-        if constraint is None or constraint.shape != shape:
-            rows, cols = shape
-            raise InputError(f"model has no {rows} x {cols} smooth constraint for {label!r}")
+    for term in model.spec.smooth_terms:
+        for _, label in _smooth_blocks(term, model.factor_levels):
+            shape = (knots, len(model.term_index[label]))
+            constraint = model.smooth_constraints.get(label)
+            if constraint is None or constraint.shape != shape:
+                rows, cols = shape
+                raise InputError(f"model has no {rows} x {cols} smooth constraint for {label!r}")
 
 
 def _model_from_payload(payload: Mapping):

@@ -1,25 +1,23 @@
-"""Reduced-rank cubic regression spline bases over log training-set size.
+"""Cubic regression spline smooths over log training-set size.
 
-The basis is the cardinal natural cubic spline family: one basis function per
-knot, each interpolating 1 at its own knot and 0 at the others, with natural
-(zero second derivative) boundary conditions and linear extrapolation beyond
-the boundary knots.  The roughness penalty is the exact integrated squared
-second derivative, a k x k quadratic form whose null space is the affine
-functions of the covariate.
+The basis is the cardinal natural cubic spline family on a KnotVector: one
+function per knot, interpolating 1 at its own knot and 0 at the others, with
+natural boundary conditions and linear extrapolation beyond the boundary
+knots.  `basis_rows` evaluates it (every row sums to 1), `penalty_matrix` is
+its exact integrated squared second derivative (null space: the affine
+functions), and `centring` gives the sum-to-zero reparameterization Z and the
+penalty in its coordinates; a centred smooth at x is `basis_rows(x, knots) @ Z`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 
 DEFAULT_KNOT_COUNT = 5
-
-# column-sum norm below which a basis is treated as already centered
-_CENTERED_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -39,32 +37,6 @@ class KnotVector:
     @property
     def count(self) -> int:
         return self.knots.size
-
-
-@dataclass(frozen=True)
-class SmoothBasis:
-    """Evaluated spline basis plus its curvature penalty.
-
-    `basis_matrix` holds one row per data point; `penalty_matrix` is the
-    integrated-squared-second-derivative quadratic form in the same
-    coordinates.  After centering, `constraint` records the k x (k-1)
-    reparameterization applied to the raw cardinal basis (None before).
-    """
-
-    basis_matrix: np.ndarray
-    penalty_matrix: np.ndarray
-    knot_vector: KnotVector
-    covariate_name: str = "x"
-    constraint: np.ndarray | None = None
-
-    @property
-    def rank(self) -> int:
-        return self.basis_matrix.shape[1]
-
-    def evaluate(self, x) -> np.ndarray:
-        """Basis rows at new covariate values, in this basis's coordinates."""
-        raw = _cardinal_rows(np.asarray(x, dtype=float), self.knot_vector.knots)
-        return raw if self.constraint is None else raw @ self.constraint
 
 
 def place_knots(distinct_covariate_values, k: int = DEFAULT_KNOT_COUNT) -> KnotVector:
@@ -112,21 +84,21 @@ def _natural_spline_system(knots: np.ndarray):
     return F, 0.5 * (S + S.T)
 
 
-def _cardinal_rows(x: np.ndarray, knots: np.ndarray) -> np.ndarray:
-    """Rows of the cardinal natural cubic spline basis at points x.
+def basis_rows(x, knots: KnotVector) -> np.ndarray:
+    """Rows of the raw cardinal basis at points x, one column per knot.
 
     Inside the knot range each row mixes the bracketing hat coordinates with
     the second-derivative map; outside it extends linearly with the boundary
     slope (natural spline behavior).
     """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(x)):
         raise InputError("covariate values must be finite")
-    t = knots
+    t = knots.knots
     k = t.size
     h = np.diff(t)
     F, _ = _natural_spline_system(t)
 
-    x = np.atleast_1d(x)
     rows = np.zeros((x.size, k))
 
     inside = (x >= t[0]) & (x <= t[-1])
@@ -166,42 +138,23 @@ def _cardinal_rows(x: np.ndarray, knots: np.ndarray) -> np.ndarray:
     return rows
 
 
-def build_basis(x, knots: KnotVector, covariate_name: str = "x") -> SmoothBasis:
-    """Cardinal basis evaluated at x plus the curvature penalty matrix."""
-    _, S = _natural_spline_system(knots.knots)
-    return SmoothBasis(
-        basis_matrix=_cardinal_rows(np.asarray(x, dtype=float), knots.knots),
-        penalty_matrix=S,
-        knot_vector=knots,
-        covariate_name=covariate_name,
-    )
+def penalty_matrix(knots: KnotVector) -> np.ndarray:
+    """The k x k integrated squared second derivative in the raw basis."""
+    return _natural_spline_system(knots.knots)[1]
 
 
-def center_basis(basis: SmoothBasis, weights=None) -> SmoothBasis:
-    """Apply the sum-to-zero-over-data identifiability constraint.
+def centring(rows: np.ndarray, penalty: np.ndarray, weights) -> tuple:
+    """Sum-to-zero reparameterization over weighted rows: (Z, Z' S Z).
 
-    Drops one rank: columns of the returned basis sum to zero over the rows
-    it was built on, so the smooth carries no constant and is estimable next
-    to an intercept.  Centering an already-centered basis is a no-op.
-
-    `weights` optionally restricts the constraint to a subset of rows (e.g.
-    the rows of one factor level for a by-level smooth).
+    Z is k x (k-1) with orthonormal columns and `weights @ rows @ Z` is zero,
+    so the smooth carries no constant next to an intercept.  Raw rows sum to
+    1, so a positive weight sum keeps the column sums away from zero.
     """
-    B = basis.basis_matrix
-    col_sums = B.sum(axis=0) if weights is None else (np.asarray(weights, float) @ B)
-    norm = np.linalg.norm(col_sums)
-    if norm < _CENTERED_TOL:
-        return basis
-    Q, _ = np.linalg.qr(col_sums.reshape(-1, 1) / norm, mode="complete")
+    weights = np.asarray(weights, dtype=float)
+    if not weights.sum() > 0.0:
+        raise InputError("centring weights must have a positive sum")
+    col_sums = weights @ rows
+    Q, _ = np.linalg.qr(col_sums.reshape(-1, 1) / np.linalg.norm(col_sums), mode="complete")
     Z = Q[:, 1:]
-    constraint = Z if basis.constraint is None else basis.constraint @ Z
-    return replace(
-        basis,
-        basis_matrix=B @ Z,
-        penalty_matrix=_symmetrize(Z.T @ basis.penalty_matrix @ Z),
-        constraint=constraint,
-    )
-
-
-def _symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    centred = Z.T @ penalty @ Z
+    return Z, 0.5 * (centred + centred.T)

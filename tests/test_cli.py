@@ -135,12 +135,30 @@ def test_aggregate_orders_groups_by_their_typed_key(observations_csv, capsys):
     assert [line.split(",")[1] for line in lines[1:]] == ["10", "20", "50", "150", "500", "1000"]
 
 
-def test_bad_ladder_item_is_an_input_error(tmp_path, capsys):
+@pytest.fixture
+def image_index(tmp_path):
+    """Two classes of 20 image ids, without locations."""
     index = tmp_path / "index.csv"
     index.write_text("image_id,class\n" + "".join(f"i{j},c{j % 2}\n" for j in range(40)))
-    argv = ["design", "--manifest-in", str(index), "--seed", "1", "--ladder", "5,abc"]
-    code = cli.main(argv + ["--out", str(tmp_path / "d.json")])
-    assert_one_input_error(code, capsys, "--ladder", "'abc'")
+    return str(index)
+
+
+def test_bad_ladder_item_is_an_input_error(image_index, tmp_path, capsys):
+    argv = ["design", "--manifest-in", image_index, "--seed", "1", "--out", str(tmp_path / "d.json")]
+    assert_one_input_error(cli.main(argv + ["--ladder", "5,abc"]), capsys, "--ladder", "'abc'")
+    code = cli.main(argv + ["--ladder", ","])
+    assert_one_input_error(code, capsys, "size ladder must be distinct positive integers")
+
+
+@pytest.mark.parametrize("command", ["simulate", "design"])
+def test_negative_seed_is_an_input_error(command, image_index, tmp_path, capsys):
+    out = tmp_path / "out.file"
+    argv = [command, "--seed", "-5", "--out", str(out)]
+    if command == "design":
+        argv += ["--manifest-in", image_index, "--test", "5", "--ladder", "5,10"]
+    code = cli.main(argv)
+    assert_one_input_error(code, capsys, "seed must be a non-negative integer")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -194,10 +212,8 @@ def test_fit_gam_squeezes_only_values_at_the_bounds(tmp_path, monkeypatch):
     assert seen == [[1e-4, 5e-5, 1.0 - 1e-4, 0.9, 0.85, 0.7]]
 
 
-def test_select_zero_is_an_input_error(tmp_path, capsys):
-    index = tmp_path / "index.csv"
-    index.write_text("image_id,class\n" + "".join(f"i{j},c{j % 2}\n" for j in range(40)))
-    argv = ["design", "--manifest-in", str(index), "--seed", "1", "--select", "0"]
+def test_select_zero_is_an_input_error(image_index, tmp_path, capsys):
+    argv = ["design", "--manifest-in", image_index, "--seed", "1", "--select", "0"]
     code = cli.main(argv + ["--out", str(tmp_path / "d.json")])
     assert_one_input_error(code, capsys, "selection count must be >= 1")
     assert not (tmp_path / "d.json").exists()
@@ -305,6 +321,11 @@ def _drop_wi_constraint(d):
     del d["smooth_constraints"]["s(num_tr_images):dataset[WI]"]
 
 
+def _rename_wi_block(d):
+    for key in ("term_index", "smooth_constraints", "lambdas"):
+        d[key]["s(num_tr_images):dataset[XX]"] = d[key].pop("s(num_tr_images):dataset[WI]")
+
+
 def _drop_last_coef(d):
     d["coef"].pop()
 
@@ -334,6 +355,7 @@ def _drop_tuning_levels(d):
     [
         (_drop_phi, "missing key 'phi'"),
         (_drop_wi_constraint, "s(num_tr_images):dataset[WI]"),
+        (_rename_wi_block, "missing key 's(num_tr_images):dataset[WI]'"),
         (_drop_last_coef, "coef has shape"),
         (_drop_last_edf, "edf_by_coef has shape"),
         (_drop_covariance_row, "covariance has shape"),

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from camcurves import InputError, build_basis, center_basis, place_knots
-from camcurves.splines import _cardinal_rows
+from camcurves import (
+    InputError,
+    KnotVector,
+    basis_rows,
+    centring,
+    penalty_matrix,
+    place_knots,
+)
 
 LOG_LADDER = np.log([10.0, 20.0, 50.0, 150.0, 500.0, 1000.0])
 
@@ -36,30 +44,28 @@ class TestPlaceKnots:
 class TestBuildBasis:
     def test_cardinal_identity_at_knots(self):
         kv = default_knots()
-        basis = build_basis(kv.knots, kv)
-        np.testing.assert_allclose(basis.basis_matrix, np.eye(5), atol=1e-12)
+        np.testing.assert_allclose(basis_rows(kv.knots, kv), np.eye(5), atol=1e-12)
 
     def test_affine_functions_are_unpenalized(self):
         kv = default_knots()
-        basis = build_basis(kv.knots, kv)
         coef = 0.7 - 0.3 * kv.knots  # spline equal to an affine function
-        assert abs(coef @ basis.penalty_matrix @ coef) < 1e-12
+        assert abs(coef @ penalty_matrix(kv) @ coef) < 1e-12
 
     def test_penalty_matches_integrated_squared_second_derivative(self):
         # oracle: trapezoid rule over a 10000-point grid; the second
         # derivative of a natural cubic interpolant is piecewise linear
         kv = default_knots()
-        basis = build_basis(kv.knots, kv)
+        S = penalty_matrix(kv)
         rng = np.random.default_rng(0)
         for _ in range(5):
             coef = rng.normal(size=5)
             grid = np.linspace(kv.knots[0], kv.knots[-1], 10_000)
             h = grid[1] - grid[0]
-            values = _cardinal_rows(grid, kv.knots) @ coef
+            values = basis_rows(grid, kv) @ coef
             second = np.gradient(np.gradient(values, h), h)
             # drop edge cells where np.gradient is one-sided
             quad = np.trapezoid(second[2:-2] ** 2, grid[2:-2])
-            target = coef @ basis.penalty_matrix @ coef
+            target = coef @ S @ coef
             assert quad == pytest.approx(target, rel=1e-3)
 
     def test_penalty_matches_exact_second_derivative_oracle(self):
@@ -68,30 +74,28 @@ class TestBuildBasis:
         from camcurves.splines import _natural_spline_system
 
         kv = default_knots()
-        basis = build_basis(kv.knots, kv)
         F, _ = _natural_spline_system(kv.knots)
         rng = np.random.default_rng(1)
         coef = rng.normal(size=5)
         grid = np.linspace(kv.knots[0], kv.knots[-1], 10_000)
         second = np.interp(grid, kv.knots, F @ coef)
         quad = np.trapezoid(second**2, grid)
-        target = coef @ basis.penalty_matrix @ coef
+        target = coef @ penalty_matrix(kv) @ coef
         assert abs(quad - target) / abs(target) < 1e-6
 
     def test_penalty_positive_semidefinite(self):
         kv = default_knots()
-        basis = build_basis(kv.knots, kv)
-        eigs = np.linalg.eigvalsh(basis.penalty_matrix)
+        eigs = np.linalg.eigvalsh(penalty_matrix(kv))
         assert eigs.min() > -1e-10
 
     def test_penalty_invariant_under_affine_shift(self):
         kv = default_knots()
-        basis = build_basis(kv.knots, kv)
+        S = penalty_matrix(kv)
         rng = np.random.default_rng(2)
         coef = rng.normal(size=5)
         shifted = coef + 1.3 - 0.8 * kv.knots
-        q0 = coef @ basis.penalty_matrix @ coef
-        q1 = shifted @ basis.penalty_matrix @ shifted
+        q0 = coef @ S @ coef
+        q1 = shifted @ S @ shifted
         assert q0 == pytest.approx(q1, rel=1e-9)
 
     def test_smooth_across_knots(self):
@@ -103,7 +107,7 @@ class TestBuildBasis:
         h = 1e-4
 
         def f(pts):
-            return _cardinal_rows(np.asarray(pts), kv.knots) @ coef
+            return basis_rows(pts, kv) @ coef
 
         for t in kv.knots[1:-1]:
             v_left, v_right = f([t - 1e-9, t + 1e-9])
@@ -132,7 +136,7 @@ class TestBuildBasis:
         coef = rng.normal(size=5)
         lo, hi = kv.knots[0], kv.knots[-1]
         for a, b, c in [(lo - 2.0, lo - 1.0, lo - 0.5), (hi + 0.5, hi + 1.0, hi + 2.0)]:
-            vals = _cardinal_rows(np.array([a, b, c]), kv.knots) @ coef
+            vals = basis_rows([a, b, c], kv) @ coef
             slope1 = (vals[1] - vals[0]) / (b - a)
             slope2 = (vals[2] - vals[1]) / (c - b)
             assert slope1 == pytest.approx(slope2, rel=1e-10)
@@ -140,44 +144,72 @@ class TestBuildBasis:
     def test_non_finite_rejected(self):
         kv = default_knots()
         with pytest.raises(InputError):
-            build_basis([np.nan], kv)
+            basis_rows([np.nan], kv)
 
     def test_deterministic_construction(self):
         kv = default_knots()
         x = np.linspace(2.0, 7.0, 40)
-        b1 = build_basis(x, kv)
-        b2 = build_basis(x, kv)
-        assert np.array_equal(b1.basis_matrix, b2.basis_matrix)
-        assert np.array_equal(b1.penalty_matrix, b2.penalty_matrix)
+        assert np.array_equal(basis_rows(x, kv), basis_rows(x, kv))
+        assert np.array_equal(penalty_matrix(kv), penalty_matrix(kv))
 
 
 class TestCenterBasis:
     def setup_method(self):
         self.kv = default_knots()
         self.x = np.repeat(LOG_LADDER, 7)
-        self.basis = build_basis(self.x, self.kv)
+        self.rows = basis_rows(self.x, self.kv)
+        self.Z, self.penalty = centring(self.rows, penalty_matrix(self.kv), np.ones(self.x.size))
 
     def test_rank_drops_by_one(self):
-        centered = center_basis(self.basis)
-        assert centered.rank == 4
+        assert self.Z.shape == (5, 4)
+        assert self.penalty.shape == (4, 4)
 
     def test_columns_sum_to_zero_over_data(self):
-        centered = center_basis(self.basis)
-        np.testing.assert_allclose(centered.basis_matrix.sum(axis=0), 0.0, atol=1e-10)
+        np.testing.assert_allclose((self.rows @ self.Z).sum(axis=0), 0.0, atol=1e-10)
 
     def test_constant_fit_through_centered_basis_is_zero(self):
-        centered = center_basis(self.basis)
-        coef, *_ = np.linalg.lstsq(centered.basis_matrix, np.ones(self.x.size), rcond=None)
-        np.testing.assert_allclose(centered.basis_matrix @ coef, 0.0, atol=1e-10)
+        centred = self.rows @ self.Z
+        coef, *_ = np.linalg.lstsq(centred, np.ones(self.x.size), rcond=None)
+        np.testing.assert_allclose(centred @ coef, 0.0, atol=1e-10)
 
-    def test_centering_is_idempotent(self):
-        once = center_basis(self.basis)
-        twice = center_basis(once)
-        assert np.array_equal(once.basis_matrix, twice.basis_matrix)
-        assert np.array_equal(once.penalty_matrix, twice.penalty_matrix)
+    def test_penalty_is_the_raw_penalty_in_centred_coordinates(self):
+        S = penalty_matrix(self.kv)
+        assert np.array_equal(self.penalty, self.penalty.T)
+        np.testing.assert_allclose(self.penalty, self.Z.T @ S @ self.Z, atol=1e-12)
 
-    def test_evaluate_matches_training_rows(self):
-        centered = center_basis(self.basis)
-        np.testing.assert_allclose(
-            centered.evaluate(self.x), centered.basis_matrix, atol=1e-12
-        )
+    @pytest.mark.parametrize("weights", [np.zeros(42), np.r_[np.ones(41), -41.0]])
+    def test_weights_without_a_positive_sum_are_rejected(self, weights):
+        with pytest.raises(InputError, match="positive sum"):
+            centring(self.rows, penalty_matrix(self.kv), weights)
+
+
+@st.composite
+def knot_vectors(draw):
+    """3 to 8 strictly increasing knots with gaps of at least 0.05."""
+    start = draw(st.floats(-10.0, 10.0))
+    gaps = draw(st.lists(st.floats(0.05, 5.0), min_size=2, max_size=7))
+    return KnotVector(start + np.cumsum([0.0, *gaps]))
+
+
+# covariate values inside and well outside any drawn knot range
+covariates = st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=30)
+
+
+class TestSplineProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(kv=knot_vectors(), x=covariates)
+    def test_every_row_sums_to_one(self, kv, x):
+        rows = basis_rows(x, kv)
+        scale = 1.0 + np.abs(rows).sum(axis=1)
+        assert np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-9 * scale)
+
+    @settings(max_examples=80, deadline=None)
+    @given(kv=knot_vectors(), x=covariates, data=st.data())
+    def test_centred_rows_sum_to_zero_under_their_weights(self, kv, x, data):
+        w = data.draw(st.lists(st.floats(0.01, 100.0), min_size=len(x), max_size=len(x)))
+        weights = np.array(w)
+        rows = basis_rows(x, kv)
+        Z, _ = centring(rows, penalty_matrix(kv), weights)
+        scale = weights @ np.abs(rows).max(axis=1)
+        assert np.all(np.abs(weights @ (rows @ Z)) <= 1e-9 * scale)
+        np.testing.assert_allclose(Z.T @ Z, np.eye(kv.count - 1), atol=1e-12)
