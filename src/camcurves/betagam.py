@@ -12,6 +12,12 @@ Fitting maximizes the penalized log-likelihood
 
 by Fisher-scoring steps for the coefficients and one-dimensional Newton
 steps for log(phi), with step halving so the objective never decreases.
+A step is taken only when its gain predicted by the quadratic model that
+produced it (1/2 grad'step for the Fisher step, 1/2 d1*step for the log(phi)
+step) exceeds 256 machine epsilons of |objective|: a smaller gain is below
+the rounding noise of the summed objective, so its line search would accept
+or reject on noise.  Each accepted state's means and log-likelihood are
+carried forward, so a state's likelihood is evaluated once.
 Smoothing parameters are chosen by AIC = -2*loglik + 2*(EDF + 1) over a
 log-spaced grid, searched coordinate-wise with warm starts.
 
@@ -58,6 +64,9 @@ DEFAULT_LAMBDA_GRID = tuple(10.0 ** np.linspace(-4.0, 6.0, 21))
 # tolerance on the penalized log-likelihood change of a final fit and of a
 # screened grid candidate, and the outer iteration budget of every fit
 _TOL, _SCREEN_TOL, _MAX_ITER = 1e-8, 1e-5, 200
+
+# smallest predicted gain, relative to |objective|, that a line search runs for
+_RESOLUTION = 256 * np.finfo(float).eps
 
 _PHI_MIN, _PHI_MAX = 1e-2, 1e8
 
@@ -401,12 +410,19 @@ def _penalty_matrix(design: _Design, lambdas: Sequence[float]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _resolvable(gain: float, value: float) -> bool:
+    """Whether a step's predicted gain is above the rounding noise of `value`."""
+    return gain > _RESOLUTION * abs(value)
+
+
 def _fit_penalized(design: _Design, P, beta0, phi0, tol):
     """Alternate coefficient Fisher scoring and log-phi Newton with step halving.
 
     Works on the distinct design rows: each row's score, Fisher weight and
-    log-phi terms are its observations' terms summed in closed form.
-    Returns (beta, phi, penalized loglik, history of accepted objective values).
+    log-phi terms are its observations' terms summed in closed form.  The
+    accepted state's means and log-likelihood are carried to the next step,
+    and a step whose predicted gain is not _resolvable is not taken.
+    Returns (beta, phi, mu, loglik, history of accepted objective values).
     Raises ConvergenceError when the objective change stays above `tol` for
     _MAX_ITER outer iterations, or at once when the objective or the
     coefficient step is not finite, since step halving can then accept nothing.
@@ -418,8 +434,10 @@ def _fit_penalized(design: _Design, P, beta0, phi0, tol):
     beta = beta0.copy()
     phi = float(phi0)
 
-    def objective(b, ph):
-        return _ll_sum(inv_logit(X @ b), ph, n, sum_ylog, sum_y1log) - 0.5 * float(b @ P @ b)
+    def objective(b, ph, mu=None):
+        mu = inv_logit(X @ b) if mu is None else mu
+        ll = _ll_sum(mu, ph, n, sum_ylog, sum_y1log)
+        return ll - 0.5 * float(b @ P @ b), mu, ll
 
     def check_finite(what, value, it):
         if not np.all(np.isfinite(value)):
@@ -428,13 +446,11 @@ def _fit_penalized(design: _Design, P, beta0, phi0, tol):
                 iterations=it,
             )
 
-    cur = objective(beta, phi)
+    cur, mu, ll = objective(beta, phi)
     history = [cur]
     for it in range(1, _MAX_ITER + 1):
         check_finite("objective", cur, it - 1)
         base = cur
-        eta = X @ beta
-        mu = inv_logit(eta)
         a = mu * phi
         b = (1.0 - mu) * phi
         mm = mu * (1.0 - mu)
@@ -444,15 +460,14 @@ def _fit_penalized(design: _Design, P, beta0, phi0, tol):
         step = np.linalg.solve((X.T * w) @ X + P, grad)
         check_finite("coefficient step", step, it - 1)
         t = 1.0
-        for _ in range(40):
+        for _ in range(40 if _resolvable(0.5 * float(grad @ step), cur) else 0):
             cand = beta + t * step
-            val = objective(cand, phi)
+            val, cand_mu, cand_ll = objective(cand, phi)
             if val >= cur - 1e-12:
-                beta, cur = cand, val
+                beta, cur, mu, ll = cand, val, cand_mu, cand_ll
                 break
             t *= 0.5
 
-        mu = inv_logit(X @ beta)
         a = mu * phi
         b = (1.0 - mu) * phi
         d1 = phi * float(
@@ -468,17 +483,17 @@ def _fit_penalized(design: _Design, P, beta0, phi0, tol):
             d2 = -abs(d1) - 1e-6
         log_step = float(np.clip(-d1 / d2, -2.0, 2.0))
         t = 1.0
-        for _ in range(30):
+        for _ in range(30 if _resolvable(0.5 * d1 * log_step, cur) else 0):
             cand_phi = float(np.clip(np.exp(np.log(phi) + t * log_step), _PHI_MIN, _PHI_MAX))
-            val = objective(beta, cand_phi)
+            val, _, cand_ll = objective(beta, cand_phi, mu)
             if val >= cur - 1e-12:
-                phi, cur = cand_phi, val
+                phi, cur, ll = cand_phi, val, cand_ll
                 break
             t *= 0.5
 
         history.append(cur)
         if abs(cur - base) < tol:
-            return beta, phi, cur, history
+            return beta, phi, mu, ll, history
     raise ConvergenceError(
         f"penalized fit did not converge in {_MAX_ITER} iterations "
         f"(last objective change {abs(cur - base):.3e})",
@@ -517,10 +532,8 @@ class _FitResult:
 def _fit_at_lambda(design: _Design, lambdas, warm, tol) -> _FitResult:
     P = _penalty_matrix(design, lambdas)
     beta0, phi0 = _initial_values(design, P) if warm is None else warm
-    beta, phi, _, history = _fit_penalized(design, P, beta0, phi0, tol)
+    beta, phi, mu, ll, history = _fit_penalized(design, P, beta0, phi0, tol)
     X = design.X
-    mu = inv_logit(X @ beta)
-    ll = _ll_sum(mu, phi, design.n, design.sum_ylog, design.sum_y1log)
     a = mu * phi
     b = (1.0 - mu) * phi
     w = design.n * phi * phi * (trigamma(a) + trigamma(b)) * (mu * (1.0 - mu)) ** 2

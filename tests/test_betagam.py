@@ -1,7 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize, stats
 
 from camcurves import ConvergenceError, InputError, betagam
@@ -22,7 +26,10 @@ from camcurves.betagam import (
 )
 from camcurves.betagam import _assemble, _null_loglik, _penalty_matrix, _saturated_loglik
 
-from conftest import as_table, make_obs, observation_rows
+from conftest import CALIBRATION_SEED, as_table, make_obs, observation_rows
+
+# the benchmark's answers for the calibrated grid, written by bench/run.py
+REFERENCE = json.loads((Path(__file__).parents[1] / "bench" / "reference.json").read_text())
 
 SIZES = (10, 20, 50, 150, 500, 1000)
 
@@ -285,12 +292,28 @@ class TestFit:
         with pytest.raises(InputError, match="non-finite penalty"):
             betagam.fit(single_smooth_spec(), obs, lambdas=[lam])
 
-    def test_objective_never_decreases_across_iterations(self):
-        rng = np.random.default_rng(2)
-        obs = simulate_rows(rng)
-        model = betagam.fit(single_smooth_spec(), obs, lambdas=[0.5])
-        history = np.array(model.pll_history)
-        assert np.all(np.diff(history) >= -1e-9)
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(betagam.DEFAULT_LAMBDA_GRID))
+    def test_objective_never_decreases_across_iterations(self, seed, lam):
+        obs = simulate_rows(np.random.default_rng(seed))
+        model = betagam.fit(single_smooth_spec(), obs, lambdas=[lam])
+        # the ascent test accepts a step that loses at most 1e-12
+        assert np.all(np.diff(model.pll_history) >= -1e-12)
+
+    def test_restart_at_the_optimum_evaluates_the_likelihood_once(
+        self, calibrated_observations, calibrated_acc_model, monkeypatch
+    ):
+        # at its own optimum no step's predicted gain is above the objective's
+        # rounding noise, so the fit takes no step and makes no line search
+        model = calibrated_acc_model
+        design = _assemble(model.spec, calibrated_observations)
+        P = _penalty_matrix(design, list(model.lambdas.values()))
+        calls = []
+        ll_sum = betagam._ll_sum
+        monkeypatch.setattr(betagam, "_ll_sum", lambda *args: calls.append(1) or ll_sum(*args))
+        *_, history = betagam._fit_penalized(design, P, model.coef, model.phi, betagam._TOL)
+        assert len(history) - 1 == 1
+        assert len(calls) == 1
 
     def test_refit_is_bit_reproducible(self):
         rng = np.random.default_rng(3)
@@ -566,3 +589,26 @@ class TestBackwardElimination:
     def test_bad_alpha_rejected(self):
         with pytest.raises(InputError):
             backward_eliminate(default_spec("ACC"), observation_rows([0.5], [10]), alpha=1.5)
+
+
+class TestReferenceAnswers:
+    """The calibrated fits give the benchmark's reference answers."""
+
+    answers = REFERENCE["workloads"]["grid_fit"]
+
+    def test_reference_seed_is_the_calibration_seed(self):
+        assert REFERENCE["seed"] == CALIBRATION_SEED
+
+    def test_acc_lambdas_and_loglik(self, calibrated_acc_model):
+        expected = self.answers["fit-gam --observations grid.csv --metric ACC --out acc.json"]
+        assert calibrated_acc_model.lambdas == expected["lambdas"]
+        assert calibrated_acc_model.fit_stats.loglik == pytest.approx(expected["loglik"], rel=1e-9)
+
+    def test_fpr_elimination_drops_the_reference_terms(self, calibrated_observations):
+        expected = self.answers[
+            "fit-gam --observations grid.csv --metric FPR --out fpr.json --eliminate"
+        ]
+        data = calibrated_observations[calibrated_observations.metric == "FPR"]
+        model, trace = backward_eliminate(default_spec("FPR"), data)
+        assert [step.dropped for step in trace] == expected["dropped"]
+        assert model.lambdas == expected["lambdas"]

@@ -193,6 +193,22 @@ def test_fit_gam_rejects_missing_out_directory_before_fitting(
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("alpha", ["2", "0", "nan"])
+@pytest.mark.parametrize("extra", [[], ["--eliminate"]], ids=["fit", "eliminate"])
+def test_alpha_outside_the_unit_interval_is_an_input_error(
+    alpha, extra, observations_csv, tmp_path, capsys, monkeypatch
+):
+    def no_parse(*args, **kwargs):
+        raise AssertionError("fit-gam parsed the observations before checking --alpha")
+
+    monkeypatch.setattr(cli.io, "parse_observations", no_parse)
+    out = tmp_path / "m.json"
+    argv = ["fit-gam", "--observations", observations_csv, "--metric", "ACC", "--out", str(out)]
+    code = cli.main(argv + ["--alpha", alpha] + extra)
+    assert_one_input_error(code, capsys, "--alpha must lie in (0, 1)")
+    assert not out.exists()
+
+
 def test_fit_gam_squeezes_only_values_at_the_bounds(tmp_path, monkeypatch):
     path = tmp_path / "obs.csv"
     io.write_observations_csv(str(path), observation_rows([0.0, 5e-5, 1.0, 0.9, 0.85, 0.7], SIZES))
