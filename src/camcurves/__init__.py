@@ -7,7 +7,6 @@ from .betagam import (
     ModelSpec,
     SmoothTerm,
     backward_eliminate,
-    beta_loglik,
     default_spec,
     fit,
     fit_stats,
@@ -75,7 +74,6 @@ __all__ = [
     "aggregate",
     "backward_eliminate",
     "basis_rows",
-    "beta_loglik",
     "centring",
     "default_spec",
     "equal_space_select",

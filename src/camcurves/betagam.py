@@ -42,9 +42,12 @@ fit builds its distinct rows with it, and every prediction (a cell over an
 array of sizes, or the public fit_stats over a dataset) builds its rows with
 it from the fitted model, so a cell cannot be encoded two ways.
 
-Only the functions that evaluate the likelihood or a Wald test import
-scipy.special, so loading, predicting from and planning with a fitted model
-run on numpy alone.
+The Beta likelihood is written once, on design rows: `_ll_sum` is the
+log-likelihood, `_score_weight` its score in logit(mu) with the Fisher weight,
+and `_log_phi_derivatives` its first two derivatives in log(phi).  Only these
+three, `_beta_mean` (the saturated and null means) and `_joint_term_p` (the
+Wald test) import scipy.special, so loading, predicting from and planning with
+a fitted model run on numpy alone.
 """
 
 from __future__ import annotations
@@ -157,59 +160,6 @@ def squeeze(y, eps: float = 1e-4):
     return float(out) if out.ndim == 0 else out
 
 
-def beta_loglik(y, mu, phi):
-    """Log Beta density at y under mean mu and precision phi, with gradient.
-
-    Shapes are alpha = mu*phi and beta = (1-mu)*phi.  Returns
-    (loglik, d/d logit(mu), d/d log(phi)), elementwise over broadcast inputs.
-    """
-    from scipy.special import digamma, gammaln
-
-    y = np.asarray(y, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if np.any(y <= 0.0) or np.any(y >= 1.0):
-        raise InputError("response values must lie strictly inside (0, 1); squeeze first")
-    if np.any(mu <= 0.0) or np.any(mu >= 1.0):
-        raise InputError("mean values must lie strictly inside (0, 1)")
-    if np.any(phi <= 0.0):
-        raise InputError("precision must be positive")
-    a = mu * phi
-    b = (1.0 - mu) * phi
-    ylog = np.log(y)
-    y1log = np.log1p(-y)
-    ll = gammaln(phi) - gammaln(a) - gammaln(b) + (a - 1.0) * ylog + (b - 1.0) * y1log
-    ystar = ylog - y1log
-    mustar = digamma(a) - digamma(b)
-    d_logit_mu = phi * (ystar - mustar) * mu * (1.0 - mu)
-    d_log_phi = phi * (
-        digamma(phi) - mu * digamma(a) - (1.0 - mu) * digamma(b) + mu * ylog + (1.0 - mu) * y1log
-    )
-    if ll.ndim == 0:
-        return float(ll), float(d_logit_mu), float(d_log_phi)
-    return ll, d_logit_mu, d_log_phi
-
-
-def penalized_loglik(beta, log_phi: float, X, y, penalty):
-    """Penalized objective and its analytic gradient in (beta, log_phi).
-
-    `penalty` is the assembled coefficient penalty matrix P, so the
-    objective is sum_i loglik_i - 1/2 beta' P beta.
-    """
-    beta = np.asarray(beta, dtype=float)
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    penalty = np.asarray(penalty, dtype=float)
-    phi = float(np.exp(log_phi))
-    mu = inv_logit(X @ beta)
-    ll, d_logit_mu, d_log_phi = beta_loglik(y, mu, phi)
-    value = float(np.sum(ll)) - 0.5 * float(beta @ penalty @ beta)
-    grad = np.empty(beta.size + 1)
-    grad[:-1] = X.T @ d_logit_mu - penalty @ beta
-    grad[-1] = float(np.sum(d_log_phi))
-    return value, grad
-
-
 def _ll_sum(mu, phi, n, sum_ylog, sum_y1log):
     """Summed Beta log density of design rows at means mu.
 
@@ -227,6 +177,40 @@ def _ll_sum(mu, phi, n, sum_ylog, sum_y1log):
             + (b - 1.0) * sum_y1log
         )
     )
+
+
+def _score_weight(mu, phi, n, sum_ylog, sum_y1log):
+    """Per-row score in logit(mu) and Fisher weight of the rows of _ll_sum.
+
+    The weight is n * phi^2 * (mu(1-mu))^2 * Var[logit Y], with
+    Var[logit Y] = trigamma(a) + trigamma(b) under Beta(a, b).
+    """
+    from scipy.special import digamma
+
+    a = mu * phi
+    b = (1.0 - mu) * phi
+    mm = mu * (1.0 - mu)
+    u = phi * (sum_ylog - sum_y1log - n * (digamma(a) - digamma(b))) * mm
+    w = n * phi * phi * (trigamma(a) + trigamma(b)) * mm * mm
+    return u, w
+
+
+def _log_phi_derivatives(mu, phi, n, sum_ylog, sum_y1log):
+    """First and second derivatives of _ll_sum in log(phi)."""
+    from scipy.special import digamma
+
+    a = mu * phi
+    b = (1.0 - mu) * phi
+    d1 = phi * float(
+        np.sum(
+            n * (digamma(phi) - mu * digamma(a) - (1.0 - mu) * digamma(b))
+            + mu * sum_ylog + (1.0 - mu) * sum_y1log
+        )
+    )
+    d2 = d1 + phi * phi * float(
+        np.sum(n * (trigamma(phi) - mu * mu * trigamma(a) - (1.0 - mu) ** 2 * trigamma(b)))
+    )
+    return d1, d2
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +402,8 @@ def _resolvable(gain: float, value: float) -> bool:
 def _fit_penalized(design: _Design, P, beta0, phi0, tol):
     """Alternate coefficient Fisher scoring and log-phi Newton with step halving.
 
-    Works on the distinct design rows: each row's score, Fisher weight and
-    log-phi terms are its observations' terms summed in closed form.  The
+    Works on the distinct design rows through _ll_sum, _score_weight and
+    _log_phi_derivatives, which sum each row's observations in closed form.  The
     accepted state's means and log-likelihood are carried to the next step,
     and a step whose predicted gain is not _resolvable is not taken.
     Returns (beta, phi, mu, loglik, history of accepted objective values).
@@ -427,16 +411,14 @@ def _fit_penalized(design: _Design, P, beta0, phi0, tol):
     _MAX_ITER outer iterations, or at once when the objective or the
     coefficient step is not finite, since step halving can then accept nothing.
     """
-    from scipy.special import digamma
-
-    X, n, sum_ylog, sum_y1log = design.X, design.n, design.sum_ylog, design.sum_y1log
-    sum_ystar = sum_ylog - sum_y1log
+    X = design.X
+    row_stats = design.n, design.sum_ylog, design.sum_y1log
     beta = beta0.copy()
     phi = float(phi0)
 
     def objective(b, ph, mu=None):
         mu = inv_logit(X @ b) if mu is None else mu
-        ll = _ll_sum(mu, ph, n, sum_ylog, sum_y1log)
+        ll = _ll_sum(mu, ph, *row_stats)
         return ll - 0.5 * float(b @ P @ b), mu, ll
 
     def check_finite(what, value, it):
@@ -451,11 +433,7 @@ def _fit_penalized(design: _Design, P, beta0, phi0, tol):
     for it in range(1, _MAX_ITER + 1):
         check_finite("objective", cur, it - 1)
         base = cur
-        a = mu * phi
-        b = (1.0 - mu) * phi
-        mm = mu * (1.0 - mu)
-        u = phi * (sum_ystar - n * (digamma(a) - digamma(b))) * mm
-        w = n * phi * phi * (trigamma(a) + trigamma(b)) * mm * mm
+        u, w = _score_weight(mu, phi, *row_stats)
         grad = X.T @ u - P @ beta
         step = np.linalg.solve((X.T * w) @ X + P, grad)
         check_finite("coefficient step", step, it - 1)
@@ -468,17 +446,7 @@ def _fit_penalized(design: _Design, P, beta0, phi0, tol):
                 break
             t *= 0.5
 
-        a = mu * phi
-        b = (1.0 - mu) * phi
-        d1 = phi * float(
-            np.sum(
-                n * (digamma(phi) - mu * digamma(a) - (1.0 - mu) * digamma(b))
-                + mu * sum_ylog + (1.0 - mu) * sum_y1log
-            )
-        )
-        d2 = d1 + phi * phi * float(
-            np.sum(n * (trigamma(phi) - mu * mu * trigamma(a) - (1.0 - mu) ** 2 * trigamma(b)))
-        )
+        d1, d2 = _log_phi_derivatives(mu, phi, *row_stats)
         if d2 >= 0.0:  # not locally concave; fall back to a gradient step
             d2 = -abs(d1) - 1e-6
         log_step = float(np.clip(-d1 / d2, -2.0, 2.0))
@@ -534,9 +502,7 @@ def _fit_at_lambda(design: _Design, lambdas, warm, tol) -> _FitResult:
     beta0, phi0 = _initial_values(design, P) if warm is None else warm
     beta, phi, mu, ll, history = _fit_penalized(design, P, beta0, phi0, tol)
     X = design.X
-    a = mu * phi
-    b = (1.0 - mu) * phi
-    w = design.n * phi * phi * (trigamma(a) + trigamma(b)) * (mu * (1.0 - mu)) ** 2
+    _, w = _score_weight(mu, phi, design.n, design.sum_ylog, design.sum_y1log)
     XtWX = (X.T * w) @ X
     covariance = np.linalg.inv(XtWX + P)
     edf_by_coef = np.einsum("ij,ji->i", covariance, XtWX)

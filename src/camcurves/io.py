@@ -321,7 +321,11 @@ def _model_from_payload(payload: Mapping):
             transform=payload["transform"],
             adj_r_squared=float(payload["adj_r_squared"]),
             n_obs=int(payload["n_obs"]),
-            size_range=tuple(payload["size_range"]) if payload.get("size_range") else None,
+            size_range=(
+                _positive_ints(payload["size_range"], "size_range", length=2)
+                if payload.get("size_range")
+                else None
+            ),
         )
     if family == "beta_gam":
         spec = ModelSpec(
@@ -366,9 +370,21 @@ def _model_from_payload(payload: Mapping):
                 n_obs=int(stats["n_obs"]),
                 iterations=int(stats["iterations"]),
             ),
-            observed_sizes=tuple(payload["observed_sizes"]),
+            observed_sizes=_positive_ints(payload["observed_sizes"], "observed_sizes"),
         )
     raise InputError(f"unknown model family {family!r}")
+
+
+def _positive_ints(values, name: str, length: int | None = None) -> tuple:
+    """A model's list of sizes as a tuple; InputError unless they are positive ints."""
+    if (
+        not isinstance(values, list)
+        or (length is not None and len(values) != length)
+        or not all(type(v) is int and v >= 1 for v in values)
+    ):
+        count = "" if length is None else f"{length} "
+        raise InputError(f"model {name} must be a list of {count}positive integers")
+    return tuple(values)
 
 
 def save_model(model, path: str):
@@ -384,6 +400,8 @@ def load_model(path: str):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: unreadable as UTF-8 ({exc.reason})") from None
     return model_from_dict(payload)
 
 

@@ -69,7 +69,9 @@ def observation_table(columns: Mapping[str, Sequence], where=None) -> np.recarra
 
     `columns` maps each name of OBSERVATION_COLUMNS to its values, one per
     row.  The table is a record array with a field per column: floats for
-    `value`, 64-bit integers for `num_tr_images` and strings otherwise.
+    `value`, 64-bit integers for `num_tr_images` and strings otherwise.  It
+    is read-only, since an assignment into a string field would be silently
+    truncated to the field's width; a filtered copy is writeable.
     Raises InputError for the first row with an unknown metric kind, a value
     outside [0, 1] or a num_tr_images that is not a positive integer, named
     by `where(i)` for row i (default "observation i").
@@ -95,7 +97,9 @@ def observation_table(columns: Mapping[str, Sequence], where=None) -> np.recarra
         typed[name] if name in typed else np.asarray(columns[name], dtype=str)
         for name in OBSERVATION_COLUMNS
     ]
-    return np.rec.fromarrays(arrays, names=OBSERVATION_COLUMNS)
+    table = np.rec.fromarrays(arrays, names=OBSERVATION_COLUMNS)
+    table.flags.writeable = False
+    return table
 
 
 def tally_confusion(

@@ -21,6 +21,9 @@ from .metrics import METRIC_KINDS
 
 DEFAULT_SEARCH_CEILING = 100_000
 
+# sizes are evaluated as float64, which holds every integer up to 2**53 exactly
+MAX_SEARCH_CEILING = 2**53
+
 
 @dataclass(frozen=True)
 class PlanQuery:
@@ -33,8 +36,8 @@ class PlanQuery:
             raise InputError(f"unknown metric kind {self.metric!r}")
         if not 0.0 < self.target < 1.0:
             raise InputError(f"target must lie in (0, 1), got {self.target}")
-        if self.search_ceiling < 1:
-            raise InputError("search ceiling must be >= 1")
+        if not 1 <= self.search_ceiling <= MAX_SEARCH_CEILING:
+            raise InputError(f"search ceiling must lie in [1, 2**53 = {MAX_SEARCH_CEILING}]")
 
     def met_by(self, values):
         """Elementwise: FPR targets are upper bounds, the others lower bounds."""

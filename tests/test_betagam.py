@@ -17,14 +17,20 @@ from camcurves.betagam import (
     ModelSpec,
     SmoothTerm,
     backward_eliminate,
-    beta_loglik,
     default_spec,
-    penalized_loglik,
     squeeze,
     term_edf,
     wald_p,
 )
-from camcurves.betagam import _assemble, _null_loglik, _penalty_matrix, _saturated_loglik
+from camcurves.betagam import (
+    _assemble,
+    _ll_sum,
+    _log_phi_derivatives,
+    _null_loglik,
+    _penalty_matrix,
+    _saturated_loglik,
+    _score_weight,
+)
 
 from conftest import CALIBRATION_SEED, as_table, make_obs, observation_rows
 
@@ -65,39 +71,88 @@ class TestSqueeze:
         np.testing.assert_allclose(out, [0.01, 0.5, 0.99])
 
 
+def beta_rows(rng, counts, mu, phi):
+    """Beta(mu*phi, (1-mu)*phi) draws, counts[r] of them per row r, and the
+    rows' sufficient statistics (n, sum of log y, sum of log(1-y)).  Draws
+    that round to 0 or 1 are squeezed, so every log is finite."""
+    draws = [squeeze(rng.beta(m * phi, (1.0 - m) * phi, c), 1e-12) for m, c in zip(mu, counts)]
+    return draws, (
+        np.asarray(counts, dtype=float),
+        np.array([np.log(y).sum() for y in draws]),
+        np.array([np.log1p(-y).sum() for y in draws]),
+    )
+
+
 class TestBetaLoglik:
+    """_ll_sum and the fit's derivatives of it, against scipy and each other."""
+
+    COUNTS = (1, 4, 25, 2, 9)
+
+    def random_rows(self, rng):
+        eta = rng.normal(0.0, 1.5, len(self.COUNTS))
+        phi = math.exp(rng.normal(math.log(30), 0.8))
+        _, row_stats = beta_rows(rng, self.COUNTS, inv_logit(eta), phi)
+        return eta, phi, row_stats
+
     def test_uniform_density_is_zero(self):
-        for y in (0.1, 0.5, 0.9):
-            ll, *_ = beta_loglik(y, 0.5, 2.0)  # shapes (1, 1)
-            assert ll == pytest.approx(0.0, abs=1e-12)
+        y = np.array([0.1, 0.5, 0.9])
+        ll = _ll_sum(0.5, 2.0, 1.0, np.log(y), np.log1p(-y))  # shapes (1, 1)
+        assert ll == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetric_beta22_at_center(self):
-        ll, *_ = beta_loglik(0.5, 0.5, 4.0)  # shapes (2, 2); density 6 y (1-y)
+        ll = _ll_sum(0.5, 4.0, 1.0, math.log(0.5), math.log(0.5))  # density 6 y (1-y)
         assert ll == pytest.approx(math.log(1.5), abs=1e-12)
 
-    def test_boundary_rejected(self):
-        with pytest.raises(InputError):
-            beta_loglik(0.0, 0.5, 2.0)
-        with pytest.raises(InputError):
-            beta_loglik(0.5, 1.0, 2.0)
-        with pytest.raises(InputError):
-            beta_loglik(0.5, 0.5, 0.0)
+    def test_collapsed_rows_match_scipy_logpdf(self):
+        rng = np.random.default_rng(41)
+        for phi in (0.7, 12.0, 300.0, 5e4):
+            mu = rng.uniform(0.02, 0.98, len(self.COUNTS))
+            draws, row_stats = beta_rows(rng, self.COUNTS, mu, phi)
+            oracle = sum(
+                float(stats.beta.logpdf(y, m * phi, (1.0 - m) * phi).sum())
+                for y, m in zip(draws, mu)
+            )
+            assert _ll_sum(mu, phi, *row_stats) == pytest.approx(oracle, rel=1e-12, abs=1e-9)
 
     def test_gradient_matches_finite_differences(self):
+        # a row's terms reach n * gammaln(phi) ~ 1e3, so the differences carry
+        # a rounding error near 1e-13 / step: abs 1e-6 leaves a wide margin
         rng = np.random.default_rng(42)
-        step = 1e-6
+        step = 1e-5
         for _ in range(10):
-            y = rng.uniform(0.05, 0.95)
-            eta = rng.normal(0, 1.5)
-            logphi = rng.normal(math.log(30), 0.5)
-            mu, phi = inv_logit(eta), math.exp(logphi)
-            _, d_eta, d_logphi = beta_loglik(y, mu, phi)
-            up = beta_loglik(y, inv_logit(eta + step), phi)[0]
-            down = beta_loglik(y, inv_logit(eta - step), phi)[0]
-            assert d_eta == pytest.approx((up - down) / (2 * step), rel=1e-6, abs=1e-9)
-            up = beta_loglik(y, mu, math.exp(logphi + step))[0]
-            down = beta_loglik(y, mu, math.exp(logphi - step))[0]
-            assert d_logphi == pytest.approx((up - down) / (2 * step), rel=1e-6, abs=1e-9)
+            eta, phi, row_stats = self.random_rows(rng)
+            u, _ = _score_weight(inv_logit(eta), phi, *row_stats)
+            for r, row in enumerate(zip(*row_stats)):
+                up = _ll_sum(inv_logit(eta[r] + step), phi, *row)
+                down = _ll_sum(inv_logit(eta[r] - step), phi, *row)
+                assert u[r] == pytest.approx((up - down) / (2 * step), rel=1e-6, abs=1e-6)
+            d1, _ = _log_phi_derivatives(inv_logit(eta), phi, *row_stats)
+            up = _ll_sum(inv_logit(eta), phi * math.exp(step), *row_stats)
+            down = _ll_sum(inv_logit(eta), phi * math.exp(-step), *row_stats)
+            assert d1 == pytest.approx((up - down) / (2 * step), rel=1e-6, abs=1e-6)
+
+    def test_log_phi_curvature_matches_differences_of_d1(self):
+        rng = np.random.default_rng(43)
+        step = 1e-5
+        for _ in range(10):
+            eta, phi, row_stats = self.random_rows(rng)
+            mu = inv_logit(eta)
+            _, d2 = _log_phi_derivatives(mu, phi, *row_stats)
+            up, _ = _log_phi_derivatives(mu, phi * math.exp(step), *row_stats)
+            down, _ = _log_phi_derivatives(mu, phi * math.exp(-step), *row_stats)
+            assert d2 == pytest.approx((up - down) / (2 * step), rel=1e-6, abs=1e-8)
+
+    def test_weight_is_the_variance_of_logit_y(self):
+        # Fisher weight in logit(mu) = phi^2 (mu(1-mu))^2 Var[logit Y] per observation
+        def logit_y(y):
+            return math.log(y) - math.log1p(-y)
+
+        for mu, phi, n in ((0.5, 2.0, 1.0), (0.1, 30.0, 3.0), (0.93, 250.0, 17.0), (0.4, 0.8, 2.0)):
+            law = stats.beta(mu * phi, (1.0 - mu) * phi)
+            mean = law.expect(logit_y)
+            var = law.expect(lambda y: (logit_y(y) - mean) ** 2)
+            _, w = _score_weight(mu, phi, n, 0.0, 0.0)
+            assert w == pytest.approx(n * phi**2 * (mu * (1.0 - mu)) ** 2 * var, rel=1e-7)
 
 
 def scipy_loglik(y, eta, phi):
@@ -133,29 +188,33 @@ class TestReferenceLikelihoods:
 
 class TestPenalizedObjectiveGradient:
     def test_matches_central_differences_at_random_points(self):
+        # the fit's ascent direction: X'u - P beta for the coefficients and
+        # d1 for log(phi), against differences of the penalized objective
         rng = np.random.default_rng(7)
         obs = simulate_rows(rng, n_per_size=20)
         design = _assemble(single_smooth_spec(), obs)
+        row_stats = design.n, design.sum_ylog, design.sum_y1log
         P = _penalty_matrix(design, [0.7])
-        X = design.X[design.inverse]  # one model-matrix row per observation
-        p = X.shape[1]
+        p = design.X.shape[1]
+
+        def objective(beta, logphi):
+            mu = inv_logit(design.X @ beta)
+            return _ll_sum(mu, math.exp(logphi), *row_stats) - 0.5 * float(beta @ P @ beta)
+
         step = 1e-6
         for _ in range(10):
             beta = rng.normal(0, 0.4, p)
             logphi = float(rng.normal(math.log(40), 0.4))
-            _, grad = penalized_loglik(beta, logphi, X, design.y, P)
+            mu = inv_logit(design.X @ beta)
+            u, _ = _score_weight(mu, math.exp(logphi), *row_stats)
+            d1, _ = _log_phi_derivatives(mu, math.exp(logphi), *row_stats)
+            grad = np.append(design.X.T @ u - P @ beta, d1)
             fd = np.empty_like(grad)
             for j in range(p):
                 e = np.zeros(p)
                 e[j] = step
-                fd[j] = (
-                    penalized_loglik(beta + e, logphi, X, design.y, P)[0]
-                    - penalized_loglik(beta - e, logphi, X, design.y, P)[0]
-                ) / (2 * step)
-            fd[-1] = (
-                penalized_loglik(beta, logphi + step, X, design.y, P)[0]
-                - penalized_loglik(beta, logphi - step, X, design.y, P)[0]
-            ) / (2 * step)
+                fd[j] = (objective(beta + e, logphi) - objective(beta - e, logphi)) / (2 * step)
+            fd[-1] = (objective(beta, logphi + step) - objective(beta, logphi - step)) / (2 * step)
             rel = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
             assert rel < 1e-5
 
@@ -190,9 +249,9 @@ class TestCollapsedDesign:
         model = calibrated_acc_model
         data = calibrated_observations[calibrated_observations.metric == "ACC"]
         design = _assemble(model.spec, data)
-        mu = inv_logit(design.X @ model.coef)[design.inverse]
-        ll, _, _ = beta_loglik(design.y, mu, model.phi)
-        assert model.fit_stats.loglik == pytest.approx(float(np.sum(ll)), rel=1e-10)
+        eta = (design.X @ model.coef)[design.inverse]
+        oracle = scipy_loglik(design.y, eta, model.phi)
+        assert model.fit_stats.loglik == pytest.approx(oracle, rel=1e-10)
 
     def test_prediction_encodes_every_training_row_as_the_fit(
         self, calibrated_acc_model, calibrated_observations

@@ -366,6 +366,14 @@ def _drop_tuning_levels(d):
     del d["factor_levels"]["tuning"]
 
 
+def _fractional_observed_size(d):
+    d["observed_sizes"][-1] = 1000.5
+
+
+def _text_observed_size(d):
+    d["observed_sizes"][0] = "10"
+
+
 @pytest.mark.parametrize(
     "edit, fragment",
     [
@@ -378,6 +386,8 @@ def _drop_tuning_levels(d):
         (_shift_tuning_index, "term_index does not cover"),
         (_drop_tuning_reference, "disagree with its parametric terms"),
         (_drop_tuning_levels, "disagree with its parametric terms"),
+        (_fractional_observed_size, "observed_sizes must be a list of positive integers"),
+        (_text_observed_size, "observed_sizes must be a list of positive integers"),
     ],
     ids=lambda v: getattr(v, "__name__", None),
 )
@@ -397,8 +407,11 @@ def test_malformed_gam_file_is_an_input_error(
     [
         (lambda d: d.pop("slope"), "missing key 'slope'"),
         (lambda d: d.update(transform="log_inverse_n"), "uses the 'log_n' transform"),
+        (lambda d: d.update(size_range=[10]), "size_range must be a list of 2 positive"),
+        (lambda d: d.update(size_range=["a", "b"]), "size_range must be a list of 2 positive"),
+        (lambda d: d.update(size_range=[0, 500]), "size_range must be a list of 2 positive"),
     ],
-    ids=["missing-slope", "wrong-transform"],
+    ids=["missing-slope", "wrong-transform", "one-size", "text-sizes", "zero-size"],
 )
 def test_malformed_ols_file_is_an_input_error(tmp_path, capsys, edit, fragment):
     points = [(n, 0.6 + 0.05 * i) for i, n in enumerate(SIZES)]
@@ -408,3 +421,31 @@ def test_malformed_ols_file_is_an_input_error(tmp_path, capsys, edit, fragment):
     model.write_text(io.canonical_json(payload))
     code = cli.main(["plan", "--model", str(model), "--target", "0.9"])
     assert_one_input_error(code, capsys, fragment)
+
+
+def test_model_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    model = tmp_path / "acc.json"
+    model.write_bytes(b'{"schema": "camcurves-model/1", "metric": "\xff"}')
+    code = cli.main(["plan", "--model", str(model), "--target", "0.9"])
+    assert_one_input_error(code, capsys, "unreadable as UTF-8")
+
+
+@pytest.fixture
+def gam_file(calibrated_acc_model, tmp_path):
+    path = str(tmp_path / "acc.json")
+    io.save_model(calibrated_acc_model, path)
+    return path
+
+
+@pytest.mark.parametrize("source", ["gam", "preset"])
+def test_ceiling_above_2_pow_53_is_an_input_error(gam_file, capsys, source):
+    if source == "gam":
+        argv = ["plan", "--model", gam_file, "--target", "0.95", "--cell", "WI,deep,resNet18"]
+    else:
+        argv = ["plan", "--preset", "table1", "--target-acc", "0.95"]
+    code = cli.main(argv + ["--ceiling", str(2**53)])
+    assert code == cli.EXIT_OK
+    assert "required_n" in capsys.readouterr().out
+    for ceiling in (2**53 + 1, 10**400):
+        code = cli.main(argv + ["--ceiling", str(ceiling)])
+        assert_one_input_error(code, capsys, "search ceiling must lie in [1, 2**53")

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from camcurves import InputError, curves, io
 from camcurves.metrics import METRIC_KINDS
 
-from conftest import as_table
+from conftest import as_table, make_obs
 
 # any text a UTF-8 CSV cell can hold; NUL is left out because the csv
 # reader of older Pythons rejects it
@@ -87,3 +87,16 @@ def test_gam_model_json_round_trip(calibrated_acc_model):
 def test_ols_model_json_round_trip():
     points = [(n, 0.5 + 0.04 * i + 0.01 * (i % 3)) for i, n in enumerate((10, 20, 50, 150, 500))]
     _json_round_trip_is_stable(curves.fit_log_curve(points, "PRC"))
+
+
+def test_parsed_observation_table_is_read_only(tmp_path):
+    path = str(tmp_path / "obs.csv")
+    io.write_observations_csv(path, as_table([make_obs(0.9, 10), make_obs(0.8, 20, metric="PRC")]))
+    table = io.parse_observations(path)
+    with pytest.raises(ValueError, match="read-only"):
+        table.dataset[0] = "a dataset name longer than the field"
+    with pytest.raises(ValueError, match="read-only"):
+        table.value[0] = 0.5
+    acc = table[table.metric == "ACC"]  # a filtered copy may be edited
+    acc.value[0] = 0.5
+    assert acc.value[0] == 0.5 and table.value[0] == 0.9
