@@ -27,19 +27,12 @@ from .errors import (
     ConvergenceError,
     InfeasiblePlanError,
     InputError,
-    NoPositivePredictions,
-    UndefinedMetricError,
 )
 from .metrics import (
-    ConfusionCounts,
-    PredictionRecord,
-    accuracy,
     aggregate,
-    false_positive_rate,
+    confusion_matrix,
     observation_table,
-    precision,
-    tally_confusion,
-    true_positive_rate,
+    one_vs_rest,
 )
 from .planner import (
     PlanQuery,
@@ -55,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdditiveModel",
     "CamcurvesError",
-    "ConfusionCounts",
     "ConvergenceError",
     "FactorTerm",
     "InfeasiblePlanError",
@@ -63,39 +55,33 @@ __all__ = [
     "KnotVector",
     "LearningCurveModel",
     "ModelSpec",
-    "NoPositivePredictions",
     "PlanQuery",
     "PlanResult",
-    "PredictionRecord",
     "SamplingManifest",
     "SmoothTerm",
-    "UndefinedMetricError",
-    "accuracy",
     "aggregate",
     "backward_eliminate",
     "basis_rows",
     "centring",
+    "confusion_matrix",
     "default_spec",
     "equal_space_select",
-    "false_positive_rate",
     "fit",
     "fit_log_curve",
     "fit_stats",
     "gam_required_sample_size",
     "observation_table",
+    "one_vs_rest",
     "penalty_matrix",
     "place_knots",
     "plan_report",
-    "precision",
     "predict_metric",
     "required_sample_size",
     "simulate_grid",
     "split_design",
     "squeeze",
     "table1_presets",
-    "tally_confusion",
     "term_edf",
-    "true_positive_rate",
     "validate_location_coverage",
     "wald_p",
 ]

@@ -14,13 +14,7 @@ import sys
 import numpy as np
 
 from . import betagam, curves, design, io, metrics, planner, plotting
-from .errors import (
-    CamcurvesError,
-    ConvergenceError,
-    InfeasiblePlanError,
-    InputError,
-    NoPositivePredictions,
-)
+from .errors import CamcurvesError, ConvergenceError, InfeasiblePlanError, InputError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -35,7 +29,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("metrics", help="per-class metric table from prediction records")
+    p = sub.add_parser(
+        "metrics",
+        help="per-class metric table from prediction records",
+        description="Score each class one-vs-rest on a predictions CSV (image_id, true_class, "
+        "predicted_class, optional location_id and ISO-8601 timestamp) and write one row per "
+        "class: class,tp,fp,tn,fn,ACC,PRC,TPR,FPR, the metrics to 2 decimals. PRC reads NA "
+        "for a class that is never predicted. A class absent from the test set (undefined "
+        "TPR) or a test set of one class (undefined FPR) is an input error.",
+    )
     p.add_argument("--predictions", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--classes", help="comma-separated class set (default: observed labels)")
@@ -122,25 +124,27 @@ def _parse_numbers(raw: str, flag: str, convert) -> list:
 
 
 def _cmd_metrics(args) -> int:
-    records = io.parse_predictions(args.predictions)
+    predictions = io.parse_predictions(args.predictions)
     if args.classes:
-        class_set = [c.strip() for c in args.classes.split(",") if c.strip()]
+        classes = [c.strip() for c in args.classes.split(",") if c.strip()]
     else:
-        class_set = sorted({r.true_class for r in records} | {r.predicted_class for r in records})
-    tallies = metrics.tally_confusion(records, class_set)
+        classes = sorted({*predictions["true_class"], *predictions["predicted_class"]})
+    scores = metrics.one_vs_rest(metrics.confusion_matrix(predictions, classes))
+    for label, tpr, fpr in zip(classes, scores["TPR"], scores["FPR"]):
+        if np.isnan(tpr):
+            raise InputError(f"true positive rate undefined: class {label!r} absent from test set")
+        if np.isnan(fpr):
+            raise InputError(f"false positive rate undefined: class {label!r} has no negatives")
+    counts = [scores[name].tolist() for name in ("tp", "fp", "tn", "fn")]
+    ratios = [
+        ["NA" if math.isnan(v) else f"{v:.2f}" for v in scores[kind].tolist()]  # NA: only PRC
+        for kind in metrics.METRIC_KINDS
+    ]
     with io.atomic_write(args.out) as handle:
         writer = csv.writer(handle)
-        writer.writerow(["class", "tp", "fp", "tn", "fn", "ACC", "PRC", "TPR", "FPR"])
-        for label in class_set:
-            c = tallies[label]
-            row = [label, c.tp, c.fp, c.tn, c.fn]
-            for kind in metrics.METRIC_KINDS:
-                try:
-                    row.append(f"{metrics.metric_value(kind, c):.2f}")
-                except NoPositivePredictions:
-                    row.append("NA")
-            writer.writerow(row)
-    print(f"wrote per-class metrics for {len(class_set)} classes to {args.out}")
+        writer.writerow(["class", "tp", "fp", "tn", "fn", *metrics.METRIC_KINDS])
+        writer.writerows(zip(classes, *counts, *ratios))
+    print(f"wrote per-class metrics for {len(classes)} classes to {args.out}")
     return EXIT_OK
 
 

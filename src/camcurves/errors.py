@@ -9,14 +9,6 @@ class InputError(CamcurvesError):
     """Invalid input data: bad files, unknown labels, violated preconditions."""
 
 
-class UndefinedMetricError(CamcurvesError):
-    """A ratio metric whose denominator is empty."""
-
-
-class NoPositivePredictions(UndefinedMetricError):
-    """Precision is undefined: the class was never predicted (tp + fp = 0)."""
-
-
 class ConvergenceError(CamcurvesError):
     """An iterative fit failed to converge within its iteration budget."""
 

@@ -21,7 +21,7 @@ import numpy as np
 from .betagam import AdditiveModel, FactorTerm, FitStats, ModelSpec, SmoothTerm, _smooth_blocks
 from .curves import LearningCurveModel
 from .errors import InputError
-from .metrics import OBSERVATION_COLUMNS, PredictionRecord, observation_table
+from .metrics import OBSERVATION_COLUMNS, observation_table
 from .splines import KnotVector
 
 MODEL_SCHEMA = "camcurves-model/1"
@@ -73,9 +73,11 @@ def canonical_json(obj) -> str:
 
 
 def _read_csv(path: str, required: Sequence[str], optional: Sequence[str]):
-    """(header, records, the line each record starts on) of a CSV file.
+    """(columns, the line each record starts on) of a CSV file.
 
-    Blank lines are skipped; a record may span lines inside a quoted field.
+    columns maps each name of the header to its column, a tuple of strings
+    with one per record.  Blank lines are skipped; a record may span lines
+    inside a quoted field.
     """
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
@@ -107,40 +109,40 @@ def _read_csv(path: str, required: Sequence[str], optional: Sequence[str]):
             raise InputError(f"{path}: unreadable as UTF-8 CSV ({exc})") from None
     if not records:
         raise InputError(f"{path}: no records")
-    return header, records, lines
+    return dict(zip(header, zip(*records))), lines
 
 
-def _parse_timestamp(raw: str, where: str):
-    text = raw.replace("Z", "+00:00") if raw.endswith("Z") else raw
+def _is_timestamp(text: str) -> bool:
+    """Whether `text` is an ISO-8601 date or time, with Z accepted for UTC."""
     try:
-        return datetime.fromisoformat(text)
-    except ValueError as exc:
-        raise InputError(f"{where}: bad ISO-8601 timestamp {raw!r}") from exc
+        datetime.fromisoformat(text[:-1] + "+00:00" if text.endswith("Z") else text)
+    except ValueError:
+        return False
+    return True
 
 
-def parse_predictions(path: str) -> list:
-    """Read PredictionRecord rows from a CSV file."""
-    header, rows, lines = _read_csv(path, PREDICTION_COLUMNS, PREDICTION_OPTIONAL)
-    records = []
-    for lineno, record in zip(lines, rows):
-        row = dict(zip(header, record))
-        where = f"{path}:{lineno}"
-        for col in PREDICTION_COLUMNS:
-            if not row[col]:
-                raise InputError(f"{where}: empty {col}")
-        ts = None
-        if row.get("timestamp"):
-            ts = _parse_timestamp(row["timestamp"], where)
-        records.append(
-            PredictionRecord(
-                image_id=row["image_id"],
-                true_class=row["true_class"],
-                predicted_class=row["predicted_class"],
-                location_id=row.get("location_id") or None,
-                timestamp=ts,
-            )
-        )
-    return records
+def parse_predictions(path: str) -> dict:
+    """The columns of a predictions CSV: each name of its header -> its values.
+
+    image_id, true_class and predicted_class are required and non-empty;
+    location_id and timestamp are optional, and a timestamp that is given
+    must be ISO-8601.  An InputError names the line of the first bad record.
+    """
+    columns, lines = _read_csv(path, PREDICTION_COLUMNS, PREDICTION_OPTIONAL)
+    # (row, message) of the first failure of each check, in the order a record is checked
+    failures = [
+        (columns[name].index(""), f"empty {name}")
+        for name in PREDICTION_COLUMNS
+        if "" in columns[name]
+    ]
+    stamps = columns.get("timestamp", ())
+    bad = next((i for i, text in enumerate(stamps) if text and not _is_timestamp(text)), None)
+    if bad is not None:
+        failures.append((bad, f"bad ISO-8601 timestamp {stamps[bad]!r}"))
+    if failures:
+        row, message = min(failures, key=lambda failure: failure[0])
+        raise InputError(f"{path}:{lines[row]}: {message}")
+    return columns
 
 
 def parse_observations(path: str) -> np.recarray:
@@ -148,9 +150,7 @@ def parse_observations(path: str) -> np.recarray:
 
     An InputError names the line of the first bad record.
     """
-    header, records, lines = _read_csv(path, OBSERVATION_COLUMNS, ())
-    columns = dict(zip(header, zip(*records)))
-    del records  # free the row lists before the table is built
+    columns, lines = _read_csv(path, OBSERVATION_COLUMNS, ())
     typed = dict(columns)
     for name, convert in (("value", float), ("num_tr_images", np.int64)):
         typed[name] = []
@@ -178,17 +178,15 @@ def parse_image_index(path: str) -> tuple:
     Returns (pools, locations): pools maps class -> ids in file order,
     locations maps image id -> location id (empty when the column is absent).
     """
+    columns, lines = _read_csv(path, ("image_id", "class"), ("location_id", "timestamp"))
+    ids, labels = columns["image_id"], columns["class"]
+    empty = [column.index("") for column in (ids, labels) if "" in column]
+    if empty:
+        raise InputError(f"{path}:{lines[min(empty)]}: empty image_id or class")
     pools: dict = {}
-    locations: dict = {}
-    header, rows, lines = _read_csv(path, ("image_id", "class"), ("location_id", "timestamp"))
-    for lineno, record in zip(lines, rows):
-        row = dict(zip(header, record))
-        where = f"{path}:{lineno}"
-        if not row["image_id"] or not row["class"]:
-            raise InputError(f"{where}: empty image_id or class")
-        pools.setdefault(row["class"], []).append(row["image_id"])
-        if row.get("location_id"):
-            locations[row["image_id"]] = row["location_id"]
+    for image_id, label in zip(ids, labels):
+        pools.setdefault(label, []).append(image_id)
+    locations = {i: place for i, place in zip(ids, columns.get("location_id", ())) if place}
     return pools, locations
 
 
@@ -303,6 +301,8 @@ def _check_gam_parts(model: AdditiveModel):
             raise InputError(f"model levels of factor {name!r} disagree with its coefficients")
     knots = model.knot_vector.count if model.knot_vector else 0
     for term in model.spec.smooth_terms:
+        if term.k != knots:
+            raise InputError(f"model smooth term k={term.k} disagrees with its {knots} knots")
         for _, label in _smooth_blocks(term, model.factor_levels):
             shape = (knots, len(model.term_index[label]))
             constraint = model.smooth_constraints.get(label)
@@ -320,7 +320,7 @@ def _model_from_payload(payload: Mapping):
             slope=float(payload["slope"]),
             transform=payload["transform"],
             adj_r_squared=float(payload["adj_r_squared"]),
-            n_obs=int(payload["n_obs"]),
+            n_obs=_integer(payload["n_obs"], "n_obs"),
             size_range=(
                 _positive_ints(payload["size_range"], "size_range", length=2)
                 if payload.get("size_range")
@@ -334,7 +334,7 @@ def _model_from_payload(payload: Mapping):
                 FactorTerm(t["name"], t["reference"]) for t in payload["parametric_terms"]
             ),
             smooth_terms=tuple(
-                SmoothTerm(t["covariate"], t["by_factor"], int(t["k"]))
+                SmoothTerm(t["covariate"], t["by_factor"], _integer(t["k"], "smooth term k"))
                 for t in payload["smooth_terms"]
             ),
             squeeze_eps=float(payload["squeeze_eps"]),
@@ -367,12 +367,19 @@ def _model_from_payload(payload: Mapping):
                 null_deviance=float(stats["null_deviance"]),
                 deviance_explained=float(stats["deviance_explained"]),
                 adj_r_squared=float(stats["adj_r_squared"]),
-                n_obs=int(stats["n_obs"]),
-                iterations=int(stats["iterations"]),
+                n_obs=_integer(stats["n_obs"], "fit_stats n_obs"),
+                iterations=_integer(stats["iterations"], "fit_stats iterations"),
             ),
             observed_sizes=_positive_ints(payload["observed_sizes"], "observed_sizes"),
         )
     raise InputError(f"unknown model family {family!r}")
+
+
+def _integer(value, name: str) -> int:
+    """A model's count; InputError unless it is an int (a bool is not)."""
+    if type(value) is not int:
+        raise InputError(f"model {name} must be an integer, got {value!r}")
+    return value
 
 
 def _positive_ints(values, name: str, length: int | None = None) -> tuple:

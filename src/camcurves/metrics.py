@@ -1,54 +1,26 @@
 """Per-class classification performance metrics.
 
-Each class is scored one-vs-rest from a multi-class confusion tally:
-accuracy, precision, true positive rate (recall) and false positive rate.
-Measured values are kept in one observation table (observation_table), which
-the CSV parser, the simulator, aggregate() and the model fits all share.
+Each class is scored one-vs-rest from the multi-class confusion matrix of a
+test set (confusion_matrix, one_vs_rest): its tp, fp, tn and fn, accuracy
+ACC = (tp + tn) / n, precision PRC = tp / (tp + fp), true positive rate
+(recall) TPR = tp / (tp + fn) and false positive rate FPR = fp / (fp + tn).
+A ratio whose denominator is 0 is NaN: PRC for a class that is never
+predicted, TPR for a class absent from the test set, FPR for a test set of
+one class.  Measured values are kept in one observation table
+(observation_table), which the CSV parser, the simulator, aggregate() and
+the model fits all share.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, fields
-from datetime import datetime
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InputError, NoPositivePredictions, UndefinedMetricError
+from .errors import InputError
 
 METRIC_KINDS = ("ACC", "PRC", "TPR", "FPR")
-
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    """One-vs-rest tallies for a single class."""
-
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v < 0 or v != int(v):
-                raise InputError(f"confusion count {f.name}={v} must be a non-negative integer")
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-
-@dataclass(frozen=True)
-class PredictionRecord:
-    """A single test-set outcome: what the image was vs. what the model said."""
-
-    image_id: str
-    true_class: str
-    predicted_class: str
-    location_id: str | None = None
-    timestamp: datetime | None = None
 
 
 # the columns of an observation table, named as in the header of an observation CSV
@@ -102,69 +74,62 @@ def observation_table(columns: Mapping[str, Sequence], where=None) -> np.recarra
     return table
 
 
-def tally_confusion(
-    records: Sequence[PredictionRecord], class_set: Sequence[str]
-) -> dict[str, ConfusionCounts]:
-    """One-vs-rest confusion tallies per class.
+def confusion_matrix(
+    predictions: Mapping[str, Sequence[str]], classes: Sequence[str]
+) -> np.ndarray:
+    """The k x k confusion matrix of a test set over `classes`, in their order.
 
-    Every record contributes to every class's tally, so per class
-    tp + fp + tn + fn equals the total record count.
+    `predictions` maps image_id, true_class and predicted_class to their
+    values, one per record.  Entry [i, j] counts the records of true class
+    classes[i] predicted as classes[j], so the matrix sums to the record
+    count.  Raises InputError for no records, a class named twice, or the
+    first record with a label outside `classes`.
     """
-    if not records:
+    true, predicted = predictions["true_class"], predictions["predicted_class"]
+    if not len(true):
         raise InputError("no prediction records to tally")
-    classes = list(dict.fromkeys(class_set))
-    known = set(classes)
-    for rec in records:
-        for label in (rec.true_class, rec.predicted_class):
-            if label not in known:
-                raise InputError(f"unknown class label {label!r} in record {rec.image_id!r}")
-    pair_counts = Counter((r.true_class, r.predicted_class) for r in records)
-    n = len(records)
-    out = {}
-    for c in classes:
-        tp = pair_counts[(c, c)]
-        fn = sum(v for (t, p), v in pair_counts.items() if t == c and p != c)
-        fp = sum(v for (t, p), v in pair_counts.items() if t != c and p == c)
-        out[c] = ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=n - tp - fp - fn)
-    return out
+    position = {label: i for i, label in enumerate(classes)}
+    if len(position) < len(classes):
+        label = next(label for i, label in enumerate(classes) if position[label] != i)
+        raise InputError(f"class {label!r} is named more than once in the class set")
+    labels, codes = np.unique(np.array([*true, *predicted], dtype=object), return_inverse=True)
+    index = np.array([position.get(label, -1) for label in labels], dtype=np.intp)[codes]
+    true_index, predicted_index = index.reshape(2, -1)
+    unknown = (true_index < 0) | (predicted_index < 0)
+    if unknown.any():
+        row = int(np.argmax(unknown))
+        label = true[row] if true_index[row] < 0 else predicted[row]
+        image_id = predictions["image_id"][row]
+        raise InputError(f"unknown class label {label!r} in record {image_id!r}")
+    k = len(position)
+    return np.bincount(true_index * k + predicted_index, minlength=k * k).reshape(k, k)
 
 
-def accuracy(c: ConfusionCounts) -> float:
-    if c.total < 1:
-        raise UndefinedMetricError("accuracy undefined on an empty tally")
-    return (c.tp + c.tn) / c.total
+def one_vs_rest(matrix: np.ndarray) -> dict[str, np.ndarray]:
+    """Per-class columns tp, fp, tn, fn and METRIC_KINDS of a confusion matrix.
+
+    Row i of each column scores class i against the rest; a ratio whose
+    denominator is 0 is NaN.
+    """
+    tp = np.diagonal(matrix).copy()
+    fn = matrix.sum(axis=1) - tp
+    fp = matrix.sum(axis=0) - tp
+    tn = matrix.sum() - tp - fp - fn
+    return {
+        "tp": tp,
+        "fp": fp,
+        "tn": tn,
+        "fn": fn,
+        "ACC": _ratio(tp + tn, tp + fp + tn + fn),
+        "PRC": _ratio(tp, tp + fp),
+        "TPR": _ratio(tp, tp + fn),
+        "FPR": _ratio(fp, fp + tn),
+    }
 
 
-def precision(c: ConfusionCounts) -> float:
-    if c.tp + c.fp < 1:
-        raise NoPositivePredictions(
-            "precision undefined: the class was never predicted (tp + fp = 0)"
-        )
-    return c.tp / (c.tp + c.fp)
-
-
-def true_positive_rate(c: ConfusionCounts) -> float:
-    if c.tp + c.fn < 1:
-        raise UndefinedMetricError("true positive rate undefined: class absent from test set")
-    return c.tp / (c.tp + c.fn)
-
-
-def false_positive_rate(c: ConfusionCounts) -> float:
-    if c.fp + c.tn < 1:
-        raise UndefinedMetricError("false positive rate undefined: no negative images")
-    return c.fp / (c.fp + c.tn)
-
-
-def metric_value(kind: str, c: ConfusionCounts) -> float:
-    fn = {
-        "ACC": accuracy,
-        "PRC": precision,
-        "TPR": true_positive_rate,
-        "FPR": false_positive_rate,
-    }.get(kind)
-    if fn is None:
-        raise InputError(f"unknown metric kind {kind!r}")
-    return fn(c)
+def _ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+    out = np.full(numerator.shape, np.nan)
+    return np.divide(numerator, denominator, out=out, where=denominator > 0)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import camcurves
 from camcurves import cli, io
@@ -133,6 +135,130 @@ def test_aggregate_orders_groups_by_their_typed_key(observations_csv, capsys):
     assert cli.main(argv) == cli.EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(",")[1] for line in lines[1:]] == ["10", "20", "50", "150", "500", "1000"]
+
+
+# eight test images of four classes; D is in the test set but never predicted
+PREDICTIONS = """\
+image_id,true_class,predicted_class,location_id,timestamp
+i0,A,A,L1,2020-01-01T00:00:00Z
+i1,A,B,L1,2020-01-01T01:00:00
+i2,B,B,,
+i3,B,A,L2,2020-01-02T00:00:00+02:00
+i4,C,C,L2,2020-01-03
+i5,C,A,L3,2020-01-03T12:00:00Z
+i6,A,A,L3,
+i7,D,C,L3,2020-01-04
+"""
+
+METRIC_ROWS = {
+    "A": "A,2,2,3,1,0.62,0.50,0.67,0.40",
+    "B": "B,1,1,5,1,0.75,0.50,0.50,0.17",
+    "C": "C,1,1,5,1,0.75,0.50,0.50,0.17",
+    "D": "D,0,0,7,1,0.88,NA,0.00,0.00",
+}
+
+
+@pytest.fixture
+def predictions_csv(tmp_path):
+    path = tmp_path / "predictions.csv"
+    path.write_text(PREDICTIONS)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "classes, order",
+    [([], "ABCD"), (["--classes", " C, A,D,B,"], "CADB")],
+    ids=["observed-labels", "given-classes"],
+)
+def test_metrics_writes_the_pinned_table(predictions_csv, tmp_path, capsys, classes, order):
+    out = tmp_path / "metrics.csv"
+    code = cli.main(["metrics", "--predictions", predictions_csv, "--out", str(out), *classes])
+    assert code == cli.EXIT_OK
+    assert capsys.readouterr().out == f"wrote per-class metrics for 4 classes to {out}\n"
+    rows = ["class,tp,fp,tn,fn,ACC,PRC,TPR,FPR", *(METRIC_ROWS[c] for c in order)]
+    assert out.read_bytes() == "".join(row + "\r\n" for row in rows).encode()
+
+
+@pytest.mark.parametrize(
+    "classes, fragments",
+    [
+        ("A,B,C", ["unknown class label 'D' in record 'i7'"]),
+        ("A,A,B,C,D", ["class 'A'", "more than once"]),
+        ("A,B,C,D,E", ["true positive rate undefined", "class 'E'"]),
+    ],
+    ids=["unknown-label", "repeated-class", "absent-class"],
+)
+def test_metrics_class_set_errors(predictions_csv, tmp_path, capsys, classes, fragments):
+    out = tmp_path / "metrics.csv"
+    argv = ["metrics", "--predictions", predictions_csv, "--out", str(out), "--classes", classes]
+    assert_one_input_error(cli.main(argv), capsys, *fragments)
+    assert not out.exists()
+
+
+def test_metrics_names_the_class_without_negative_images(tmp_path, capsys):
+    path = tmp_path / "predictions.csv"
+    path.write_text("image_id,true_class,predicted_class\ni0,A,A\ni1,A,A\n")
+    argv = ["metrics", "--predictions", str(path), "--out", str(tmp_path / "metrics.csv")]
+    assert_one_input_error(cli.main(argv), capsys, "false positive rate undefined", "class 'A'")
+
+
+@st.composite
+def prediction_records(draw):
+    """(true, predicted, timestamp) per record: a balanced test set over some of A-D,
+    predictions among its classes and D, and at most one bad timestamp."""
+    truth = draw(st.lists(st.sampled_from("ABCD"), min_size=1, unique=True))
+    per_class = draw(st.integers(1, 3))
+    stamps = st.sampled_from(["", "2020-01-01", "2020-01-01T12:00:00Z"])
+    records = [
+        [true, draw(st.sampled_from([*truth, "D"])), draw(stamps)]
+        for true in truth
+        for _ in range(per_class)
+    ]
+    bad = draw(st.sampled_from([None, None, None, "2020-13-01", "noon"]))
+    if bad is not None:
+        records[draw(st.integers(0, len(records) - 1))][2] = bad
+    return records
+
+
+# a --classes value: labels (an unknown one, repeats) with stray spaces and commas
+class_flags = st.none() | st.lists(st.sampled_from(["A", "B", "C", "D", "E", " A", ""])).map(
+    ",".join
+)
+
+
+@settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(prediction_records(), class_flags)
+def test_metrics_exits_0_or_2_with_consistent_counts(tmp_path, capsys, records, classes):
+    path = tmp_path / "predictions.csv"
+    lines = ["image_id,true_class,predicted_class,timestamp"]
+    lines += [f"i{j},{t},{p},{stamp}" for j, (t, p, stamp) in enumerate(records)]
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "metrics.csv"
+    out.unlink(missing_ok=True)
+    argv = ["metrics", "--predictions", str(path), "--out", str(out)]
+    code = cli.main(argv + ([] if classes is None else ["--classes", classes]))
+    if code != cli.EXIT_OK:
+        assert_one_input_error(code, capsys)
+        assert not out.exists()
+        return
+    assert capsys.readouterr().err == ""
+    header, *rows = out.read_text().splitlines()
+    assert header == "class,tp,fp,tn,fn,ACC,PRC,TPR,FPR"
+    if not classes:  # an empty --classes means the observed labels too
+        expected = sorted({label for t, p, _ in records for label in (t, p)})
+    else:
+        expected = [c.strip() for c in classes.split(",") if c.strip()]
+    assert [row.split(",")[0] for row in rows] == expected
+    for row in rows:
+        label, *counts = row.split(",")[:5]
+        tp = sum(1 for t, p, _ in records if t == label and p == label)
+        fn = sum(1 for t, p, _ in records if t == label and p != label)
+        fp = sum(1 for t, p, _ in records if t != label and p == label)
+        tn = sum(1 for t, p, _ in records if t != label and p != label)
+        assert [int(c) for c in counts] == [tp, fp, tn, fn]
+        assert tp + fp + tn + fn == len(records)
 
 
 @pytest.fixture
@@ -374,6 +500,26 @@ def _text_observed_size(d):
     d["observed_sizes"][0] = "10"
 
 
+def _fractional_k(d):
+    d["smooth_terms"][0]["k"] = 5.7
+
+
+def _boolean_k(d):
+    d["smooth_terms"][0]["k"] = True
+
+
+def _k_without_its_knots(d):
+    d["smooth_terms"][0]["k"] = 7
+
+
+def _fractional_n_obs(d):
+    d["fit_stats"]["n_obs"] = 3.7
+
+
+def _fractional_iterations(d):
+    d["fit_stats"]["iterations"] = 2.5
+
+
 @pytest.mark.parametrize(
     "edit, fragment",
     [
@@ -388,6 +534,11 @@ def _text_observed_size(d):
         (_drop_tuning_levels, "disagree with its parametric terms"),
         (_fractional_observed_size, "observed_sizes must be a list of positive integers"),
         (_text_observed_size, "observed_sizes must be a list of positive integers"),
+        (_fractional_k, "smooth term k must be an integer, got 5.7"),
+        (_boolean_k, "smooth term k must be an integer, got True"),
+        (_k_without_its_knots, "smooth term k=7 disagrees with its 5 knots"),
+        (_fractional_n_obs, "fit_stats n_obs must be an integer, got 3.7"),
+        (_fractional_iterations, "fit_stats iterations must be an integer, got 2.5"),
     ],
     ids=lambda v: getattr(v, "__name__", None),
 )
@@ -410,8 +561,18 @@ def test_malformed_gam_file_is_an_input_error(
         (lambda d: d.update(size_range=[10]), "size_range must be a list of 2 positive"),
         (lambda d: d.update(size_range=["a", "b"]), "size_range must be a list of 2 positive"),
         (lambda d: d.update(size_range=[0, 500]), "size_range must be a list of 2 positive"),
+        (lambda d: d.update(n_obs=3.9), "n_obs must be an integer, got 3.9"),
+        (lambda d: d.update(n_obs=True), "n_obs must be an integer, got True"),
     ],
-    ids=["missing-slope", "wrong-transform", "one-size", "text-sizes", "zero-size"],
+    ids=[
+        "missing-slope",
+        "wrong-transform",
+        "one-size",
+        "text-sizes",
+        "zero-size",
+        "fractional-n-obs",
+        "boolean-n-obs",
+    ],
 )
 def test_malformed_ols_file_is_an_input_error(tmp_path, capsys, edit, fragment):
     points = [(n, 0.6 + 0.05 * i) for i, n in enumerate(SIZES)]

@@ -49,6 +49,13 @@ CSV_KINDS = {
         "ACC,0.9,AU,c1,ten,dnsNet121,deep,none",
         "bad num_tr_images 'ten'",
     ),
+    "predictions": (
+        io.parse_predictions,
+        "image_id,true_class,predicted_class,timestamp",
+        "i0,{label},c1,2020-01-01T00:00:00Z",
+        "i1,c1,c1,yesterday",
+        "bad ISO-8601 timestamp 'yesterday'",
+    ),
     "image-index": (
         io.parse_image_index,
         "image_id,class",

@@ -1,52 +1,65 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camcurves import (
-    ConfusionCounts,
-    InputError,
-    NoPositivePredictions,
-    PredictionRecord,
-    UndefinedMetricError,
-    accuracy,
-    aggregate,
-    false_positive_rate,
-    precision,
-    tally_confusion,
-    true_positive_rate,
-)
+from camcurves import InputError, aggregate, confusion_matrix, one_vs_rest
 
 from conftest import as_table, make_obs, observation_rows
 
+COUNTS = ("tp", "fp", "tn", "fn")
 
-def rec(true, pred, image_id="img"):
-    return PredictionRecord(image_id=image_id, true_class=true, predicted_class=pred)
+
+def predictions(pairs):
+    """The prediction columns of (true, predicted) label pairs, image ids 0, 1, ..."""
+    true, predicted = zip(*pairs) if pairs else ((), ())
+    return {
+        "image_id": tuple(str(i) for i in range(len(pairs))),
+        "true_class": true,
+        "predicted_class": predicted,
+    }
+
+
+def tally(pairs, classes):
+    """Each class's (tp, fp, tn, fn) from the confusion matrix of `pairs`."""
+    scores = one_vs_rest(confusion_matrix(predictions(pairs), classes))
+    return {c: tuple(int(scores[name][i]) for name in COUNTS) for i, c in enumerate(classes)}
+
+
+def scores_of(tp, fp, tn, fn):
+    """The one-vs-rest scores of the class whose 2 x 2 confusion matrix has these counts."""
+    scores = one_vs_rest(np.array([[tp, fn], [fp, tn]]))
+    return {name: column[0].item() for name, column in scores.items()}
 
 
 class TestTallyConfusion:
     def test_hand_enumerated_four_records(self):
-        records = [rec("A", "A"), rec("A", "B"), rec("B", "B"), rec("C", "C")]
-        counts = tally_confusion(records, ["A", "B", "C"])
-        assert counts["A"] == ConfusionCounts(tp=1, fn=1, fp=0, tn=2)
+        pairs = [("A", "A"), ("A", "B"), ("B", "B"), ("C", "C")]
+        assert confusion_matrix(predictions(pairs), ["A", "B", "C"]).tolist() == [
+            [1, 1, 0],
+            [0, 1, 0],
+            [0, 0, 1],
+        ]
+        assert tally(pairs, ["A", "B", "C"])["A"] == (1, 0, 2, 1)
 
     def test_perfect_classifier_has_no_errors(self):
-        records = [rec(c, c) for c in "ABCD" for _ in range(3)]
-        counts = tally_confusion(records, list("ABCD"))
-        assert all(c.fp == 0 and c.fn == 0 for c in counts.values())
+        counts = tally([(c, c) for c in "ABCD" for _ in range(3)], list("ABCD"))
+        assert all(fp == 0 and fn == 0 for _, fp, _, fn in counts.values())
 
     def test_single_misclassified_record(self):
-        counts = tally_confusion([rec("A", "B")], ["A", "B"])
-        assert counts["A"] == ConfusionCounts(tp=0, fn=1, fp=0, tn=0)
-        assert counts["B"] == ConfusionCounts(tp=0, fn=0, fp=1, tn=0)
+        counts = tally([("A", "B")], ["A", "B"])
+        assert counts["A"] == (0, 0, 0, 1)
+        assert counts["B"] == (0, 1, 0, 0)
 
     def test_unknown_label_is_named(self):
-        with pytest.raises(InputError, match="Zebra"):
-            tally_confusion([rec("A", "Zebra")], ["A", "B"])
+        with pytest.raises(InputError, match="'Zebra' in record '1'"):
+            confusion_matrix(predictions([("A", "A"), ("A", "Zebra")]), ["A", "B"])
 
     def test_empty_records_rejected(self):
         with pytest.raises(InputError):
-            tally_confusion([], ["A"])
+            confusion_matrix(predictions([]), ["A"])
 
     @given(
         st.lists(
@@ -57,15 +70,14 @@ class TestTallyConfusion:
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_exhaustive_pairwise_counting(self, pairs):
-        records = [rec(t, p, image_id=str(i)) for i, (t, p) in enumerate(pairs)]
-        counts = tally_confusion(records, list("ABCD"))
+        counts = tally(pairs, list("ABCD"))
         for c in "ABCD":
             tp = sum(1 for t, p in pairs if t == c and p == c)
             fn = sum(1 for t, p in pairs if t == c and p != c)
             fp = sum(1 for t, p in pairs if t != c and p == c)
             tn = sum(1 for t, p in pairs if t != c and p != c)
-            assert counts[c] == ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
-            assert counts[c].total == len(pairs)
+            assert counts[c] == (tp, fp, tn, fn)
+            assert sum(counts[c]) == len(pairs)
 
     @given(
         st.lists(
@@ -77,79 +89,66 @@ class TestTallyConfusion:
     )
     @settings(max_examples=40, deadline=None)
     def test_permutation_invariance(self, pairs, rnd):
-        records = [rec(t, p, image_id=str(i)) for i, (t, p) in enumerate(pairs)]
-        shuffled = records[:]
+        shuffled = pairs[:]
         rnd.shuffle(shuffled)
-        assert tally_confusion(records, list("ABC")) == tally_confusion(shuffled, list("ABC"))
+        matrix = confusion_matrix(predictions(pairs), list("ABC"))
+        assert (confusion_matrix(predictions(shuffled), list("ABC")) == matrix).all()
 
     def test_balanced_test_set_margins(self):
         # K classes with m images each: tp+fn = m, fp+tn = (K-1)*m for every class
         rng = np.random.default_rng(5)
         classes = list("ABCDE")
         m = 40
-        records = [
-            rec(t, rng.choice(classes), image_id=f"{t}{i}")
-            for t in classes
-            for i in range(m)
-        ]
-        counts = tally_confusion(records, classes)
-        for c in classes:
-            assert counts[c].tp + counts[c].fn == m
-            assert counts[c].fp + counts[c].tn == (len(classes) - 1) * m
+        pairs = [(t, rng.choice(classes)) for t in classes for _ in range(m)]
+        for tp, fp, tn, fn in tally(pairs, classes).values():
+            assert tp + fn == m
+            assert fp + tn == (len(classes) - 1) * m
 
 
 class TestMetricFormulas:
-    C = ConfusionCounts(tp=225, fn=25, fp=35, tn=1715)
+    C = scores_of(tp=225, fn=25, fp=35, tn=1715)
 
     def test_accuracy(self):
-        assert accuracy(self.C) == pytest.approx(0.97, abs=1e-12)
-        assert accuracy(ConfusionCounts(250, 0, 1750, 0)) == 1.0
-        assert accuracy(ConfusionCounts(0, 1750, 0, 250)) == 0.0
+        assert self.C["ACC"] == pytest.approx(0.97, abs=1e-12)
+        assert scores_of(250, 0, 1750, 0)["ACC"] == 1.0
+        assert scores_of(0, 1750, 0, 250)["ACC"] == 0.0
 
     def test_precision(self):
-        assert precision(self.C) == pytest.approx(225 / 260, abs=1e-12)
-        assert precision(ConfusionCounts(250, 0, 1750, 0)) == 1.0
+        assert self.C["PRC"] == pytest.approx(225 / 260, abs=1e-12)
+        assert scores_of(250, 0, 1750, 0)["PRC"] == 1.0
 
-    def test_precision_undefined_is_typed(self):
-        with pytest.raises(NoPositivePredictions):
-            precision(ConfusionCounts(tp=0, fp=0, tn=1750, fn=250))
+    def test_precision_undefined_is_nan(self):
+        assert math.isnan(scores_of(tp=0, fp=0, tn=1750, fn=250)["PRC"])
 
     def test_true_positive_rate(self):
-        assert true_positive_rate(self.C) == pytest.approx(0.90, abs=1e-12)
-        assert true_positive_rate(ConfusionCounts(250, 0, 1750, 0)) == 1.0
-        assert true_positive_rate(ConfusionCounts(0, 0, 1750, 250)) == 0.0
+        assert self.C["TPR"] == pytest.approx(0.90, abs=1e-12)
+        assert scores_of(250, 0, 1750, 0)["TPR"] == 1.0
+        assert scores_of(0, 0, 1750, 250)["TPR"] == 0.0
 
     def test_true_positive_rate_absent_class(self):
-        with pytest.raises(UndefinedMetricError, match="absent"):
-            true_positive_rate(ConfusionCounts(tp=0, fp=3, tn=5, fn=0))
+        assert math.isnan(scores_of(tp=0, fp=3, tn=5, fn=0)["TPR"])
 
     def test_false_positive_rate(self):
-        assert false_positive_rate(self.C) == pytest.approx(0.02, abs=1e-12)
-        assert false_positive_rate(ConfusionCounts(1, 0, 1750, 1)) == 0.0
-        assert false_positive_rate(ConfusionCounts(0, 1750, 0, 250)) == 1.0
+        assert self.C["FPR"] == pytest.approx(0.02, abs=1e-12)
+        assert scores_of(1, 0, 1750, 1)["FPR"] == 0.0
+        assert scores_of(0, 1750, 0, 250)["FPR"] == 1.0
 
     def test_false_positive_rate_no_negatives(self):
-        with pytest.raises(UndefinedMetricError):
-            false_positive_rate(ConfusionCounts(tp=5, fp=0, tn=0, fn=5))
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(InputError):
-            ConfusionCounts(tp=-1, fp=0, tn=0, fn=0)
+        assert math.isnan(scores_of(tp=5, fp=0, tn=0, fn=5)["FPR"])
 
     @given(
         st.integers(0, 500), st.integers(0, 500), st.integers(0, 500), st.integers(0, 500)
     )
     @settings(max_examples=100, deadline=None)
     def test_metrics_stay_in_unit_interval(self, tp, fp, tn, fn):
-        c = ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
-        if c.total >= 1:
-            assert 0.0 <= accuracy(c) <= 1.0
-        if tp + fp >= 1:
-            assert 0.0 <= precision(c) <= 1.0
-        if tp + fn >= 1:
-            assert 0.0 <= true_positive_rate(c) <= 1.0
-        if fp + tn >= 1:
-            assert 0.0 <= false_positive_rate(c) <= 1.0
+        scores = scores_of(tp, fp, tn, fn)
+        assert (scores["tp"], scores["fp"], scores["tn"], scores["fn"]) == (tp, fp, tn, fn)
+        denominators = {"ACC": tp + fp + tn + fn, "PRC": tp + fp, "TPR": tp + fn, "FPR": fp + tn}
+        for kind, denominator in denominators.items():
+            if denominator >= 1:
+                assert 0.0 <= scores[kind] <= 1.0
+            else:
+                assert math.isnan(scores[kind])
 
 
 class TestAggregate:
