@@ -7,10 +7,7 @@ from .betagam import (
     ModelSpec,
     SmoothTerm,
     backward_eliminate,
-    default_spec,
     fit,
-    fit_stats,
-    squeeze,
     term_edf,
     wald_p,
 )
@@ -64,11 +61,9 @@ __all__ = [
     "basis_rows",
     "centring",
     "confusion_matrix",
-    "default_spec",
     "equal_space_select",
     "fit",
     "fit_log_curve",
-    "fit_stats",
     "gam_required_sample_size",
     "observation_table",
     "one_vs_rest",
@@ -79,7 +74,6 @@ __all__ = [
     "required_sample_size",
     "simulate_grid",
     "split_design",
-    "squeeze",
     "table1_presets",
     "term_edf",
     "validate_location_coverage",

@@ -38,9 +38,8 @@ saturated likelihood and adjusted R^2) read the individual observations.
 
 `_model_rows` is the one encoding of covariates into model-matrix rows: the
 intercept, the treatment dummies and the centred by-level spline blocks.  The
-fit builds its distinct rows with it, and every prediction (a cell over an
-array of sizes, or the public fit_stats over a dataset) builds its rows with
-it from the fitted model, so a cell cannot be encoded two ways.
+fit builds its distinct rows with it, and `AdditiveModel.predict_sizes` builds
+its rows with it from the fitted model, so a cell cannot be encoded two ways.
 
 The Beta likelihood is written once, on design rows: `_ll_sum` is the
 log-likelihood, `_score_weight` its score in logit(mu) with the Fisher weight,
@@ -52,7 +51,7 @@ a fitted model run on numpy alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -109,7 +108,7 @@ DEFAULT_FACTORS = (
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Which terms enter the model, and the squeeze width for boundary values."""
+    """Which terms enter the model, and how far fit() moves a response at 0 or 1 inside."""
 
     response: str
     parametric_terms: tuple[FactorTerm, ...] = DEFAULT_FACTORS
@@ -122,6 +121,8 @@ class ModelSpec:
         names = [t.name for t in self.parametric_terms]
         if len(names) != len(set(names)):
             raise InputError("duplicate parametric terms")
+        if not 0.0 < self.squeeze_eps < 0.5:
+            raise InputError(f"squeeze_eps must lie in (0, 0.5), got {self.squeeze_eps}")
 
     def without(self, term_label: str) -> "ModelSpec":
         """Copy of this spec with one term dropped."""
@@ -140,24 +141,9 @@ class ModelSpec:
         raise InputError(f"unknown term {term_label!r}")
 
 
-def default_spec(metric: str) -> ModelSpec:
-    return ModelSpec(response=metric)
-
-
 # ---------------------------------------------------------------------------
 # likelihood
 # ---------------------------------------------------------------------------
-
-
-def squeeze(y, eps: float = 1e-4):
-    """Pull boundary values into the open interval: min(max(y, eps), 1-eps)."""
-    if not 0.0 < eps < 0.5:
-        raise InputError(f"squeeze eps must lie in (0, 0.5), got {eps}")
-    arr = np.asarray(y, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise InputError("values to squeeze must lie in [0, 1]")
-    out = np.clip(arr, eps, 1.0 - eps)
-    return float(out) if out.ndim == 0 else out
 
 
 def _ll_sum(mu, phi, n, sum_ylog, sum_y1log):
@@ -290,11 +276,9 @@ def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
     data = observations[observations.metric == spec.response]
     if not len(data):
         raise InputError(f"no observations with metric {spec.response!r}")
-    y = data.value
-    if np.any(y <= 0.0) or np.any(y >= 1.0):
-        raise InputError(
-            "response contains boundary values; apply squeeze() before fitting"
-        )
+    # the table holds values in [0, 1]; only the bounds themselves move
+    eps = spec.squeeze_eps
+    y = np.where(data.value == 0.0, eps, np.where(data.value == 1.0, 1.0 - eps, data.value))
     if len(spec.smooth_terms) > 1:  # a model carries one knot vector
         raise InputError("at most one smooth term is supported")
     for term in spec.smooth_terms:
@@ -494,7 +478,6 @@ class _FitResult:
     edf_by_coef: np.ndarray
     covariance: np.ndarray
     iterations: int
-    pll_history: tuple
 
 
 def _fit_at_lambda(design: _Design, lambdas, warm, tol) -> _FitResult:
@@ -515,7 +498,6 @@ def _fit_at_lambda(design: _Design, lambdas, warm, tol) -> _FitResult:
         edf_by_coef=edf_by_coef,
         covariance=covariance,
         iterations=len(history) - 1,
-        pll_history=tuple(history),
     )
 
 
@@ -554,25 +536,14 @@ class AdditiveModel:
     edf_by_coef: np.ndarray
     fit_stats: FitStats
     observed_sizes: tuple
-    pll_history: tuple = field(repr=False, default=())
 
     @property
     def metric(self) -> str:
         return self.spec.response
 
-    def linear_predictor(self, cell: Mapping, num_tr_images) -> np.ndarray:
-        """Linear predictor at one covariate cell over an array of sizes."""
-        return _model_rows(self, cell, num_tr_images) @ self.coef
-
-    def predict(self, cell: Mapping) -> float:
-        """Mean response at one covariate cell; cell must carry num_tr_images."""
-        if "num_tr_images" not in cell:
-            raise InputError("cell is missing num_tr_images")
-        return float(inv_logit(self.linear_predictor(cell, cell["num_tr_images"]))[0])
-
     def predict_sizes(self, cell: Mapping, num_tr_images) -> np.ndarray:
-        """Mean response at one covariate cell over an array of sizes."""
-        return inv_logit(self.linear_predictor(cell, num_tr_images))
+        """Mean response over sizes at a cell: one level, or a level per size, per factor."""
+        return inv_logit(_model_rows(self, cell, num_tr_images) @ self.coef)
 
 
 def term_edf(model: AdditiveModel) -> dict:
@@ -672,20 +643,6 @@ def _fit_statistics(y, mu, phi, edf_total: float) -> dict:
     }
 
 
-def fit_stats(model: AdditiveModel, observations: np.recarray) -> dict:
-    """Deviance explained and adjusted R^2 of a model on an observation table."""
-    data = observations[observations.metric == model.metric]
-    if not len(data):
-        raise InputError(f"no observations with metric {model.metric!r}")
-    y = data.value
-    if np.any(y <= 0.0) or np.any(y >= 1.0):
-        raise InputError("observations contain boundary values; apply squeeze() first")
-    columns = {factor: data[factor] for factor in model.factor_levels}
-    X = _model_rows(model, columns, data.num_tr_images)
-    stats = _fit_statistics(y, inv_logit(X @ model.coef), model.phi, float(model.edf_by_coef.sum()))
-    return {key: stats[key] for key in ("deviance_explained", "adj_r_squared")}
-
-
 # ---------------------------------------------------------------------------
 # fitting with smoothing-parameter selection
 # ---------------------------------------------------------------------------
@@ -705,8 +662,10 @@ def fit(
         Terms, reference levels and squeeze width.
     observations : np.recarray
         Observation table (see metrics.observation_table) of any metric;
-        only the rows of spec.response are used.  Their values must already
-        be strictly inside (0, 1).
+        only the rows of spec.response are used.  A value of exactly 0 or 1
+        is moved inside to spec.squeeze_eps or 1 - spec.squeeze_eps, as mgcv's
+        betar family truncates to [eps, 1 - eps]; other values are fitted as
+        they are.
     lambdas : optional
         Fixed smoothing parameters, one per smooth block, to bypass the AIC
         search over DEFAULT_LAMBDA_GRID.
@@ -790,7 +749,6 @@ def _package_model(spec, design, chosen, result) -> AdditiveModel:
             **_fit_statistics(design.y, mu, result.phi, float(result.edf_by_coef.sum())),
         ),
         observed_sizes=design.observed_sizes,
-        pll_history=result.pll_history,
     )
 
 
@@ -832,7 +790,8 @@ def backward_eliminate(
     """Drop the least significant term with p > alpha, refit, repeat.
 
     Returns (final model, trace of EliminationStep).  Factors required by a
-    retained nested smooth are never dropped before the smooth itself.
+    retained nested smooth are never dropped before the smooth itself.  Fixed
+    `lambdas` follow their smooth blocks: dropping a smooth drops its lambdas.
     """
     if not 0.0 < alpha < 1.0:
         raise InputError(f"alpha must lie in (0, 1), got {alpha}")
@@ -849,5 +808,8 @@ def backward_eliminate(
             break
         trace.append(EliminationStep(dropped=worst, p_value=pvals[worst]))
         spec = spec.without(worst)
+        if lambdas is not None:
+            blocks = [b for t in spec.smooth_terms for b in _smooth_blocks(t, model.factor_levels)]
+            lambdas = [model.lambdas[label] for _, label in blocks]
         model = fit(spec, observations, lambdas=lambdas)
     return model, trace

@@ -52,7 +52,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", required=True, choices=metrics.METRIC_KINDS)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("fit-gam", help="fit a Beta additive model")
+    p = sub.add_parser(
+        "fit-gam",
+        help="fit a Beta additive model",
+        description="Fit a Beta additive model to one metric of an observation CSV. A value of "
+        f"exactly 0 or 1 is moved inside to squeeze_eps ({betagam.ModelSpec.squeeze_eps}) or "
+        "1 - squeeze_eps; other values are fitted as they are.",
+    )
     p.add_argument("--observations", required=True)
     p.add_argument("--metric", required=True, choices=metrics.METRIC_KINDS)
     p.add_argument("--eliminate", action="store_true", help="backward stepwise elimination")
@@ -68,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-prc", type=float)
     p.add_argument("--target-tpr", type=float)
     p.add_argument("--target-fpr", type=float)
-    p.add_argument("--cell", help="dataset,tuning,architecture (needed for GAM models)")
+    p.add_argument("--cell", help="dataset,tuning,architecture (needed for GAM models only)")
     p.add_argument(
         "--ceiling",
         type=int,
@@ -125,8 +131,10 @@ def _parse_numbers(raw: str, flag: str, convert) -> list:
 
 def _cmd_metrics(args) -> int:
     predictions = io.parse_predictions(args.predictions)
-    if args.classes:
+    if args.classes is not None:
         classes = [c.strip() for c in args.classes.split(",") if c.strip()]
+        if not classes:
+            raise InputError(f"--classes {args.classes!r} names no class")
     else:
         classes = sorted({*predictions["true_class"], *predictions["predicted_class"]})
     scores = metrics.one_vs_rest(metrics.confusion_matrix(predictions, classes))
@@ -169,12 +177,7 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_fit_ols(args) -> int:
-    table = io.parse_observations(args.observations)
-    rows = table[table.metric == args.metric]
-    if not len(rows):
-        raise InputError(f"no observations with metric {args.metric}")
-    points = list(zip(rows.num_tr_images.tolist(), rows.value.tolist()))
-    model = curves.fit_log_curve(points, args.metric)
+    model = curves.fit_log_curve(io.parse_observations(args.observations), args.metric)
     io.save_model(model, args.out)
     print(
         f"{args.metric}: intercept {model.intercept:.4f}, slope {model.slope:.4f}, "
@@ -189,17 +192,13 @@ def _cmd_fit_gam(args) -> int:
     lambdas = _parse_numbers(args.lambdas, "--lambdas", float) if args.lambdas else None
     io.check_writable(args.out)  # before the fit, which takes seconds
     table = io.parse_observations(args.observations)
-    spec = betagam.default_spec(args.metric)
-    prepared = table[table.metric == args.metric]
-    # only values at exactly 0 or 1 are squeezed; the table holds none outside [0, 1]
-    boundary = (prepared.value == 0.0) | (prepared.value == 1.0)
-    prepared.value[boundary] = betagam.squeeze(prepared.value[boundary], spec.squeeze_eps)
+    spec = betagam.ModelSpec(args.metric)
     if args.eliminate:
-        model, trace = betagam.backward_eliminate(spec, prepared, alpha=args.alpha, lambdas=lambdas)
+        model, trace = betagam.backward_eliminate(spec, table, alpha=args.alpha, lambdas=lambdas)
         for step in trace:
             print(f"dropped {step.dropped} (p = {step.p_value:.4g})")
     else:
-        model = betagam.fit(spec, prepared, lambdas=lambdas)
+        model = betagam.fit(spec, table, lambdas=lambdas)
     io.save_model(model, args.out)
     stats = model.fit_stats
     print(
@@ -223,29 +222,26 @@ def _plan_line(result: planner.PlanResult) -> str:
 def _cmd_plan(args) -> int:
     if bool(args.model) == bool(args.preset):
         raise InputError("give exactly one of --model or --preset")
+    per_metric = "--target-acc/--target-prc/--target-tpr/--target-fpr"
+    targets = {metric: getattr(args, f"target_{metric.lower()}") for metric in metrics.METRIC_KINDS}
+    targets = {metric: value for metric, value in targets.items() if value is not None}
     if args.preset:
-        models = curves.table1_presets()
-        targets = {}
-        for metric, value in (
-            ("ACC", args.target_acc),
-            ("PRC", args.target_prc),
-            ("TPR", args.target_tpr),
-            ("FPR", args.target_fpr),
-        ):
-            if value is not None:
-                targets[metric] = value
+        if args.target is not None or args.cell is not None:
+            raise InputError(f"--preset plans with {per_metric}; it takes no --target or --cell")
         if not targets:
-            raise InputError("give at least one of --target-acc/--target-prc/--target-tpr/--target-fpr")
-        cell = None
+            raise InputError(f"give at least one of {per_metric}")
+        models, cell = curves.table1_presets(), None
     else:
+        if targets:
+            raise InputError(f"--model plans its metric with --target; it takes no {per_metric}")
         model = io.load_model(args.model)
         if args.target is None:
             raise InputError("--model planning needs --target")
         targets = {model.metric: args.target}
         models = {model.metric: model}
-        cell = _parse_cell(args.cell) if args.cell else None
-        if isinstance(model, betagam.AdditiveModel) and cell is None:
-            raise InputError("planning against a GAM needs --cell dataset,tuning,architecture")
+        if isinstance(model, betagam.AdditiveModel) != (args.cell is not None):
+            raise InputError("planning against a GAM needs --cell; a log-size curve takes none")
+        cell = _parse_cell(args.cell) if args.cell is not None else None
     report = planner.plan_report(targets, models, cell=cell, search_ceiling=args.ceiling)
     for result in report.results:
         print(_plan_line(result))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -46,25 +45,24 @@ class LearningCurveModel:
             )
 
 
-def fit_log_curve(
-    points: Sequence[tuple[float, float]], metric: str
-) -> LearningCurveModel:
-    """Closed-form least squares of metric values on log size.
+def fit_log_curve(observations: np.recarray, metric: str) -> LearningCurveModel:
+    """Closed-form least squares of one metric's values on log size.
 
-    `points` are (num_tr_images, value) pairs; at least 3 points over at
-    least 2 distinct sizes.
+    `observations` is an observation table (see metrics.observation_table)
+    of any metric; its rows of `metric` are fitted, which must number at
+    least 3 over at least 2 distinct sizes.
     """
     if metric not in METRIC_KINDS:
         raise InputError(f"unknown metric kind {metric!r}")
-    pts = [(float(n), float(v)) for n, v in points]
-    if len(pts) < 3:
-        raise InputError(f"need at least 3 points to fit a curve, got {len(pts)}")
-    sizes = np.array([p[0] for p in pts])
-    if np.any(sizes < 1):
-        raise InputError("training-set sizes must be >= 1")
+    data = observations[observations.metric == metric]
+    if not len(data):
+        raise InputError(f"no observations with metric {metric}")
+    if len(data) < 3:
+        raise InputError(f"need at least 3 points to fit a curve, got {len(data)}")
+    sizes = data.num_tr_images
     if np.unique(sizes).size < 2:
         raise InputError("all sizes equal: the log-size regressor is degenerate")
-    y = np.array([p[1] for p in pts])
+    y = data.value
     x = np.log(sizes)
     if metric == "FPR":
         x = -x
@@ -75,7 +73,7 @@ def fit_log_curve(
     tss = float(((y - y.mean()) ** 2).sum())
     rss = float((resid**2).sum())
     r2 = 1.0 - rss / tss if tss > 0 else 1.0
-    n = len(pts)
+    n = len(data)
     adj = 1.0 - (1.0 - r2) * (n - 1) / (n - 2)
     return LearningCurveModel(
         metric=metric,

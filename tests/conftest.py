@@ -49,6 +49,4 @@ def calibrated_observations():
 
 @pytest.fixture(scope="session")
 def calibrated_acc_model(calibrated_observations):
-    spec = betagam.default_spec("ACC")
-    data = calibrated_observations[calibrated_observations.metric == "ACC"]
-    return betagam.fit(spec, data)
+    return betagam.fit(betagam.ModelSpec("ACC"), calibrated_observations)

@@ -17,8 +17,6 @@ from camcurves.betagam import (
     ModelSpec,
     SmoothTerm,
     backward_eliminate,
-    default_spec,
-    squeeze,
     term_edf,
     wald_p,
 )
@@ -53,29 +51,36 @@ def simulate_rows(rng, n_per_size=40, beta0=1.0, slope=0.25, phi=80.0, metric="A
     return observation_rows(y, sizes, metric=metric)
 
 
+def squeezed_response(values, **spec):
+    """The response the fit sees for `values`, under an intercept-only model."""
+    model = ModelSpec(response="ACC", parametric_terms=(), smooth_terms=(), **spec)
+    return _assemble(model, observation_rows(values, [10] * len(values))).y
+
+
 class TestSqueeze:
     def test_boundary_clamps(self):
-        assert squeeze(0.0, 1e-4) == 1e-4
-        assert squeeze(1.0, 1e-4) == 1.0 - 1e-4
+        np.testing.assert_array_equal(squeezed_response([0.0, 1.0]), [1e-4, 1.0 - 1e-4])
 
     def test_interior_unchanged(self):
-        assert squeeze(0.97, 1e-4) == 0.97
+        values = [5e-5, 0.97, 1.0 - 5e-5]
+        np.testing.assert_array_equal(squeezed_response(values), values)
 
     def test_eps_out_of_range_rejected(self):
-        for eps in (0.0, 0.5, -0.1):
-            with pytest.raises(InputError):
-                squeeze(0.5, eps)
+        for eps in (0.0, 0.5, -0.1, float("nan")):
+            with pytest.raises(InputError, match="squeeze_eps must lie in"):
+                ModelSpec(response="ACC", squeeze_eps=eps)
 
     def test_vectorized(self):
-        out = squeeze(np.array([0.0, 0.5, 1.0]), 0.01)
-        np.testing.assert_allclose(out, [0.01, 0.5, 0.99])
+        out = squeezed_response([0.0, 0.5, 1.0], squeeze_eps=0.01)
+        np.testing.assert_array_equal(out, [0.01, 0.5, 0.99])
 
 
 def beta_rows(rng, counts, mu, phi):
     """Beta(mu*phi, (1-mu)*phi) draws, counts[r] of them per row r, and the
     rows' sufficient statistics (n, sum of log y, sum of log(1-y)).  Draws
-    that round to 0 or 1 are squeezed, so every log is finite."""
-    draws = [squeeze(rng.beta(m * phi, (1.0 - m) * phi, c), 1e-12) for m, c in zip(mu, counts)]
+    that round to 0 or 1 are clipped inside, so every log is finite."""
+    draws = [rng.beta(m * phi, (1.0 - m) * phi, c) for m, c in zip(mu, counts)]
+    draws = [np.clip(y, 1e-12, 1.0 - 1e-12) for y in draws]
     return draws, (
         np.asarray(counts, dtype=float),
         np.array([np.log(y).sum() for y in draws]),
@@ -174,7 +179,7 @@ class TestReferenceLikelihoods:
     @pytest.mark.parametrize("mean", [0.03, 0.5, 0.96])
     def test_null_loglik_matches_bounded_maximisation(self, mean):
         rng = np.random.default_rng(11)
-        y = squeeze(rng.beta(mean * 40.0, (1.0 - mean) * 40.0, 300))
+        y = np.clip(rng.beta(mean * 40.0, (1.0 - mean) * 40.0, 300), 1e-4, 1.0 - 1e-4)
         for phi in self.PHIS:
             oracle = bounded_max(lambda eta: scipy_loglik(y, eta, phi))
             assert _null_loglik(y, phi) == pytest.approx(oracle, rel=1e-10, abs=1e-8)
@@ -222,7 +227,7 @@ class TestPenalizedObjectiveGradient:
 class TestCollapsedDesign:
     def test_calibrated_grid_collapses_to_distinct_rows(self, calibrated_observations):
         data = calibrated_observations[calibrated_observations.metric == "ACC"]
-        design = _assemble(default_spec("ACC"), data)
+        design = _assemble(ModelSpec("ACC"), data)
         y = data.value
         assert design.X.shape[0] == 216
         assert design.n.sum() == len(data) == 7776
@@ -274,7 +279,7 @@ class TestCollapsedDesign:
     ):
         data = calibrated_observations[calibrated_observations.metric == "ACC"]
         data = data[np.random.default_rng(14).permutation(len(data))]
-        model = betagam.fit(default_spec("ACC"), data)
+        model = betagam.fit(ModelSpec("ACC"), data)
         assert model.lambdas == calibrated_acc_model.lambdas
         assert model.fit_stats.loglik == pytest.approx(
             calibrated_acc_model.fit_stats.loglik, rel=1e-9
@@ -287,10 +292,16 @@ class TestFit:
         model = betagam.fit(single_smooth_spec(), obs)
         assert model.fit_stats.deviance_explained == pytest.approx(0.0, abs=1e-9)
 
-    def test_boundary_response_rejected(self):
-        obs = observation_rows([0.0, 0.5, 0.7, 0.9, 0.95, 0.99], SIZES)
-        with pytest.raises(InputError, match="squeeze"):
-            betagam.fit(single_smooth_spec(), obs)
+    def test_boundary_response_fits_as_squeezed(self):
+        values = np.random.default_rng(2).beta(40.0, 4.0, 60)
+        values[[3, 17]], values[[8, 40]] = 0.0, 1.0
+        squeezed = np.where(values == 0.0, 1e-4, np.where(values == 1.0, 1.0 - 1e-4, values))
+        sizes = np.tile(SIZES, 10)
+        at_bounds = betagam.fit(single_smooth_spec(), observation_rows(values, sizes))
+        inside = betagam.fit(single_smooth_spec(), observation_rows(squeezed, sizes))
+        assert np.array_equal(at_bounds.coef, inside.coef)
+        assert at_bounds.phi == inside.phi
+        assert at_bounds.fit_stats == inside.fit_stats
 
     def test_missing_reference_level_named(self):
         obs = as_table([make_obs(0.9, n, tuning="shallow") for n in SIZES] * 3)
@@ -354,10 +365,12 @@ class TestFit:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(betagam.DEFAULT_LAMBDA_GRID))
     def test_objective_never_decreases_across_iterations(self, seed, lam):
-        obs = simulate_rows(np.random.default_rng(seed))
-        model = betagam.fit(single_smooth_spec(), obs, lambdas=[lam])
+        design = _assemble(single_smooth_spec(), simulate_rows(np.random.default_rng(seed)))
+        P = _penalty_matrix(design, [lam])
+        beta0, phi0 = betagam._initial_values(design, P)
+        *_, history = betagam._fit_penalized(design, P, beta0, phi0, betagam._TOL)
         # the ascent test accepts a step that loses at most 1e-12
-        assert np.all(np.diff(model.pll_history) >= -1e-12)
+        assert np.all(np.diff(history) >= -1e-12)
 
     def test_restart_at_the_optimum_evaluates_the_likelihood_once(
         self, calibrated_observations, calibrated_acc_model, monkeypatch
@@ -435,7 +448,7 @@ class TestFit:
                                         augmentation=g,
                                     )
                                 )
-            model = betagam.fit(default_spec("ACC"), as_table(obs), lambdas=[1e10, 1e10, 1e10])
+            model = betagam.fit(ModelSpec("ACC"), as_table(obs), lambdas=[1e10, 1e10, 1e10])
             se = np.sqrt(np.diag(model.covariance))
             for name, value in {**truth, "(intercept)": intercept}.items():
                 j = model.coef_names.index(name)
@@ -446,21 +459,14 @@ class TestFit:
 
 
 class TestFitStatistics:
-    def test_public_fit_stats_reproduces_the_fit(
-        self, calibrated_acc_model, calibrated_observations
-    ):
-        model = calibrated_acc_model
-        public = betagam.fit_stats(model, calibrated_observations)
-        assert public["deviance_explained"] == pytest.approx(
-            model.fit_stats.deviance_explained, rel=1e-9
-        )
-        assert public["adj_r_squared"] == pytest.approx(model.fit_stats.adj_r_squared, rel=1e-9)
-
     def test_unknown_level_rejected(self, calibrated_acc_model, calibrated_observations):
+        # a level per size: one unknown dataset among 50 training rows
         rows = calibrated_observations[calibrated_observations.metric == "ACC"][:50].tolist()
         rows[7] = (*rows[7][:2], "MARS", *rows[7][3:])
+        data = as_table(rows)
+        cells = {factor: data[factor] for factor in calibrated_acc_model.factor_levels}
         with pytest.raises(InputError, match="MARS"):
-            betagam.fit_stats(calibrated_acc_model, as_table(rows))
+            calibrated_acc_model.predict_sizes(cells, data.num_tr_images)
 
     def test_deviance_explained_is_one_minus_deviance_ratio(self, calibrated_acc_model):
         rng = np.random.default_rng(13)
@@ -502,28 +508,28 @@ def hand_built_model(coef_value=0.050, se=0.009):
 class TestPredict:
     def test_reference_cell_is_inverse_logit_of_intercept(self):
         model = hand_built_model()
-        value = model.predict({"tuning": "deep", "num_tr_images": 100})
+        value = model.predict_sizes({"tuning": "deep"}, [100])[0]
         assert value == pytest.approx(inv_logit(3.322), abs=1e-12)
         assert value == pytest.approx(0.965, abs=5e-4)
 
     def test_zero_linear_predictor_gives_half(self):
         model = hand_built_model()
         object.__setattr__(model, "coef", np.array([0.0, 0.0]))
-        assert model.predict({"tuning": "deep", "num_tr_images": 10}) == 0.5
+        assert model.predict_sizes({"tuning": "deep"}, [10])[0] == 0.5
 
     def test_positive_offset_strictly_increases_prediction(self):
         model = hand_built_model(coef_value=0.050)
-        deep = model.predict({"tuning": "deep", "num_tr_images": 10})
-        shallow = model.predict({"tuning": "shallow", "num_tr_images": 10})
+        deep = model.predict_sizes({"tuning": "deep"}, [10])[0]
+        shallow = model.predict_sizes({"tuning": "shallow"}, [10])[0]
         assert shallow > deep
 
     def test_unknown_level_rejected(self):
-        with pytest.raises(InputError):
-            hand_built_model().predict({"tuning": "medium", "num_tr_images": 10})
+        with pytest.raises(InputError, match="unknown level 'medium'"):
+            hand_built_model().predict_sizes({"tuning": "medium"}, [10])
 
     def test_nonpositive_size_rejected(self):
-        with pytest.raises(InputError):
-            hand_built_model().predict({"tuning": "deep", "num_tr_images": 0})
+        with pytest.raises(InputError, match="must be positive"):
+            hand_built_model().predict_sizes({"tuning": "deep"}, [10, 0])
 
 
 class TestTermEdf:
@@ -636,18 +642,37 @@ class TestBackwardElimination:
         assert list(model.term_index) == ["(intercept)"]
         assert {step.dropped for step in trace} == {"tuning", "s(num_tr_images)"}
 
+    def test_fixed_lambdas_leave_with_their_smooth(self):
+        # pure noise over two datasets: with the smooth's two blocks at fixed
+        # lambdas, elimination drops the smooth and then its by-factor
+        rng = np.random.default_rng(10)
+        n = 480
+        sizes, datasets = np.tile(SIZES, n // 6), np.repeat(["AU", "SE"], n // 2)
+        values = rng.beta(0.05 * 300, 0.95 * 300, n)
+        obs = as_table(
+            [make_obs(v, s, metric="FPR", dataset=d) for v, s, d in zip(values, sizes, datasets)]
+        )
+        spec = ModelSpec(
+            response="FPR",
+            parametric_terms=(FactorTerm("dataset", "AU"),),
+            smooth_terms=(SmoothTerm(by_factor="dataset"),),
+        )
+        model, trace = backward_eliminate(spec, obs, lambdas=[1.0, 1.0])
+        assert [step.dropped for step in trace] == ["s(num_tr_images):dataset", "dataset"]
+        assert list(model.term_index) == ["(intercept)"]
+        assert model.lambdas == {}
+
     def test_by_factor_protected_while_smooth_retained(self, calibrated_observations):
         # the dataset factor backs the nested smooths; even if its own p were
         # large it must not be dropped before the smooth term
         data = calibrated_observations[calibrated_observations.metric == "ACC"]
-        spec = default_spec("ACC")
-        model, trace = backward_eliminate(spec, data)
+        model, trace = backward_eliminate(ModelSpec("ACC"), data)
         assert "dataset" in model.term_index
         assert all(step.dropped != "dataset" for step in trace)
 
     def test_bad_alpha_rejected(self):
         with pytest.raises(InputError):
-            backward_eliminate(default_spec("ACC"), observation_rows([0.5], [10]), alpha=1.5)
+            backward_eliminate(ModelSpec("ACC"), observation_rows([0.5], [10]), alpha=1.5)
 
 
 class TestReferenceAnswers:
@@ -668,6 +693,6 @@ class TestReferenceAnswers:
             "fit-gam --observations grid.csv --metric FPR --out fpr.json --eliminate"
         ]
         data = calibrated_observations[calibrated_observations.metric == "FPR"]
-        model, trace = backward_eliminate(default_spec("FPR"), data)
+        model, trace = backward_eliminate(ModelSpec("FPR"), data)
         assert [step.dropped for step in trace] == expected["dropped"]
         assert model.lambdas == expected["lambdas"]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -185,8 +186,10 @@ def test_metrics_writes_the_pinned_table(predictions_csv, tmp_path, capsys, clas
         ("A,B,C", ["unknown class label 'D' in record 'i7'"]),
         ("A,A,B,C,D", ["class 'A'", "more than once"]),
         ("A,B,C,D,E", ["true positive rate undefined", "class 'E'"]),
+        ("", ["--classes '' names no class"]),
+        (" , ,", ["--classes ' , ,' names no class"]),
     ],
-    ids=["unknown-label", "repeated-class", "absent-class"],
+    ids=["unknown-label", "repeated-class", "absent-class", "empty", "only-commas"],
 )
 def test_metrics_class_set_errors(predictions_csv, tmp_path, capsys, classes, fragments):
     out = tmp_path / "metrics.csv"
@@ -246,7 +249,7 @@ def test_metrics_exits_0_or_2_with_consistent_counts(tmp_path, capsys, records, 
     assert capsys.readouterr().err == ""
     header, *rows = out.read_text().splitlines()
     assert header == "class,tp,fp,tn,fn,ACC,PRC,TPR,FPR"
-    if not classes:  # an empty --classes means the observed labels too
+    if classes is None:
         expected = sorted({label for t, p, _ in records for label in (t, p)})
     else:
         expected = [c.strip() for c in classes.split(",") if c.strip()]
@@ -335,23 +338,21 @@ def test_alpha_outside_the_unit_interval_is_an_input_error(
     assert not out.exists()
 
 
-def test_fit_gam_squeezes_only_values_at_the_bounds(tmp_path, monkeypatch):
-    path = tmp_path / "obs.csv"
-    io.write_observations_csv(str(path), observation_rows([0.0, 5e-5, 1.0, 0.9, 0.85, 0.7], SIZES))
-    seen = []
+def test_fit_gam_squeezes_only_values_at_the_bounds(tmp_path):
+    values = np.random.default_rng(0).beta(80 * 0.8, 80 * 0.2, 48)
 
-    class Spied(Exception):
-        pass
+    def model_bytes(name, first_three):
+        values[:3] = first_three
+        path = str(tmp_path / f"{name}.csv")
+        io.write_observations_csv(path, observation_rows(values, np.tile(SIZES, 8)))
+        out = tmp_path / f"{name}.json"
+        argv = ["fit-gam", "--observations", path, "--metric", "ACC", "--lambdas", "1"]
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK
+        return out.read_bytes()
 
-    def spy(spec, observations, **kwargs):
-        seen.append(observations.value.tolist())
-        raise Spied
-
-    monkeypatch.setattr(cli.betagam, "fit", spy)
-    argv = ["fit-gam", "--observations", str(path), "--metric", "ACC"]
-    with pytest.raises(Spied):
-        cli.main(argv + ["--out", str(tmp_path / "m.json")])
-    assert seen == [[1e-4, 5e-5, 1.0 - 1e-4, 0.9, 0.85, 0.7]]
+    at_bounds = model_bytes("bounds", [0.0, 5e-5, 1.0])
+    assert model_bytes("squeezed", [1e-4, 5e-5, 1.0 - 1e-4]) == at_bounds
+    assert model_bytes("interior-moved", [1e-4, 1e-4, 1.0 - 1e-4]) != at_bounds
 
 
 def test_select_zero_is_an_input_error(image_index, tmp_path, capsys):
@@ -520,6 +521,10 @@ def _fractional_iterations(d):
     d["fit_stats"]["iterations"] = 2.5
 
 
+def _squeeze_eps_beyond_half(d):
+    d["squeeze_eps"] = 0.7
+
+
 @pytest.mark.parametrize(
     "edit, fragment",
     [
@@ -539,6 +544,7 @@ def _fractional_iterations(d):
         (_k_without_its_knots, "smooth term k=7 disagrees with its 5 knots"),
         (_fractional_n_obs, "fit_stats n_obs must be an integer, got 3.7"),
         (_fractional_iterations, "fit_stats iterations must be an integer, got 2.5"),
+        (_squeeze_eps_beyond_half, "squeeze_eps must lie in (0, 0.5), got 0.7"),
     ],
     ids=lambda v: getattr(v, "__name__", None),
 )
@@ -575,8 +581,8 @@ def test_malformed_gam_file_is_an_input_error(
     ],
 )
 def test_malformed_ols_file_is_an_input_error(tmp_path, capsys, edit, fragment):
-    points = [(n, 0.6 + 0.05 * i) for i, n in enumerate(SIZES)]
-    payload = io.model_to_dict(camcurves.fit_log_curve(points, "ACC"))
+    table = observation_rows([0.6 + 0.05 * i for i in range(len(SIZES))], SIZES)
+    payload = io.model_to_dict(camcurves.fit_log_curve(table, "ACC"))
     edit(payload)
     model = tmp_path / "acc.json"
     model.write_text(io.canonical_json(payload))
@@ -610,3 +616,127 @@ def test_ceiling_above_2_pow_53_is_an_input_error(gam_file, capsys, source):
     for ceiling in (2**53 + 1, 10**400):
         code = cli.main(argv + ["--ceiling", str(ceiling)])
         assert_one_input_error(code, capsys, "search ceiling must lie in [1, 2**53")
+
+
+@pytest.fixture
+def ols_file(tmp_path):
+    path = str(tmp_path / "ols.json")
+    table = observation_rows([0.6 + 0.05 * i for i in range(len(SIZES))], SIZES)
+    io.save_model(camcurves.fit_log_curve(table, "ACC"), path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["--preset", "table1", "--target-acc", "0.95", "--target", "0.5"], "takes no --target"),
+        (["--preset", "table1", "--target-acc", "0.95", "--cell", "AU,deep,x"], "or --cell"),
+        (
+            ["--model", "gam", "--target", "0.9", "--target-fpr", "0.01", "--cell", "AU,deep,x"],
+            "takes no --target-acc/--target-prc/--target-tpr/--target-fpr",
+        ),
+        (["--model", "ols", "--target", "0.9", "--cell", "AU,deep,x"], "log-size curve takes none"),
+    ],
+    ids=["preset-target", "preset-cell", "model-per-metric-target", "ols-cell"],
+)
+def test_plan_flag_its_source_never_reads_is_an_input_error(
+    gam_file, ols_file, capsys, argv, fragment
+):
+    argv = [{"gam": gam_file, "ols": ols_file}.get(arg, arg) for arg in argv]
+    assert_one_input_error(cli.main(["plan", *argv]), capsys, fragment)
+
+
+def observation_lines(draw, count):
+    """`count` observation CSV records on a ladder of sizes, at most one with a bad cell."""
+    rows = [
+        [
+            draw(st.sampled_from(["ACC", "FPR"])),
+            repr(draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))),
+            "AU",
+            "c0",
+            str(draw(st.sampled_from([1, 10, 20, 50, 150, 500, 1000]))),
+            "dnsNet121",
+            "deep",
+            "none",
+        ]
+        for _ in range(count)
+    ]
+    bad = draw(st.sampled_from([None] * 4 + [(1, "1.5"), (4, "0"), (0, "MAP")]))
+    if bad is not None and rows:
+        rows[draw(st.integers(0, count - 1))][bad[0]] = bad[1]
+    return [",".join(io.OBSERVATION_COLUMNS)] + [",".join(row) for row in rows]
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.data(), st.integers(0, 8), st.sampled_from(["ACC", "FPR"]))
+def test_fit_ols_exits_0_or_2_with_the_least_squares_line(tmp_path, capsys, data, count, metric):
+    path = tmp_path / "obs.csv"
+    path.write_text("\n".join(observation_lines(data.draw, count)) + "\n")
+    out = tmp_path / "ols.json"
+    out.unlink(missing_ok=True)
+    code = cli.main(["fit-ols", "--observations", str(path), "--metric", metric, "--out", str(out)])
+    if code != cli.EXIT_OK:
+        assert_one_input_error(code, capsys)
+        assert not out.exists()
+        return
+    assert capsys.readouterr().err == ""
+    table = io.parse_observations(str(path))
+    rows = table[table.metric == metric]
+    x = np.log(rows.num_tr_images) * (-1.0 if metric == "FPR" else 1.0)
+    slope, intercept = np.polyfit(x, rows.value, 1)
+    model = json.loads(out.read_text())
+    assert model["n_obs"] == len(rows)
+    assert model["slope"] == pytest.approx(slope, rel=1e-9, abs=1e-9)
+    assert model["intercept"] == pytest.approx(intercept, rel=1e-9, abs=1e-9)
+
+
+def mostly(valid, invalid, share):
+    """`valid`, or one of the `invalid` values in about `share` of the draws."""
+    return st.sampled_from([*invalid, *[None] * round(len(invalid) / share)]).flatmap(
+        lambda bad: valid if bad is None else st.just(bad)
+    )
+
+
+# an invalid flag exits 2; mostly valid ones, so that most runs plan
+targets = mostly(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), [0.0, 1.0, math.nan, math.inf], 0.1
+)
+ceilings = mostly(st.integers(1, 100) | st.integers(1, 2**53), [0, 2**53 + 1], 0.1)
+
+
+@settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.dictionaries(st.sampled_from(camcurves.metrics.METRIC_KINDS), targets), ceilings)
+def test_plan_preset_exits_0_2_or_4_with_the_last_crossing(capsys, targets, ceiling):
+    argv = ["plan", "--preset", "table1", f"--ceiling={ceiling}"]
+    code = cli.main(argv + [f"--target-{m.lower()}={v!r}" for m, v in targets.items()])
+    if code != cli.EXIT_OK:
+        prefix = {cli.EXIT_INPUT: "input-error: ", cli.EXIT_INFEASIBLE: "infeasible-plan: "}
+        assert code in prefix
+        assert_one_error_line(code, capsys, code, prefix[code])
+        return
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == len(targets) + (len(targets) > 1)
+    presets = camcurves.table1_presets()
+
+    def met(metric, n):
+        value = camcurves.predict_metric(presets[metric], n)
+        return value <= targets[metric] if metric == "FPR" else value >= targets[metric]
+
+    attained = []
+    ordered = [metric for metric in camcurves.metrics.METRIC_KINDS if metric in targets]
+    for metric, line in zip(ordered, lines):
+        assert line.startswith(f"{metric} {'<=' if metric == 'FPR' else '>='} ")
+        if line.endswith(": unattainable"):
+            assert not met(metric, ceiling)
+            continue
+        n = int(line.split("required_n ")[1].split()[0])
+        assert 1 <= n <= ceiling and met(metric, n) and (n == 1 or not met(metric, n - 1))
+        attained.append(n)
+    if len(targets) > 1:
+        assert lines[-1] == f"binding required_n {max(attained)}"

@@ -6,6 +6,8 @@ import pytest
 from camcurves import InputError, fit_log_curve, predict_metric, table1_presets
 from camcurves.curves import LOG_INVERSE_N, LOG_N
 
+from conftest import observation_rows
+
 # dataset-average trajectories over the six ladder sizes (18 points/metric)
 SIZES = (10, 20, 50, 150, 500, 1000)
 AVERAGES = {
@@ -22,6 +24,11 @@ AVERAGES = {
 }
 
 
+def table(points, metric):
+    """The observation table of (num_tr_images, value) points of one metric."""
+    return observation_rows([v for _, v in points], [n for n, _ in points], metric=metric)
+
+
 def average_points(metric):
     return [
         (n, v)
@@ -30,38 +37,52 @@ def average_points(metric):
     ]
 
 
+def fit(points, metric):
+    return fit_log_curve(table(points, metric), metric)
+
+
 class TestFitLogCurve:
     def test_exact_recovery_of_noiseless_law(self):
         points = [(n, 0.85 + 0.02 * math.log(n)) for n in SIZES]
-        model = fit_log_curve(points, "ACC")
+        model = fit(points, "ACC")
         assert model.intercept == pytest.approx(0.85, abs=1e-12)
         assert model.slope == pytest.approx(0.02, abs=1e-12)
         assert model.adj_r_squared == pytest.approx(1.0, abs=1e-12)
         assert model.transform == LOG_N
 
     def test_refit_of_average_accuracy_trajectories(self):
-        model = fit_log_curve(average_points("ACC"), "ACC")
+        model = fit(average_points("ACC"), "ACC")
         assert model.slope == pytest.approx(0.02, abs=0.01)
         assert model.intercept == pytest.approx(0.85, abs=0.03)
         assert model.n_obs == 18
 
     def test_refit_of_average_fpr_trajectories(self):
-        model = fit_log_curve(average_points("FPR"), "FPR")
+        model = fit(average_points("FPR"), "FPR")
         assert model.transform == LOG_INVERSE_N
         assert model.slope == pytest.approx(0.01, abs=0.005)
 
     def test_too_few_points_rejected(self):
-        with pytest.raises(InputError):
-            fit_log_curve([(10, 0.5), (20, 0.6)], "ACC")
+        with pytest.raises(InputError, match="need at least 3 points"):
+            fit([(10, 0.5), (20, 0.6)], "ACC")
+
+    def test_only_the_metric_rows_are_fitted(self):
+        points = [(n, 0.85 + 0.02 * math.log(n)) for n in SIZES]
+        acc, fpr = table(points, "ACC"), table([(n, 0.5) for n in SIZES[:2]], "FPR")
+        mixed = np.concatenate([fpr, acc, fpr]).view(np.recarray)
+        assert fit_log_curve(mixed, "ACC") == fit_log_curve(acc, "ACC")
+        with pytest.raises(InputError, match="need at least 3 points to fit a curve, got 2"):
+            fit_log_curve(fpr, "FPR")
+        with pytest.raises(InputError, match="no observations with metric PRC"):
+            fit_log_curve(mixed, "PRC")
 
     def test_degenerate_sizes_rejected(self):
         with pytest.raises(InputError, match="degenerate"):
-            fit_log_curve([(10, 0.5), (10, 0.6), (10, 0.7)], "ACC")
+            fit([(10, 0.5), (10, 0.6), (10, 0.7)], "ACC")
 
     def test_residuals_orthogonal_to_regressor_and_constant(self):
         rng = np.random.default_rng(8)
         points = [(n, 0.4 + 0.07 * math.log(n) + rng.normal(0, 0.02)) for n in SIZES * 3]
-        model = fit_log_curve(points, "TPR")
+        model = fit(points, "TPR")
         x = np.log([p[0] for p in points])
         y = np.array([p[1] for p in points])
         resid = y - model.intercept - model.slope * x
@@ -72,18 +93,18 @@ class TestFitLogCurve:
     def test_permutation_and_duplication_invariance(self):
         rng = np.random.default_rng(9)
         points = [(n, 0.4 + 0.07 * math.log(n) + rng.normal(0, 0.02)) for n in SIZES]
-        model = fit_log_curve(points, "PRC")
-        shuffled = fit_log_curve(points[::-1], "PRC")
-        doubled = fit_log_curve(points * 2, "PRC")
+        model = fit(points, "PRC")
+        shuffled = fit(points[::-1], "PRC")
+        doubled = fit(points * 2, "PRC")
         assert shuffled.intercept == pytest.approx(model.intercept, abs=1e-12)
         assert shuffled.slope == pytest.approx(model.slope, abs=1e-12)
         assert doubled.intercept == pytest.approx(model.intercept, abs=1e-12)
         assert doubled.slope == pytest.approx(model.slope, abs=1e-12)
 
     def test_roundtrip_through_noiseless_points(self):
-        model = fit_log_curve(average_points("ACC"), "ACC")
+        model = fit(average_points("ACC"), "ACC")
         synth = [(n, model.intercept + model.slope * math.log(n)) for n in SIZES]
-        refit = fit_log_curve(synth, "ACC")
+        refit = fit(synth, "ACC")
         assert refit.intercept == pytest.approx(model.intercept, abs=1e-12)
         assert refit.slope == pytest.approx(model.slope, abs=1e-12)
 

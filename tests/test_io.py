@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from camcurves import InputError, curves, io
 from camcurves.metrics import METRIC_KINDS
 
-from conftest import as_table, make_obs
+from conftest import as_table, make_obs, observation_rows
 
 # any text a UTF-8 CSV cell can hold; NUL is left out because the csv
 # reader of older Pythons rejects it
@@ -92,8 +92,9 @@ def test_gam_model_json_round_trip(calibrated_acc_model):
 
 
 def test_ols_model_json_round_trip():
-    points = [(n, 0.5 + 0.04 * i + 0.01 * (i % 3)) for i, n in enumerate((10, 20, 50, 150, 500))]
-    _json_round_trip_is_stable(curves.fit_log_curve(points, "PRC"))
+    values = [0.5 + 0.04 * i + 0.01 * (i % 3) for i in range(5)]
+    table = observation_rows(values, (10, 20, 50, 150, 500), metric="PRC")
+    _json_round_trip_is_stable(curves.fit_log_curve(table, "PRC"))
 
 
 def test_parsed_observation_table_is_read_only(tmp_path):

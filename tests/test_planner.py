@@ -109,15 +109,18 @@ class TestGamInversion:
         result = gam_required_sample_size(model, cell, query)
         assert result.required_n is not None
         # bisection oracle over the same integer grid
+        def predict(n):
+            return model.predict_sizes(cell, [n])[0]
+
         lo, hi = 1, query.search_ceiling
-        assert model.predict({**cell, "num_tr_images": hi}) >= 0.95
+        assert predict(hi) >= 0.95
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if model.predict({**cell, "num_tr_images": mid}) >= 0.95:
+            if predict(mid) >= 0.95:
                 hi = mid
             else:
                 lo = mid
-        bisected = hi if model.predict({**cell, "num_tr_images": 1}) < 0.95 else 1
+        bisected = hi if predict(1) < 0.95 else 1
         assert result.required_n == bisected
 
     def test_unattainable_target(self, calibrated_acc_model):
@@ -165,8 +168,7 @@ CELLS = (
 
 @pytest.fixture(scope="module")
 def calibrated_fpr_model(calibrated_observations):
-    data = calibrated_observations[calibrated_observations.metric == "FPR"]
-    return betagam.fit(betagam.default_spec("FPR"), data)
+    return betagam.fit(betagam.ModelSpec("FPR"), calibrated_observations)
 
 
 def last_crossing(model, cell, query):
