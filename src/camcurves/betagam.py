@@ -43,20 +43,22 @@ its rows with it from the fitted model, so a cell cannot be encoded two ways.
 
 The Beta likelihood is written once, on design rows: `_ll_sum` is the
 log-likelihood, `_score_weight` its score in logit(mu) with the Fisher weight,
-and `_log_phi_derivatives` its first two derivatives in log(phi).  Only these
-three, `_beta_mean` (the saturated and null means) and `_joint_term_p` (the
-Wald test) import scipy.special, so loading, predicting from and planning with
-a fitted model run on numpy alone.
+and `_log_phi_derivatives` its first two derivatives in log(phi).  These three,
+`_beta_mean` (the saturated and null means) and `_joint_term_p` (the Wald
+test) take their special functions from `_numeric`: `gammaln`, `polygamma01`
+(digamma and trigamma from one recurrence) and `chi2_sf`, written in numpy and
+the standard library, so fitting runs without scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._numeric import inv_logit, logit, trigamma
+from ._numeric import chi2_sf, gammaln, inv_logit, logit, polygamma01
 from .errors import ConvergenceError, InputError
 from .metrics import METRIC_KINDS, _distinct
 from .splines import KnotVector, basis_rows, centring, penalty_matrix, place_knots
@@ -152,8 +154,6 @@ def _ll_sum(mu, phi, n, sum_ylog, sum_y1log):
     Row r holds n[r] observations whose log(y) and log(1-y) sum to
     sum_ylog[r] and sum_y1log[r]; n = 1 gives the per-observation density.
     """
-    from scipy.special import gammaln
-
     a = mu * phi
     b = (1.0 - mu) * phi
     return float(
@@ -171,30 +171,27 @@ def _score_weight(mu, phi, n, sum_ylog, sum_y1log):
     The weight is n * phi^2 * (mu(1-mu))^2 * Var[logit Y], with
     Var[logit Y] = trigamma(a) + trigamma(b) under Beta(a, b).
     """
-    from scipy.special import digamma
-
-    a = mu * phi
-    b = (1.0 - mu) * phi
+    psi_a, tri_a = polygamma01(mu * phi)
+    psi_b, tri_b = polygamma01((1.0 - mu) * phi)
     mm = mu * (1.0 - mu)
-    u = phi * (sum_ylog - sum_y1log - n * (digamma(a) - digamma(b))) * mm
-    w = n * phi * phi * (trigamma(a) + trigamma(b)) * mm * mm
+    u = phi * (sum_ylog - sum_y1log - n * (psi_a - psi_b)) * mm
+    w = n * phi * phi * (tri_a + tri_b) * mm * mm
     return u, w
 
 
 def _log_phi_derivatives(mu, phi, n, sum_ylog, sum_y1log):
     """First and second derivatives of _ll_sum in log(phi)."""
-    from scipy.special import digamma
-
-    a = mu * phi
-    b = (1.0 - mu) * phi
+    psi, tri = polygamma01(phi)
+    psi_a, tri_a = polygamma01(mu * phi)
+    psi_b, tri_b = polygamma01((1.0 - mu) * phi)
     d1 = phi * float(
         np.sum(
-            n * (digamma(phi) - mu * digamma(a) - (1.0 - mu) * digamma(b))
+            n * (psi - mu * psi_a - (1.0 - mu) * psi_b)
             + mu * sum_ylog + (1.0 - mu) * sum_y1log
         )
     )
     d2 = d1 + phi * phi * float(
-        np.sum(n * (trigamma(phi) - mu * mu * trigamma(a) - (1.0 - mu) ** 2 * trigamma(b)))
+        np.sum(n * (tri - mu * mu * tri_a - (1.0 - mu) ** 2 * tri_b))
     )
     return d1, d2
 
@@ -569,17 +566,15 @@ def _joint_term_p(model: AdditiveModel, idx) -> float:
     """Wald p-value for the coefficients `idx`: normal test for one parametric
     coefficient, joint chi-square otherwise, with df = rounded EDF for smooth
     blocks and df = len(idx) for factors."""
-    from scipy.special import chdtrc, ndtr
-
     beta = model.coef[idx]
     V = model.covariance[np.ix_(idx, idx)]
     smooth = model.coef_names[idx[0]].startswith("s(")
     if len(idx) == 1 and not smooth:
         z = float(beta[0]) / float(np.sqrt(V[0, 0]))
-        return float(2.0 * ndtr(-abs(z)))
+        return math.erfc(abs(z) / math.sqrt(2.0))
     df = max(1, int(round(float(model.edf_by_coef[idx].sum())))) if smooth else len(idx)
     stat = float(beta @ np.linalg.solve(V, beta))
-    return float(chdtrc(df, stat))
+    return chi2_sf(df, stat)
 
 
 # ---------------------------------------------------------------------------
@@ -594,14 +589,12 @@ def _beta_mean(t, phi) -> np.ndarray:
     in mu, and a step that leaves (0, 1) is replaced by bisection towards the
     bound it crossed.
     """
-    from scipy.special import digamma
-
     t = np.atleast_1d(np.asarray(t, dtype=float))
     mu = np.clip(inv_logit(t), 1e-9, 1.0 - 1e-9)
     for _ in range(100):
-        a = mu * phi
-        b = (1.0 - mu) * phi
-        step = -(digamma(a) - digamma(b) - t) / (phi * (trigamma(a) + trigamma(b)))
+        psi_a, tri_a = polygamma01(mu * phi)
+        psi_b, tri_b = polygamma01((1.0 - mu) * phi)
+        step = -(psi_a - psi_b - t) / (phi * (tri_a + tri_b))
         nxt = mu + step
         bad = (nxt <= 0.0) | (nxt >= 1.0)
         nxt[bad] = 0.5 * (mu[bad] + np.where(step[bad] > 0.0, 1.0, 0.0))
@@ -627,16 +620,18 @@ def _fit_statistics(y, mu, phi, edf_total: float) -> dict:
     """Deviance, null deviance, deviance explained and adjusted R^2 of means mu."""
     ll = _ll_sum(mu, phi, 1.0, np.log(y), np.log1p(-y))
     ll_sat = _saturated_loglik(y, phi)
-    # the saturated likelihood is the supremum; tiny negatives are float noise
+    # the saturated likelihood is the supremum, and a fit with an intercept is
+    # no worse than the intercept alone; tiny negatives are float noise
     deviance = max(2.0 * (ll_sat - ll), 0.0)
     null_deviance = max(2.0 * (ll_sat - _null_loglik(y, phi)), 0.0)
+    explained = 0.0 if null_deviance <= 1e-10 else max(1.0 - deviance / null_deviance, 0.0)
     n = y.size
     tss = float(((y - y.mean()) ** 2).sum())
     rss = float(((y - mu) ** 2).sum())
     return {
         "deviance": deviance,
         "null_deviance": null_deviance,
-        "deviance_explained": 0.0 if null_deviance <= 1e-10 else 1.0 - deviance / null_deviance,
+        "deviance_explained": explained,
         "adj_r_squared": (
             0.0 if tss <= 0.0 else 1.0 - (rss / max(n - edf_total, 1.0)) / (tss / (n - 1))
         ),

@@ -22,8 +22,15 @@ EXIT_NUMERICAL = 3
 EXIT_INFEASIBLE = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser, subcommands included, whose usage errors are input errors."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="camcurves",
         description="Classifier metrics, learning-curve models and sample-size planning",
     )
@@ -355,8 +362,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except InfeasiblePlanError as exc:
         print(f"infeasible-plan: {exc}", file=sys.stderr)

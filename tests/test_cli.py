@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import camcurves
-from camcurves import cli, io
+from camcurves import cli, design, io
 
 from conftest import as_table, make_obs, observation_rows
 
@@ -42,6 +42,31 @@ def observations_csv(tmp_path):
     return str(path)
 
 
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["plan", "--preset", "table1", "--ceiling", "x"], "invalid int value: 'x'"),
+        (["fit-gam", "--observations", "o.csv", "--metric", "ACC", "--alpha", "x",
+          "--out", "m.json"], "invalid float value: 'x'"),
+        (["simulate", "--seed", "1", "--out", "g.csv", "--bogus"],
+         "unrecognized arguments: --bogus"),
+        ([], "required: command"),
+        (["plan", "--preset", "table1", "--target-acc", "-inf"], "--target-acc"),
+    ],
+)
+def test_usage_error_is_one_input_error_line(argv, fragment, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert_one_input_error(cli.main(argv), capsys, fragment)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_prints_usage_and_exits_zero(capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["plan", "--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: camcurves plan")
+
+
 def test_bad_lambda_item_is_an_input_error(observations_csv, tmp_path, capsys):
     argv = ["fit-gam", "--observations", observations_csv, "--metric", "ACC"]
     code = cli.main(argv + ["--lambdas", "1,x,3", "--out", str(tmp_path / "m.json")])
@@ -54,6 +79,20 @@ def test_huge_lambda_is_an_input_error(observations_csv, tmp_path, capsys):
     code = cli.main(argv + ["--lambdas", "1e308", "--out", str(out)])
     assert_one_input_error(code, capsys, "non-finite penalty")
     assert not out.exists()
+
+
+def test_intercept_only_model_explains_no_negative_deviance(tmp_path, capsys):
+    grid = design.simulate_grid(1)
+    acc = grid[grid.metric == "ACC"]
+    acc.value = np.random.default_rng(0).beta(180, 20, acc.size)
+    path, out = str(tmp_path / "acc.csv"), str(tmp_path / "m.json")
+    io.write_observations_csv(path, acc)
+    argv = ["fit-gam", "--observations", path, "--metric", "ACC", "--eliminate"]
+    assert cli.main(argv + ["--lambdas", "1,1,1", "--out", out]) == cli.EXIT_OK
+    model = io.load_model(out)
+    assert model.coef_names == ("(intercept)",)
+    assert model.fit_stats.deviance_explained >= 0.0
+    assert "deviance explained 0.000" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -386,9 +425,10 @@ def test_linalg_failure_is_a_numerical_error(observations_csv, tmp_path, capsys,
     assert_one_error_line(code, capsys, cli.EXIT_NUMERICAL, "numerical-error: ", "Singular matrix")
 
 
-# Modules that only a fit needs (scipy) or that nothing needs but slow the
-# start of every command (xml.sax pulls in urllib.request, http.client and
-# email); `site` may preload urllib.parse, so urllib itself is not listed.
+# Modules that no command needs but that slow its start: scipy, which only the
+# tests use, as an oracle, and xml.sax, which pulls in urllib.request,
+# http.client and email; `site` may preload urllib.parse, so urllib itself is
+# not listed.
 HEAVY_MODULES = ("scipy", "xml.sax", "urllib.request", "http.client", "email")
 
 LOADED_AFTER_EACH_COMMAND = """
@@ -411,7 +451,8 @@ print(json.dumps(report))
 
 
 def test_cli_import_leaves_scipy_stats_unloaded(calibrated_acc_model, observations_csv, tmp_path):
-    """Importing the CLI and running any command but fit-gam loads no heavy module."""
+    """Importing the CLI and running any command, a fit and a Wald test included, loads no
+    heavy module."""
     io.save_model(calibrated_acc_model, str(tmp_path / "acc.json"))
     index = tmp_path / "index.csv"
     rows = "".join(f"i{j},c{j % 2},L{j % 8}\n" for j in range(40))
@@ -427,6 +468,8 @@ def test_cli_import_leaves_scipy_stats_unloaded(calibrated_acc_model, observatio
          "--out", "acc.svg"],
         ["fit-gam", "--observations", observations_csv, "--metric", "ACC", "--lambdas", "1",
          "--out", "m.json"],
+        ["fit-gam", "--observations", "grid.csv", "--metric", "FPR", "--eliminate",
+         "--lambdas", "1,1,1", "--out", "fpr.json"],
     ]
     src = str(Path(camcurves.__file__).resolve().parent.parent)
     done = subprocess.run(
@@ -440,9 +483,7 @@ def test_cli_import_leaves_scipy_stats_unloaded(calibrated_acc_model, observatio
     )
     report = json.loads(done.stdout.splitlines()[-1])
     assert [step[1] for step in report] == [None] + [cli.EXIT_OK] * len(commands)
-    *before_fit, (_, _, after_fit) = report
-    assert [names for _, _, names in before_fit] == [[]] * len(before_fit)
-    assert "scipy.special" in after_fit
+    assert [names for _, _, names in report] == [[]] * len(report)
 
 
 def test_plan_with_a_huge_ceiling_stays_bounded(calibrated_acc_model, tmp_path, capsys):
