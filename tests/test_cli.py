@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -413,6 +414,61 @@ def test_design_reports_which_ids_lack_a_location(tmp_path, capsys):
     assert capsys.readouterr().err == f"location coverage: cannot_validate: {detail}\n"
     coverage = json.loads(out.read_text())["location_coverage"]
     assert coverage == {"status": "cannot_validate", "violations": [], "detail": detail}
+
+
+# location of image i{j} (class c{j % 3}) per coverage case; None: no location column
+INDEX_LOCATIONS = {
+    "none": None,
+    "ok": lambda j: f"L{j % 7}",
+    "violations": lambda j: f"L{j % 2}" if j % 3 == 2 else f"L{j % 7}",
+    "cannot_validate": lambda j: "" if j == 5 else f"L{j % 7}",
+}
+COVERAGE_STDERR = {
+    "none": "",
+    "ok": "",
+    "violations": "location coverage: violations\n",
+    "cannot_validate": "location coverage: cannot_validate: 1 image ids lack a location "
+    "(e.g. 'i5')\n",
+}
+# sha256 of the manifest JSON text per (subset flags, coverage case)
+PINNED_MANIFESTS = {
+    ("nested", "none"): "564bb8a35b785a53bc5e074a6402e0697a3b7af9be674722aeb557e3f13917b0",
+    ("nested", "ok"): "1f2f406012b4e12908c584bf560834c360c3307ff8e154f9d13164dedfbd6bc7",
+    ("nested", "violations"): "eecdf45044aa09f2216965d687d30321c81fbcbb60ac79fa5d2dd0edb639469f",
+    ("nested", "cannot_validate"):
+        "aaf59d3472c8ddded15321a99f78c133359fdb95835fe0677a0a2da6c4647c95",
+    ("independent", "none"): "d9e78db128dee360bdb9c8fdca4f4c70c790f7baf2ae2ef2d7ddd77d271187f8",
+    ("independent", "ok"): "2ef3a7a4d5249f898df885532abad0020f42bce63e262bd96389b429c2fbdd44",
+    ("independent", "violations"):
+        "f0234f976a773b51902c67697e5a1618618752565bb691d7cc8561081d679b77",
+    ("independent", "cannot_validate"):
+        "cd2304871fd5ddb6894163201eca04bd7aa1db2e904ae9efb769ec2a15904bd0",
+}
+
+
+@pytest.mark.parametrize("coverage", list(INDEX_LOCATIONS))
+@pytest.mark.parametrize(
+    "subsets, flags",
+    [("nested", ["--ladder", "2,5,9"]),
+     ("independent", ["--ladder", "9,2,5", "--independent", "--select", "17"])],
+    ids=["nested", "independent"],
+)
+def test_design_manifest_bytes_are_pinned(subsets, flags, coverage, tmp_path, capsys):
+    place = INDEX_LOCATIONS[coverage]
+    if place is None:
+        text = "image_id,class\n" + "".join(f"i{j},c{j % 3}\n" for j in range(60))
+    else:
+        rows = "".join(f"i{j},c{j % 3},{place(j)}\n" for j in range(60))
+        text = "image_id,class,location_id\n" + rows
+    index, out = tmp_path / "index.csv", tmp_path / "d.json"
+    index.write_text(text)
+    argv = ["design", "--manifest-in", str(index), "--seed", "7", "--test", "4", *flags]
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote design for 3 classes to {out}\n"
+    assert captured.err == COVERAGE_STDERR[coverage]
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == PINNED_MANIFESTS[(subsets, coverage)]
 
 
 def test_linalg_failure_is_a_numerical_error(observations_csv, tmp_path, capsys, monkeypatch):
