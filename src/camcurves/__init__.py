@@ -13,7 +13,6 @@ from .betagam import (
 )
 from .curves import LearningCurveModel, fit_log_curve, predict_metric, table1_presets
 from .design import (
-    SamplingManifest,
     equal_space_select,
     simulate_grid,
     split_design,
@@ -54,7 +53,6 @@ __all__ = [
     "ModelSpec",
     "PlanQuery",
     "PlanResult",
-    "SamplingManifest",
     "SmoothTerm",
     "aggregate",
     "backward_eliminate",

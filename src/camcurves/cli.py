@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import sys
 
@@ -258,17 +259,7 @@ def _cmd_plan(args) -> int:
         payload = {
             "schema": "camcurves-plan/1",
             "binding_n": report.binding_n,
-            "results": [
-                {
-                    "metric": r.metric,
-                    "target": r.target,
-                    "required_n": r.required_n,
-                    "predicted_value": r.predicted_value,
-                    "extrapolated": r.extrapolated,
-                    "source": r.source,
-                }
-                for r in report.results
-            ],
+            "results": [dataclasses.asdict(r) for r in report.results],
         }
         with io.atomic_write(args.out) as handle:
             handle.write(io.canonical_json(payload))
@@ -287,28 +278,14 @@ def _cmd_design(args) -> int:
         seed=args.seed,
         nested=not args.independent,
     )
-    extra = {}
     if locations:
-        report = design.validate_location_coverage(manifest, locations)
-        coverage = {
-            "status": report.status,
-            "violations": [
-                {
-                    "class": v.class_label,
-                    "split": v.split,
-                    "distinct_locations": v.distinct_locations,
-                }
-                for v in report.violations
-            ],
-        }
-        if report.detail:
-            coverage["detail"] = report.detail
-        extra["location_coverage"] = coverage
-        if report.status != "ok":
-            detail = f": {report.detail}" if report.detail else ""
-            print(f"location coverage: {report.status}{detail}", file=sys.stderr)
-    io.save_manifest(manifest, args.out, extra=extra)
-    print(f"wrote design for {len(manifest.classes)} classes to {args.out}")
+        coverage = design.validate_location_coverage(manifest, locations)
+        manifest["location_coverage"] = coverage
+        if coverage["status"] != "ok":
+            detail = f": {coverage['detail']}" if "detail" in coverage else ""
+            print(f"location coverage: {coverage['status']}{detail}", file=sys.stderr)
+    io.save_manifest(manifest, args.out)
+    print(f"wrote design for {len(manifest['classes'])} classes to {args.out}")
     return EXIT_OK
 
 

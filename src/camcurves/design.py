@@ -1,8 +1,13 @@
 """Balanced sampling designs and the synthetic experiment-grid simulator.
 
-Design side: deterministic equal-spacing subsampling of time-ordered image
-sequences, seeded exclusive test splits with nested training subsets, and a
-location-coverage check of a split.
+Design side: `equal_space_select` subsamples a time-ordered image sequence
+deterministically.  `split_design` returns the sampling manifest as the
+plain dict that is written as manifest JSON: `seed`, `test_size`,
+`size_ladder`, `nested` and, per class label, the `pool`, the exclusive
+`test_ids` and the `train_subsets` keyed by `str(size)`.
+`validate_location_coverage` returns that manifest's `location_coverage`
+block: `status`, `violations` as `{class, split, distinct_locations}`, and a
+`detail` when the status is "cannot_validate".
 
 Simulation side: `simulate_grid(seed)` draws the one calibrated 864-cell
 experiment grid (3 datasets x 6 training sizes x 6 architectures x 2 tuning
@@ -14,7 +19,6 @@ dataset-average trajectories reproduce REFERENCE_TRAJECTORIES.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -112,22 +116,6 @@ def equal_space_select(ordered_ids: Sequence, k: int) -> list:
     return [ordered_ids[(i * m) // k] for i in range(k)]
 
 
-@dataclass(frozen=True)
-class ClassDesign:
-    pool: tuple
-    test_ids: tuple
-    train_subsets: dict  # size -> tuple of ids
-
-
-@dataclass(frozen=True)
-class SamplingManifest:
-    classes: dict  # class label -> ClassDesign
-    seed: int
-    size_ladder: tuple
-    test_size: int
-    nested: bool = True
-
-
 def _check_seed(seed: int) -> None:
     if seed < 0:
         raise InputError("seed must be a non-negative integer")
@@ -140,15 +128,19 @@ def split_design(
     size_ladder: Sequence[int] = DEFAULT_SIZE_LADDER,
     seed: int = 0,
     nested: bool = True,
-) -> SamplingManifest:
+) -> dict:
     """Seeded exclusive test split plus training subsets for every class.
 
-    The test set is drawn uniformly without replacement; the remaining pool
-    is shuffled once and training subsets are its prefixes, so subsets are
-    nested (10 within 20 within ... within the largest).  With nested=False
-    each subset is drawn independently instead.
+    Returns the manifest: `seed`, `test_size`, `size_ladder` (sorted list),
+    `nested`, and `classes`, which maps each label to its `pool`, its
+    `test_ids` and its `train_subsets` (the ids of each ladder size, keyed by
+    `str(size)`).  The test set is drawn uniformly without replacement; the
+    remaining pool is shuffled once and training subsets are its prefixes, so
+    subsets are nested (10 within 20 within ... within the largest).  With
+    nested=False each subset is drawn independently instead.  An image id
+    may appear once over all pools, so no test image trains any class.
     """
-    ladder = tuple(sorted(int(s) for s in size_ladder))
+    ladder = sorted(int(s) for s in size_ladder)
     if not ladder or len(set(ladder)) != len(ladder) or ladder[0] < 1:
         raise InputError("size ladder must be distinct positive integers")
     if test_size < 1:
@@ -156,11 +148,17 @@ def split_design(
     _check_seed(seed)
     need = test_size + ladder[-1]
     rng = np.random.default_rng(seed)
+    owners: dict = {}
     classes = {}
     for label in sorted(pools):
         pool = list(pools[label])
-        if len(set(pool)) != len(pool):
-            raise InputError(f"duplicate image ids in class {label!r}")
+        for image_id in pool:
+            if image_id in owners:
+                raise InputError(
+                    f"image id {image_id!r} is listed twice: in class {owners[image_id]!r} "
+                    f"and in class {label!r}"
+                )
+            owners[image_id] = label
         if len(pool) < need:
             raise InputError(
                 f"class {label!r} pool has {len(pool)} images, needs {need} "
@@ -168,24 +166,23 @@ def split_design(
             )
         order = rng.permutation(len(pool))
         test_idx = set(order[:test_size].tolist())
-        test_ids = tuple(pool[i] for i in sorted(test_idx))
         remaining = [pool[i] for i in order if i not in test_idx]
         subsets = {}
-        if nested:
-            for size in ladder:
-                subsets[size] = tuple(remaining[:size])
-        else:
-            for size in ladder:
-                pick = rng.choice(len(remaining), size=size, replace=False)
-                subsets[size] = tuple(remaining[i] for i in sorted(pick))
-        classes[label] = ClassDesign(pool=tuple(pool), test_ids=test_ids, train_subsets=subsets)
-    return SamplingManifest(
-        classes=classes,
-        seed=int(seed),
-        size_ladder=ladder,
-        test_size=int(test_size),
-        nested=nested,
-    )
+        for size in ladder:
+            pick = range(size) if nested else rng.choice(len(remaining), size, replace=False)
+            subsets[str(size)] = [remaining[i] for i in sorted(pick)]
+        classes[label] = {
+            "pool": pool,
+            "test_ids": [pool[i] for i in sorted(test_idx)],
+            "train_subsets": subsets,
+        }
+    return {
+        "seed": int(seed),
+        "test_size": int(test_size),
+        "size_ladder": ladder,
+        "nested": nested,
+        "classes": classes,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -193,48 +190,34 @@ def split_design(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoverageViolation:
-    class_label: str
-    split: str
-    distinct_locations: int
-
-
-@dataclass(frozen=True)
-class CoverageReport:
-    status: str  # "ok" | "violations" | "cannot_validate"
-    violations: tuple = ()
-    detail: str = ""
-
-
-def validate_location_coverage(
-    manifest: SamplingManifest, locations: Mapping[str, str]
-) -> CoverageReport:
+def validate_location_coverage(manifest: Mapping, locations: Mapping[str, str]) -> dict:
     """Check that each class spans at least MIN_LOCATIONS camera locations.
 
-    The training pool and the test split of every class are checked
-    separately, through the `locations` id -> location mapping.  An image id
-    without a location yields a "cannot_validate" report, never a silent pass.
+    The training pool and the test split of every class in a `split_design`
+    manifest are checked separately, through the `locations` id -> location
+    mapping.  Returns the manifest's `location_coverage` block: `status`
+    ("ok", "violations" or "cannot_validate"), `violations` (one
+    `{class, split, distinct_locations}` per split below the minimum) and,
+    for "cannot_validate" only, a `detail` naming an id without a location;
+    a missing location is never a silent pass.
     """
     per_split: dict = {}
     missing = []
-    for label, cd in manifest.classes.items():
-        test = set(cd.test_ids)
-        train_pool = [i for i in cd.pool if i not in test]
-        for split, ids in (("train", train_pool), ("test", cd.test_ids)):
+    for label, cd in manifest["classes"].items():
+        test = set(cd["test_ids"])
+        train_pool = [i for i in cd["pool"] if i not in test]
+        for split, ids in (("train", train_pool), ("test", cd["test_ids"])):
             missing.extend(i for i in ids if i not in locations)
             per_split[(label, split)] = len({locations[i] for i in ids if i in locations})
     if missing:
-        return CoverageReport(
-            status="cannot_validate",
-            detail=f"{len(missing)} image ids lack a location (e.g. {missing[0]!r})",
-        )
-    violations = tuple(
-        CoverageViolation(class_label=label, split=split, distinct_locations=count)
+        detail = f"{len(missing)} image ids lack a location (e.g. {missing[0]!r})"
+        return {"status": "cannot_validate", "violations": [], "detail": detail}
+    violations = [
+        {"class": label, "split": split, "distinct_locations": count}
         for (label, split), count in sorted(per_split.items())
         if count < MIN_LOCATIONS
-    )
-    return CoverageReport(status="violations" if violations else "ok", violations=violations)
+    ]
+    return {"status": "violations" if violations else "ok", "violations": violations}
 
 
 # ---------------------------------------------------------------------------

@@ -417,27 +417,7 @@ def load_model(path: str):
 # ---------------------------------------------------------------------------
 
 
-def manifest_to_dict(manifest) -> dict:
-    return {
-        "schema": MANIFEST_SCHEMA,
-        "seed": manifest.seed,
-        "test_size": manifest.test_size,
-        "size_ladder": list(manifest.size_ladder),
-        "nested": manifest.nested,
-        "classes": {
-            label: {
-                "pool": list(cd.pool),
-                "test_ids": list(cd.test_ids),
-                "train_subsets": {str(k): list(v) for k, v in cd.train_subsets.items()},
-            }
-            for label, cd in manifest.classes.items()
-        },
-    }
-
-
-def save_manifest(manifest, path: str, extra: Mapping | None = None):
-    payload = manifest_to_dict(manifest)
-    if extra:
-        payload.update(extra)
+def save_manifest(manifest: Mapping, path: str):
+    """Write a `design.split_design` manifest, with its schema, as canonical JSON."""
     with atomic_write(path) as handle:
-        handle.write(canonical_json(payload))
+        handle.write(canonical_json({"schema": MANIFEST_SCHEMA, **manifest}))

@@ -21,7 +21,8 @@ def _fmt(v: float) -> str:
 
 class _LogAxes:
     def __init__(self, n_min, n_max):
-        if n_min < 1 or n_max <= n_min:
+        # compare the logs: exp(log n) may round above n, giving a zero-width axis
+        if n_min < 1 or math.log(n_max) <= math.log(n_min):
             raise InputError("need a positive size range spanning more than one value")
         self.x0, self.x1 = math.log(n_min), math.log(n_max)
 

@@ -402,6 +402,17 @@ def test_select_zero_is_an_input_error(image_index, tmp_path, capsys):
     assert not (tmp_path / "d.json").exists()
 
 
+def test_image_listed_under_two_classes_is_an_input_error(image_index, tmp_path, capsys):
+    # at the largest ladder size, i0 would train c0 and test c1
+    with open(image_index, "a") as handle:
+        handle.write("i0,c1\n")
+    out = tmp_path / "d.json"
+    argv = ["design", "--manifest-in", image_index, "--seed", "1", "--test", "5"]
+    code = cli.main(argv + ["--ladder", "5,10", "--out", str(out)])
+    assert_one_input_error(code, capsys, "image id 'i0' is listed twice", "'c0' and in class 'c1'")
+    assert not out.exists()
+
+
 def test_design_reports_which_ids_lack_a_location(tmp_path, capsys):
     rows = [f"i{j},c{j % 2},{'' if j == 5 else f'L{j % 8}'}\n" for j in range(40)]
     index = tmp_path / "index.csv"
@@ -723,6 +734,58 @@ def ols_file(tmp_path):
     return path
 
 
+PLAN_JSON = """\
+{
+  "binding_n": 1097,
+  "results": [
+    {
+      "extrapolated": false,
+      "metric": "ACC",
+      "predicted_value": 0.9500789261189092,
+      "required_n": 149,
+      "source": "log-curve[ACC]",
+      "target": 0.95
+    },
+    {
+      "extrapolated": false,
+      "metric": "PRC",
+      "predicted_value": 0.9000318641264231,
+      "required_n": 504,
+      "source": "log-curve[PRC]",
+      "target": 0.9
+    },
+    {
+      "extrapolated": true,
+      "metric": "FPR",
+      "predicted_value": 0.019996655397247695,
+      "required_n": 1097,
+      "source": "log-curve[FPR]",
+      "target": 0.02
+    }
+  ],
+  "schema": "camcurves-plan/1"
+}
+"""
+
+
+def test_plan_out_writes_the_pinned_report(tmp_path, capsys):
+    out = tmp_path / "plan.json"
+    argv = ["plan", "--preset", "table1", "--target-acc", "0.95", "--target-prc", "0.9"]
+    assert cli.main(argv + ["--target-fpr", "0.02", "--out", str(out)]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "binding required_n 1097"
+    assert out.read_text() == PLAN_JSON
+
+
+def test_curve_plot_of_one_size_is_an_input_error(ols_file, tmp_path, capsys):
+    # the curve grid's exp(log 10) is 10.000000000000002, a range of zero width on a log axis
+    path, out = tmp_path / "one.csv", tmp_path / "ols.svg"
+    io.write_observations_csv(str(path), observation_rows([0.8], [10]))
+    argv = ["curve-plot", "--model", ols_file, "--observations", str(path)]
+    code = cli.main(argv + ["--out", str(out)])
+    assert_one_input_error(code, capsys, "need a positive size range spanning more than one value")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, fragment",
     [
@@ -837,3 +900,70 @@ def test_plan_preset_exits_0_2_or_4_with_the_last_crossing(capsys, targets, ceil
         attained.append(n)
     if len(targets) > 1:
         assert lines[-1] == f"binding required_n {max(attained)}"
+
+
+@st.composite
+def design_runs(draw):
+    """An image index and `design` flags, mostly valid ones.
+
+    The index has 2-4 classes with pools of 1-40 ids, with or without a location
+    column; in half the indexes one id is listed a second time, under any class.
+    The flags are --test, --ladder, --seed, --select and --independent.
+    """
+    ladders = st.lists(st.integers(1, 16), min_size=1, max_size=4, unique=True)
+    ladder = draw(mostly(ladders, [[0], [3, 3]], 0.05))
+    test = draw(mostly(st.integers(1, 10), [0], 0.05))
+    seed = draw(mostly(st.integers(0, 2**32), [-1], 0.05))
+    flags = ["--test", str(test), "--ladder", ",".join(map(str, ladder)), "--seed", str(seed)]
+    need = test + max(ladder)
+    # pools a little above the need, so that most of each pool is test or training
+    select = draw(st.none() | mostly(st.integers(need, min(need + 8, 40)), [0, 41], 0.1))
+    if select is not None:
+        flags += ["--select", str(select)]
+    if draw(st.booleans()):
+        flags.append("--independent")
+    floor = min(select or need, 40)
+    sizes = mostly(st.integers(floor, min(floor + 8, 40)), list(range(1, 41)), 0.1)
+    classes = [f"c{c}" for c in range(draw(st.integers(2, 4)))]
+    rows = [[f"{label}-{i}", label] for label in classes for i in range(draw(sizes))]
+    if draw(st.booleans()):
+        repeated = draw(st.sampled_from(rows))[0]
+        rows.insert(draw(st.integers(0, len(rows))), [repeated, draw(st.sampled_from(classes))])
+    header = "image_id,class"
+    if draw(st.booleans()):
+        header += ",location_id"
+        places = mostly(st.sampled_from(["L0", "L1", "L2", "L3"]), [""], 0.02)
+        for row in rows:
+            row.append(draw(places))
+    return [header] + [",".join(row) for row in rows], flags
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(design_runs())
+def test_design_exits_0_or_2_with_exclusive_test_splits(tmp_path, capsys, run):
+    lines, flags = run
+    index, out = tmp_path / "index.csv", tmp_path / "d.json"
+    index.write_text("\n".join(lines) + "\n")
+    out.unlink(missing_ok=True)
+    code = cli.main(["design", "--manifest-in", str(index), *flags, "--out", str(out)])
+    if code != cli.EXIT_OK:
+        assert_one_input_error(code, capsys)
+        assert not out.exists()
+        return
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) <= 1 and all(line.startswith("location coverage: ") for line in err)
+    manifest = json.loads(out.read_text())
+    classes = manifest["classes"].values()
+    test_ids = {i for cd in classes for i in cd["test_ids"]}
+    for cd in classes:
+        assert len(cd["test_ids"]) == manifest["test_size"]
+        subsets = [cd["train_subsets"][str(size)] for size in manifest["size_ladder"]]
+        assert [len(subset) for subset in subsets] == manifest["size_ladder"]
+        assert test_ids.isdisjoint(i for subset in subsets for i in subset)
+        if manifest["nested"]:
+            for small, large in zip(subsets, subsets[1:]):
+                assert large[: len(small)] == small
+    pools = [i for cd in classes for i in cd["pool"]]
+    assert len(pools) == len(set(pools))  # and so no image can test one class and train another

@@ -94,19 +94,20 @@ class TestSplitDesign:
         manifest = design.split_design(
             pools, test_size=test_size, size_ladder=ladder, seed=seed, nested=nested
         )
-        assert manifest.size_ladder == tuple(ladder)
-        for label, cd in manifest.classes.items():
-            assert cd.pool == tuple(pools[label])
-            test = set(cd.test_ids)
-            assert len(test) == len(cd.test_ids) == test_size
-            non_test = set(cd.pool) - test
-            assert sorted(cd.train_subsets) == ladder
-            for size, subset in cd.train_subsets.items():
-                assert len(subset) == len(set(subset)) == size
+        assert manifest["size_ladder"] == ladder
+        for label, cd in manifest["classes"].items():
+            assert cd["pool"] == pools[label]
+            test = set(cd["test_ids"])
+            assert len(test) == len(cd["test_ids"]) == test_size
+            non_test = set(cd["pool"]) - test
+            assert list(cd["train_subsets"]) == [str(size) for size in ladder]
+            for size, subset in cd["train_subsets"].items():
+                assert len(subset) == len(set(subset)) == int(size)
                 assert set(subset) <= non_test
             if nested:
-                for small, large in zip(ladder, ladder[1:]):
-                    assert cd.train_subsets[large][:small] == cd.train_subsets[small]
+                subsets = [cd["train_subsets"][str(size)] for size in ladder]
+                for small, large in zip(subsets, subsets[1:]):
+                    assert large[: len(small)] == small
 
     @settings(max_examples=30, deadline=None)
     @given(split_problems(), st.booleans())
@@ -118,6 +119,15 @@ class TestSplitDesign:
     def test_short_pool_rejected(self):
         with pytest.raises(InputError, match="short by 1"):
             design.split_design({"a": list(range(14))}, test_size=5, size_ladder=(5, 10))
+
+    @pytest.mark.parametrize("second", ["a", "b"])
+    def test_an_image_id_listed_twice_is_rejected(self, second):
+        # listed under two classes, i0 could test one class and train the other
+        pools = {"a": [f"i{j}" for j in range(0, 40, 2)], "b": [f"i{j}" for j in range(1, 40, 2)]}
+        pools[second].append("i0")
+        message = f"image id 'i0' is listed twice: in class 'a' and in class '{second}'"
+        with pytest.raises(InputError, match=message):
+            design.split_design(pools, test_size=5, size_ladder=(5, 10), seed=1)
 
 
 class TestEqualSpaceSelect:
@@ -139,44 +149,45 @@ class TestEqualSpaceSelect:
 
 
 def _manifest():
+    """Two classes of 12 ids, "a0".."a11" and "b0".."b11"; the first four of each are test ids."""
     classes = {
-        label: design.ClassDesign(
-            pool=tuple(f"{label}{i}" for i in range(12)),
-            test_ids=tuple(f"{label}{i}" for i in range(4)),
-            train_subsets={4: tuple(f"{label}{i}" for i in range(4, 8))},
-        )
+        label: {
+            "pool": [f"{label}{i}" for i in range(12)],
+            "test_ids": [f"{label}{i}" for i in range(4)],
+            "train_subsets": {"4": [f"{label}{i}" for i in range(4, 8)]},
+        }
         for label in ("a", "b")
     }
-    return design.SamplingManifest(
-        classes=classes, seed=0, size_ladder=(4,), test_size=4, nested=True
-    )
+    return {"seed": 0, "test_size": 4, "size_ladder": [4], "nested": True, "classes": classes}
 
 
 class TestLocationCoverage:
     def test_three_locations_per_split_is_ok(self):
         manifest = _manifest()
-        locations = {i: f"L{n % 3}" for cd in manifest.classes.values()
-                     for n, i in enumerate(cd.pool)}
+        locations = {i: f"L{n % 3}" for cd in manifest["classes"].values()
+                     for n, i in enumerate(cd["pool"])}
         report = design.validate_location_coverage(manifest, locations)
-        assert report.status == "ok"
-        assert report.violations == ()
+        assert report == {"status": "ok", "violations": []}
 
     def test_a_split_on_too_few_locations_is_a_violation(self):
         manifest = _manifest()
-        locations = {i: f"L{n % 3}" for cd in manifest.classes.values()
-                     for n, i in enumerate(cd.pool)}
-        for i in manifest.classes["b"].test_ids:
+        locations = {i: f"L{n % 3}" for cd in manifest["classes"].values()
+                     for n, i in enumerate(cd["pool"])}
+        for i in manifest["classes"]["b"]["test_ids"]:
             locations[i] = "L0"
         report = design.validate_location_coverage(manifest, locations)
-        assert report.status == "violations"
-        assert report.violations == (
-            design.CoverageViolation(class_label="b", split="test", distinct_locations=1),
-        )
+        assert report == {
+            "status": "violations",
+            "violations": [{"class": "b", "split": "test", "distinct_locations": 1}],
+        }
 
     def test_an_image_without_a_location_cannot_be_validated(self):
         manifest = _manifest()
-        locations = {i: "L0" for cd in manifest.classes.values() for i in cd.pool}
+        locations = {i: "L0" for cd in manifest["classes"].values() for i in cd["pool"]}
         del locations["a5"]
         report = design.validate_location_coverage(manifest, locations)
-        assert report.status == "cannot_validate"
-        assert "'a5'" in report.detail
+        assert report == {
+            "status": "cannot_validate",
+            "violations": [],
+            "detail": "1 image ids lack a location (e.g. 'a5')",
+        }
