@@ -281,6 +281,14 @@ def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
     for term in spec.smooth_terms:
         if term.covariate != "num_tr_images":
             raise InputError(f"unsupported smooth covariate {term.covariate!r}")
+    # a smooth gets at most one knot per distinct size (mgcv's k <= the number of
+    # unique covariate values); the design's spec, and so the model, records that k
+    sizes = np.unique(data.num_tr_images)
+    if spec.smooth_terms and sizes.size < 3:
+        raise InputError(f"a smooth of num_tr_images needs 3 distinct sizes, got {sizes.size}")
+    spec = replace(
+        spec, smooth_terms=tuple(replace(t, k=min(t.k, sizes.size)) for t in spec.smooth_terms)
+    )
 
     # one design row per distinct combination of the covariates the model uses,
     # in sorted order so that the rows do not depend on the observation order
@@ -340,7 +348,7 @@ def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
         knot_vector=knot_vector,
         smooth_constraints=constraints,
         smooth_penalties=penalties,
-        observed_sizes=tuple(np.unique(data.num_tr_images).tolist()),
+        observed_sizes=tuple(sizes.tolist()),
     )
     # a model without a smooth term reads no size
     design.X = _model_rows(design, column, column.get("num_tr_images", np.ones(m)))
@@ -654,7 +662,8 @@ def fit(
     Parameters
     ----------
     spec : ModelSpec
-        Terms, reference levels and squeeze width.
+        Terms, reference levels and squeeze width.  A smooth's k is capped
+        at the number of distinct sizes; the model's spec holds the k fitted.
     observations : np.recarray
         Observation table (see metrics.observation_table) of any metric;
         only the rows of spec.response are used.  A value of exactly 0 or 1
@@ -680,7 +689,7 @@ def fit(
     else:
         chosen = [] if lambdas is None else [float(l) for l in lambdas]
         result = _fit_at_lambda(design, chosen, None, _TOL)
-    return _package_model(spec, design, chosen, result)
+    return _package_model(design, chosen, result)
 
 
 def _search_lambdas(design):
@@ -721,10 +730,10 @@ def _search_lambdas(design):
     return lam, final
 
 
-def _package_model(spec, design, chosen, result) -> AdditiveModel:
+def _package_model(design, chosen, result) -> AdditiveModel:
     mu = inv_logit(design.X @ result.beta)[design.inverse]
     return AdditiveModel(
-        spec=spec,
+        spec=design.spec,
         coef=result.beta,
         coef_names=tuple(design.coef_names),
         term_index={k: tuple(v) for k, v in design.term_index.items()},

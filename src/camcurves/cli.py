@@ -63,7 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "fit-gam",
         help="fit a Beta additive model",
-        description="Fit a Beta additive model to one metric of an observation CSV. A value of "
+        description="Fit a Beta additive model to one metric of an observation CSV. Only the "
+        "records of that metric, and any of an unknown metric kind, are converted and checked; "
+        "those of the other metrics are skipped as they are read. A value of "
         f"exactly 0 or 1 is moved inside to squeeze_eps ({betagam.ModelSpec.squeeze_eps}) or "
         "1 - squeeze_eps; other values are fitted as they are.",
     )
@@ -199,7 +201,7 @@ def _cmd_fit_gam(args) -> int:
         raise InputError(f"--alpha must lie in (0, 1), got {args.alpha}")
     lambdas = _parse_numbers(args.lambdas, "--lambdas", float) if args.lambdas else None
     io.check_writable(args.out)  # before the fit, which takes seconds
-    table = io.parse_observations(args.observations)
+    table = io.parse_observations(args.observations, args.metric)
     spec = betagam.ModelSpec(args.metric)
     if args.eliminate:
         model, trace = betagam.backward_eliminate(spec, table, alpha=args.alpha, lambdas=lambdas)
@@ -270,7 +272,11 @@ def _cmd_design(args) -> int:
     ladder = _parse_numbers(args.ladder, "--ladder", int)
     pools, locations = io.parse_image_index(args.manifest_in)
     if args.select is not None:
-        pools = {label: design.equal_space_select(ids, args.select) for label, ids in pools.items()}
+        for label in sorted(pools):
+            try:
+                pools[label] = design.equal_space_select(pools[label], args.select)
+            except InputError as exc:
+                raise InputError(f"class {label!r}: {exc}") from None
     manifest = design.split_design(
         pools,
         test_size=args.test,

@@ -21,7 +21,7 @@ import numpy as np
 from .betagam import AdditiveModel, FactorTerm, FitStats, ModelSpec, SmoothTerm, _smooth_blocks
 from .curves import LearningCurveModel
 from .errors import InputError
-from .metrics import OBSERVATION_COLUMNS, observation_table
+from .metrics import METRIC_KINDS, OBSERVATION_COLUMNS, observation_table
 from .splines import KnotVector
 
 MODEL_SCHEMA = "camcurves-model/1"
@@ -72,12 +72,15 @@ def canonical_json(obj) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _read_csv(path: str, required: Sequence[str], optional: Sequence[str]):
-    """(columns, the line each record starts on) of a CSV file.
+def _read_csv(path: str, required: Sequence[str], optional: Sequence[str], drop=None):
+    """(columns, line) of a CSV file.
 
     columns maps each name of the header to its column, a tuple of strings
-    with one per record.  Blank lines are skipped; a record may span lines
-    inside a quoted field.
+    with one per record kept; line(i) is the line on which kept record i
+    starts, found by reading the file again.  Blank lines are skipped; a
+    record may span lines inside a quoted field.  `drop`, a pair (name,
+    values), skips each record whose field `name` holds one of `values` as
+    it is read.
     """
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
@@ -95,21 +98,42 @@ def _read_csv(path: str, required: Sequence[str], optional: Sequence[str]):
             unknown = [c for c in header if c not in (*required, *optional)]
             if unknown:
                 raise InputError(f"{path}: unrecognized columns {unknown}")
-            records, lines = [], []
-            start = reader.line_num + 1
+            width = len(header)
+            name, dropped = drop or (header[0], ())  # without `drop`, no record is skipped
+            column = header.index(name)
+
+            def kept(record):
+                """Whether `record` is kept; one with the wrong field count is, to be reported."""
+                if len(record) == width:
+                    return record[column] not in dropped
+                return bool(record)
+
+            def line(index):
+                with open(path, "r", encoding="utf-8", newline="") as again:
+                    reader = csv.reader(again)
+                    next(reader)
+                    start = reader.line_num + 1
+                    for record in reader:
+                        if kept(record):
+                            if not index:
+                                return start
+                            index -= 1
+                        start = reader.line_num + 1
+
+            records, skipped = [], 0
             for record in reader:
-                if record:
-                    if len(record) != len(header):
-                        many = "many" if len(record) > len(header) else "few"
-                        raise InputError(f"{path}:{start}: too {many} fields")
+                if kept(record):
+                    if len(record) != width:
+                        many = "many" if len(record) > width else "few"
+                        raise InputError(f"{path}:{line(len(records))}: too {many} fields")
                     records.append(record)
-                    lines.append(start)
-                start = reader.line_num + 1
+                elif record:
+                    skipped += 1
         except (UnicodeDecodeError, csv.Error) as exc:
             raise InputError(f"{path}: unreadable as UTF-8 CSV ({exc})") from None
-    if not records:
+    if not records and not skipped:
         raise InputError(f"{path}: no records")
-    return dict(zip(header, zip(*records))), lines
+    return dict(zip(header, zip(*records) if records else [()] * width)), line
 
 
 def _is_timestamp(text: str) -> bool:
@@ -128,7 +152,7 @@ def parse_predictions(path: str) -> dict:
     location_id and timestamp are optional, and a timestamp that is given
     must be ISO-8601.  An InputError names the line of the first bad record.
     """
-    columns, lines = _read_csv(path, PREDICTION_COLUMNS, PREDICTION_OPTIONAL)
+    columns, line = _read_csv(path, PREDICTION_COLUMNS, PREDICTION_OPTIONAL)
     # (row, message) of the first failure of each check, in the order a record is checked
     failures = [
         (columns[name].index(""), f"empty {name}")
@@ -141,16 +165,20 @@ def parse_predictions(path: str) -> dict:
         failures.append((bad, f"bad ISO-8601 timestamp {stamps[bad]!r}"))
     if failures:
         row, message = min(failures, key=lambda failure: failure[0])
-        raise InputError(f"{path}:{lines[row]}: {message}")
+        raise InputError(f"{path}:{line(row)}: {message}")
     return columns
 
 
-def parse_observations(path: str) -> np.recarray:
+def parse_observations(path: str, metric: str | None = None) -> np.recarray:
     """Read the observation table (see metrics.observation_table) from a CSV file.
 
-    An InputError names the line of the first bad record.
+    With a `metric`, only the records of that metric and of unknown metric
+    kinds are converted and checked; those of the other known kinds are
+    skipped as they are read, so the table holds that metric's rows.  An
+    InputError names the line of the first bad record checked.
     """
-    columns, lines = _read_csv(path, OBSERVATION_COLUMNS, ())
+    drop = None if metric is None else ("metric", frozenset(METRIC_KINDS) - {metric})
+    columns, line = _read_csv(path, OBSERVATION_COLUMNS, (), drop)
     typed = dict(columns)
     for name, convert in (("value", float), ("num_tr_images", np.int64)):
         typed[name] = []
@@ -161,14 +189,14 @@ def parse_observations(path: str) -> np.recarray:
             pass
 
     def where(i):
-        return f"{path}:{lines[i]}"
+        return f"{path}:{line(i)}"
 
     n = min(len(typed["value"]), len(typed["num_tr_images"]))
-    if n < len(lines):
+    if n < len(columns["value"]):
         # the records before the first unconvertible one are checked first
         observation_table({name: values[:n] for name, values in typed.items()}, where)
         name = "value" if len(typed["value"]) == n else "num_tr_images"
-        raise InputError(f"{path}:{lines[n]}: bad {name} {columns[name][n]!r}")
+        raise InputError(f"{where(n)}: bad {name} {columns[name][n]!r}")
     return observation_table(typed, where)
 
 
@@ -178,11 +206,11 @@ def parse_image_index(path: str) -> tuple:
     Returns (pools, locations): pools maps class -> ids in file order,
     locations maps image id -> location id (empty when the column is absent).
     """
-    columns, lines = _read_csv(path, ("image_id", "class"), ("location_id", "timestamp"))
+    columns, line = _read_csv(path, ("image_id", "class"), ("location_id", "timestamp"))
     ids, labels = columns["image_id"], columns["class"]
     empty = [column.index("") for column in (ids, labels) if "" in column]
     if empty:
-        raise InputError(f"{path}:{lines[min(empty)]}: empty image_id or class")
+        raise InputError(f"{path}:{line(min(empty))}: empty image_id or class")
     pools: dict = {}
     for image_id, label in zip(ids, labels):
         pools.setdefault(label, []).append(image_id)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
 
-from camcurves import ConvergenceError, InputError, betagam
+from camcurves import ConvergenceError, InputError, betagam, io
 from camcurves._numeric import inv_logit
 from camcurves.betagam import (
     AdditiveModel,
@@ -395,6 +395,18 @@ class TestFit:
         assert np.array_equal(m1.coef, m2.coef)
         assert m1.phi == m2.phi
         assert m1.lambdas == m2.lambdas
+
+    @pytest.mark.parametrize(
+        "sizes", [(10, 50, 150), (10, 20, 50, 150), (10, 20, 50, 150, 500)], ids=len
+    )
+    def test_smooth_has_at_most_one_knot_per_size(self, calibrated_observations, sizes):
+        pilot = calibrated_observations[np.isin(calibrated_observations.num_tr_images, sizes)]
+        model = betagam.fit(ModelSpec("ACC"), pilot)
+        k = min(len(sizes), SmoothTerm.k)
+        assert [t.k for t in model.spec.smooth_terms] == [k]
+        assert model.knot_vector.count == k
+        assert model.fit_stats.deviance_explained > 0.5
+        assert io.model_from_dict(io.model_to_dict(model)).spec == model.spec
 
     def test_predictions_invariant_to_observation_order(self):
         rng = np.random.default_rng(4)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 import camcurves
 from camcurves import cli, design, io
+
+from camcurves.metrics import METRIC_KINDS
 
 from conftest import as_table, make_obs, observation_rows
 
@@ -94,6 +97,21 @@ def test_intercept_only_model_explains_no_negative_deviance(tmp_path, capsys):
     assert model.coef_names == ("(intercept)",)
     assert model.fit_stats.deviance_explained >= 0.0
     assert "deviance explained 0.000" in capsys.readouterr().out
+
+
+def test_fit_gam_without_records_of_its_metric_is_an_input_error(tmp_path, capsys):
+    path = str(tmp_path / "prc.csv")
+    io.write_observations_csv(path, observation_rows([0.8, 0.9], [10, 20], metric="PRC"))
+    code = cli.main(["fit-gam", "--observations", path, "--metric", "ACC", "--out", path + ".json"])
+    assert_one_input_error(code, capsys, "no observations with metric 'ACC'")
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_fit_gam_on_fewer_than_three_sizes_is_an_input_error(tmp_path, capsys, count):
+    path = str(tmp_path / "obs.csv")
+    io.write_observations_csv(path, observation_rows([0.8, 0.9] * count, SIZES[:count] * 2))
+    code = cli.main(["fit-gam", "--observations", path, "--metric", "ACC", "--out", path + ".json"])
+    assert_one_input_error(code, capsys, f"needs 3 distinct sizes, got {count}")
 
 
 @pytest.mark.parametrize(
@@ -949,7 +967,12 @@ def test_design_exits_0_or_2_with_exclusive_test_splits(tmp_path, capsys, run):
     out.unlink(missing_ok=True)
     code = cli.main(["design", "--manifest-in", str(index), *flags, "--out", str(out)])
     if code != cli.EXIT_OK:
-        assert_one_input_error(code, capsys)
+        # a pool below --select fails first, naming its class
+        select = int(flags[flags.index("--select") + 1]) if "--select" in flags else 0
+        pools = Counter(line.split(",")[1] for line in lines[1:])
+        short = sorted(label for label, size in pools.items() if size < select)
+        fragments = [f"class {short[0]!r}: cannot select {select} items"] if short else []
+        assert_one_input_error(code, capsys, *fragments)
         assert not out.exists()
         return
     err = capsys.readouterr().err.splitlines()
@@ -967,3 +990,72 @@ def test_design_exits_0_or_2_with_exclusive_test_splits(tmp_path, capsys, run):
                 assert large[: len(small)] == small
     pools = [i for cd in classes for i in cd["pool"]]
     assert len(pools) == len(set(pools))  # and so no image can test one class and train another
+
+
+# (column, text) of a bad cell: unconvertible, out of range, or an unknown metric kind
+BAD_CELLS = [
+    ("value", "high"),
+    ("value", "1.5"),
+    ("num_tr_images", "ten"),
+    ("num_tr_images", "0"),
+    ("metric", "MAP"),
+]
+
+
+@st.composite
+def fit_gam_runs(draw):
+    """Observation CSV lines of 2-3 metric kinds, the metric fitted, and the bad record.
+
+    Each kind has 1-2 records at each of 5-6 sizes, in a random order, with an
+    optional blank line; at most one record has a bad cell.  The bad record is
+    None or (its line, its metric kind, the column of its bad cell).
+    """
+    kinds = draw(st.lists(st.sampled_from(METRIC_KINDS), min_size=2, max_size=3, unique=True))
+    sizes = draw(st.lists(st.sampled_from(SIZES), min_size=5, max_size=6, unique=True))
+    records = [
+        [kind, repr(draw(st.floats(0.02, 0.98))), "AU", "c0", str(n), "dnsNet121", "deep", "none"]
+        for kind in kinds
+        for n in sizes
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    records = draw(st.permutations(records))
+    lines = [",".join(io.OBSERVATION_COLUMNS)] + [",".join(record) for record in records]
+    lines.insert(draw(st.integers(1, len(lines))), "")
+    bad = None
+    if draw(st.booleans()):
+        line = draw(st.sampled_from([i for i, text in enumerate(lines) if text][1:]))
+        column, text = draw(st.sampled_from(BAD_CELLS))
+        cells = lines[line].split(",")
+        bad = (line + 1, cells[0], column)
+        cells[io.OBSERVATION_COLUMNS.index(column)] = text
+        lines[line] = ",".join(cells)
+    return lines, kinds[0], bad
+
+
+@settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(fit_gam_runs())
+def test_fit_gam_exits_0_2_or_3_reading_only_its_metric(tmp_path, capsys, run):
+    lines, metric, bad = run
+
+    def fit_gam(name, text):
+        path, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        path.write_text("\n".join(text) + "\n")
+        out.unlink(missing_ok=True)
+        code = cli.main(["fit-gam", "--observations", str(path), "--metric", metric,
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_NUMERICAL)
+        assert "Traceback" not in err and len(err.splitlines()) == (code != cli.EXIT_OK)
+        assert out.exists() == (code == cli.EXIT_OK)
+        return code, err, out.read_bytes() if out.exists() else None, path
+
+    code, err, model, path = fit_gam("all", lines)
+    if bad is not None and (bad[1] == metric or bad[2] == "metric"):
+        assert code == cli.EXIT_INPUT and err.startswith(f"input-error: {path}:{bad[0]}: ")
+        return
+    # the records of the other metrics, a bad one among them, change nothing
+    own = [lines[0]] + [text for text in lines[1:] if text.split(",")[0] == metric]
+    own_code, own_err, own_model, _ = fit_gam("own", own)
+    assert (code, err, model) == (own_code, own_err, own_model)

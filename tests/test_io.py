@@ -1,3 +1,6 @@
+import functools
+import tracemalloc
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -46,6 +49,14 @@ CSV_KINDS = {
         io.parse_observations,
         ",".join(io.OBSERVATION_COLUMNS),
         "ACC,0.9,AU,{label},10,dnsNet121,deep,none",
+        "ACC,0.9,AU,c1,ten,dnsNet121,deep,none",
+        "bad num_tr_images 'ten'",
+    ),
+    # the bad ACC record follows a PRC record, which the ACC parse skips
+    "observations-ACC": (
+        functools.partial(io.parse_observations, metric="ACC"),
+        ",".join(io.OBSERVATION_COLUMNS),
+        "PRC,0.9,AU,{label},10,dnsNet121,deep,none",
         "ACC,0.9,AU,c1,ten,dnsNet121,deep,none",
         "bad num_tr_images 'ten'",
     ),
@@ -108,3 +119,32 @@ def test_parsed_observation_table_is_read_only(tmp_path):
     acc = table[table.metric == "ACC"]  # a filtered copy may be edited
     acc.value[0] = 0.5
     assert acc.value[0] == 0.5 and table.value[0] == 0.9
+
+
+@pytest.fixture(scope="module")
+def grid_csv(calibrated_observations, tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("grid") / "grid.csv")
+    io.write_observations_csv(path, calibrated_observations)
+    return path
+
+
+@pytest.mark.parametrize("metric", METRIC_KINDS)
+def test_metric_parse_holds_the_rows_of_that_metric(grid_csv, metric):
+    table = io.parse_observations(grid_csv)
+    rows = table[table.metric == metric].tolist()
+    assert len(rows) == len(table) // 4
+    assert io.parse_observations(grid_csv, metric).tolist() == rows
+
+
+def _peak_bytes(parse):
+    tracemalloc.start()
+    try:
+        parse()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_metric_parse_peaks_below_a_third_of_the_full_parse(grid_csv):
+    full = _peak_bytes(lambda: io.parse_observations(grid_csv))
+    assert _peak_bytes(lambda: io.parse_observations(grid_csv, "ACC")) < full / 3
