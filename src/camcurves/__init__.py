@@ -1,79 +1,40 @@
 """camcurves: classifier metrics, learning-curve models and training-set
-size planning for balanced camera-trap studies."""
+size planning for balanced camera-trap studies.
 
-from .betagam import (
-    AdditiveModel,
-    FactorTerm,
-    ModelSpec,
-    SmoothTerm,
-    backward_eliminate,
-    fit,
-    term_edf,
-    wald_p,
-)
-from .curves import LearningCurveModel, fit_log_curve, predict_metric, table1_presets
-from .design import (
-    equal_space_select,
-    simulate_grid,
-    split_design,
-    validate_location_coverage,
-)
-from .errors import (
-    CamcurvesError,
-    ConvergenceError,
-    InfeasiblePlanError,
-    InputError,
-)
-from .metrics import (
-    aggregate,
-    confusion_matrix,
-    observation_table,
-    one_vs_rest,
-)
-from .planner import (
-    PlanQuery,
-    PlanResult,
-    gam_required_sample_size,
-    plan_report,
-    required_sample_size,
-)
-from .splines import KnotVector, basis_rows, centring, penalty_matrix, place_knots
+The public names load their submodule on first use (PEP 562), so
+``import camcurves`` loads no numpy: ``camcurves.cli`` can still choose the
+BLAS thread count, which numpy's OpenBLAS reads only as it loads.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdditiveModel",
-    "CamcurvesError",
-    "ConvergenceError",
-    "FactorTerm",
-    "InfeasiblePlanError",
-    "InputError",
-    "KnotVector",
-    "LearningCurveModel",
-    "ModelSpec",
-    "PlanQuery",
-    "PlanResult",
-    "SmoothTerm",
-    "aggregate",
-    "backward_eliminate",
-    "basis_rows",
-    "centring",
-    "confusion_matrix",
-    "equal_space_select",
-    "fit",
-    "fit_log_curve",
-    "gam_required_sample_size",
-    "observation_table",
-    "one_vs_rest",
-    "penalty_matrix",
-    "place_knots",
-    "plan_report",
-    "predict_metric",
-    "required_sample_size",
-    "simulate_grid",
-    "split_design",
-    "table1_presets",
-    "term_edf",
-    "validate_location_coverage",
-    "wald_p",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "betagam": ("AdditiveModel", "FactorTerm", "ModelSpec", "SmoothTerm",
+                "backward_eliminate", "fit", "term_edf", "wald_p"),
+    "curves": ("LearningCurveModel", "fit_log_curve", "predict_metric", "table1_presets"),
+    "design": ("equal_space_select", "simulate_grid", "split_design",
+               "validate_location_coverage"),
+    "errors": ("CamcurvesError", "ConvergenceError", "InfeasiblePlanError", "InputError"),
+    "metrics": ("aggregate", "confusion_matrix", "observation_table", "one_vs_rest"),
+    "planner": ("PlanQuery", "PlanResult", "gam_required_sample_size", "plan_report",
+                "required_sample_size"),
+    "splines": ("KnotVector", "basis_rows", "centring", "penalty_matrix", "place_knots"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip __getattr__
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -53,6 +53,7 @@ the standard library, so fitting runs without scipy.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -269,6 +270,16 @@ def _model_rows(model, columns: Mapping, sizes) -> np.ndarray:
     return X
 
 
+def _fewest_sizes(data: np.recarray, term: SmoothTerm) -> tuple:
+    """(count, level): the fewest distinct sizes in any by-level block of a smooth, and
+    that block's level (None for a smooth without a by-factor)."""
+    by = term.by_factor
+    keys, _ = _distinct(data, [term.covariate] if by is None else [by, term.covariate])
+    sizes_per_block = Counter(key[:-1] for key in keys)  # (level,) or () -> sizes
+    block, count = min(sizes_per_block.items(), key=lambda item: item[1])
+    return count, block[0] if block else None
+
+
 def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
     data = observations[observations.metric == spec.response]
     if not len(data):
@@ -278,17 +289,27 @@ def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
     y = np.where(data.value == 0.0, eps, np.where(data.value == 1.0, 1.0 - eps, data.value))
     if len(spec.smooth_terms) > 1:  # a model carries one knot vector
         raise InputError("at most one smooth term is supported")
+    ks = []
     for term in spec.smooth_terms:
         if term.covariate != "num_tr_images":
             raise InputError(f"unsupported smooth covariate {term.covariate!r}")
-    # a smooth gets at most one knot per distinct size (mgcv's k <= the number of
-    # unique covariate values); the design's spec, and so the model, records that k
-    sizes = np.unique(data.num_tr_images)
-    if spec.smooth_terms and sizes.size < 3:
-        raise InputError(f"a smooth of num_tr_images needs 3 distinct sizes, got {sizes.size}")
+        by = term.by_factor
+        if by is not None and by not in [t.name for t in spec.parametric_terms]:
+            raise InputError(f"smooth by-factor {by!r} is not a parametric term of the model")
+        # a smooth gets at most one knot per distinct size (mgcv's k <= the number of
+        # unique covariate values), and each by-level block needs that many sizes of
+        # its own; the design's spec, and so the model, records that k
+        count, level = _fewest_sizes(data, term)
+        if count < 3:
+            where = "" if level is None else f" for {by} {level!r}"
+            raise InputError(
+                f"a smooth of num_tr_images needs 3 distinct sizes, got {count}{where}"
+            )
+        ks.append(min(term.k, count))
     spec = replace(
-        spec, smooth_terms=tuple(replace(t, k=min(t.k, sizes.size)) for t in spec.smooth_terms)
+        spec, smooth_terms=tuple(replace(t, k=k) for t, k in zip(spec.smooth_terms, ks))
     )
+    sizes = np.unique(data.num_tr_images)
 
     # one design row per distinct combination of the covariates the model uses,
     # in sorted order so that the rows do not depend on the observation order
@@ -323,8 +344,6 @@ def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
         knot_vector = place_knots(np.unique(x), k=term.k)
         rows, S = basis_rows(x, knot_vector), penalty_matrix(knot_vector)
         by = term.by_factor
-        if by is not None and by not in factor_levels:
-            raise InputError(f"smooth by-factor {by!r} is not a parametric term of the model")
         for level, label in _smooth_blocks(term, factor_levels):
             mask = np.ones(m) if level is None else np.array(column[by]) == level
             # count-weighted, so the constraint sums over the observations

@@ -2,9 +2,20 @@
 
 Exit codes: 0 success, 2 input error, 3 numerical failure, 4 infeasible plan.
 Errors print one machine-parsable line to stderr: "<error-class>: <message>".
+
+numpy's OpenBLAS runs on one thread in a camcurves process: the fits multiply
+matrices of a few thousand rows by ~20 columns, where a second thread spins
+and saves no time.  OpenBLAS reads OPENBLAS_NUM_THREADS once, as numpy loads,
+so this module sets it before its numpy import, and only where it is unset:
+to give BLAS more threads, run e.g. `OPENBLAS_NUM_THREADS=2 camcurves ...`.
+Importing the library (`import camcurves`) leaves the variable alone.
 """
 
 from __future__ import annotations
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads: see above
 
 import argparse
 import csv
@@ -55,7 +66,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--by", required=True, help="comma-separated covariate fields")
     p.add_argument("--out")
 
-    p = sub.add_parser("fit-ols", help="fit a logarithmic learning-curve model")
+    one_metric = (
+        "Only the records of that metric, and any of an unknown metric kind, are converted and "
+        "checked; those of the other metrics are skipped as they are read."
+    )
+    p = sub.add_parser(
+        "fit-ols",
+        help="fit a logarithmic learning-curve model",
+        description=f"Fit a metric's values on log size by least squares. {one_metric}",
+    )
     p.add_argument("--observations", required=True)
     p.add_argument("--metric", required=True, choices=metrics.METRIC_KINDS)
     p.add_argument("--out", required=True)
@@ -63,11 +82,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "fit-gam",
         help="fit a Beta additive model",
-        description="Fit a Beta additive model to one metric of an observation CSV. Only the "
-        "records of that metric, and any of an unknown metric kind, are converted and checked; "
-        "those of the other metrics are skipped as they are read. A value of "
-        f"exactly 0 or 1 is moved inside to squeeze_eps ({betagam.ModelSpec.squeeze_eps}) or "
-        "1 - squeeze_eps; other values are fitted as they are.",
+        description="Fit a Beta additive model to one metric of an observation CSV. "
+        f"{one_metric} A value of exactly 0 or 1 is moved inside to squeeze_eps "
+        f"({betagam.ModelSpec.squeeze_eps}) or 1 - squeeze_eps; other values are fitted as "
+        "they are.",
     )
     p.add_argument("--observations", required=True)
     p.add_argument("--metric", required=True, choices=metrics.METRIC_KINDS)
@@ -107,7 +125,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("curve-plot", help="scatter + fitted curve SVG")
+    p = sub.add_parser(
+        "curve-plot",
+        help="scatter + fitted curve SVG",
+        description=f"Plot the observations of the model's metric and its curve. {one_metric}",
+    )
     p.add_argument("--model", required=True)
     p.add_argument("--observations", required=True)
     p.add_argument("--cell", help="dataset,tuning,architecture (needed for GAM models)")
@@ -187,7 +209,8 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_fit_ols(args) -> int:
-    model = curves.fit_log_curve(io.parse_observations(args.observations), args.metric)
+    table = io.parse_observations(args.observations, args.metric)
+    model = curves.fit_log_curve(table, args.metric)
     io.save_model(model, args.out)
     print(
         f"{args.metric}: intercept {model.intercept:.4f}, slope {model.slope:.4f}, "
@@ -305,8 +328,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_curve_plot(args) -> int:
     model = io.load_model(args.model)
-    table = io.parse_observations(args.observations)
-    rows = table[table.metric == model.metric]
+    rows = io.parse_observations(args.observations, model.metric)
     if not len(rows):
         raise InputError(f"no observations with metric {model.metric}")
     sizes = rows.num_tr_images.astype(float)

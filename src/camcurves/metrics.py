@@ -162,9 +162,11 @@ def aggregate(table: np.recarray, group_by: Sequence[str]) -> list[AggregateRow]
     if not len(table):
         raise InputError("no observations to aggregate")
     groupable = tuple(name for name in OBSERVATION_COLUMNS if name != "value")
-    for f in group_by:
+    for i, f in enumerate(group_by):
         if f not in groupable:
             raise InputError(f"cannot group by {f!r}; valid fields: {groupable}")
+        if f in group_by[:i]:
+            raise InputError(f"field {f!r} is named more than once in the grouping")
     keys, inverse = _distinct(table, group_by)
     counts = np.bincount(inverse)
     # each group's values in table order

@@ -408,6 +408,16 @@ class TestFit:
         assert model.fit_stats.deviance_explained > 0.5
         assert io.model_from_dict(io.model_to_dict(model)).spec == model.spec
 
+    def test_each_by_level_block_caps_k_at_its_own_sizes(self, calibrated_observations):
+        acc = calibrated_observations[calibrated_observations.metric == "ACC"]
+        pilot = acc[(acc.dataset != "AU") | np.isin(acc.num_tr_images, (10, 50, 150))]
+        model = betagam.fit(ModelSpec("ACC"), pilot)
+        assert [t.k for t in model.spec.smooth_terms] == [3]
+        assert model.fit_stats.deviance_explained > 0.5
+        two_sizes = acc[(acc.dataset != "SE") | np.isin(acc.num_tr_images, (10, 150))]
+        with pytest.raises(InputError, match="needs 3 distinct sizes, got 2 for dataset 'SE'"):
+            betagam.fit(ModelSpec("ACC"), two_sizes)
+
     def test_predictions_invariant_to_observation_order(self):
         rng = np.random.default_rng(4)
         obs = simulate_rows(rng)

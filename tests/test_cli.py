@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -194,6 +195,59 @@ def test_aggregate_orders_groups_by_their_typed_key(observations_csv, capsys):
     assert cli.main(argv) == cli.EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(",")[1] for line in lines[1:]] == ["10", "20", "50", "150", "500", "1000"]
+
+
+@pytest.mark.parametrize(
+    "by, field",
+    [
+        ("metric,metric", "metric"),
+        ("dataset,dataset", "dataset"),
+        ("dataset, class,dataset", "dataset"),
+    ],
+)
+def test_aggregate_by_a_repeated_field_is_an_input_error(
+    observations_csv, tmp_path, capsys, by, field
+):
+    out = tmp_path / "groups.csv"
+    argv = ["aggregate", "--observations", observations_csv, "--by", by, "--out", str(out)]
+    assert_one_input_error(cli.main(argv), capsys, f"field {field!r} is named more than once")
+    assert not out.exists()
+
+
+AGGREGATE_RECORDS = [
+    make_obs(0.5 + 0.01 * i, n, metric=metric, dataset=dataset, class_label=label)
+    for i, (metric, dataset, label, n) in enumerate(
+        itertools.product(("ACC", "FPR"), ("AU", "SE"), ("cat", "fox"), (10, 50, 150))
+    )
+    if (dataset, label, n) != ("SE", "fox", 50)
+]
+GROUPABLE = [c for c in io.OBSERVATION_COLUMNS if c != "value"]
+# --by items: every groupable field, and unknown, blank and padded ones
+BY_ITEMS = [*GROUPABLE, "value", "class_label", "Dataset", "", " ", " tuning "]
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.lists(st.sampled_from(BY_ITEMS), max_size=5))
+def test_aggregate_exits_0_or_2_with_one_row_per_group(tmp_path, capsys, items):
+    path = tmp_path / "obs.csv"
+    io.write_observations_csv(str(path), as_table(AGGREGATE_RECORDS))
+    code = cli.main(["aggregate", "--observations", str(path), "--by", ",".join(items)])
+    fields = [item.strip() for item in items if item.strip()]
+    group_by = fields if "metric" in fields else ["metric", *fields]
+    if not set(group_by) <= set(GROUPABLE) or len(set(group_by)) < len(group_by):
+        assert_one_input_error(code, capsys)
+        return
+    assert code == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    header, *lines = [line.split(",") for line in captured.out.splitlines()]
+    assert header == [*group_by, "mean", "std", "count"]
+    columns = [io.OBSERVATION_COLUMNS.index(f) for f in group_by]
+    expected = Counter(tuple(str(r[j]) for j in columns) for r in AGGREGATE_RECORDS)
+    assert {tuple(line[: len(group_by)]): int(line[-1]) for line in lines} == expected
+    assert len(lines) == len(expected)
 
 
 # eight test images of four classes; D is in the test set but never predicted
@@ -804,6 +858,24 @@ def test_curve_plot_of_one_size_is_an_input_error(ols_file, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fit_ols_and_curve_plot_read_only_their_metric(ols_file, tmp_path, capsys):
+    # a bad value in a record of another metric no longer fails either command
+    path = tmp_path / "obs.csv"
+    io.write_observations_csv(str(path), observation_rows([0.6, 0.7, 0.8], [10, 50, 150]))
+    path.write_text(path.read_text() + "FPR,1.5,AU,c0,10,dnsNet121,deep,none\n")
+    out = tmp_path / "ols.json"
+    argv = ["fit-ols", "--observations", str(path), "--metric", "ACC", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert json.loads(out.read_text())["n_obs"] == 3
+    svg = tmp_path / "acc.svg"
+    argv = ["curve-plot", "--model", ols_file, "--observations", str(path), "--out", str(svg)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert svg.read_text().count("<circle") == 3
+    # the metric's own records are still checked, and the line named
+    argv = ["fit-ols", "--observations", str(path), "--metric", "FPR", "--out", str(out)]
+    assert_one_input_error(cli.main(argv), capsys, f"{path}:5: metric value 1.5 outside [0, 1]")
+
+
 @pytest.mark.parametrize(
     "argv, fragment",
     [
@@ -860,8 +932,8 @@ def test_fit_ols_exits_0_or_2_with_the_least_squares_line(tmp_path, capsys, data
         assert not out.exists()
         return
     assert capsys.readouterr().err == ""
-    table = io.parse_observations(str(path))
-    rows = table[table.metric == metric]
+    # a bad cell in a record of the other metric is skipped with its record
+    rows = io.parse_observations(str(path), metric)
     x = np.log(rows.num_tr_images) * (-1.0 if metric == "FPR" else 1.0)
     slope, intercept = np.polyfit(x, rows.value, 1)
     model = json.loads(out.read_text())
