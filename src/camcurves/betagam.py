@@ -16,10 +16,20 @@ A step is taken only when its gain predicted by the quadratic model that
 produced it (1/2 grad'step for the Fisher step, 1/2 d1*step for the log(phi)
 step) exceeds 256 machine epsilons of |objective|: a smaller gain is below
 the rounding noise of the summed objective, so its line search would accept
-or reject on noise.  Each accepted state's means and log-likelihood are
-carried forward, so a state's likelihood is evaluated once.
+or reject on noise.
 Smoothing parameters are chosen by AIC = -2*loglik + 2*(EDF + 1) over a
 log-spaced grid, searched coordinate-wise with warm starts.
+
+A `_State` is one (beta, phi) of a fit.  It computes its means, its
+log-likelihood, the digamma and trigamma at mu*phi and (1-mu)*phi, and the
+score and Fisher information X'WX in beta each on first use, and keeps them.
+None of these depends on the penalty.  So a step that is not taken leaves
+the state and all it carries as they were, the final covariance reads the
+X'WX of the last state, and the next warm-started fit of the lambda search
+starts from that state with only its penalty term to compute.  The search
+holds two states: the last of its warm chain and that of the best lambdas so
+far.  A fit read back from its cache, or a new best, restarts from its (beta,
+phi); only these restarts evaluate a (mu, phi) state a second time.
 
 Deviance is measured against the saturated fit (one mean per observation)
 and the null deviance against the intercept-only fit, both at the fitted
@@ -55,6 +65,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -166,25 +177,29 @@ def _ll_sum(mu, phi, n, sum_ylog, sum_y1log):
     )
 
 
-def _score_weight(mu, phi, n, sum_ylog, sum_y1log):
+def _polygammas(mu, phi):
+    """(digamma(a), trigamma(a), digamma(b), trigamma(b)) at a = mu*phi, b = (1-mu)*phi."""
+    return (*polygamma01(mu * phi), *polygamma01((1.0 - mu) * phi))
+
+
+def _score_weight(mu, phi, n, sum_ylog, sum_y1log, polygammas=None):
     """Per-row score in logit(mu) and Fisher weight of the rows of _ll_sum.
 
     The weight is n * phi^2 * (mu(1-mu))^2 * Var[logit Y], with
-    Var[logit Y] = trigamma(a) + trigamma(b) under Beta(a, b).
+    Var[logit Y] = trigamma(a) + trigamma(b) under Beta(a, b).  `polygammas`
+    is _polygammas(mu, phi), computed here when not given.
     """
-    psi_a, tri_a = polygamma01(mu * phi)
-    psi_b, tri_b = polygamma01((1.0 - mu) * phi)
+    psi_a, tri_a, psi_b, tri_b = polygammas or _polygammas(mu, phi)
     mm = mu * (1.0 - mu)
     u = phi * (sum_ylog - sum_y1log - n * (psi_a - psi_b)) * mm
     w = n * phi * phi * (tri_a + tri_b) * mm * mm
     return u, w
 
 
-def _log_phi_derivatives(mu, phi, n, sum_ylog, sum_y1log):
-    """First and second derivatives of _ll_sum in log(phi)."""
+def _log_phi_derivatives(mu, phi, n, sum_ylog, sum_y1log, polygammas=None):
+    """First and second derivatives of _ll_sum in log(phi); `polygammas` as in _score_weight."""
     psi, tri = polygamma01(phi)
-    psi_a, tri_a = polygamma01(mu * phi)
-    psi_b, tri_b = polygamma01((1.0 - mu) * phi)
+    psi_a, tri_a, psi_b, tri_b = polygammas or _polygammas(mu, phi)
     d1 = phi * float(
         np.sum(
             n * (psi - mu * psi_a - (1.0 - mu) * psi_b)
@@ -225,6 +240,11 @@ class _Design:
     smooth_constraints: dict  # smooth label -> k x (k-1) reparameterization
     smooth_penalties: dict  # smooth label -> (k-1) x (k-1) curvature penalty
     observed_sizes: tuple
+
+    @property
+    def row_stats(self) -> tuple:
+        """(n, sum_ylog, sum_y1log): the row arguments of _ll_sum and its derivatives."""
+        return self.n, self.sum_ylog, self.sum_y1log
 
 
 def _smooth_blocks(term: SmoothTerm, factor_levels: Mapping) -> list:
@@ -407,27 +427,69 @@ def _resolvable(gain: float, value: float) -> bool:
     return gain > _RESOLUTION * abs(value)
 
 
-def _fit_penalized(design: _Design, P, beta0, phi0, tol):
+class _State:
+    """One (beta, phi) of a penalized fit, with what the fit derives from it.
+
+    Each derived quantity is computed on first use and kept; none depends on
+    the penalty (see the module docstring).
+    """
+
+    def __init__(self, design: _Design, beta: np.ndarray, phi: float, mu=None):
+        self.design, self.beta, self.phi = design, beta, float(phi)
+        if mu is not None:  # a log(phi) step keeps the means
+            self.mu = mu
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        return inv_logit(self.design.X @ self.beta)
+
+    @cached_property
+    def loglik(self) -> float:
+        return _ll_sum(self.mu, self.phi, *self.design.row_stats)
+
+    @cached_property
+    def polygammas(self) -> tuple:
+        return _polygammas(self.mu, self.phi)
+
+    @cached_property
+    def score_information(self) -> tuple:
+        """(X'u, X'WX): the score of the log-likelihood in beta and its Fisher information."""
+        X = self.design.X
+        u, w = _score_weight(self.mu, self.phi, *self.design.row_stats, self.polygammas)
+        return X.T @ u, (X.T * w) @ X
+
+    def log_phi_derivatives(self) -> tuple:
+        return _log_phi_derivatives(self.mu, self.phi, *self.design.row_stats, self.polygammas)
+
+
+def _fit_penalized(start: _State, P, tol):
     """Alternate coefficient Fisher scoring and log-phi Newton with step halving.
 
     Works on the distinct design rows through _ll_sum, _score_weight and
-    _log_phi_derivatives, which sum each row's observations in closed form.  The
-    accepted state's means and log-likelihood are carried to the next step,
-    and a step whose predicted gain is not _resolvable is not taken.
-    Returns (beta, phi, mu, loglik, history of accepted objective values).
+    _log_phi_derivatives, which sum each row's observations in closed form.
+    Each step that is taken gives a new _State, and a step whose predicted
+    gain is not _resolvable is not tried.
+    Returns (the last accepted state, history of accepted objective values).
     Raises ConvergenceError when the objective change stays above `tol` for
     _MAX_ITER outer iterations, or at once when the objective or the
     coefficient step is not finite, since step halving can then accept nothing.
     """
-    X = design.X
-    row_stats = design.n, design.sum_ylog, design.sum_y1log
-    beta = beta0.copy()
-    phi = float(phi0)
+    design = start.design
 
-    def objective(b, ph, mu=None):
-        mu = inv_logit(X @ b) if mu is None else mu
-        ll = _ll_sum(mu, ph, *row_stats)
-        return ll - 0.5 * float(b @ P @ b), mu, ll
+    def objective(state):
+        return state.loglik - 0.5 * float(state.beta @ P @ state.beta)
+
+    def line_search(state, cur, candidate, gain, tries):
+        """The first of candidate(1), candidate(1/2), ... that loses at most 1e-12,
+        with its objective; (state, cur) if none does or gain is not resolvable."""
+        t = 1.0
+        for _ in range(tries if _resolvable(gain, cur) else 0):
+            cand = candidate(t)
+            val = objective(cand)
+            if val >= cur - 1e-12:
+                return cand, val
+            t *= 0.5
+        return state, cur
 
     def check_finite(what, value, it):
         if not np.all(np.isfinite(value)):
@@ -436,40 +498,38 @@ def _fit_penalized(design: _Design, P, beta0, phi0, tol):
                 iterations=it,
             )
 
-    cur, mu, ll = objective(beta, phi)
+    state = start
+    cur = objective(state)
     history = [cur]
     for it in range(1, _MAX_ITER + 1):
         check_finite("objective", cur, it - 1)
         base = cur
-        u, w = _score_weight(mu, phi, *row_stats)
-        grad = X.T @ u - P @ beta
-        step = np.linalg.solve((X.T * w) @ X + P, grad)
+        score, information = state.score_information
+        grad = score - P @ state.beta
+        step = np.linalg.solve(information + P, grad)
         check_finite("coefficient step", step, it - 1)
-        t = 1.0
-        for _ in range(40 if _resolvable(0.5 * float(grad @ step), cur) else 0):
-            cand = beta + t * step
-            val, cand_mu, cand_ll = objective(cand, phi)
-            if val >= cur - 1e-12:
-                beta, cur, mu, ll = cand, val, cand_mu, cand_ll
-                break
-            t *= 0.5
+        beta, phi = state.beta, state.phi
+        state, cur = line_search(
+            state, cur, lambda t: _State(design, beta + t * step, phi),
+            0.5 * float(grad @ step), 40,
+        )
 
-        d1, d2 = _log_phi_derivatives(mu, phi, *row_stats)
+        d1, d2 = state.log_phi_derivatives()
         if d2 >= 0.0:  # not locally concave; fall back to a gradient step
             d2 = -abs(d1) - 1e-6
         log_step = float(np.clip(-d1 / d2, -2.0, 2.0))
-        t = 1.0
-        for _ in range(30 if _resolvable(0.5 * d1 * log_step, cur) else 0):
-            cand_phi = float(np.clip(np.exp(np.log(phi) + t * log_step), _PHI_MIN, _PHI_MAX))
-            val, _, cand_ll = objective(beta, cand_phi, mu)
-            if val >= cur - 1e-12:
-                phi, cur, ll = cand_phi, val, cand_ll
-                break
-            t *= 0.5
+        beta, phi, mu = state.beta, state.phi, state.mu
+        state, cur = line_search(
+            state, cur,
+            lambda t: _State(
+                design, beta, np.clip(np.exp(np.log(phi) + t * log_step), _PHI_MIN, _PHI_MAX), mu
+            ),
+            0.5 * d1 * log_step, 30,
+        )
 
         history.append(cur)
         if abs(cur - base) < tol:
-            return beta, phi, mu, ll, history
+            return state, history
     raise ConvergenceError(
         f"penalized fit did not converge in {_MAX_ITER} iterations "
         f"(last objective change {abs(cur - base):.3e})",
@@ -504,25 +564,26 @@ class _FitResult:
     iterations: int
 
 
-def _fit_at_lambda(design: _Design, lambdas, warm, tol) -> _FitResult:
+def _fit_at_lambda(design: _Design, lambdas, warm: _State | None, tol):
+    """The fit at `lambdas` from `warm` (None: from _initial_values), and its last state."""
     P = _penalty_matrix(design, lambdas)
-    beta0, phi0 = _initial_values(design, P) if warm is None else warm
-    beta, phi, mu, ll, history = _fit_penalized(design, P, beta0, phi0, tol)
-    X = design.X
-    _, w = _score_weight(mu, phi, design.n, design.sum_ylog, design.sum_y1log)
-    XtWX = (X.T * w) @ X
+    if warm is None:
+        warm = _State(design, *_initial_values(design, P))
+    state, history = _fit_penalized(warm, P, tol)
+    _, XtWX = state.score_information
     covariance = np.linalg.inv(XtWX + P)
     edf_by_coef = np.einsum("ij,ji->i", covariance, XtWX)
-    aic = -2.0 * ll + 2.0 * (float(edf_by_coef.sum()) + 1.0)
-    return _FitResult(
-        beta=beta,
-        phi=phi,
-        loglik=ll,
+    aic = -2.0 * state.loglik + 2.0 * (float(edf_by_coef.sum()) + 1.0)
+    result = _FitResult(
+        beta=state.beta,
+        phi=state.phi,
+        loglik=state.loglik,
         aic=aic,
         edf_by_coef=edf_by_coef,
         covariance=covariance,
         iterations=len(history) - 1,
     )
+    return result, state
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +768,7 @@ def fit(
         chosen, result = _search_lambdas(design)
     else:
         chosen = [] if lambdas is None else [float(l) for l in lambdas]
-        result = _fit_at_lambda(design, chosen, None, _TOL)
+        result, _ = _fit_at_lambda(design, chosen, None, _TOL)
     return _package_model(design, chosen, result)
 
 
@@ -716,36 +777,40 @@ def _search_lambdas(design):
     n_smooth = len(design.smooth_penalties)
     start = min(grid, key=lambda g: abs(np.log10(g)))
     lam = [start] * n_smooth
-    cache = {}
+    cache = {}  # lambdas -> _FitResult; it keeps no _State
 
     def evaluate(lam_tuple, warm):
+        """The fit at lam_tuple and the state to warm-start the next fit from."""
         if lam_tuple in cache:
-            return cache[lam_tuple]
-        res = _fit_at_lambda(design, list(lam_tuple), warm, _SCREEN_TOL)
+            res = cache[lam_tuple]
+            return res, _State(design, res.beta, res.phi)
+        res, state = _fit_at_lambda(design, list(lam_tuple), warm, _SCREEN_TOL)
         cache[lam_tuple] = res
-        return res
+        return res, state
 
-    best = evaluate(tuple(lam), None)
-    warm = (best.beta, best.phi)
+    # warm is the last state of the fit at lam, the best so far
+    _, warm = evaluate(tuple(lam), None)
     for _ in range(8):
         changed = False
         for k in range(n_smooth):
             candidates = []
-            w = warm
+            chain = warm
             for g in grid:
                 trial = tuple(lam[:k] + [g] + lam[k + 1 :])
-                res = evaluate(trial, w)
-                w = (res.beta, res.phi)
+                if list(trial) == lam:
+                    res, chain = cache[trial], warm
+                else:
+                    res, chain = evaluate(trial, chain)
                 candidates.append((res.aic, trial, res))
             candidates.sort(key=lambda c: (c[0], c[1]))
             _, trial, res = candidates[0]
             if list(trial) != lam:
                 lam = list(trial)
                 changed = True
-            warm = (res.beta, res.phi)
+                warm = _State(design, res.beta, res.phi)
         if not changed:
             break
-    final = _fit_at_lambda(design, lam, warm, _TOL)
+    final, _ = _fit_at_lambda(design, lam, warm, _TOL)
     return lam, final
 
 

@@ -1,5 +1,8 @@
+import hashlib
+import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
 
-from camcurves import ConvergenceError, InputError, betagam, io
+from camcurves import ConvergenceError, InputError, betagam, io, observation_table
 from camcurves._numeric import inv_logit
 from camcurves.betagam import (
     AdditiveModel,
@@ -29,6 +32,7 @@ from camcurves.betagam import (
     _saturated_loglik,
     _score_weight,
 )
+from camcurves.design import ARCHITECTURES, DATASETS, TUNINGS
 
 from conftest import CALIBRATION_SEED, as_table, make_obs, observation_rows
 
@@ -347,9 +351,9 @@ class TestFit:
         design = _assemble(single_smooth_spec(), simulate_rows(np.random.default_rng(1)))
         design.sum_ylog[0] = np.nan
         P = _penalty_matrix(design, [1.0])
-        beta0, phi0 = betagam._initial_values(design, P)
+        start = betagam._State(design, *betagam._initial_values(design, P))
         with pytest.raises(ConvergenceError, match="non-finite objective") as err:
-            betagam._fit_penalized(design, P, beta0, phi0, betagam._TOL)
+            betagam._fit_penalized(start, P, betagam._TOL)
         assert err.value.iterations == 0
 
     @pytest.mark.parametrize("lam", [1e308, float("inf"), float("nan")])
@@ -367,8 +371,8 @@ class TestFit:
     def test_objective_never_decreases_across_iterations(self, seed, lam):
         design = _assemble(single_smooth_spec(), simulate_rows(np.random.default_rng(seed)))
         P = _penalty_matrix(design, [lam])
-        beta0, phi0 = betagam._initial_values(design, P)
-        *_, history = betagam._fit_penalized(design, P, beta0, phi0, betagam._TOL)
+        start = betagam._State(design, *betagam._initial_values(design, P))
+        _, history = betagam._fit_penalized(start, P, betagam._TOL)
         # the ascent test accepts a step that loses at most 1e-12
         assert np.all(np.diff(history) >= -1e-12)
 
@@ -383,9 +387,11 @@ class TestFit:
         calls = []
         ll_sum = betagam._ll_sum
         monkeypatch.setattr(betagam, "_ll_sum", lambda *args: calls.append(1) or ll_sum(*args))
-        *_, history = betagam._fit_penalized(design, P, model.coef, model.phi, betagam._TOL)
+        start = betagam._State(design, model.coef, model.phi)
+        state, history = betagam._fit_penalized(start, P, betagam._TOL)
         assert len(history) - 1 == 1
         assert len(calls) == 1
+        assert state is start
 
     def test_refit_is_bit_reproducible(self):
         rng = np.random.default_rng(3)
@@ -697,6 +703,12 @@ class TestBackwardElimination:
             backward_eliminate(ModelSpec("ACC"), observation_rows([0.5], [10]), alpha=1.5)
 
 
+@pytest.fixture(scope="module")
+def calibrated_fpr_elimination(calibrated_observations):
+    data = calibrated_observations[calibrated_observations.metric == "FPR"]
+    return backward_eliminate(ModelSpec("FPR"), data)
+
+
 class TestReferenceAnswers:
     """The calibrated fits give the benchmark's reference answers."""
 
@@ -710,11 +722,83 @@ class TestReferenceAnswers:
         assert calibrated_acc_model.lambdas == expected["lambdas"]
         assert calibrated_acc_model.fit_stats.loglik == pytest.approx(expected["loglik"], rel=1e-9)
 
-    def test_fpr_elimination_drops_the_reference_terms(self, calibrated_observations):
+    def test_fpr_elimination_drops_the_reference_terms(self, calibrated_fpr_elimination):
         expected = self.answers[
             "fit-gam --observations grid.csv --metric FPR --out fpr.json --eliminate"
         ]
-        data = calibrated_observations[calibrated_observations.metric == "FPR"]
-        model, trace = backward_eliminate(ModelSpec("FPR"), data)
+        model, trace = calibrated_fpr_elimination
         assert [step.dropped for step in trace] == expected["dropped"]
         assert model.lambdas == expected["lambdas"]
+
+    def test_model_json_bytes_are_pinned(self, calibrated_acc_model, calibrated_fpr_elimination):
+        # the sha256 of the JSON `fit-gam --out` writes; a change that claims the
+        # same fit must leave every byte of it, not only lambda and the loglik
+        digests = [
+            hashlib.sha256(io.canonical_json(io.model_to_dict(model)).encode()).hexdigest()
+            for model in (calibrated_acc_model, calibrated_fpr_elimination[0])
+        ]
+        assert digests == [
+            "53e8db45ad876f9533fe143bf7e91d04e4d98e38d04a0e6a3dc28d1c6426e62f",
+            "9ee101efbe8e1ac31f80b1e1e74c0bf07fee9e7e49a08d6a97cd06f7e5228f89",
+        ]
+
+
+class TestSearchCost:
+    """Deterministic counters of the lambda search: what it evaluates and holds."""
+
+    def test_each_state_is_evaluated_once(self, calibrated_observations, monkeypatch):
+        # a state carries its likelihood and special functions across steps not
+        # taken, into its final covariance and into the next warm-started fit; a
+        # repeat is a polygamma01 call on an array argument it was called on before
+        ll_calls, polygamma_calls, seen = [], [], set()
+        ll_sum, polygamma01 = betagam._ll_sum, betagam.polygamma01
+
+        def counted_ll_sum(*args):
+            ll_calls.append(1)
+            return ll_sum(*args)
+
+        def counted_polygamma01(x):
+            if np.ndim(x):
+                digest = hashlib.sha256(np.ascontiguousarray(x).tobytes()).digest()
+                polygamma_calls.append(digest in seen)
+                seen.add(digest)
+            return polygamma01(x)
+
+        monkeypatch.setattr(betagam, "_ll_sum", counted_ll_sum)
+        monkeypatch.setattr(betagam, "polygamma01", counted_polygamma01)
+        betagam.fit(ModelSpec("ACC"), calibrated_observations)
+        assert len(ll_calls) <= 480
+        assert sum(polygamma_calls) <= 20
+
+    def test_fit_on_distinct_rows_keeps_its_traced_peak_bounded(self):
+        # 7,776 rows, each with its own size in its (dataset, architecture,
+        # tuning) cell, so no design row repeats; the fit holds a few arrays of
+        # 7,776 at once, and a cache of such arrays per lambda tried would not fit
+        rng = np.random.default_rng(20260811)
+        cells = list(itertools.product(DATASETS, ARCHITECTURES, TUNINGS))
+        per_cell = 7776 // len(cells)
+        sizes = np.concatenate(
+            [rng.choice(np.arange(10, 1001), per_cell, replace=False) for _ in cells]
+        )
+        levels = np.repeat(np.array(cells), per_cell, axis=0)
+        mu = inv_logit(1.2 + 0.4 * np.log(sizes))
+        table = observation_table(
+            {
+                "metric": ["ACC"] * sizes.size,
+                "value": rng.beta(250.0 * mu, 250.0 * (1.0 - mu)),
+                "dataset": levels[:, 0],
+                "class": ["c0"] * sizes.size,
+                "num_tr_images": sizes,
+                "architecture": levels[:, 1],
+                "tuning": levels[:, 2],
+                "augmentation": ["none"] * sizes.size,
+            }
+        )
+        tracemalloc.start()
+        try:
+            model = betagam.fit(ModelSpec("ACC"), table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.fit_stats.n_obs == sizes.size
+        assert peak < 10e6

@@ -183,8 +183,8 @@ def test_aggregate_by_class_names_the_csv_column(tmp_path, capsys):
     assert cli.main(argv + ["class"]) == cli.EXIT_OK
     assert capsys.readouterr().out.splitlines() == [
         "metric,class,mean,std,count",
-        "ACC,cat,0.60,,1",
-        "ACC,fox,0.75,0.071,2",
+        "ACC,cat,0.600,,1",
+        "ACC,fox,0.750,0.071,2",
     ]
     code = cli.main(argv + ["class_label"])
     assert_one_input_error(code, capsys, "cannot group by 'class_label'")
@@ -222,6 +222,20 @@ AGGREGATE_RECORDS = [
     if (dataset, label, n) != ("SE", "fox", 50)
 ]
 GROUPABLE = [c for c in io.OBSERVATION_COLUMNS if c != "value"]
+def test_aggregate_prints_a_small_mean_with_the_digits_of_its_std(tmp_path, capsys):
+    # FPR means are a few hundredths; at two decimals 0.034 and 0.025 read 0.03
+    path = tmp_path / "obs.csv"
+    values = [0.012, 0.056, 0.020, 0.030]
+    rows = [make_obs(v, 10, metric="FPR", dataset=d) for v, d in zip(values, "AAWW")]
+    io.write_observations_csv(str(path), as_table(rows))
+    assert cli.main(["aggregate", "--observations", str(path), "--by", "dataset"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "metric,dataset,mean,std,count",
+        "FPR,A,0.034,0.031,2",
+        "FPR,W,0.025,0.007,2",
+    ]
+
+
 # --by items: every groupable field, and unknown, blank and padded ones
 BY_ITEMS = [*GROUPABLE, "value", "class_label", "Dataset", "", " ", " tuning "]
 
