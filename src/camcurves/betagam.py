@@ -135,6 +135,15 @@ class ModelSpec:
         names = [t.name for t in self.parametric_terms]
         if len(names) != len(set(names)):
             raise InputError("duplicate parametric terms")
+        if len(self.smooth_terms) > 1:  # a model carries one knot vector
+            raise InputError("at most one smooth term is supported")
+        for term in self.smooth_terms:
+            if term.covariate != "num_tr_images":
+                raise InputError(f"unsupported smooth covariate {term.covariate!r}")
+            if term.by_factor is not None and term.by_factor not in names:
+                raise InputError(
+                    f"smooth by-factor {term.by_factor!r} is not a parametric term of the model"
+                )
         if not 0.0 < self.squeeze_eps < 0.5:
             raise InputError(f"squeeze_eps must lie in (0, 0.5), got {self.squeeze_eps}")
 
@@ -307,21 +316,14 @@ def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
     # the table holds values in [0, 1]; only the bounds themselves move
     eps = spec.squeeze_eps
     y = np.where(data.value == 0.0, eps, np.where(data.value == 1.0, 1.0 - eps, data.value))
-    if len(spec.smooth_terms) > 1:  # a model carries one knot vector
-        raise InputError("at most one smooth term is supported")
     ks = []
     for term in spec.smooth_terms:
-        if term.covariate != "num_tr_images":
-            raise InputError(f"unsupported smooth covariate {term.covariate!r}")
-        by = term.by_factor
-        if by is not None and by not in [t.name for t in spec.parametric_terms]:
-            raise InputError(f"smooth by-factor {by!r} is not a parametric term of the model")
         # a smooth gets at most one knot per distinct size (mgcv's k <= the number of
         # unique covariate values), and each by-level block needs that many sizes of
         # its own; the design's spec, and so the model, records that k
         count, level = _fewest_sizes(data, term)
         if count < 3:
-            where = "" if level is None else f" for {by} {level!r}"
+            where = "" if level is None else f" for {term.by_factor} {level!r}"
             raise InputError(
                 f"a smooth of num_tr_images needs 3 distinct sizes, got {count}{where}"
             )

@@ -328,17 +328,19 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_curve_plot(args) -> int:
     model = io.load_model(args.model)
+    gam = isinstance(model, betagam.AdditiveModel)
+    if gam != (args.cell is not None):
+        raise InputError(
+            "plotting a GAM needs --cell dataset,tuning,architecture; a log-size curve takes none"
+        )
     rows = io.parse_observations(args.observations, model.metric)
     if not len(rows):
         raise InputError(f"no observations with metric {model.metric}")
     sizes = rows.num_tr_images.astype(float)
     scatter = list(zip(sizes.tolist(), rows.value.tolist()))
     grid = np.exp(np.linspace(np.log(sizes.min()), np.log(sizes.max()), 200))
-    if isinstance(model, betagam.AdditiveModel):
-        if not args.cell:
-            raise InputError("plotting a GAM needs --cell dataset,tuning,architecture")
-        cell = _parse_cell(args.cell)
-        values = model.predict_sizes(cell, grid)
+    if gam:
+        values = model.predict_sizes(_parse_cell(args.cell), grid)
         title = f"{model.metric} fit ({args.cell})"
     else:
         values = np.array([curves.predict_metric(model, n) for n in grid])

@@ -4,12 +4,22 @@ All writers are atomic (temp file + rename) so failed runs never leave
 partial outputs behind.  JSON is emitted in a canonical form (sorted keys,
 two-space indent, trailing newline) so serialize -> parse -> serialize is
 byte-identical.
+
+The keys of a model JSON document are the field names of its model
+dataclass, `LearningCurveModel` or `AdditiveModel` (with `FitStats` under
+fit_stats), with the schema and model_family beside them.  A GAM's layout
+keys are the exception: its spec is written as metric, squeeze_eps,
+parametric_terms and smooth_terms, its knot vector as knots, and smooth_by
+is kept for the layout.  A model file holding NaN, an infinity or a number
+beyond the float range is an input error.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import math
 import os
 import tempfile
 from contextlib import contextmanager
@@ -236,58 +246,33 @@ def write_observations_csv(path: str, table: np.recarray):
 # ---------------------------------------------------------------------------
 
 
+def _plain(value):
+    """`value` as JSON data: a dataclass as the dict of its fields, an ndarray as a list."""
+    if dataclasses.is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    if isinstance(value, Mapping):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 def model_to_dict(model) -> dict:
+    """The model JSON document of `model`: its fields by name, but for a GAM's layout keys."""
     if isinstance(model, LearningCurveModel):
-        return {
-            "schema": MODEL_SCHEMA,
-            "model_family": "ols_log",
-            "metric": model.metric,
-            "intercept": model.intercept,
-            "slope": model.slope,
-            "transform": model.transform,
-            "adj_r_squared": model.adj_r_squared,
-            "n_obs": model.n_obs,
-            "size_range": list(model.size_range) if model.size_range else None,
-        }
+        return {"schema": MODEL_SCHEMA, "model_family": "ols_log", **_plain(model)}
     if isinstance(model, AdditiveModel):
+        document = _plain(model)
+        spec, knot_vector = document.pop("spec"), document.pop("knot_vector")
         return {
             "schema": MODEL_SCHEMA,
             "model_family": "beta_gam",
-            "metric": model.metric,
-            "squeeze_eps": model.spec.squeeze_eps,
-            "parametric_terms": [
-                {"name": t.name, "reference": t.reference} for t in model.spec.parametric_terms
-            ],
-            "smooth_terms": [
-                {"covariate": t.covariate, "by_factor": t.by_factor, "k": t.k}
-                for t in model.spec.smooth_terms
-            ],
-            "coef_names": list(model.coef_names),
-            "coef": model.coef.tolist(),
-            "term_index": {k: list(v) for k, v in model.term_index.items()},
-            "factor_levels": {k: list(v) for k, v in model.factor_levels.items()},
-            "references": dict(model.references),
-            "knots": model.knot_vector.knots.tolist() if model.knot_vector else None,
+            "metric": spec.pop("response"),
+            **spec,
+            **document,
+            "knots": knot_vector["knots"] if knot_vector else None,
             # read by no loader; kept so the model JSON layout stays the same
-            "smooth_by": next((t.by_factor for t in model.spec.smooth_terms), None),
-            "smooth_constraints": {
-                k: v.tolist() for k, v in model.smooth_constraints.items()
-            },
-            "lambdas": dict(model.lambdas),
-            "phi": model.phi,
-            "covariance": model.covariance.tolist(),
-            "edf_by_coef": model.edf_by_coef.tolist(),
-            "fit_stats": {
-                "loglik": model.fit_stats.loglik,
-                "aic": model.fit_stats.aic,
-                "deviance": model.fit_stats.deviance,
-                "null_deviance": model.fit_stats.null_deviance,
-                "deviance_explained": model.fit_stats.deviance_explained,
-                "adj_r_squared": model.fit_stats.adj_r_squared,
-                "n_obs": model.fit_stats.n_obs,
-                "iterations": model.fit_stats.iterations,
-            },
-            "observed_sizes": list(model.observed_sizes),
+            "smooth_by": next((t["by_factor"] for t in spec["smooth_terms"]), None),
         }
     raise InputError(f"unsupported model type {type(model).__name__}")
 
@@ -302,7 +287,7 @@ def model_from_dict(payload: Mapping):
             _check_gam_parts(model)
     except KeyError as exc:
         raise InputError(f"model is missing key {exc.args[0]!r}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed model: {exc}") from None
     return model
 
@@ -339,22 +324,26 @@ def _check_gam_parts(model: AdditiveModel):
                 raise InputError(f"model has no {rows} x {cols} smooth constraint for {label!r}")
 
 
+def _typed_fields(cls, values: Mapping, prefix: str = "") -> dict:
+    """The fields of dataclass `cls` from `values` by name: an int through _integer, a
+    float through float and any other as it is; `prefix` goes before a name in an error."""
+    return {
+        f.name: (
+            _integer(values[f.name], prefix + f.name)
+            if f.type == "int"
+            else float(values[f.name]) if f.type == "float" else values[f.name]
+        )
+        for f in dataclasses.fields(cls)
+    }
+
+
 def _model_from_payload(payload: Mapping):
     family = payload.get("model_family")
     if family == "ols_log":
-        return LearningCurveModel(  # checks the transform against the metric
-            metric=payload["metric"],
-            intercept=float(payload["intercept"]),
-            slope=float(payload["slope"]),
-            transform=payload["transform"],
-            adj_r_squared=float(payload["adj_r_squared"]),
-            n_obs=_integer(payload["n_obs"], "n_obs"),
-            size_range=(
-                _positive_ints(payload["size_range"], "size_range", length=2)
-                if payload.get("size_range")
-                else None
-            ),
-        )
+        fields = _typed_fields(LearningCurveModel, {**payload, "size_range": None})
+        if payload.get("size_range"):
+            fields["size_range"] = _positive_ints(payload["size_range"], "size_range", length=2)
+        return LearningCurveModel(**fields)  # checks the transform against the metric
     if family == "beta_gam":
         spec = ModelSpec(
             response=payload["metric"],
@@ -367,37 +356,20 @@ def _model_from_payload(payload: Mapping):
             ),
             squeeze_eps=float(payload["squeeze_eps"]),
         )
-        stats = payload["fit_stats"]
         return AdditiveModel(
             spec=spec,
-            coef=np.array(payload["coef"], dtype=float),
+            **{k: np.array(payload[k], dtype=float) for k in ("coef", "covariance", "edf_by_coef")},
             coef_names=tuple(payload["coef_names"]),
             term_index={k: tuple(v) for k, v in payload["term_index"].items()},
             factor_levels={k: tuple(v) for k, v in payload["factor_levels"].items()},
             references=dict(payload["references"]),
-            knot_vector=(
-                KnotVector(np.array(payload["knots"], dtype=float))
-                if payload.get("knots")
-                else None
-            ),
+            knot_vector=KnotVector(payload["knots"]) if payload.get("knots") else None,
             smooth_constraints={
-                k: np.array(v, dtype=float)
-                for k, v in payload["smooth_constraints"].items()
+                k: np.array(v, dtype=float) for k, v in payload["smooth_constraints"].items()
             },
             lambdas={k: float(v) for k, v in payload["lambdas"].items()},
             phi=float(payload["phi"]),
-            covariance=np.array(payload["covariance"], dtype=float),
-            edf_by_coef=np.array(payload["edf_by_coef"], dtype=float),
-            fit_stats=FitStats(
-                loglik=float(stats["loglik"]),
-                aic=float(stats["aic"]),
-                deviance=float(stats["deviance"]),
-                null_deviance=float(stats["null_deviance"]),
-                deviance_explained=float(stats["deviance_explained"]),
-                adj_r_squared=float(stats["adj_r_squared"]),
-                n_obs=_integer(stats["n_obs"], "fit_stats n_obs"),
-                iterations=_integer(stats["iterations"], "fit_stats iterations"),
-            ),
+            fit_stats=FitStats(**_typed_fields(FitStats, payload["fit_stats"], "fit_stats ")),
             observed_sizes=_positive_ints(payload["observed_sizes"], "observed_sizes"),
         )
     raise InputError(f"unknown model family {family!r}")
@@ -427,16 +399,24 @@ def save_model(model, path: str):
         handle.write(canonical_json(model_to_dict(model)))
 
 
+def _finite(text: str) -> float:
+    """A JSON number or constant as a float; ValueError for NaN, Infinity or 1e999."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def load_model(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+            payload = json.load(handle, parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: unreadable as UTF-8 ({exc.reason})") from None
+    except ValueError as exc:  # a JSONDecodeError, or a non-finite number
+        raise InputError(f"{path}: invalid JSON ({exc})") from exc
     return model_from_dict(payload)
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import camcurves
 from camcurves import cli, design, io
+from camcurves.design import ARCHITECTURES, DATASETS, TUNINGS
 
 from camcurves.metrics import METRIC_KINDS
 
@@ -719,6 +720,22 @@ def _squeeze_eps_beyond_half(d):
     d["squeeze_eps"] = 0.7
 
 
+def _unsupported_covariate(d):
+    d["smooth_terms"][0]["covariate"] = "foo"
+
+
+def _by_factor_not_in_the_model(d):
+    d["smooth_terms"][0]["by_factor"] = "class"
+
+
+def _second_smooth(d):
+    d["smooth_terms"].append(dict(d["smooth_terms"][0], by_factor=None))
+
+
+def _phi_beyond_the_float_range_as_an_integer(d):
+    d["phi"] = 10**400
+
+
 @pytest.mark.parametrize(
     "edit, fragment",
     [
@@ -739,6 +756,10 @@ def _squeeze_eps_beyond_half(d):
         (_fractional_n_obs, "fit_stats n_obs must be an integer, got 3.7"),
         (_fractional_iterations, "fit_stats iterations must be an integer, got 2.5"),
         (_squeeze_eps_beyond_half, "squeeze_eps must lie in (0, 0.5), got 0.7"),
+        (_unsupported_covariate, "unsupported smooth covariate 'foo'"),
+        (_by_factor_not_in_the_model, "smooth by-factor 'class' is not a parametric term"),
+        (_second_smooth, "at most one smooth term is supported"),
+        (_phi_beyond_the_float_range_as_an_integer, "malformed model: int too large"),
     ],
     ids=lambda v: getattr(v, "__name__", None),
 )
@@ -782,6 +803,63 @@ def test_malformed_ols_file_is_an_input_error(tmp_path, capsys, edit, fragment):
     model.write_text(io.canonical_json(payload))
     code = cli.main(["plan", "--model", str(model), "--target", "0.9"])
     assert_one_input_error(code, capsys, fragment)
+
+
+def with_non_finite(document, path, token) -> str:
+    """The JSON text of `document` with the number at `path` (a key, then indices) as `token`."""
+    *parents, last = path
+    target = document
+    for key in parents:
+        target = target[key]
+    target[last] = "__non-finite__"
+    return io.canonical_json(document).replace('"__non-finite__"', token)
+
+
+@pytest.mark.parametrize(
+    "command, path, token",
+    [
+        ("plan-ols", ["slope"], "Infinity"),
+        ("plan-gam", ["coef", 0], "NaN"),
+        ("curve-plot-gam", ["coef", 0], "NaN"),
+        ("plan-gam", ["phi"], "1e999"),
+        ("plan-gam", ["covariance", 0, 0], "-Infinity"),
+    ],
+    ids=["ols-slope-infinity", "gam-coef-nan", "curve-plot-gam-coef-nan", "gam-phi-1e999",
+         "gam-covariance-minus-infinity"],
+)
+def test_non_finite_number_in_a_model_file_is_an_input_error(
+    calibrated_acc_model, observations_csv, tmp_path, capsys, command, path, token
+):
+    # json reads NaN, Infinity and 1e999 (as inf) by default; a model holding one
+    # would plan a size, or plot a curve of nan, and exit 0
+    family = command.rsplit("-", 1)[1]
+    if family == "gam":
+        payload = io.model_to_dict(calibrated_acc_model)
+    else:
+        table = observation_rows([0.6 + 0.05 * i for i in range(len(SIZES))], SIZES)
+        payload = io.model_to_dict(camcurves.fit_log_curve(table, "ACC"))
+    model, svg = tmp_path / "model.json", tmp_path / "curve.svg"
+    model.write_text(with_non_finite(payload, path, token))
+    if command.startswith("plan"):
+        argv = ["plan", "--model", str(model), "--target", "0.95"]
+    else:
+        argv = ["curve-plot", "--model", str(model), "--observations", observations_csv,
+                "--out", str(svg)]
+    if family == "gam":
+        argv += ["--cell", "WI,deep,resNet18"]
+    assert_one_input_error(cli.main(argv), capsys, f"invalid JSON (non-finite number {token})")
+    assert not svg.exists()
+
+
+def test_curve_plot_of_a_log_size_model_with_a_cell_is_an_input_error(
+    ols_file, observations_csv, tmp_path, capsys
+):
+    svg = tmp_path / "ols.svg"
+    argv = ["curve-plot", "--model", ols_file, "--observations", observations_csv]
+    code = cli.main(argv + ["--cell", "AU,deep,resNet50", "--out", str(svg)])
+    assert_one_input_error(code, capsys, "a log-size curve takes none")
+    assert not svg.exists()
+    assert cli.main(argv + ["--out", str(svg)]) == cli.EXIT_OK
 
 
 def test_model_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
@@ -1004,6 +1082,113 @@ def test_plan_preset_exits_0_2_or_4_with_the_last_crossing(capsys, targets, ceil
         attained.append(n)
     if len(targets) > 1:
         assert lines[-1] == f"binding required_n {max(attained)}"
+
+
+@pytest.fixture(scope="module")
+def plan_model_documents(calibrated_acc_model, calibrated_observations):
+    """The model JSON document of each source a `plan --model` run draws."""
+    return {
+        "gam-ACC": io.model_to_dict(calibrated_acc_model),
+        **{
+            f"ols-{metric}": io.model_to_dict(
+                camcurves.fit_log_curve(calibrated_observations, metric)
+            )
+            for metric in ("ACC", "FPR")
+        },
+    }
+
+
+# the number a model file may hold that json reads but a model cannot: NaN, an
+# infinity, a literal beyond the float range, or an integer beyond it
+NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400]
+
+# a number of each kind of model document, by its path
+NUMBER_PATHS = {
+    "gam": [["phi"], ["coef", 0], ["covariance", 1, 0], ["knots", -1], ["fit_stats", "aic"],
+            ["lambdas", "s(num_tr_images):dataset[AU]"], ["squeeze_eps"], ["edf_by_coef", -1]],
+    "ols": [["intercept"], ["slope"], ["adj_r_squared"]],
+}
+
+
+def draw_plan_model_run(draw, documents, path) -> tuple:
+    """Write a drawn model file to `path`; (its source, whether the run is an input error,
+    target, ceiling, cell).
+
+    The file is one of `documents`, in a quarter of the draws with a key dropped or a
+    number made non-finite.  --target may lie outside (0, 1) and --ceiling outside
+    [1, 2**53]; --cell may be missing for a GAM, given for a log-size curve, name an
+    unknown level or have the wrong arity.  A dropped key need not be an input error.
+    """
+    source = draw(st.sampled_from(sorted(documents)))
+    family = source.split("-")[0]
+    document = json.loads(json.dumps(documents[source]))
+    edit = draw(st.sampled_from(["none"] * 6 + ["drop", "non-finite"]))
+    if edit == "drop":
+        del document[draw(st.sampled_from(sorted(document)))]
+    text = io.canonical_json(document)
+    if edit == "non-finite":
+        number = draw(st.sampled_from(NUMBER_PATHS[family]))
+        text = with_non_finite(document, number, draw(st.sampled_from(NON_FINITE)))
+    path.write_text(text)
+    target = draw(
+        mostly(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            [0.0, 1.0, -0.5, 1.5, math.nan, math.inf],
+            0.1,
+        )
+    )
+    ceiling = draw(mostly(st.integers(1, 1000) | st.integers(1, 2**53), [0, -3, 2**53 + 1], 0.1))
+    levels = [draw(st.sampled_from(axis)) for axis in (DATASETS, TUNINGS, ARCHITECTURES)]
+    own = ",".join(levels) if family == "gam" else None
+    wrong = [None if family == "gam" else ",".join(levels), "XX,deep,resNet18", "AU,deep",
+             "AU,deep,resNet18,x"]
+    cell = draw(mostly(st.just(own), wrong, 0.15))
+    invalid = (
+        edit == "non-finite"
+        or not 0.0 < target < 1.0
+        or not 1 <= ceiling <= 2**53
+        or cell != own
+    )
+    return source, invalid, target, ceiling, cell
+
+
+@settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.data())
+def test_plan_model_exits_0_2_or_4_with_the_last_crossing(
+    plan_model_documents, tmp_path, capsys, data
+):
+    path = tmp_path / "model.json"
+    source, invalid, target, ceiling, cell = draw_plan_model_run(
+        data.draw, plan_model_documents, path
+    )
+    argv = ["plan", "--model", str(path), f"--target={target!r}", f"--ceiling={ceiling}"]
+    code = cli.main(argv + ([f"--cell={cell}"] if cell is not None else []))
+    if code != cli.EXIT_OK:
+        prefix = {cli.EXIT_INPUT: "input-error: ", cli.EXIT_INFEASIBLE: "infeasible-plan: "}
+        assert code in prefix
+        assert_one_error_line(code, capsys, code, prefix[code])
+        assert code == cli.EXIT_INPUT or not invalid
+        return
+    assert not invalid
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    # one target, so an exit 0 plans a size: the smallest from which every size up to
+    # the ceiling meets the target, so the size below it does not
+    metric = source.split("-")[1]
+    (line,) = captured.out.splitlines()
+    assert line.startswith(f"{metric} {'<=' if metric == 'FPR' else '>='} {target}: required_n ")
+    n = int(line.split("required_n ")[1].split()[0])
+    model = io.load_model(str(path))
+    query = camcurves.planner.PlanQuery(metric, target, ceiling)
+    if cell is None:
+        predict = lambda size: camcurves.predict_metric(model, size)
+    else:
+        columns = dict(zip(("dataset", "tuning", "architecture"), cell.split(",")))
+        predict = lambda size: model.predict_sizes(columns, [size])[0]
+    assert 1 <= n <= ceiling and query.met_by(predict(n))
+    assert n == 1 or not query.met_by(predict(n - 1))
 
 
 @st.composite

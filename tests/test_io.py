@@ -1,11 +1,12 @@
 import functools
+import hashlib
 import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from camcurves import InputError, curves, io
+from camcurves import InputError, betagam, curves, io
 from camcurves.metrics import METRIC_KINDS
 
 from conftest import as_table, make_obs, observation_rows
@@ -106,6 +107,27 @@ def test_ols_model_json_round_trip():
     values = [0.5 + 0.04 * i + 0.01 * (i % 3) for i in range(5)]
     table = observation_rows(values, (10, 20, 50, 150, 500), metric="PRC")
     _json_round_trip_is_stable(curves.fit_log_curve(table, "PRC"))
+
+
+def test_model_json_bytes_of_an_ols_and_an_intercept_only_model_are_pinned(
+    calibrated_observations,
+):
+    # the sha256 of the JSON `fit-ols --metric ACC` writes for the calibrated
+    # grid, and of an intercept-only GAM of it, whose knots are null
+    models = (
+        curves.fit_log_curve(calibrated_observations, "ACC"),
+        betagam.fit(
+            betagam.ModelSpec("ACC", parametric_terms=(), smooth_terms=()), calibrated_observations
+        ),
+    )
+    digests = [
+        hashlib.sha256(io.canonical_json(io.model_to_dict(model)).encode()).hexdigest()
+        for model in models
+    ]
+    assert digests == [
+        "1d5458004206511ddddc84863a2a90c65c98509738ccf2312bac9bd05c18a7ea",
+        "97380df8ffe8b45c141f52e132eb791f008e02da6535590e30437ce5dd4f3757",
+    ]
 
 
 def test_parsed_observation_table_is_read_only(tmp_path):
