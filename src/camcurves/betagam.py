@@ -46,10 +46,11 @@ likelihood evaluation, covariance and EDF works on those rows with counts
 and summed logs.  Only the starting values and the fit statistics (the
 saturated likelihood and adjusted R^2) read the individual observations.
 
-`_model_rows` is the one encoding of covariates into model-matrix rows: the
-intercept, the treatment dummies and the centred by-level spline blocks.  The
-fit builds its distinct rows with it, and `AdditiveModel.predict_sizes` builds
-its rows with it from the fitted model, so a cell cannot be encoded two ways.
+A `_Layout` declares how covariates become model-matrix rows, and its `rows`
+is the one encoding: the intercept, the treatment dummies and the centred
+by-level spline blocks.  The fit's `_Design` holds one, and `AdditiveModel`
+is one with the fit's fields added, so a cell cannot be encoded two ways.  A
+layout checks that its parts agree wherever it is built, from a file or not.
 
 The Beta likelihood is written once, on design rows: `_ll_sum` is the
 log-likelihood, `_score_weight` its score in logit(mu) with the Fisher weight,
@@ -64,7 +65,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -85,6 +86,10 @@ _TOL, _SCREEN_TOL, _MAX_ITER = 1e-8, 1e-5, 200
 _RESOLUTION = 256 * np.finfo(float).eps
 
 _PHI_MIN, _PHI_MAX = 1e-2, 1e8
+
+# largest fixed smoothing parameter: by 1e12 each smooth block is at its
+# unpenalized line (EDF 1), and past ~1e17 rounding in lambda*S erases that line
+_MAX_FIXED_LAMBDA = 1e12
 
 INTERCEPT = "(intercept)"
 
@@ -226,36 +231,6 @@ def _log_phi_derivatives(mu, phi, n, sum_ylog, sum_y1log, polygammas=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Design:
-    """The model matrix on the distinct design rows, with their sufficient statistics.
-
-    The fields from `spec` to `smooth_constraints` carry the names and meaning
-    of the same fields of AdditiveModel, so `_model_rows` reads either.
-    """
-
-    X: np.ndarray  # m distinct rows x p coefficients
-    n: np.ndarray  # observations per row
-    sum_ylog: np.ndarray  # per-row sum of log(y)
-    sum_y1log: np.ndarray  # per-row sum of log(1-y)
-    y: np.ndarray  # per-observation response
-    inverse: np.ndarray  # observation -> row index into X
-    spec: ModelSpec
-    coef_names: list
-    term_index: dict
-    factor_levels: dict
-    references: dict
-    knot_vector: KnotVector | None
-    smooth_constraints: dict  # smooth label -> k x (k-1) reparameterization
-    smooth_penalties: dict  # smooth label -> (k-1) x (k-1) curvature penalty
-    observed_sizes: tuple
-
-    @property
-    def row_stats(self) -> tuple:
-        """(n, sum_ylog, sum_y1log): the row arguments of _ll_sum and its derivatives."""
-        return self.n, self.sum_ylog, self.sum_y1log
-
-
 def _smooth_blocks(term: SmoothTerm, factor_levels: Mapping) -> list:
     """(level, label) of each by-level block of a smooth; (None, label) if unsplit."""
     if term.by_factor is None:
@@ -263,50 +238,97 @@ def _smooth_blocks(term: SmoothTerm, factor_levels: Mapping) -> list:
     return [(level, f"{term.label}[{level}]") for level in factor_levels[term.by_factor]]
 
 
-def _model_rows(model, columns: Mapping, sizes) -> np.ndarray:
-    """Model-matrix rows at covariate values: the one encoding of covariates.
+@dataclass(frozen=True)
+class _Layout:
+    """How a cell and num_tr_images become a model-matrix row; checks its parts agree."""
 
-    `model` is a _Design or an AdditiveModel.  `columns` maps each factor of
-    the model to its level per row, or to one level for every row; `sizes`
-    holds num_tr_images per row.  A row holds the intercept, the treatment
-    dummies and, for each by-level smooth, the centred basis at log(size) on
-    the rows of its level and 0 elsewhere.
-    """
-    sizes = np.atleast_1d(np.asarray(sizes, dtype=float))
-    if np.any(sizes <= 0.0):
-        raise InputError("num_tr_images must be positive")
-    X = np.zeros((sizes.size, len(model.coef_names)))
-    X[:, model.term_index[INTERCEPT][0]] = 1.0
-    values = {}
-    for factor, levels in model.factor_levels.items():
-        if factor not in columns:
-            raise InputError(f"cell is missing a level for factor {factor!r}")
-        values[factor] = np.broadcast_to(np.asarray(columns[factor]), sizes.shape)
-        unknown = set(values[factor].tolist()).difference(levels)
-        if unknown:
-            raise InputError(f"unknown level {min(unknown, key=str)!r} for factor {factor!r}")
-        others = [level for level in levels if level != model.references[factor]]
-        for level, j in zip(others, model.term_index[factor]):
-            X[:, j] = values[factor] == level
-    if model.spec.smooth_terms:
-        raw = basis_rows(np.log(sizes), model.knot_vector)
-    for term in model.spec.smooth_terms:
-        for level, label in _smooth_blocks(term, model.factor_levels):
-            block = raw @ model.smooth_constraints[label]
-            if level is not None:
-                block = block * (values[term.by_factor] == level)[:, None]
-            X[:, list(model.term_index[label])] = block
-    return X
+    spec: ModelSpec
+    coef_names: tuple
+    term_index: dict  # term or smooth block label -> its coefficient indices
+    factor_levels: dict
+    references: dict
+    knot_vector: KnotVector | None
+    smooth_constraints: dict  # smooth label -> k x (k-1) reparameterization
+    observed_sizes: tuple
+
+    def __post_init__(self):
+        p = len(self.coef_names)
+        indices = sorted(i for idx in self.term_index.values() for i in idx)
+        if indices != list(range(p)):
+            raise InputError(f"model term_index does not cover coefficients 0..{p - 1} once each")
+        factors = {t.name: t.reference for t in self.spec.parametric_terms}
+        if set(self.factor_levels) != set(factors) or self.references != factors:
+            raise InputError(
+                "model factor_levels and references disagree with its parametric terms"
+            )
+        for name, levels in self.factor_levels.items():
+            if factors[name] not in levels or len(self.term_index.get(name, ())) != len(levels) - 1:
+                raise InputError(f"model levels of factor {name!r} disagree with its coefficients")
+        knots = self.knot_vector.count if self.knot_vector else 0
+        for term in self.spec.smooth_terms:
+            if term.k != knots:
+                raise InputError(f"model smooth term k={term.k} disagrees with its {knots} knots")
+            for _, label in _smooth_blocks(term, self.factor_levels):
+                shape = (knots, len(self.term_index[label]))
+                constraint = self.smooth_constraints.get(label)
+                if constraint is None or constraint.shape != shape:
+                    rows, cols = shape
+                    raise InputError(
+                        f"model has no {rows} x {cols} smooth constraint for {label!r}"
+                    )
+
+    def rows(self, columns: Mapping, sizes) -> np.ndarray:
+        """Model-matrix rows at covariate values: the one encoding of covariates.
+
+        `columns` maps each factor of the model to its level per row, or to one
+        level for every row; `sizes` holds num_tr_images per row.  A row holds
+        the intercept, the treatment dummies and, for each by-level smooth, the
+        centred basis at log(size) on the rows of its level and 0 elsewhere.
+        """
+        sizes = np.atleast_1d(np.asarray(sizes, dtype=float))
+        if np.any(sizes <= 0.0):
+            raise InputError("num_tr_images must be positive")
+        X = np.zeros((sizes.size, len(self.coef_names)))
+        X[:, self.term_index[INTERCEPT][0]] = 1.0
+        values = {}
+        for factor, levels in self.factor_levels.items():
+            if factor not in columns:
+                raise InputError(f"cell is missing a level for factor {factor!r}")
+            values[factor] = np.broadcast_to(np.asarray(columns[factor]), sizes.shape)
+            unknown = set(values[factor].tolist()).difference(levels)
+            if unknown:
+                raise InputError(f"unknown level {min(unknown, key=str)!r} for factor {factor!r}")
+            others = [level for level in levels if level != self.references[factor]]
+            for level, j in zip(others, self.term_index[factor]):
+                X[:, j] = values[factor] == level
+        if self.spec.smooth_terms:
+            raw = basis_rows(np.log(sizes), self.knot_vector)
+        for term in self.spec.smooth_terms:
+            for level, label in _smooth_blocks(term, self.factor_levels):
+                block = raw @ self.smooth_constraints[label]
+                if level is not None:
+                    block = block * (values[term.by_factor] == level)[:, None]
+                X[:, list(self.term_index[label])] = block
+        return X
 
 
-def _fewest_sizes(data: np.recarray, term: SmoothTerm) -> tuple:
-    """(count, level): the fewest distinct sizes in any by-level block of a smooth, and
-    that block's level (None for a smooth without a by-factor)."""
-    by = term.by_factor
-    keys, _ = _distinct(data, [term.covariate] if by is None else [by, term.covariate])
-    sizes_per_block = Counter(key[:-1] for key in keys)  # (level,) or () -> sizes
-    block, count = min(sizes_per_block.items(), key=lambda item: item[1])
-    return count, block[0] if block else None
+@dataclass
+class _Design:
+    """The model matrix on the distinct design rows, with their sufficient statistics."""
+
+    layout: _Layout
+    X: np.ndarray  # m distinct rows x p coefficients
+    n: np.ndarray  # observations per row
+    sum_ylog: np.ndarray  # per-row sum of log(y)
+    sum_y1log: np.ndarray  # per-row sum of log(1-y)
+    y: np.ndarray  # per-observation response
+    inverse: np.ndarray  # observation -> row index into X
+    smooth_penalties: dict  # smooth label -> (k-1) x (k-1) curvature penalty
+
+    @property
+    def row_stats(self) -> tuple:
+        """(n, sum_ylog, sum_y1log): the row arguments of _ll_sum and its derivatives."""
+        return self.n, self.sum_ylog, self.sum_y1log
 
 
 def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
@@ -316,21 +338,6 @@ def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
     # the table holds values in [0, 1]; only the bounds themselves move
     eps = spec.squeeze_eps
     y = np.where(data.value == 0.0, eps, np.where(data.value == 1.0, 1.0 - eps, data.value))
-    ks = []
-    for term in spec.smooth_terms:
-        # a smooth gets at most one knot per distinct size (mgcv's k <= the number of
-        # unique covariate values), and each by-level block needs that many sizes of
-        # its own; the design's spec, and so the model, records that k
-        count, level = _fewest_sizes(data, term)
-        if count < 3:
-            where = "" if level is None else f" for {term.by_factor} {level!r}"
-            raise InputError(
-                f"a smooth of num_tr_images needs 3 distinct sizes, got {count}{where}"
-            )
-        ks.append(min(term.k, count))
-    spec = replace(
-        spec, smooth_terms=tuple(replace(t, k=k) for t, k in zip(spec.smooth_terms, ks))
-    )
     sizes = np.unique(data.num_tr_images)
 
     # one design row per distinct combination of the covariates the model uses,
@@ -341,6 +348,22 @@ def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
     m = len(keys)
     counts = np.bincount(inverse, minlength=m).astype(float)
     column = {name: [key[j] for key in keys] for j, name in enumerate(key_names)}
+
+    smooth_terms = []
+    for term in spec.smooth_terms:
+        # a smooth gets at most one knot per distinct size (mgcv's k <= the number of
+        # unique covariate values), and each by-level block needs that many sizes of
+        # its own; the design's spec, and so the model, records that k
+        levels = column[term.by_factor] if term.by_factor else [None] * m
+        per_level = Counter(level for level, _ in set(zip(levels, column[term.covariate])))
+        count, level = min((count, level) for level, count in per_level.items())
+        if count < 3:
+            where = "" if level is None else f" for {term.by_factor} {level!r}"
+            raise InputError(
+                f"a smooth of num_tr_images needs 3 distinct sizes, got {count}{where}"
+            )
+        smooth_terms.append(replace(term, k=min(term.k, count)))
+    spec = replace(spec, smooth_terms=tuple(smooth_terms))
 
     factor_levels: dict = {}
     references: dict = {}
@@ -374,27 +397,29 @@ def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
             term_index[label] = tuple(range(len(names), len(names) + rank))
             names.extend(f"{label}.{j}" for j in range(rank))
 
-    design = _Design(
-        X=None,
-        n=counts,
-        sum_ylog=np.bincount(inverse, np.log(y), m),
-        sum_y1log=np.bincount(inverse, np.log1p(-y), m),
-        y=y,
-        inverse=inverse,
+    layout = _Layout(
         spec=spec,
-        coef_names=names,
+        coef_names=tuple(names),
         term_index=term_index,
         factor_levels=factor_levels,
         references=references,
         knot_vector=knot_vector,
         smooth_constraints=constraints,
-        smooth_penalties=penalties,
         observed_sizes=tuple(sizes.tolist()),
     )
     # a model without a smooth term reads no size
-    design.X = _model_rows(design, column, column.get("num_tr_images", np.ones(m)))
-    _check_rank(design.X, names)
-    return design
+    X = layout.rows(column, column.get("num_tr_images", np.ones(m)))
+    _check_rank(X, names)
+    return _Design(
+        layout=layout,
+        X=X,
+        n=counts,
+        sum_ylog=np.bincount(inverse, np.log(y), m),
+        sum_y1log=np.bincount(inverse, np.log1p(-y), m),
+        y=y,
+        inverse=inverse,
+        smooth_penalties=penalties,
+    )
 
 
 def _check_rank(X: np.ndarray, names: Sequence[str]):
@@ -413,7 +438,7 @@ def _penalty_matrix(design: _Design, lambdas: Sequence[float]) -> np.ndarray:
     p = design.X.shape[1]
     P = np.zeros((p, p))
     for lam, (label, S) in zip(lambdas, design.smooth_penalties.items()):
-        columns = design.term_index[label]
+        columns = design.layout.term_index[label]
         i0, i1 = columns[0], columns[-1] + 1
         P[i0:i1, i0:i1] = lam * S
     return P
@@ -606,31 +631,38 @@ class FitStats:
 
 
 @dataclass(frozen=True)
-class AdditiveModel:
-    """A fitted Beta additive model; immutable value object."""
+class AdditiveModel(_Layout):
+    """A fitted Beta additive model: its layout and its fit; immutable value object."""
 
-    spec: ModelSpec
     coef: np.ndarray
-    coef_names: tuple
-    term_index: dict
-    factor_levels: dict
-    references: dict
-    knot_vector: KnotVector | None
-    smooth_constraints: dict  # smooth label -> k x (k-1) reparameterization
     lambdas: dict  # smooth label -> smoothing parameter
     phi: float
     covariance: np.ndarray
     edf_by_coef: np.ndarray
     fit_stats: FitStats
-    observed_sizes: tuple
+
+    def __post_init__(self):
+        p = len(self.coef_names)
+        for name, expected in (("coef", (p,)), ("edf_by_coef", (p,)), ("covariance", (p, p))):
+            shape = getattr(self, name).shape
+            if shape != expected:
+                raise InputError(f"model {name} has shape {shape}, coef_names needs {expected}")
+        super().__post_init__()
 
     @property
     def metric(self) -> str:
         return self.spec.response
 
     def predict_sizes(self, cell: Mapping, num_tr_images) -> np.ndarray:
-        """Mean response over sizes at a cell: one level, or a level per size, per factor."""
-        return inv_logit(_model_rows(self, cell, num_tr_images) @ self.coef)
+        """Mean response over sizes at a cell: one level, or a level per size, per factor.
+        InputError names the first size whose linear predictor is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            eta = self.rows(cell, num_tr_images) @ self.coef
+        bad = np.flatnonzero(~np.isfinite(eta))
+        if bad.size:
+            size = float(np.atleast_1d(num_tr_images)[bad[0]])
+            raise InputError(f"model linear predictor is not finite at num_tr_images {size:.10g}")
+        return inv_logit(eta)
 
 
 def term_edf(model: AdditiveModel) -> dict:
@@ -753,8 +785,8 @@ def fit(
         betar family truncates to [eps, 1 - eps]; other values are fitted as
         they are.
     lambdas : optional
-        Fixed smoothing parameters, one per smooth block, to bypass the AIC
-        search over DEFAULT_LAMBDA_GRID.
+        Fixed smoothing parameters, one per smooth block, each in [0, 1e12],
+        to bypass the AIC search over DEFAULT_LAMBDA_GRID.
     """
     design = _assemble(spec, observations)
     n_smooth = len(design.smooth_penalties)
@@ -766,6 +798,10 @@ def fit(
         scales = [float(np.abs(S).max()) for S in design.smooth_penalties.values()]
         if not all(np.isfinite(float(l) * s) for l, s in zip(lambdas, scales)):
             raise InputError(f"smoothing parameters {list(lambdas)} give a non-finite penalty")
+        if any(l > _MAX_FIXED_LAMBDA for l in lambdas):
+            raise InputError(
+                f"smoothing parameters must be at most {_MAX_FIXED_LAMBDA:.0e}, got {list(lambdas)}"
+            )
     if lambdas is None and n_smooth > 0:
         chosen, result = _search_lambdas(design)
     else:
@@ -818,16 +854,11 @@ def _search_lambdas(design):
 
 def _package_model(design, chosen, result) -> AdditiveModel:
     mu = inv_logit(design.X @ result.beta)[design.inverse]
+    layout = design.layout
     return AdditiveModel(
-        spec=design.spec,
+        **{f.name: getattr(layout, f.name) for f in fields(_Layout)},
         coef=result.beta,
-        coef_names=tuple(design.coef_names),
-        term_index={k: tuple(v) for k, v in design.term_index.items()},
-        factor_levels=design.factor_levels,
-        references=design.references,
-        knot_vector=design.knot_vector,
-        smooth_constraints=design.smooth_constraints,
-        lambdas={label: float(lam) for label, lam in zip(design.smooth_constraints, chosen)},
+        lambdas={label: float(lam) for label, lam in zip(layout.smooth_constraints, chosen)},
         phi=result.phi,
         covariance=result.covariance,
         edf_by_coef=result.edf_by_coef,
@@ -838,7 +869,6 @@ def _package_model(design, chosen, result) -> AdditiveModel:
             iterations=result.iterations,
             **_fit_statistics(design.y, mu, result.phi, float(result.edf_by_coef.sum())),
         ),
-        observed_sizes=design.observed_sizes,
     )
 
 

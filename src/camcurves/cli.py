@@ -91,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", required=True, choices=metrics.METRIC_KINDS)
     p.add_argument("--eliminate", action="store_true", help="backward stepwise elimination")
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--lambdas", help="comma-separated fixed smoothing parameters")
+    p.add_argument("--lambdas", help="comma-separated fixed smoothing parameters, each <= 1e12")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("plan", help="required training-set size for metric targets")

@@ -11,7 +11,9 @@ fit_stats), with the schema and model_family beside them.  A GAM's layout
 keys are the exception: its spec is written as metric, squeeze_eps,
 parametric_terms and smooth_terms, its knot vector as knots, and smooth_by
 is kept for the layout.  A model file holding NaN, an infinity or a number
-beyond the float range is an input error.
+beyond the float range is an input error.  This module holds only the file
+format: a GAM checks its own parts (arrays, term indices, factors, knots and
+smooth constraints) when it is built, here or anywhere else.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .betagam import AdditiveModel, FactorTerm, FitStats, ModelSpec, SmoothTerm, _smooth_blocks
+from .betagam import AdditiveModel, FactorTerm, FitStats, ModelSpec, SmoothTerm
 from .curves import LearningCurveModel
 from .errors import InputError
 from .metrics import METRIC_KINDS, OBSERVATION_COLUMNS, observation_table
@@ -282,46 +284,11 @@ def model_from_dict(payload: Mapping):
     if not isinstance(payload, Mapping) or payload.get("schema") != MODEL_SCHEMA:
         raise InputError(f"not a {MODEL_SCHEMA} document")
     try:
-        model = _model_from_payload(payload)
-        if isinstance(model, AdditiveModel):
-            _check_gam_parts(model)
+        return _model_from_payload(payload)
     except KeyError as exc:
         raise InputError(f"model is missing key {exc.args[0]!r}") from None
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed model: {exc}") from None
-    return model
-
-
-def _check_gam_parts(model: AdditiveModel):
-    """Raise InputError unless the arrays and indices of a loaded GAM agree."""
-    p = len(model.coef_names)
-    shapes = {
-        "coef": (model.coef.shape, (p,)),
-        "edf_by_coef": (model.edf_by_coef.shape, (p,)),
-        "covariance": (model.covariance.shape, (p, p)),
-    }
-    for name, (shape, expected) in shapes.items():
-        if shape != expected:
-            raise InputError(f"model {name} has shape {shape}, coef_names needs {expected}")
-    indices = sorted(i for idx in model.term_index.values() for i in idx)
-    if indices != list(range(p)):
-        raise InputError(f"model term_index does not cover coefficients 0..{p - 1} once each")
-    factors = {t.name: t.reference for t in model.spec.parametric_terms}
-    if set(model.factor_levels) != set(factors) or model.references != factors:
-        raise InputError("model factor_levels and references disagree with its parametric terms")
-    for name, levels in model.factor_levels.items():
-        if factors[name] not in levels or len(model.term_index.get(name, ())) != len(levels) - 1:
-            raise InputError(f"model levels of factor {name!r} disagree with its coefficients")
-    knots = model.knot_vector.count if model.knot_vector else 0
-    for term in model.spec.smooth_terms:
-        if term.k != knots:
-            raise InputError(f"model smooth term k={term.k} disagrees with its {knots} knots")
-        for _, label in _smooth_blocks(term, model.factor_levels):
-            shape = (knots, len(model.term_index[label]))
-            constraint = model.smooth_constraints.get(label)
-            if constraint is None or constraint.shape != shape:
-                rows, cols = shape
-                raise InputError(f"model has no {rows} x {cols} smooth constraint for {label!r}")
 
 
 def _typed_fields(cls, values: Mapping, prefix: str = "") -> dict:

@@ -240,7 +240,8 @@ class TestCollapsedDesign:
         assert design.sum_ylog.sum() == pytest.approx(np.log(y).sum(), rel=1e-12)
         assert design.sum_y1log.sum() == pytest.approx(np.log1p(-y).sum(), rel=1e-12)
         # each by-level smooth sums to zero over the observations, not the rows
-        smooth_columns = [j for s in design.smooth_constraints for j in design.term_index[s]]
+        layout = design.layout
+        smooth_columns = [j for s in layout.smooth_constraints for j in layout.term_index[s]]
         column_sums = design.X[design.inverse][:, smooth_columns].sum(axis=0)
         np.testing.assert_allclose(column_sums, 0.0, atol=1e-9)
 
@@ -531,6 +532,37 @@ def hand_built_model(coef_value=0.050, se=0.009):
         fit_stats=FitStats(0, 0, 0, 0, 0, 0, 2, 1),
         observed_sizes=(10, 1000),
     )
+
+
+def fitted_smooth_model():
+    return betagam.fit(single_smooth_spec(), simulate_rows(np.random.default_rng(4)), lambdas=[1.0])
+
+
+@pytest.mark.parametrize(
+    "build, field, value, message",
+    [
+        (hand_built_model, "term_index", {"(intercept)": (0,), "tuning": (2,)},
+         "model term_index does not cover coefficients 0..1 once each"),
+        (hand_built_model, "references", {"tuning": "shallow"},
+         "model factor_levels and references disagree with its parametric terms"),
+        (fitted_smooth_model, "smooth_constraints", {"s(num_tr_images)": np.eye(5, 3)},
+         "model has no 5 x 4 smooth constraint for 's(num_tr_images)'"),
+        (hand_built_model, "coef", np.array([3.322]),
+         "model coef has shape (1,), coef_names needs (2,)"),
+    ],
+    ids=["term-index-skips-a-coefficient", "references-disagree", "constraint-shape",
+         "coef-length"],
+)
+def test_inconsistent_gam_fails_where_it_is_built(build, field, value, message):
+    # the same fault fails the constructor and the loader with the same message
+    model = build()
+    with pytest.raises(InputError) as built:
+        AdditiveModel(**{**vars(model), field: value})
+    document = io.model_to_dict(model)
+    document[field] = json.loads(json.dumps(value, default=np.ndarray.tolist))
+    with pytest.raises(InputError) as loaded:
+        io.model_from_dict(document)
+    assert str(built.value) == str(loaded.value) == message
 
 
 class TestPredict:

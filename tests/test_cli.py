@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -84,6 +85,18 @@ def test_huge_lambda_is_an_input_error(observations_csv, tmp_path, capsys):
     argv = ["fit-gam", "--observations", observations_csv, "--metric", "ACC"]
     code = cli.main(argv + ["--lambdas", "1e308", "--out", str(out)])
     assert_one_input_error(code, capsys, "non-finite penalty")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eliminate", [False, True], ids=["fit", "eliminate"])
+@pytest.mark.parametrize("lam", ["1e18", "1e20"])
+def test_lambda_above_1e12_is_an_input_error(observations_csv, tmp_path, capsys, lam, eliminate):
+    # past ~1e17 rounding in lambda*S erases the smooth's unpenalized line, and the
+    # fit would exit 0 with a wrong model
+    out = tmp_path / "m.json"
+    argv = ["fit-gam", "--observations", observations_csv, "--metric", "ACC"]
+    argv += ["--eliminate"] * eliminate + ["--lambdas", lam, "--out", str(out)]
+    assert_one_input_error(cli.main(argv), capsys, "smoothing parameters must be at most 1e+12")
     assert not out.exists()
 
 
@@ -851,6 +864,39 @@ def test_non_finite_number_in_a_model_file_is_an_input_error(
     assert not svg.exists()
 
 
+@pytest.mark.parametrize("command", ["plan", "curve-plot"])
+def test_model_whose_linear_predictor_overflows_is_an_input_error(
+    calibrated_acc_model, observations_csv, tmp_path, capsys, command
+):
+    # every coefficient is finite, but their sum at the cell is not
+    payload = io.model_to_dict(calibrated_acc_model)
+    payload["coef"] = [1e308] * len(payload["coef"])
+    model, svg = tmp_path / "model.json", tmp_path / "curve.svg"
+    model.write_text(io.canonical_json(payload))
+    if command == "plan":
+        argv = ["plan", "--model", str(model), "--target", "0.95"]
+    else:
+        argv = ["curve-plot", "--model", str(model), "--observations", observations_csv,
+                "--out", str(svg)]
+    code = cli.main(argv + ["--cell", "WI,deep,resNet18"])
+    assert_one_input_error(code, capsys, "linear predictor is not finite at num_tr_images ")
+    assert not svg.exists()
+
+
+def test_model_with_huge_coefficients_of_opposite_sign_plans_no_size(
+    calibrated_acc_model, tmp_path, capsys
+):
+    # the tuning coefficient is not used at a deep cell, so the linear predictor
+    # is about -1e308: finite, with a mean of 0 that meets no ACC target
+    payload = io.model_to_dict(calibrated_acc_model)
+    payload["coef"][0], payload["coef"][1] = -1e308, 1e308
+    assert payload["coef_names"][1] == "tuning[shallow]"
+    model = tmp_path / "model.json"
+    model.write_text(io.canonical_json(payload))
+    argv = ["plan", "--model", str(model), "--target", "0.95", "--cell", "WI,deep,resNet18"]
+    assert_one_error_line(cli.main(argv), capsys, cli.EXIT_INFEASIBLE, "infeasible-plan: ")
+
+
 def test_curve_plot_of_a_log_size_model_with_a_cell_is_an_input_error(
     ols_file, observations_csv, tmp_path, capsys
 ):
@@ -1110,15 +1156,10 @@ NUMBER_PATHS = {
 }
 
 
-def draw_plan_model_run(draw, documents, path) -> tuple:
-    """Write a drawn model file to `path`; (its source, whether the run is an input error,
-    target, ceiling, cell).
-
-    The file is one of `documents`, in a quarter of the draws with a key dropped or a
-    number made non-finite.  --target may lie outside (0, 1) and --ceiling outside
-    [1, 2**53]; --cell may be missing for a GAM, given for a log-size curve, name an
-    unknown level or have the wrong arity.  A dropped key need not be an input error.
-    """
+def draw_model_file(draw, documents, path) -> tuple:
+    """Write one of `documents` to `path`, in a quarter of the draws with a key dropped
+    or a number made non-finite; (its source, whether a number was made non-finite).
+    A dropped key need not be an input error."""
     source = draw(st.sampled_from(sorted(documents)))
     family = source.split("-")[0]
     document = json.loads(json.dumps(documents[source]))
@@ -1130,6 +1171,28 @@ def draw_plan_model_run(draw, documents, path) -> tuple:
         number = draw(st.sampled_from(NUMBER_PATHS[family]))
         text = with_non_finite(document, number, draw(st.sampled_from(NON_FINITE)))
     path.write_text(text)
+    return source, edit == "non-finite"
+
+
+def draw_cell(draw, family) -> tuple:
+    """(--cell, the valid --cell of a model `family`): in about 15% of the draws the
+    cell is missing for a GAM, given for a log-size curve, names an unknown level or
+    has the wrong arity."""
+    levels = [draw(st.sampled_from(axis)) for axis in (DATASETS, TUNINGS, ARCHITECTURES)]
+    own = ",".join(levels) if family == "gam" else None
+    wrong = [None if family == "gam" else ",".join(levels), "XX,deep,resNet18", "AU,deep",
+             "AU,deep,resNet18,x"]
+    return draw(mostly(st.just(own), wrong, 0.15)), own
+
+
+def draw_plan_model_run(draw, documents, path) -> tuple:
+    """Write a drawn model file to `path` (see draw_model_file); (its source, whether the
+    run is an input error, target, ceiling, cell).
+
+    --target may lie outside (0, 1), --ceiling outside [1, 2**53], and --cell is drawn
+    by draw_cell.
+    """
+    source, non_finite = draw_model_file(draw, documents, path)
     target = draw(
         mostly(
             st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -1138,13 +1201,9 @@ def draw_plan_model_run(draw, documents, path) -> tuple:
         )
     )
     ceiling = draw(mostly(st.integers(1, 1000) | st.integers(1, 2**53), [0, -3, 2**53 + 1], 0.1))
-    levels = [draw(st.sampled_from(axis)) for axis in (DATASETS, TUNINGS, ARCHITECTURES)]
-    own = ",".join(levels) if family == "gam" else None
-    wrong = [None if family == "gam" else ",".join(levels), "XX,deep,resNet18", "AU,deep",
-             "AU,deep,resNet18,x"]
-    cell = draw(mostly(st.just(own), wrong, 0.15))
+    cell, own = draw_cell(draw, source.split("-")[0])
     invalid = (
-        edit == "non-finite"
+        non_finite
         or not 0.0 < target < 1.0
         or not 1 <= ceiling <= 2**53
         or cell != own
@@ -1189,6 +1248,54 @@ def test_plan_model_exits_0_2_or_4_with_the_last_crossing(
         predict = lambda size: model.predict_sizes(columns, [size])[0]
     assert 1 <= n <= ceiling and query.met_by(predict(n))
     assert n == 1 or not query.met_by(predict(n - 1))
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.data())
+def test_curve_plot_exits_0_with_one_200_point_curve_or_2(
+    plan_model_documents, tmp_path, capsys, data
+):
+    # the model file and --cell as in the plan --model test; observations of 1-6 sizes,
+    # of the model's metric or, in about a fifth of the draws, of another one
+    model, csv, svg = tmp_path / "model.json", tmp_path / "obs.csv", tmp_path / "curve.svg"
+    source, non_finite = draw_model_file(data.draw, plan_model_documents, model)
+    family, metric = source.split("-")
+    cell, own = draw_cell(data.draw, family)
+    kind = data.draw(mostly(st.just(metric), sorted(set(METRIC_KINDS) - {metric}), 0.2))
+    sizes = data.draw(st.lists(st.sampled_from(SIZES), min_size=1, max_size=6, unique=True))
+    values = data.draw(st.lists(st.floats(0.01, 0.99), min_size=len(sizes), max_size=len(sizes)))
+    io.write_observations_csv(str(csv), observation_rows(values, sizes, metric=kind))
+    svg.unlink(missing_ok=True)
+    argv = ["curve-plot", "--model", str(model), "--observations", str(csv), "--out", str(svg)]
+    code = cli.main(argv + ([f"--cell={cell}"] if cell is not None else []))
+    if code != cli.EXIT_OK:
+        assert_one_input_error(code, capsys)
+        assert not svg.exists()
+        return
+    assert not (non_finite or cell != own or kind != metric or len(sizes) == 1)
+    assert capsys.readouterr().err == ""
+    (curve,) = ElementTree.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}polyline")
+    points = [point.split(",") for point in curve.get("points").split()]
+    assert len(points) == 200 and all(math.isfinite(float(v)) for p in points for v in p)
+
+
+@settings(
+    max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.integers(-(2**64), -1) | st.just(0) | st.integers(1, 2**128))
+def test_simulate_exits_0_with_the_whole_grid_or_2(tmp_path, capsys, seed):
+    out = tmp_path / "grid.csv"
+    out.unlink(missing_ok=True)
+    code = cli.main(["simulate", f"--seed={seed}", "--out", str(out)])
+    if code != cli.EXIT_OK:
+        assert_one_input_error(code, capsys)
+        assert seed < 0 and not out.exists()
+        return
+    assert capsys.readouterr().out == f"wrote 31104 observations (864 cells) to {out}\n"
+    with open(out, encoding="utf-8") as handle:
+        assert sum(1 for _ in handle) == 1 + 31_104
 
 
 @st.composite

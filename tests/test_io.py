@@ -130,6 +130,15 @@ def test_model_json_bytes_of_an_ols_and_an_intercept_only_model_are_pinned(
     ]
 
 
+def test_model_json_bytes_of_a_smooth_without_a_by_factor_are_pinned(calibrated_observations):
+    # one smooth of num_tr_images shared by every dataset: a single (None, label) block
+    spec = betagam.ModelSpec("ACC", smooth_terms=(betagam.SmoothTerm(by_factor=None),))
+    model = betagam.fit(spec, calibrated_observations)
+    assert model.coef_names[-4:] == tuple(f"s(num_tr_images).{j}" for j in range(4))
+    digest = hashlib.sha256(io.canonical_json(io.model_to_dict(model)).encode()).hexdigest()
+    assert digest == "d40ca0eb0309cf7a11cfc74cd4786b377e0f147478e422c3a9a61cf98fb5cf64"
+
+
 def test_parsed_observation_table_is_read_only(tmp_path):
     path = str(tmp_path / "obs.csv")
     io.write_observations_csv(path, as_table([make_obs(0.9, 10), make_obs(0.8, 20, metric="PRC")]))
