@@ -47,10 +47,15 @@ and summed logs.  Only the starting values and the fit statistics (the
 saturated likelihood and adjusted R^2) read the individual observations.
 
 A `_Layout` declares how covariates become model-matrix rows, and its `rows`
-is the one encoding: the intercept, the treatment dummies and the centred
-by-level spline blocks.  The fit's `_Design` holds one, and `AdditiveModel`
-is one with the fit's fields added, so a cell cannot be encoded two ways.  A
-layout checks that its parts agree wherever it is built, from a file or not.
+is the one encoding: the intercept, the treatment dummies and its `blocks`.
+A `_Block` is a smooth, or its part on one by-factor level: its label, term,
+level, coefficient columns, centring constraint, knots and (on first use)
+penalty.  The blocks are built from the layout's stored fields and checked as
+they are built; the rows, every inner fit's penalty, the fitted lambdas (keyed
+by block label) and the Wald test read them.  The fit's `_Design` holds a
+layout and its blocks, and `AdditiveModel` is a layout with the fit's fields
+added, so a cell cannot be encoded two ways.  A layout checks that its parts
+agree wherever it is built, from a file or not.
 
 The Beta likelihood is written once, on design rows: `_ll_sum` is the
 log-likelihood, `_score_weight` its score in logit(mu) with the Fisher weight,
@@ -74,7 +79,7 @@ import numpy as np
 from ._numeric import chi2_sf, gammaln, inv_logit, logit, polygamma01
 from .errors import ConvergenceError, InputError
 from .metrics import METRIC_KINDS, _distinct
-from .splines import KnotVector, basis_rows, centring, penalty_matrix, place_knots
+from .splines import KnotVector, basis_rows, centred_penalty, centring, penalty_matrix, place_knots
 
 DEFAULT_LAMBDA_GRID = tuple(10.0 ** np.linspace(-4.0, 6.0, 21))
 
@@ -154,19 +159,11 @@ class ModelSpec:
 
     def without(self, term_label: str) -> "ModelSpec":
         """Copy of this spec with one term dropped."""
-        if any(t.name == term_label for t in self.parametric_terms):
-            return replace(
-                self,
-                parametric_terms=tuple(
-                    t for t in self.parametric_terms if t.name != term_label
-                ),
-            )
-        if any(t.label == term_label for t in self.smooth_terms):
-            return replace(
-                self,
-                smooth_terms=tuple(t for t in self.smooth_terms if t.label != term_label),
-            )
-        raise InputError(f"unknown term {term_label!r}")
+        parametric = tuple(t for t in self.parametric_terms if t.name != term_label)
+        smooth = tuple(t for t in self.smooth_terms if t.label != term_label)
+        if (parametric, smooth) == (self.parametric_terms, self.smooth_terms):
+            raise InputError(f"unknown term {term_label!r}")
+        return replace(self, parametric_terms=parametric, smooth_terms=smooth)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +235,23 @@ def _smooth_blocks(term: SmoothTerm, factor_levels: Mapping) -> list:
     return [(level, f"{term.label}[{level}]") for level in factor_levels[term.by_factor]]
 
 
+@dataclass(frozen=True, eq=False)
+class _Block:
+    """One penalized block of coefficients: a smooth, or its part on one by-factor level."""
+
+    label: str
+    term: SmoothTerm  # the smooth it belongs to, split by its by_factor
+    level: str | None  # None for an unsplit smooth
+    columns: tuple  # its coefficient indices
+    constraint: np.ndarray  # k x (k-1) centring of the raw basis
+    knot_vector: KnotVector
+
+    @cached_property
+    def penalty(self) -> np.ndarray:
+        """(k-1) x (k-1) curvature penalty in the centred coordinates, on first use."""
+        return centred_penalty(penalty_matrix(self.knot_vector), self.constraint)
+
+
 @dataclass(frozen=True)
 class _Layout:
     """How a cell and num_tr_images become a model-matrix row; checks its parts agree."""
@@ -248,8 +262,28 @@ class _Layout:
     factor_levels: dict
     references: dict
     knot_vector: KnotVector | None
-    smooth_constraints: dict  # smooth label -> k x (k-1) reparameterization
+    smooth_constraints: dict  # smooth block label -> k x (k-1) centring
     observed_sizes: tuple
+
+    @property
+    def blocks(self) -> tuple:
+        """The penalized blocks in coefficient order, built anew from the stored fields
+        on each access; InputError when a block's k, label or constraint disagrees."""
+        knots = self.knot_vector.count if self.knot_vector else 0
+        blocks = []
+        for term in self.spec.smooth_terms:
+            if term.k != knots:
+                raise InputError(f"model smooth term k={term.k} disagrees with its {knots} knots")
+            for level, label in _smooth_blocks(term, self.factor_levels):
+                columns, constraint = self.term_index.get(label), self.smooth_constraints.get(label)
+                if columns is None:
+                    raise InputError(f"model is missing key {label!r}")
+                if constraint is None or constraint.shape != (knots, len(columns)):
+                    raise InputError(
+                        f"model has no {knots} x {len(columns)} smooth constraint for {label!r}"
+                    )
+                blocks.append(_Block(label, term, level, columns, constraint, self.knot_vector))
+        return tuple(blocks)
 
     def __post_init__(self):
         p = len(self.coef_names)
@@ -264,18 +298,13 @@ class _Layout:
         for name, levels in self.factor_levels.items():
             if factors[name] not in levels or len(self.term_index.get(name, ())) != len(levels) - 1:
                 raise InputError(f"model levels of factor {name!r} disagree with its coefficients")
-        knots = self.knot_vector.count if self.knot_vector else 0
-        for term in self.spec.smooth_terms:
-            if term.k != knots:
-                raise InputError(f"model smooth term k={term.k} disagrees with its {knots} knots")
-            for _, label in _smooth_blocks(term, self.factor_levels):
-                shape = (knots, len(self.term_index[label]))
-                constraint = self.smooth_constraints.get(label)
-                if constraint is None or constraint.shape != shape:
-                    rows, cols = shape
-                    raise InputError(
-                        f"model has no {rows} x {cols} smooth constraint for {label!r}"
-                    )
+        # the term_index keys are the intercept, the factors and the block labels
+        expected = {INTERCEPT, *self.factor_levels, *(block.label for block in self.blocks)}
+        missing, unknown = expected - self.term_index.keys(), self.term_index.keys() - expected
+        if missing:
+            raise InputError(f"model is missing key {min(missing)!r}")
+        if unknown:
+            raise InputError(f"model term_index has unknown key {min(unknown, key=str)!r}")
 
     def rows(self, columns: Mapping, sizes) -> np.ndarray:
         """Model-matrix rows at covariate values: the one encoding of covariates.
@@ -303,12 +332,9 @@ class _Layout:
                 X[:, j] = values[factor] == level
         if self.spec.smooth_terms:
             raw = basis_rows(np.log(sizes), self.knot_vector)
-        for term in self.spec.smooth_terms:
-            for level, label in _smooth_blocks(term, self.factor_levels):
-                block = raw @ self.smooth_constraints[label]
-                if level is not None:
-                    block = block * (values[term.by_factor] == level)[:, None]
-                X[:, list(self.term_index[label])] = block
+        for b in self.blocks:  # 0 off the block's level
+            on = 1.0 if b.level is None else (values[b.term.by_factor] == b.level)[:, None]
+            X[:, list(b.columns)] = (raw @ b.constraint) * on
         return X
 
 
@@ -323,7 +349,7 @@ class _Design:
     sum_y1log: np.ndarray  # per-row sum of log(1-y)
     y: np.ndarray  # per-observation response
     inverse: np.ndarray  # observation -> row index into X
-    smooth_penalties: dict  # smooth label -> (k-1) x (k-1) curvature penalty
+    blocks: tuple  # layout.blocks, built once for every inner fit of the design
 
     @property
     def row_stats(self) -> tuple:
@@ -383,19 +409,16 @@ def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
 
     knot_vector = None
     constraints: dict = {}
-    penalties: dict = {}
     for term in spec.smooth_terms:
         x = np.log(np.array(column[term.covariate], dtype=float))
         knot_vector = place_knots(np.unique(x), k=term.k)
         rows, S = basis_rows(x, knot_vector), penalty_matrix(knot_vector)
-        by = term.by_factor
         for level, label in _smooth_blocks(term, factor_levels):
-            mask = np.ones(m) if level is None else np.array(column[by]) == level
+            mask = np.ones(m) if level is None else np.array(column[term.by_factor]) == level
             # count-weighted, so the constraint sums over the observations
-            constraints[label], penalties[label] = centring(rows, S, mask * counts)
-            rank = len(penalties[label])
-            term_index[label] = tuple(range(len(names), len(names) + rank))
-            names.extend(f"{label}.{j}" for j in range(rank))
+            constraints[label], _ = centring(rows, S, mask * counts)
+            term_index[label] = tuple(range(len(names), len(names) + term.k - 1))
+            names.extend(f"{label}.{j}" for j in range(term.k - 1))
 
     layout = _Layout(
         spec=spec,
@@ -418,7 +441,7 @@ def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
         sum_y1log=np.bincount(inverse, np.log1p(-y), m),
         y=y,
         inverse=inverse,
-        smooth_penalties=penalties,
+        blocks=layout.blocks,
     )
 
 
@@ -437,10 +460,9 @@ def _check_rank(X: np.ndarray, names: Sequence[str]):
 def _penalty_matrix(design: _Design, lambdas: Sequence[float]) -> np.ndarray:
     p = design.X.shape[1]
     P = np.zeros((p, p))
-    for lam, (label, S) in zip(lambdas, design.smooth_penalties.items()):
-        columns = design.layout.term_index[label]
-        i0, i1 = columns[0], columns[-1] + 1
-        P[i0:i1, i0:i1] = lam * S
+    for lam, block in zip(lambdas, design.blocks):
+        i0, i1 = block.columns[0], block.columns[-1] + 1  # _assemble keeps a block contiguous
+        P[i0:i1, i0:i1] = lam * block.penalty
     return P
 
 
@@ -648,6 +670,9 @@ class AdditiveModel(_Layout):
             if shape != expected:
                 raise InputError(f"model {name} has shape {shape}, coef_names needs {expected}")
         super().__post_init__()
+        labels = sorted(block.label for block in self.blocks)
+        if sorted(self.lambdas) != labels:
+            raise InputError(f"model lambdas name {sorted(self.lambdas)}, not its blocks {labels}")
 
     @property
     def metric(self) -> str:
@@ -667,10 +692,7 @@ class AdditiveModel(_Layout):
 
 def term_edf(model: AdditiveModel) -> dict:
     """Effective degrees of freedom per model term."""
-    out = {}
-    for term, idx in model.term_index.items():
-        out[term] = float(model.edf_by_coef[list(idx)].sum())
-    return out
+    return {t: float(model.edf_by_coef[list(idx)].sum()) for t, idx in model.term_index.items()}
 
 
 def wald_p(model: AdditiveModel, term: str) -> float:
@@ -690,7 +712,7 @@ def _joint_term_p(model: AdditiveModel, idx) -> float:
     blocks and df = len(idx) for factors."""
     beta = model.coef[idx]
     V = model.covariance[np.ix_(idx, idx)]
-    smooth = model.coef_names[idx[0]].startswith("s(")
+    smooth = any(idx[0] in block.columns for block in model.blocks)
     if len(idx) == 1 and not smooth:
         z = float(beta[0]) / float(np.sqrt(V[0, 0]))
         return math.erfc(abs(z) / math.sqrt(2.0))
@@ -789,13 +811,13 @@ def fit(
         to bypass the AIC search over DEFAULT_LAMBDA_GRID.
     """
     design = _assemble(spec, observations)
-    n_smooth = len(design.smooth_penalties)
+    n_smooth = len(design.blocks)
     if lambdas is not None:
         if len(lambdas) != n_smooth:
             raise InputError(f"need {n_smooth} smoothing parameters, got {len(lambdas)}")
         if any(l < 0 for l in lambdas):
             raise InputError("smoothing parameters must be >= 0")
-        scales = [float(np.abs(S).max()) for S in design.smooth_penalties.values()]
+        scales = [float(np.abs(block.penalty).max()) for block in design.blocks]
         if not all(np.isfinite(float(l) * s) for l, s in zip(lambdas, scales)):
             raise InputError(f"smoothing parameters {list(lambdas)} give a non-finite penalty")
         if any(l > _MAX_FIXED_LAMBDA for l in lambdas):
@@ -812,7 +834,7 @@ def fit(
 
 def _search_lambdas(design):
     grid = [float(g) for g in DEFAULT_LAMBDA_GRID]
-    n_smooth = len(design.smooth_penalties)
+    n_smooth = len(design.blocks)
     start = min(grid, key=lambda g: abs(np.log10(g)))
     lam = [start] * n_smooth
     cache = {}  # lambdas -> _FitResult; it keeps no _State
@@ -840,8 +862,7 @@ def _search_lambdas(design):
                 else:
                     res, chain = evaluate(trial, chain)
                 candidates.append((res.aic, trial, res))
-            candidates.sort(key=lambda c: (c[0], c[1]))
-            _, trial, res = candidates[0]
+            _, trial, res = min(candidates, key=lambda c: (c[0], c[1]))
             if list(trial) != lam:
                 lam = list(trial)
                 changed = True
@@ -854,11 +875,10 @@ def _search_lambdas(design):
 
 def _package_model(design, chosen, result) -> AdditiveModel:
     mu = inv_logit(design.X @ result.beta)[design.inverse]
-    layout = design.layout
     return AdditiveModel(
-        **{f.name: getattr(layout, f.name) for f in fields(_Layout)},
+        **{f.name: getattr(design.layout, f.name) for f in fields(_Layout)},
         coef=result.beta,
-        lambdas={label: float(lam) for label, lam in zip(layout.smooth_constraints, chosen)},
+        lambdas={block.label: float(lam) for block, lam in zip(design.blocks, chosen)},
         phi=result.phi,
         covariance=result.covariance,
         edf_by_coef=result.edf_by_coef,
@@ -896,8 +916,7 @@ def _candidate_terms(spec: ModelSpec, model: AdditiveModel):
             continue
         out[t.name] = list(model.term_index[t.name])
     for t in spec.smooth_terms:
-        blocks = _smooth_blocks(t, model.factor_levels)
-        out[t.label] = [j for _, label in blocks for j in model.term_index[label]]
+        out[t.label] = [j for b in model.blocks if b.term.label == t.label for j in b.columns]
     return out
 
 
@@ -929,7 +948,6 @@ def backward_eliminate(
         trace.append(EliminationStep(dropped=worst, p_value=pvals[worst]))
         spec = spec.without(worst)
         if lambdas is not None:
-            blocks = [b for t in spec.smooth_terms for b in _smooth_blocks(t, model.factor_levels)]
-            lambdas = [model.lambdas[label] for _, label in blocks]
+            lambdas = [model.lambdas[b.label] for b in model.blocks if b.term.label != worst]
         model = fit(spec, observations, lambdas=lambdas)
     return model, trace

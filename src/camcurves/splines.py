@@ -6,7 +6,8 @@ natural boundary conditions and linear extrapolation beyond the boundary
 knots.  `basis_rows` evaluates it (every row sums to 1), `penalty_matrix` is
 its exact integrated squared second derivative (null space: the affine
 functions), and `centring` gives the sum-to-zero reparameterization Z and the
-penalty in its coordinates; a centred smooth at x is `basis_rows(x, knots) @ Z`.
+penalty in its coordinates (`centred_penalty`); a centred smooth at x is
+`basis_rows(x, knots) @ Z`.
 """
 
 from __future__ import annotations
@@ -156,5 +157,10 @@ def centring(rows: np.ndarray, penalty: np.ndarray, weights) -> tuple:
     col_sums = weights @ rows
     Q, _ = np.linalg.qr(col_sums.reshape(-1, 1) / np.linalg.norm(col_sums), mode="complete")
     Z = Q[:, 1:]
+    return Z, centred_penalty(penalty, Z)
+
+
+def centred_penalty(penalty: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """A raw-basis penalty in the centred coordinates Z of `centring`: Z' S Z, symmetrized."""
     centred = Z.T @ penalty @ Z
-    return Z, 0.5 * (centred + centred.T)
+    return 0.5 * (centred + centred.T)

@@ -549,9 +549,16 @@ def fitted_smooth_model():
          "model has no 5 x 4 smooth constraint for 's(num_tr_images)'"),
         (hand_built_model, "coef", np.array([3.322]),
          "model coef has shape (1,), coef_names needs (2,)"),
+        (fitted_smooth_model, "term_index", {"(intercept)": (0,), "s(x)": (1, 2, 3, 4)},
+         "model is missing key 's(num_tr_images)'"),
+        (hand_built_model, "term_index", {"(intercept)": (0,), "tuning": (1,), "junk": ()},
+         "model term_index has unknown key 'junk'"),
+        (fitted_smooth_model, "lambdas", {"s(x)": 1.0},
+         "model lambdas name ['s(x)'], not its blocks ['s(num_tr_images)']"),
     ],
     ids=["term-index-skips-a-coefficient", "references-disagree", "constraint-shape",
-         "coef-length"],
+         "coef-length", "term-index-lacks-a-block", "term-index-extra-key",
+         "lambdas-name-no-block"],
 )
 def test_inconsistent_gam_fails_where_it_is_built(build, field, value, message):
     # the same fault fails the constructor and the loader with the same message
@@ -741,6 +748,22 @@ def calibrated_fpr_elimination(calibrated_observations):
     return backward_eliminate(ModelSpec("FPR"), data)
 
 
+@pytest.fixture(scope="module")
+def calibrated_acc_fixed_lambdas(calibrated_observations):
+    return betagam.fit(ModelSpec("ACC"), calibrated_observations, lambdas=[1e-4, 1e12, 1e12])
+
+
+class TestFixedLambdas:
+    def test_each_lambda_goes_to_its_block(self, calibrated_acc_fixed_lambdas):
+        # the blocks are AU, SE and WI in coefficient order; only AU is left free
+        model = calibrated_acc_fixed_lambdas
+        labels = [f"s(num_tr_images):dataset[{level}]" for level in ("AU", "SE", "WI")]
+        assert model.lambdas == dict(zip(labels, [1e-4, 1e12, 1e12]))
+        edf = term_edf(model)
+        assert edf[labels[0]] > 3.0
+        assert [edf[label] for label in labels[1:]] == pytest.approx([1.0, 1.0], abs=1e-3)
+
+
 class TestReferenceAnswers:
     """The calibrated fits give the benchmark's reference answers."""
 
@@ -762,16 +785,20 @@ class TestReferenceAnswers:
         assert [step.dropped for step in trace] == expected["dropped"]
         assert model.lambdas == expected["lambdas"]
 
-    def test_model_json_bytes_are_pinned(self, calibrated_acc_model, calibrated_fpr_elimination):
+    def test_model_json_bytes_are_pinned(
+        self, calibrated_acc_model, calibrated_fpr_elimination, calibrated_acc_fixed_lambdas
+    ):
         # the sha256 of the JSON `fit-gam --out` writes; a change that claims the
         # same fit must leave every byte of it, not only lambda and the loglik
+        models = (calibrated_acc_model, calibrated_fpr_elimination[0], calibrated_acc_fixed_lambdas)
         digests = [
             hashlib.sha256(io.canonical_json(io.model_to_dict(model)).encode()).hexdigest()
-            for model in (calibrated_acc_model, calibrated_fpr_elimination[0])
+            for model in models
         ]
         assert digests == [
             "53e8db45ad876f9533fe143bf7e91d04e4d98e38d04a0e6a3dc28d1c6426e62f",
             "9ee101efbe8e1ac31f80b1e1e74c0bf07fee9e7e49a08d6a97cd06f7e5228f89",
+            "4bf01ab2ea16f6d841a701291a2b59266496c4ca80bbc576018ed8add4a3d393",
         ]
 
 
@@ -801,6 +828,23 @@ class TestSearchCost:
         betagam.fit(ModelSpec("ACC"), calibrated_observations)
         assert len(ll_calls) <= 480
         assert sum(polygamma_calls) <= 20
+
+    def test_blocks_are_built_once_per_design(self, calibrated_observations, monkeypatch):
+        # a block computes its penalty from penalty_matrix on first use; the 102
+        # inner fits of the search read the design's blocks, so the search calls
+        # it no more often than one fit at fixed lambdas
+        calls = []
+        penalty_matrix = betagam.penalty_matrix
+
+        def counted_penalty_matrix(*args):
+            calls.append(1)
+            return penalty_matrix(*args)
+
+        monkeypatch.setattr(betagam, "penalty_matrix", counted_penalty_matrix)
+        betagam.fit(ModelSpec("ACC"), calibrated_observations, lambdas=[1.0, 1.0, 1.0])
+        fixed = len(calls)
+        betagam.fit(ModelSpec("ACC"), calibrated_observations)
+        assert 0 < len(calls) - fixed <= fixed
 
     def test_fit_on_distinct_rows_keeps_its_traced_peak_bounded(self):
         # 7,776 rows, each with its own size in its (dataset, architecture,

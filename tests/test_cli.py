@@ -677,6 +677,18 @@ def _rename_wi_block(d):
         d[key]["s(num_tr_images):dataset[XX]"] = d[key].pop("s(num_tr_images):dataset[WI]")
 
 
+def _rename_intercept(d):
+    d["term_index"]["intercept"] = d["term_index"].pop("(intercept)")
+
+
+def _extra_term_index_key(d):
+    d["term_index"]["junk"] = []
+
+
+def _rename_wi_lambda(d):
+    d["lambdas"]["s(num_tr_images):dataset[XX]"] = d["lambdas"].pop("s(num_tr_images):dataset[WI]")
+
+
 def _drop_last_coef(d):
     d["coef"].pop()
 
@@ -755,6 +767,9 @@ def _phi_beyond_the_float_range_as_an_integer(d):
         (_drop_phi, "missing key 'phi'"),
         (_drop_wi_constraint, "s(num_tr_images):dataset[WI]"),
         (_rename_wi_block, "missing key 's(num_tr_images):dataset[WI]'"),
+        (_rename_intercept, "missing key '(intercept)'"),
+        (_extra_term_index_key, "term_index has unknown key 'junk'"),
+        (_rename_wi_lambda, "lambdas name ["),
         (_drop_last_coef, "coef has shape"),
         (_drop_last_edf, "edf_by_coef has shape"),
         (_drop_covariance_row, "covariance has shape"),
