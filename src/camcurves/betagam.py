@@ -257,13 +257,13 @@ class _Layout:
     """How a cell and num_tr_images become a model-matrix row; checks its parts agree."""
 
     spec: ModelSpec
-    coef_names: tuple
-    term_index: dict  # term or smooth block label -> its coefficient indices
-    factor_levels: dict
-    references: dict
+    coef_names: tuple[str, ...]
+    term_index: dict[str, tuple[int, ...]]  # term or smooth block label -> its coefficient indices
+    factor_levels: dict[str, tuple[str, ...]]
+    references: dict[str, str]
     knot_vector: KnotVector | None
-    smooth_constraints: dict  # smooth block label -> k x (k-1) centring
-    observed_sizes: tuple
+    smooth_constraints: dict[str, np.ndarray]  # smooth block label -> k x (k-1) centring
+    observed_sizes: tuple[int, ...]
 
     @property
     def blocks(self) -> tuple:
@@ -286,6 +286,9 @@ class _Layout:
         return tuple(blocks)
 
     def __post_init__(self):
+        smallest = min(self.observed_sizes, default=1)
+        if smallest < 1:
+            raise InputError(f"model observed_sizes must be positive, got {smallest}")
         p = len(self.coef_names)
         indices = sorted(i for idx in self.term_index.values() for i in idx)
         if indices != list(range(p)):
@@ -657,7 +660,7 @@ class AdditiveModel(_Layout):
     """A fitted Beta additive model: its layout and its fit; immutable value object."""
 
     coef: np.ndarray
-    lambdas: dict  # smooth label -> smoothing parameter
+    lambdas: dict[str, float]  # smooth label -> smoothing parameter
     phi: float
     covariance: np.ndarray
     edf_by_coef: np.ndarray

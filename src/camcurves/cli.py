@@ -222,7 +222,7 @@ def _cmd_fit_ols(args) -> int:
 def _cmd_fit_gam(args) -> int:
     if not 0.0 < args.alpha < 1.0:  # rejected with or without --eliminate
         raise InputError(f"--alpha must lie in (0, 1), got {args.alpha}")
-    lambdas = _parse_numbers(args.lambdas, "--lambdas", float) if args.lambdas else None
+    lambdas = None if args.lambdas is None else _parse_numbers(args.lambdas, "--lambdas", float)
     io.check_writable(args.out)  # before the fit, which takes seconds
     table = io.parse_observations(args.observations, args.metric)
     spec = betagam.ModelSpec(args.metric)

@@ -38,6 +38,8 @@ class LearningCurveModel:
     def __post_init__(self):
         if self.metric not in METRIC_KINDS:
             raise InputError(f"unknown metric kind {self.metric!r}")
+        if self.size_range is not None and min(self.size_range) < 1:
+            raise InputError(f"model size_range must be positive, got {min(self.size_range)}")
         if self.transform != transform_for(self.metric):
             raise InputError(
                 f"{self.metric} uses the {transform_for(self.metric)!r} transform, "

@@ -10,31 +10,36 @@ dataclass, `LearningCurveModel` or `AdditiveModel` (with `FitStats` under
 fit_stats), with the schema and model_family beside them.  A GAM's layout
 keys are the exception: its spec is written as metric, squeeze_eps,
 parametric_terms and smooth_terms, its knot vector as knots, and smooth_by
-is kept for the layout.  A model file holding NaN, an infinity or a number
-beyond the float range is an input error.  This module holds only the file
-format: a GAM checks its own parts (arrays, term indices, factors, knots and
-smooth constraints) when it is built, here or anywhere else.
+is kept for the layout.  `_plain` writes the fields and `_read`, the one
+reader, reads each through its annotation, so a string, a bool or a fraction
+where the file must hold a number or an integer is an input error that
+names its key, as is NaN, an infinity or a number beyond the float range.
+This module holds only the file format: a model checks its own parts (sizes;
+a GAM's arrays, term indices, factors, knots and smooth constraints) when it
+is built, here or anywhere else.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
 import tempfile
+import types
+import typing
 from contextlib import contextmanager
 from datetime import datetime
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .betagam import AdditiveModel, FactorTerm, FitStats, ModelSpec, SmoothTerm
+from .betagam import AdditiveModel
 from .curves import LearningCurveModel
 from .errors import InputError
 from .metrics import METRIC_KINDS, OBSERVATION_COLUMNS, observation_table
-from .splines import KnotVector
 
 MODEL_SCHEMA = "camcurves-model/1"
 MANIFEST_SCHEMA = "camcurves-manifest/1"
@@ -283,82 +288,66 @@ def model_from_dict(payload: Mapping):
     """The model a model_to_dict document describes; InputError if it is malformed."""
     if not isinstance(payload, Mapping) or payload.get("schema") != MODEL_SCHEMA:
         raise InputError(f"not a {MODEL_SCHEMA} document")
+    family = payload.get("model_family")
+    if family not in ("ols_log", "beta_gam"):
+        raise InputError(f"unknown model family {family!r}")
     try:
-        return _model_from_payload(payload)
-    except KeyError as exc:
+        if family == "ols_log":
+            return _read(LearningCurveModel, payload, "model")
+        spec = {"response": payload["metric"]}  # the layout keys, as the writer spreads them
+        spec.update((k, payload[k]) for k in ("parametric_terms", "smooth_terms", "squeeze_eps"))
+        knots = payload["knots"]
+        knot_vector = None if knots is None else {"knots": knots}
+        return _read(AdditiveModel, {**payload, "spec": spec, "knot_vector": knot_vector}, "model")
+    except KeyError as exc:  # a key the file must hold
         raise InputError(f"model is missing key {exc.args[0]!r}") from None
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:  # an integer beyond the float range
         raise InputError(f"malformed model: {exc}") from None
 
 
-def _typed_fields(cls, values: Mapping, prefix: str = "") -> dict:
-    """The fields of dataclass `cls` from `values` by name: an int through _integer, a
-    float through float and any other as it is; `prefix` goes before a name in an error."""
-    return {
-        f.name: (
-            _integer(values[f.name], prefix + f.name)
-            if f.type == "int"
-            else float(values[f.name]) if f.type == "float" else values[f.name]
-        )
-        for f in dataclasses.fields(cls)
-    }
+_hints = functools.cache(typing.get_type_hints)  # a dataclass's evaluated field annotations
+_KINDS = {int: "an integer", float: "a number", str: "a string", np.ndarray: "a vector or matrix"}
 
 
-def _model_from_payload(payload: Mapping):
-    family = payload.get("model_family")
-    if family == "ols_log":
-        fields = _typed_fields(LearningCurveModel, {**payload, "size_range": None})
-        if payload.get("size_range"):
-            fields["size_range"] = _positive_ints(payload["size_range"], "size_range", length=2)
-        return LearningCurveModel(**fields)  # checks the transform against the metric
-    if family == "beta_gam":
-        spec = ModelSpec(
-            response=payload["metric"],
-            parametric_terms=tuple(
-                FactorTerm(t["name"], t["reference"]) for t in payload["parametric_terms"]
-            ),
-            smooth_terms=tuple(
-                SmoothTerm(t["covariate"], t["by_factor"], _integer(t["k"], "smooth term k"))
-                for t in payload["smooth_terms"]
-            ),
-            squeeze_eps=float(payload["squeeze_eps"]),
-        )
-        return AdditiveModel(
-            spec=spec,
-            **{k: np.array(payload[k], dtype=float) for k in ("coef", "covariance", "edf_by_coef")},
-            coef_names=tuple(payload["coef_names"]),
-            term_index={k: tuple(v) for k, v in payload["term_index"].items()},
-            factor_levels={k: tuple(v) for k, v in payload["factor_levels"].items()},
-            references=dict(payload["references"]),
-            knot_vector=KnotVector(payload["knots"]) if payload.get("knots") else None,
-            smooth_constraints={
-                k: np.array(v, dtype=float) for k, v in payload["smooth_constraints"].items()
-            },
-            lambdas={k: float(v) for k, v in payload["lambdas"].items()},
-            phi=float(payload["phi"]),
-            fit_stats=FitStats(**_typed_fields(FitStats, payload["fit_stats"], "fit_stats ")),
-            observed_sizes=_positive_ints(payload["observed_sizes"], "observed_sizes"),
-        )
-    raise InputError(f"unknown model family {family!r}")
+def _read(kind, value, name: str):
+    """`value`, the part `name` of a model file, as `kind`, the type of a model field.
 
-
-def _integer(value, name: str) -> int:
-    """A model's count; InputError unless it is an int (a bool is not)."""
-    if type(value) is not int:
-        raise InputError(f"model {name} must be an integer, got {value!r}")
-    return value
-
-
-def _positive_ints(values, name: str, length: int | None = None) -> tuple:
-    """A model's list of sizes as a tuple; InputError unless they are positive ints."""
-    if (
-        not isinstance(values, list)
-        or (length is not None and len(values) != length)
-        or not all(type(v) is int and v >= 1 for v in values)
-    ):
-        count = "" if length is None else f"{length} "
-        raise InputError(f"model {name} must be a list of {count}positive integers")
-    return tuple(values)
+    A dataclass is read field by field through its annotations: a field with a
+    default may be absent, another raises KeyError.  An int is a JSON integer
+    and a float any JSON number, but neither is a bool.  An np.ndarray is a
+    list of numbers or a list of equally long such lists.  InputError names
+    the first value that is not of its type.
+    """
+    if kind is float and type(value) in (int, float):
+        return float(value)  # OverflowError for an int beyond the float range
+    if kind in (int, str) and type(value) is kind:
+        return value
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if kind is np.ndarray and isinstance(value, list):
+        if not (value and all(type(row) is list for row in value)):
+            return np.array(_read(tuple[float, ...], value, name))
+        rows = [_read(tuple[float, ...], row, f"{name}[{i}]") for i, row in enumerate(value)]
+        lengths = sorted({len(row) for row in rows})
+        if len(lengths) > 1:
+            raise InputError(f"{name} rows must be equally long, got lengths {lengths}")
+        return np.array(rows)
+    elif origin is types.UnionType:  # X | None
+        return None if value is None else _read(args[0], value, name)
+    elif dataclasses.is_dataclass(kind) and isinstance(value, Mapping):
+        return kind(**{
+            f.name: _read(_hints(kind)[f.name], value[f.name], f"{name} {f.name}")
+            for f in dataclasses.fields(kind)
+            if f.name in value or f.default is dataclasses.MISSING
+        })
+    elif origin is dict and isinstance(value, Mapping):
+        return {key: _read(args[1], item, f"{name}[{key!r}]") for key, item in value.items()}
+    elif origin is tuple and isinstance(value, list):
+        kinds = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(kinds) == len(value):
+            return tuple(_read(k, v, f"{name}[{i}]") for i, (k, v) in enumerate(zip(kinds, value)))
+    fixed = f"a list of {len(args)} items" if args and args[-1] is not Ellipsis else "a list"
+    what = fixed if origin is tuple else _KINDS.get(kind, "an object")
+    raise InputError(f"{name} must be {what}, got {value!r}")
 
 
 def save_model(model, path: str):
@@ -382,8 +371,9 @@ def load_model(path: str):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: unreadable as UTF-8 ({exc.reason})") from None
-    except ValueError as exc:  # a JSONDecodeError, or a non-finite number
-        raise InputError(f"{path}: invalid JSON ({exc})") from exc
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, a non-finite number,
+        # or arrays or objects nested deeper than the decoder can recurse
+        raise InputError(f"{path}: invalid JSON ({exc})") from None
     return model_from_dict(payload)
 
 

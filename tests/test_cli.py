@@ -80,6 +80,18 @@ def test_bad_lambda_item_is_an_input_error(observations_csv, tmp_path, capsys):
     assert_one_input_error(code, capsys, "--lambdas", "'x'")
 
 
+@pytest.mark.parametrize("lambdas", ["", " ", ","])
+def test_lambdas_that_name_no_number_are_an_input_error(
+    observations_csv, tmp_path, capsys, lambdas
+):
+    # an empty --lambdas fixes no smoothing parameter; it does not mean the search
+    out = tmp_path / "m.json"
+    argv = ["fit-gam", "--observations", observations_csv, "--metric", "ACC"]
+    code = cli.main(argv + ["--lambdas", lambdas, "--out", str(out)])
+    assert_one_input_error(code, capsys, "smoothing parameters, got 0")
+    assert not out.exists()
+
+
 def test_huge_lambda_is_an_input_error(observations_csv, tmp_path, capsys):
     out = tmp_path / "m.json"
     argv = ["fit-gam", "--observations", observations_csv, "--metric", "ACC"]
@@ -761,6 +773,46 @@ def _phi_beyond_the_float_range_as_an_integer(d):
     d["phi"] = 10**400
 
 
+def _text_phi(d):
+    d["phi"] = "nan"
+
+
+def _text_squeeze_eps(d):
+    d["squeeze_eps"] = "1e-4"
+
+
+def _text_lambdas(d):
+    d["lambdas"] = {label: str(value) for label, value in d["lambdas"].items()}
+
+
+def _float_intercept_index(d):
+    d["term_index"]["(intercept)"] = [0.0]
+
+
+def _boolean_tuning_index(d):
+    d["term_index"]["tuning"] = [True]
+
+
+def _integer_coef_name(d):
+    d["coef_names"][0] = 1
+
+
+def _integer_dataset_level(d):
+    d["factor_levels"]["dataset"][1] = 7
+
+
+def _zero_observed_size(d):
+    d["observed_sizes"][0] = 0
+
+
+def _ragged_covariance(d):
+    d["covariance"][3].pop()
+
+
+def _text_covariance_entry(d):
+    d["covariance"][3][4] = "1"
+
+
 @pytest.mark.parametrize(
     "edit, fragment",
     [
@@ -776,10 +828,10 @@ def _phi_beyond_the_float_range_as_an_integer(d):
         (_shift_tuning_index, "term_index does not cover"),
         (_drop_tuning_reference, "disagree with its parametric terms"),
         (_drop_tuning_levels, "disagree with its parametric terms"),
-        (_fractional_observed_size, "observed_sizes must be a list of positive integers"),
-        (_text_observed_size, "observed_sizes must be a list of positive integers"),
-        (_fractional_k, "smooth term k must be an integer, got 5.7"),
-        (_boolean_k, "smooth term k must be an integer, got True"),
+        (_fractional_observed_size, "observed_sizes[5] must be an integer, got 1000.5"),
+        (_text_observed_size, "observed_sizes[0] must be an integer, got '10'"),
+        (_fractional_k, "smooth_terms[0] k must be an integer, got 5.7"),
+        (_boolean_k, "smooth_terms[0] k must be an integer, got True"),
         (_k_without_its_knots, "smooth term k=7 disagrees with its 5 knots"),
         (_fractional_n_obs, "fit_stats n_obs must be an integer, got 3.7"),
         (_fractional_iterations, "fit_stats iterations must be an integer, got 2.5"),
@@ -788,6 +840,16 @@ def _phi_beyond_the_float_range_as_an_integer(d):
         (_by_factor_not_in_the_model, "smooth by-factor 'class' is not a parametric term"),
         (_second_smooth, "at most one smooth term is supported"),
         (_phi_beyond_the_float_range_as_an_integer, "malformed model: int too large"),
+        (_text_phi, "model phi must be a number, got 'nan'"),
+        (_text_squeeze_eps, "squeeze_eps must be a number, got '1e-4'"),
+        (_text_lambdas, "lambdas['s(num_tr_images):dataset[AU]'] must be a number, got '"),
+        (_float_intercept_index, "term_index['(intercept)'][0] must be an integer, got 0.0"),
+        (_boolean_tuning_index, "term_index['tuning'][0] must be an integer, got True"),
+        (_integer_coef_name, "coef_names[0] must be a string, got 1"),
+        (_integer_dataset_level, "factor_levels['dataset'][1] must be a string, got 7"),
+        (_zero_observed_size, "observed_sizes must be positive, got 0"),
+        (_ragged_covariance, "covariance rows must be equally long, got lengths [20, 21]"),
+        (_text_covariance_entry, "covariance[3][4] must be a number, got '1'"),
     ],
     ids=lambda v: getattr(v, "__name__", None),
 )
@@ -807,11 +869,13 @@ def test_malformed_gam_file_is_an_input_error(
     [
         (lambda d: d.pop("slope"), "missing key 'slope'"),
         (lambda d: d.update(transform="log_inverse_n"), "uses the 'log_n' transform"),
-        (lambda d: d.update(size_range=[10]), "size_range must be a list of 2 positive"),
-        (lambda d: d.update(size_range=["a", "b"]), "size_range must be a list of 2 positive"),
-        (lambda d: d.update(size_range=[0, 500]), "size_range must be a list of 2 positive"),
+        (lambda d: d.update(size_range=[10]), "size_range must be a list of 2 items, got [10]"),
+        (lambda d: d.update(size_range=["a", "b"]), "size_range[0] must be an integer, got 'a'"),
+        (lambda d: d.update(size_range=[0, 500]), "size_range must be positive, got 0"),
         (lambda d: d.update(n_obs=3.9), "n_obs must be an integer, got 3.9"),
         (lambda d: d.update(n_obs=True), "n_obs must be an integer, got True"),
+        (lambda d: d.update(slope="inf"), "model slope must be a number, got 'inf'"),
+        (lambda d: d.update(intercept="nan"), "model intercept must be a number, got 'nan'"),
     ],
     ids=[
         "missing-slope",
@@ -821,6 +885,8 @@ def test_malformed_gam_file_is_an_input_error(
         "zero-size",
         "fractional-n-obs",
         "boolean-n-obs",
+        "text-slope",
+        "text-intercept",
     ],
 )
 def test_malformed_ols_file_is_an_input_error(tmp_path, capsys, edit, fragment):
@@ -831,6 +897,14 @@ def test_malformed_ols_file_is_an_input_error(tmp_path, capsys, edit, fragment):
     model.write_text(io.canonical_json(payload))
     code = cli.main(["plan", "--model", str(model), "--target", "0.9"])
     assert_one_input_error(code, capsys, fragment)
+
+
+def test_model_file_nested_too_deep_to_decode_is_an_input_error(tmp_path, capsys):
+    # json's decoder recurses once per level and stops at the interpreter's limit
+    model = tmp_path / "deep.json"
+    model.write_text("[" * 100_000 + "]" * 100_000)
+    code = cli.main(["plan", "--model", str(model), "--target", "0.9"])
+    assert_one_input_error(code, capsys, f"{model}: invalid JSON (maximum recursion depth")
 
 
 def with_non_finite(document, path, token) -> str:
@@ -1263,6 +1337,47 @@ def test_plan_model_exits_0_2_or_4_with_the_last_crossing(
         predict = lambda size: model.predict_sizes(columns, [size])[0]
     assert 1 <= n <= ceiling and query.met_by(predict(n))
     assert n == 1 or not query.met_by(predict(n - 1))
+
+
+def node_paths(node, path=()):
+    """The path (keys and indices) of every value below `node` of a JSON document."""
+    if isinstance(node, (dict, list)):
+        for key, item in node.items() if isinstance(node, dict) else enumerate(node):
+            yield (*path, key)
+            yield from node_paths(item, (*path, key))
+
+
+# what a value of a model file is replaced with: a number as text, a bool, null, a
+# fraction, an integer beyond the float range, empty containers and a nested list
+REPLACEMENTS = ["1", "nan", True, None, 0.5, 10**400, [], {}, [[[1]]]]
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.data())
+def test_plan_on_a_model_file_with_one_value_replaced_exits_0_2_or_4(
+    plan_model_documents, tmp_path, capsys, data
+):
+    # a key of the document, then the key itself or any value below it, so each key is
+    # edited as often as the 441 numbers of the covariance matrix
+    source = data.draw(st.sampled_from(["gam-ACC", "ols-ACC"]))
+    document = json.loads(json.dumps(plan_model_documents[source]))
+    key = data.draw(st.sampled_from(sorted(document)))
+    *parents, last = data.draw(st.sampled_from([(key,), *node_paths(document[key], (key,))]))
+    parent = document
+    for step in parents:
+        parent = parent[step]
+    held, parent[last] = parent[last], data.draw(st.sampled_from(REPLACEMENTS))
+    model = tmp_path / "model.json"
+    model.write_text(io.canonical_json(document))
+    argv = ["plan", "--model", str(model), "--target", "0.95"]
+    code = cli.main(argv + (["--cell", "WI,deep,resNet18"] if source == "gam-ACC" else []))
+    err = capsys.readouterr().err
+    assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_INFEASIBLE)
+    assert len(err.splitlines()) == (code != cli.EXIT_OK) and "Traceback" not in err
+    if type(held) in (int, float) and isinstance(parent[last], (str, bool)):
+        assert code == cli.EXIT_INPUT
 
 
 @settings(
