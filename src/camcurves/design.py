@@ -14,7 +14,10 @@ experiment grid (3 datasets x 6 training sizes x 6 architectures x 2 tuning
 schemes x 4 augmentation schemes) from the module constants below, emitting
 per-class Beta-distributed metric values whose logit-scale means follow a
 log-size law plus per-dataset adjustments, calibrated so the simulated
-dataset-average trajectories reproduce REFERENCE_TRAJECTORIES.
+dataset-average trajectories reproduce REFERENCE_TRAJECTORIES.  The cells
+are drawn as arrays: the means of every (cell, metric, class) in one array,
+then one Beta draw of a cell's metrics and classes on that cell's own
+substream, and the label columns spread from the axis levels.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ TUNINGS = ("deep", "shallow")
 AUGMENTATIONS = ("trainOnly", "trainAndTest", "testOnly", "none")
 # the axes of the simulated grid, in the order its cells are drawn and written
 GRID_AXES = (DATASETS, DEFAULT_SIZE_LADDER, ARCHITECTURES, TUNINGS, AUGMENTATIONS)
+# the observation column of each axis
+_AXIS_COLUMNS = ("dataset", "num_tr_images", "architecture", "tuning", "augmentation")
 
 DEFAULT_CLASSES = {
     "AU": ("blank", "cat", "dog", "fox", "horse", "kangaroo", "lyrebird", "others", "pig"),
@@ -291,6 +296,34 @@ def _base_logits() -> dict:
     return out
 
 
+def _cell_values(seed: int, cells: list, classes: np.ndarray) -> np.ndarray:
+    """The Beta draws of `cells` (axis-index keys), as a (cell, metric, class) array."""
+    class_offsets = np.empty((len(METRIC_KINDS), *classes.shape))  # (metric, dataset, class)
+    for mi, di in product(range(len(METRIC_KINDS)), range(len(DATASETS))):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(_CLASS_OFFSET_KEY, mi, di))
+        )
+        offs = rng.normal(0.0, DEFAULT_CLASS_OFFSET_SD, classes.shape[1])
+        class_offsets[mi, di] = offs - offs.mean()
+
+    logits = _base_logits()
+    base = np.array(  # (metric, dataset, size)
+        [[[logits[(m, d, n)] for n in DEFAULT_SIZE_LADDER] for d in DATASETS] for m in METRIC_KINDS]
+    )
+    arch = np.array([[DEFAULT_ARCH_OFFSETS[m][a] for a in ARCHITECTURES] for m in METRIC_KINDS])
+    tuning = np.array([[0.0, DEFAULT_TUNING_OFFSETS[m]] for m in METRIC_KINDS])  # deep, shallow
+    d, s, a, t, _ = np.array(cells).T
+    cell_logit = (base[:, d, s] + arch[:, a] + tuning[:, t]).T  # (cell, metric)
+    eta = cell_logit[:, :, None] + class_offsets[:, d].swapaxes(0, 1)
+    mu = inv_logit(eta)
+    alpha, beta = mu * DEFAULT_PHI_SIM, (1.0 - mu) * DEFAULT_PHI_SIM
+    values = np.empty_like(mu)
+    for i, key in enumerate(cells):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+        values[i] = rng.beta(alpha[i], beta[i])
+    return values
+
+
 def simulate_grid(seed: int) -> np.recarray:
     """Draw the calibrated experiment grid: the observation table with one row per
     cell, class and metric.
@@ -302,35 +335,31 @@ def simulate_grid(seed: int) -> np.recarray:
     drawn once per (metric, dataset) and centred, so realized dataset means
     stay on the calibrated trajectories.
 
-    Each cell draws from its own substream of `seed`, keyed by its axis
-    indices, and the class offsets from substreams keyed by (metric,
-    dataset), so the values of a cell do not depend on the other cells.
+    Each cell draws its metrics and classes in one Beta call on its own
+    substream of `seed`, keyed by its axis indices, and the class offsets
+    from substreams keyed by (metric, dataset), so the values of a cell do
+    not depend on the other cells.  The rows are built as arrays, never as
+    a Python object per row.
     """
     _check_seed(seed)
-    class_offsets = {}
-    for (mi, metric), (di, dataset) in product(enumerate(METRIC_KINDS), enumerate(DATASETS)):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(_CLASS_OFFSET_KEY, mi, di))
-        )
-        offs = rng.normal(0.0, DEFAULT_CLASS_OFFSET_SD, len(DEFAULT_CLASSES[dataset]))
-        class_offsets[(metric, dataset)] = offs - offs.mean()
+    cells = list(product(*(range(len(axis)) for axis in GRID_AXES)))
+    classes = np.array([DEFAULT_CLASSES[d] for d in DATASETS])  # (dataset, class)
+    values = _cell_values(seed, cells, classes)
+    levels = np.array(cells)
 
-    logits = _base_logits()
-    rows = []
-    for key in product(*(range(len(axis)) for axis in GRID_AXES)):
-        dataset, size, arch, tuning, aug = (axis[i] for axis, i in zip(GRID_AXES, key))
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-        for metric in METRIC_KINDS:
-            eta = (
-                logits[(metric, dataset, size)]
-                + DEFAULT_ARCH_OFFSETS[metric][arch]
-                + (DEFAULT_TUNING_OFFSETS[metric] if tuning == TUNINGS[1] else 0.0)
-                + class_offsets[(metric, dataset)]
-            )
-            mu = inv_logit(eta)
-            values = rng.beta(mu * DEFAULT_PHI_SIM, (1.0 - mu) * DEFAULT_PHI_SIM)
-            rows.extend(
-                (metric, value, dataset, label, size, arch, tuning, aug)
-                for label, value in zip(DEFAULT_CLASSES[dataset], values.tolist())
-            )
-    return observation_table(dict(zip(OBSERVATION_COLUMNS, zip(*rows))))
+    def column(labels):
+        """`labels`, broadcast over (cell, metric, class), with one entry per row."""
+        return np.broadcast_to(labels, values.shape).reshape(-1)
+
+    columns = {
+        name: column(np.asarray(axis)[levels[:, k], None, None])
+        for k, (name, axis) in enumerate(zip(_AXIS_COLUMNS, GRID_AXES))
+    }
+    return observation_table(
+        {
+            **columns,
+            "metric": column(np.array(METRIC_KINDS)[:, None]),
+            "class": column(classes[levels[:, 0], None, :]),
+            "value": values.reshape(-1),
+        }
+    )

@@ -47,6 +47,9 @@ MANIFEST_SCHEMA = "camcurves-manifest/1"
 PREDICTION_COLUMNS = ("image_id", "true_class", "predicted_class")
 PREDICTION_OPTIONAL = ("location_id", "timestamp")
 
+# rows of an observation table converted to Python objects at a time when written
+CSV_CHUNK_ROWS = 4096
+
 
 def _temp_file(path: str):
     """Create a temp file beside `path`; (fd, temp path), or InputError naming `path`."""
@@ -241,11 +244,17 @@ def parse_image_index(path: str) -> tuple:
 
 
 def write_observations_csv(path: str, table: np.recarray):
-    """Write an observation table as CSV; a value is written as its shortest repr."""
+    """Write an observation table as CSV; a value is written as its shortest repr.
+
+    The rows are converted to Python objects CSV_CHUNK_ROWS at a time, so
+    the memory the writer adds does not grow with the table.
+    """
     with atomic_write(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(OBSERVATION_COLUMNS)
-        writer.writerows(zip(*(table[name].tolist() for name in OBSERVATION_COLUMNS)))
+        for start in range(0, len(table), CSV_CHUNK_ROWS):
+            chunk = table[start : start + CSV_CHUNK_ROWS]
+            writer.writerows(zip(*(chunk[name].tolist() for name in OBSERVATION_COLUMNS)))
 
 
 # ---------------------------------------------------------------------------

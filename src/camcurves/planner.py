@@ -24,6 +24,11 @@ DEFAULT_SEARCH_CEILING = 100_000
 # sizes are evaluated as float64, which holds every integer up to 2**53 exactly
 MAX_SEARCH_CEILING = 2**53
 
+# a GAM plan predicts every size below its last knot and the ceiling: at most
+# MAX_SCANNED_SIZES of them, SCAN_CHUNK at a time, which bounds its time and memory
+MAX_SCANNED_SIZES = 1_000_000
+SCAN_CHUNK = 8192
+
 
 @dataclass(frozen=True)
 class PlanQuery:
@@ -58,23 +63,41 @@ class PlanResult:
         return self.required_n is not None
 
 
+def _scan_prefix(query, predict, scanned) -> tuple:
+    """The last size in 1..scanned that fails `query` (0 for none), and the
+    prediction at the size after it (None if that is past `scanned`).
+
+    The sizes are predicted SCAN_CHUNK at a time from the top down, so the
+    memory does not depend on `scanned`, and the scan stops at the first
+    chunk with a failing size.
+    """
+    after = None  # the prediction at the size above the chunk
+    for stop in range(scanned, 0, -SCAN_CHUNK):
+        start = max(stop - SCAN_CHUNK, 0)
+        values = predict(np.arange(start + 1, stop + 1, dtype=float))
+        fail_idx = np.flatnonzero(~query.met_by(values))
+        if fail_idx.size:
+            last = start + int(fail_idx[-1]) + 1
+            return last, float(values[last - start]) if last < stop else after
+        after = float(values[0])
+    return 0, after
+
+
 def _last_crossing(family, metric, query, predict, monotone_from, max_observed) -> PlanResult:
     """The rule over the sizes 1..search_ceiling for a `family` model of `metric`.
 
     `predict` maps a sequence of sizes to metric values, monotone in n
     (either way) from the size `monotone_from` on.  Only the sizes up to
-    there are all predicted; past it the failing sizes form a prefix of the
-    tail, whose end is found by bisection.  Time and memory follow
-    `monotone_from`, not the ceiling.  `max_observed` (or None) is the
-    largest size the model was built on.
+    there are all predicted, in chunks; past it the failing sizes form a
+    prefix of the tail, whose end is found by bisection.  Time follows
+    `monotone_from`, not the ceiling, and memory follows neither.
+    `max_observed` (or None) is the largest size the model was built on.
     """
     if metric != query.metric:
         raise InputError(f"model is for {metric}, query is for {query.metric}")
     ceiling = query.search_ceiling
     scanned = min(ceiling, monotone_from)
-    values = predict(np.arange(1, scanned + 1, dtype=float))
-    fail_idx = np.flatnonzero(~query.met_by(values))
-    last = int(fail_idx[-1]) + 1 if fail_idx.size else 0  # last failing size; 0 for none
+    last, value = _scan_prefix(query, predict, scanned)  # value at last + 1 if scanned
     if scanned < ceiling:
         if not query.met_by(predict([ceiling])[0]):
             last = ceiling
@@ -86,7 +109,10 @@ def _last_crossing(family, metric, query, predict, monotone_from, max_observed) 
             if lo > scanned:
                 last = lo
     n = last + 1 if last < ceiling else None
-    value = None if n is None else float(values[n - 1] if n <= scanned else predict([n])[0])
+    if n is None:
+        value = None
+    elif n > scanned:
+        value = float(predict([n])[0])
     return PlanResult(
         metric=query.metric,
         target=query.target,
@@ -117,14 +143,29 @@ def gam_required_sample_size(
     Spline fits need not be monotone, but beyond the last knot the natural
     spline is linear in log n, so the prediction is monotone from
     ceil(exp(last knot)) on (a model without a smooth is constant in n).
+    InputError when the sizes below both that and the ceiling number more
+    than MAX_SCANNED_SIZES.
     """
-    knots = model.knot_vector
+    monotone_from = 1
+    if model.knot_vector is not None:
+        last_knot = model.knot_vector.knots[-1]
+        # any start past the largest ceiling scans up to the ceiling; exp could overflow
+        if last_knot > math.log(MAX_SEARCH_CEILING):
+            monotone_from = MAX_SEARCH_CEILING + 1
+        else:
+            monotone_from = math.ceil(math.exp(last_knot))
+        if min(query.search_ceiling, monotone_from) > MAX_SCANNED_SIZES:
+            raise InputError(
+                f"the model's last knot, log n = {last_knot:.10g}, leaves more than "
+                f"{MAX_SCANNED_SIZES} sizes to scan below the search ceiling; "
+                f"lower the ceiling to at most {MAX_SCANNED_SIZES}"
+            )
     return _last_crossing(
         "beta-gam",
         model.metric,
         query,
         lambda sizes: model.predict_sizes(cell, sizes),
-        monotone_from=math.ceil(math.exp(knots.knots[-1])) if knots is not None else 1,
+        monotone_from=monotone_from,
         max_observed=max(model.observed_sizes) if model.observed_sizes else None,
     )
 

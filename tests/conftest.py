@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,16 @@ def as_table(rows):
 
 def observation_rows(values, sizes, **kwargs):
     return as_table([make_obs(v, n, **kwargs) for v, n in zip(values, sizes)])
+
+
+def traced_peak(run):
+    """The peak of the memory traced while `run()` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

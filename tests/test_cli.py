@@ -676,6 +676,28 @@ def test_plan_with_a_huge_ceiling_stays_bounded(calibrated_acc_model, tmp_path, 
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "last_knot, ceiling, code",
+    [(800.0, None, cli.EXIT_OK), (800.0, 2**53, cli.EXIT_INPUT), (25.0, 2**53, cli.EXIT_INPUT)],
+)
+def test_plan_past_a_far_last_knot_exits_with_one_line(
+    calibrated_acc_model, tmp_path, capsys, last_knot, ceiling, code
+):
+    # exp(800) overflows a float; e^25 sizes would need 536 GiB in one array
+    payload = io.model_to_dict(calibrated_acc_model)
+    payload["knots"][-1] = last_knot
+    model = tmp_path / "acc.json"
+    model.write_text(io.canonical_json(payload))
+    argv = ["plan", "--model", str(model), "--target", "0.9", "--cell", "WI,deep,resNet18"]
+    if ceiling is not None:
+        argv += ["--ceiling", str(ceiling)]
+    if code == cli.EXIT_OK:
+        assert cli.main(argv) == code
+        assert capsys.readouterr().err == ""
+    else:
+        assert_one_input_error(cli.main(argv), capsys, f"last knot, log n = {last_knot:g},")
+
+
 def _drop_phi(d):
     del d["phi"]
 

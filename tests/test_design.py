@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camcurves import design, io
+from camcurves._numeric import inv_logit
 from camcurves.errors import InputError
 from camcurves.metrics import METRIC_KINDS
 
-from conftest import CALIBRATION_SEED
+from conftest import CALIBRATION_SEED, traced_peak
 
 # sha256 of the calibrated grid CSV at CALIBRATION_SEED; the benchmark's
 # reference answers record the same value
@@ -29,7 +30,47 @@ def row_keys(table, names=CELL_CLASS_METRIC):
     return list(zip(*(table[name].tolist() for name in names)))
 
 
+def reference_grid(seed):
+    """The grid's rows drawn one by one: a cell's classes in one Beta call per
+    metric, each row a tuple in OBSERVATION_COLUMNS order."""
+    class_offsets = {}
+    for (mi, metric), (di, dataset) in product(enumerate(METRIC_KINDS), enumerate(design.DATASETS)):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(design._CLASS_OFFSET_KEY, mi, di))
+        )
+        offs = rng.normal(0.0, design.DEFAULT_CLASS_OFFSET_SD, len(design.DEFAULT_CLASSES[dataset]))
+        class_offsets[(metric, dataset)] = offs - offs.mean()
+
+    logits = design._base_logits()
+    rows = []
+    for key in product(*(range(len(axis)) for axis in design.GRID_AXES)):
+        dataset, size, arch, tuning, aug = (axis[i] for axis, i in zip(design.GRID_AXES, key))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+        for metric in METRIC_KINDS:
+            eta = (
+                logits[(metric, dataset, size)]
+                + design.DEFAULT_ARCH_OFFSETS[metric][arch]
+                + (design.DEFAULT_TUNING_OFFSETS[metric] if tuning == design.TUNINGS[1] else 0.0)
+                + class_offsets[(metric, dataset)]
+            )
+            mu = inv_logit(eta)
+            values = rng.beta(mu * design.DEFAULT_PHI_SIM, (1.0 - mu) * design.DEFAULT_PHI_SIM)
+            rows.extend(
+                (metric, value, dataset, label, size, arch, tuning, aug)
+                for label, value in zip(design.DEFAULT_CLASSES[dataset], values.tolist())
+            )
+    return rows
+
+
 class TestSimulateGrid:
+    @pytest.mark.parametrize("seed", [CALIBRATION_SEED, 0, 515151])
+    def test_matches_the_row_by_row_draw(self, seed):
+        assert design.simulate_grid(seed).tolist() == reference_grid(seed)
+
+    def test_peak_memory_stays_within_two_and_a_half_tables(self, calibrated_observations):
+        peak = traced_peak(lambda: design.simulate_grid(CALIBRATION_SEED))
+        assert peak <= 2.5 * calibrated_observations.nbytes
+
     def test_calibrated_grid_csv_is_pinned(self, calibrated_observations, tmp_path):
         path = tmp_path / "grid.csv"
         io.write_observations_csv(str(path), calibrated_observations)

@@ -1,15 +1,16 @@
+import csv
 import functools
 import hashlib
-import tracemalloc
+import io as textio
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from camcurves import InputError, betagam, curves, io
-from camcurves.metrics import METRIC_KINDS
+from camcurves.metrics import METRIC_KINDS, OBSERVATION_COLUMNS
 
-from conftest import as_table, make_obs, observation_rows
+from conftest import as_table, make_obs, observation_rows, traced_peak
 
 # any text a UTF-8 CSV cell can hold; NUL is left out because the csv
 # reader of older Pythons rejects it
@@ -167,15 +168,26 @@ def test_metric_parse_holds_the_rows_of_that_metric(grid_csv, metric):
     assert io.parse_observations(grid_csv, metric).tolist() == rows
 
 
-def _peak_bytes(parse):
-    tracemalloc.start()
-    try:
-        parse()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_metric_parse_peaks_below_a_third_of_the_full_parse(grid_csv):
-    full = _peak_bytes(lambda: io.parse_observations(grid_csv))
-    assert _peak_bytes(lambda: io.parse_observations(grid_csv, "ACC")) < full / 3
+    full = traced_peak(lambda: io.parse_observations(grid_csv))
+    assert traced_peak(lambda: io.parse_observations(grid_csv, "ACC")) < full / 3
+
+
+@pytest.mark.parametrize(
+    "rows", [0, 1, io.CSV_CHUNK_ROWS - 1, io.CSV_CHUNK_ROWS, io.CSV_CHUNK_ROWS + 1]
+)
+def test_chunked_csv_matches_one_writerows_call(calibrated_observations, tmp_path, rows):
+    table = calibrated_observations[:rows]
+    expected = textio.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(OBSERVATION_COLUMNS)
+    writer.writerows(table.tolist())
+    path = tmp_path / "obs.csv"
+    io.write_observations_csv(str(path), table)
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+def test_csv_writer_adds_at_most_half_a_table(calibrated_observations, tmp_path):
+    path = str(tmp_path / "grid.csv")
+    peak = traced_peak(lambda: io.write_observations_csv(path, calibrated_observations))
+    assert peak <= 0.5 * calibrated_observations.nbytes

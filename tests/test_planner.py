@@ -12,6 +12,7 @@ from camcurves import (
     betagam,
     gam_required_sample_size,
     plan_report,
+    planner,
     required_sample_size,
     table1_presets,
 )
@@ -231,6 +232,32 @@ class TestBoundedScan:
             query = PlanQuery("ACC", 0.99, search_ceiling=10**12)
             gam_required_sample_size(model, cell, query)
             assert 0 < sum(seen) <= bound
+
+    def test_scan_in_small_chunks_gives_the_same_answers(self, calibrated_acc_model, monkeypatch):
+        model = calibrated_acc_model
+        queries = [PlanQuery("ACC", t, search_ceiling=20_000) for t in self.TARGETS["ACC"]]
+        whole = [gam_required_sample_size(model, cell, q) for cell in CELLS for q in queries]
+        sizes = []
+        predict_sizes = type(model).predict_sizes
+
+        def spy(self, cell, num_tr_images):
+            sizes.append(np.size(num_tr_images))
+            return predict_sizes(self, cell, num_tr_images)
+
+        monkeypatch.setattr(type(model), "predict_sizes", spy)
+        monkeypatch.setattr(planner, "SCAN_CHUNK", 7)
+        chunked = [gam_required_sample_size(model, cell, q) for cell in CELLS for q in queries]
+        assert max(sizes) == 7 and len(sizes) > 1000 // 7
+        for a, b in zip(chunked, whole):
+            assert a.required_n == b.required_n
+            assert a.predicted_value == pytest.approx(b.predicted_value, rel=1e-12)
+
+    def test_a_scan_past_the_limit_is_an_input_error(self, calibrated_acc_model, monkeypatch):
+        monkeypatch.setattr(planner, "MAX_SCANNED_SIZES", 500)  # the model's last knot is at 1000
+        cell = CELLS[0]
+        gam_required_sample_size(calibrated_acc_model, cell, PlanQuery("ACC", 0.9, 500))  # plans
+        with pytest.raises(InputError, match=r"last knot, log n = 6\.907755279, leaves more than 500"):
+            gam_required_sample_size(calibrated_acc_model, cell, PlanQuery("ACC", 0.9, 501))
 
 
 class TestPlanReport:
