@@ -275,6 +275,8 @@ def _cmd_plan(args) -> int:
         if isinstance(model, betagam.AdditiveModel) != (args.cell is not None):
             raise InputError("planning against a GAM needs --cell; a log-size curve takes none")
         cell = _parse_cell(args.cell) if args.cell is not None else None
+    if args.out:
+        io.check_writable(args.out)  # before any plan line is printed
     report = planner.plan_report(targets, models, cell=cell, search_ceiling=args.ceiling)
     for result in report.results:
         print(_plan_line(result))

@@ -29,7 +29,7 @@ import numpy as np
 
 from ._numeric import inv_logit, logit
 from .errors import InputError
-from .metrics import METRIC_KINDS, OBSERVATION_COLUMNS, observation_table
+from .metrics import METRIC_KINDS, observation_table
 
 DEFAULT_SIZE_LADDER = (10, 20, 50, 150, 500, 1000)
 DEFAULT_TEST_SIZE = 250
@@ -338,28 +338,23 @@ def simulate_grid(seed: int) -> np.recarray:
     Each cell draws its metrics and classes in one Beta call on its own
     substream of `seed`, keyed by its axis indices, and the class offsets
     from substreams keyed by (metric, dataset), so the values of a cell do
-    not depend on the other cells.  The rows are built as arrays, never as
-    a Python object per row.
+    not depend on the other cells.  The values are one (cell, metric, class)
+    array and each label column is given unspread, by cell, by metric or by
+    (cell, class), so the table is the only array with one entry per row.
     """
     _check_seed(seed)
     cells = list(product(*(range(len(axis)) for axis in GRID_AXES)))
     classes = np.array([DEFAULT_CLASSES[d] for d in DATASETS])  # (dataset, class)
-    values = _cell_values(seed, cells, classes)
     levels = np.array(cells)
-
-    def column(labels):
-        """`labels`, broadcast over (cell, metric, class), with one entry per row."""
-        return np.broadcast_to(labels, values.shape).reshape(-1)
-
-    columns = {
-        name: column(np.asarray(axis)[levels[:, k], None, None])
+    columns = {  # each broadcasts over (cell, metric, class)
+        name: np.asarray(axis)[levels[:, k], None, None]
         for k, (name, axis) in enumerate(zip(_AXIS_COLUMNS, GRID_AXES))
     }
     return observation_table(
         {
             **columns,
-            "metric": column(np.array(METRIC_KINDS)[:, None]),
-            "class": column(classes[levels[:, 0], None, :]),
-            "value": values.reshape(-1),
+            "metric": np.array(METRIC_KINDS)[:, None],
+            "class": classes[levels[:, 0], None, :],
+            "value": _cell_values(seed, cells, classes),
         }
     )

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import errno
 import functools
 import json
 import math
@@ -47,13 +48,19 @@ MANIFEST_SCHEMA = "camcurves-manifest/1"
 PREDICTION_COLUMNS = ("image_id", "true_class", "predicted_class")
 PREDICTION_OPTIONAL = ("location_id", "timestamp")
 
-# rows of an observation table converted to Python objects at a time when written
-CSV_CHUNK_ROWS = 4096
+# rows of an observation table converted to Python objects at a time when written,
+# so that what the writer adds stays under a tenth of the simulated grid's table
+CSV_CHUNK_ROWS = 512
 
 
 def _temp_file(path: str):
-    """Create a temp file beside `path`; (fd, temp path), or InputError naming `path`."""
-    directory = os.path.dirname(os.path.abspath(path))
+    """Create a temp file beside `path`; (fd, temp path), or InputError naming `path`.
+
+    An existing directory at `path` is an InputError: the rename onto it would fail.
+    """
+    if os.path.isdir(path):
+        raise InputError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
+    directory = os.path.dirname(path) or "."  # for "x/" the temp file goes in x, like the rename
     try:
         return tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     except OSError as exc:
@@ -69,12 +76,19 @@ def check_writable(path: str) -> None:
 
 @contextmanager
 def atomic_write(path: str):
-    """Write to a temp file in the target directory, rename on success."""
+    """Write to a temp file in the target directory, rename on success.
+
+    An OSError of the rename is an InputError naming `path`; the temp file
+    is removed whatever fails.
+    """
     fd, tmp = _temp_file(path)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             yield handle
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc.strerror}") from exc
     except BaseException:
         try:
             os.unlink(tmp)

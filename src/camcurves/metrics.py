@@ -39,11 +39,16 @@ OBSERVATION_COLUMNS = (
 def observation_table(columns: Mapping[str, Sequence], where=None) -> np.recarray:
     """The observation table: a metric value per row with the covariates of its cell.
 
-    `columns` maps each name of OBSERVATION_COLUMNS to its values, one per
-    row.  The table is a record array with a field per column: floats for
-    `value`, 64-bit integers for `num_tr_images` and strings otherwise.  It
-    is read-only, since an assignment into a string field would be silently
-    truncated to the field's width; a filtered copy is writeable.
+    `columns` maps each name of OBSERVATION_COLUMNS to its values.  The rows
+    are the entries of `value` read in C order, and every other column is
+    either one value per row or an array that broadcasts to `value`'s shape,
+    so a label shared by many rows is given once (the simulator passes its
+    labels by cell, metric and class).  The table is a record array with a
+    field per column: floats for `value`, 64-bit integers for `num_tr_images`
+    and strings otherwise.  It is allocated once and filled a field at a
+    time, so a broadcast column is never spread into an array of its own.
+    It is read-only, since an assignment into a string field would be
+    silently truncated to the field's width; a filtered copy is writeable.
     Raises InputError for the first row with an unknown metric kind, a value
     outside [0, 1] or a num_tr_images that is not a positive integer, named
     by `where(i)` for row i (default "observation i").
@@ -58,18 +63,23 @@ def observation_table(columns: Mapping[str, Sequence], where=None) -> np.recarra
         (size, (size >= 1) & (size % 1 == 0), "num_tr_images {} must be a positive integer"),
     )
     # the first bad row is reported, and within it the first failed check
-    failures = [(int(np.argmin(ok)), k) for k, (_, ok, _) in enumerate(checks) if not ok.all()]
+    passed = [np.broadcast_to(ok, value.shape) for _, ok, _ in checks]
+    failures = [(int(np.argmin(ok)), k) for k, ok in enumerate(passed) if not ok.all()]
     if failures:
         i, k = min(failures)
         column, _, message = checks[k]
         name = f"observation {i}" if where is None else where(i)
-        raise InputError(f"{name}: " + message.format(column[i].item()))
+        bad = np.broadcast_to(column, value.shape).flat[i]
+        raise InputError(f"{name}: " + message.format(bad.item()))
     typed = {"metric": metric, "value": value, "num_tr_images": size.astype(np.int64)}
-    arrays = [
-        typed[name] if name in typed else np.asarray(columns[name], dtype=str)
+    arrays = {
+        name: typed[name] if name in typed else np.asarray(columns[name], dtype=str)
         for name in OBSERVATION_COLUMNS
-    ]
-    table = np.rec.fromarrays(arrays, names=OBSERVATION_COLUMNS)
+    }
+    table = np.empty(value.shape, [(name, array.dtype) for name, array in arrays.items()])
+    for name, array in arrays.items():
+        table[name] = array
+    table = table.reshape(-1).view(np.recarray)
     table.flags.writeable = False
     return table
 

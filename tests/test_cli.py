@@ -26,17 +26,19 @@ SIZES = (10, 20, 50, 150, 500, 1000)
 
 
 def assert_one_error_line(code, capsys, exit_code, prefix, *fragments):
-    err = capsys.readouterr().err
+    """Check the one error line on stderr; returns what was printed on stdout."""
+    out, err = capsys.readouterr()
     assert code == exit_code
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix)
     for fragment in fragments:
         assert fragment in lines[0]
+    return out
 
 
 def assert_one_input_error(code, capsys, *fragments):
-    assert_one_error_line(code, capsys, cli.EXIT_INPUT, "input-error: ", *fragments)
+    return assert_one_error_line(code, capsys, cli.EXIT_INPUT, "input-error: ", *fragments)
 
 
 @pytest.fixture
@@ -442,21 +444,50 @@ def test_negative_seed_is_an_input_error(command, image_index, tmp_path, capsys)
     assert not out.exists()
 
 
+# --out targets that cannot be written, relative to a directory that holds
+# an empty directory "dir": (id suffix, target)
+UNWRITABLE_OUT = [
+    ("", os.path.join("missing", "out.file")),
+    ("-directory", "dir"),
+    ("-dot", "."),
+    ("-trailing-separator", "out.file" + os.sep),  # names a directory that does not exist
+]
+OUT_COMMANDS = {
+    "simulate": ["simulate", "--seed", "1"],
+    "plan": ["plan", "--preset", "table1", "--target-acc", "0.9"],
+    "fit-gam": ["fit-gam", "--metric", "ACC", "--lambdas", "1"],
+    "fit-ols": ["fit-ols", "--metric", "ACC"],
+    "aggregate": ["aggregate", "--by", "dataset"],
+}
+
+
+def in_work_directory(tmp_path, monkeypatch):
+    """Change into a fresh directory under `tmp_path` that holds an empty directory "dir"."""
+    work = tmp_path / "work"
+    (work / "dir").mkdir(parents=True)
+    monkeypatch.chdir(work)
+    return work
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, target",
     [
-        ["simulate", "--seed", "1"],
-        ["plan", "--preset", "table1", "--target-acc", "0.9"],
-        ["fit-gam", "--metric", "ACC", "--lambdas", "1"],
+        pytest.param(argv, target, id=name + suffix)
+        for suffix, target in UNWRITABLE_OUT
+        for name, argv in OUT_COMMANDS.items()
     ],
-    ids=["simulate", "plan", "fit-gam"],
 )
-def test_out_in_missing_directory_is_an_input_error(argv, observations_csv, tmp_path, capsys):
-    out = str(tmp_path / "missing" / "out.file")
-    if argv[0] == "fit-gam":
+def test_out_in_missing_directory_is_an_input_error(
+    argv, target, observations_csv, tmp_path, capsys, monkeypatch
+):
+    work = in_work_directory(tmp_path, monkeypatch)
+    if argv[0] in ("fit-gam", "fit-ols", "aggregate"):
         argv = argv + ["--observations", observations_csv]
-    assert_one_input_error(cli.main(argv + ["--out", out]), capsys, out)
-    assert not (tmp_path / "missing").exists()
+    code = cli.main(argv + ["--out", target])
+    # nothing on stdout: plan checks --out before it prints a plan line
+    assert assert_one_input_error(code, capsys, f"cannot write {target}: ") == ""
+    assert [p.name for p in work.iterdir()] == ["dir"]  # no output and no temp file left
+    assert not any((work / "dir").iterdir())
 
 
 def test_fit_gam_rejects_missing_out_directory_before_fitting(
@@ -467,11 +498,13 @@ def test_fit_gam_rejects_missing_out_directory_before_fitting(
 
     monkeypatch.setattr(cli.betagam, "fit", no_fit)
     monkeypatch.setattr(cli.betagam, "backward_eliminate", no_fit)
-    out = str(tmp_path / "missing" / "m.json")
-    argv = ["fit-gam", "--observations", observations_csv, "--metric", "ACC", "--out", out]
-    for extra in ([], ["--eliminate"]):
-        assert_one_input_error(cli.main(argv + extra), capsys, f"cannot write {out}")
-    assert not (tmp_path / "missing").exists()
+    work = in_work_directory(tmp_path, monkeypatch)
+    argv = ["fit-gam", "--observations", observations_csv, "--metric", "ACC"]
+    for _, target in UNWRITABLE_OUT:
+        for extra in ([], ["--eliminate"]):
+            code = cli.main(argv + ["--out", target] + extra)
+            assert_one_input_error(code, capsys, f"cannot write {target}: ")
+    assert [p.name for p in work.iterdir()] == ["dir"]
 
 
 @pytest.mark.parametrize("alpha", ["2", "0", "nan"])

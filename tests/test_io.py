@@ -2,6 +2,7 @@ import csv
 import functools
 import hashlib
 import io as textio
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -174,7 +175,11 @@ def test_metric_parse_peaks_below_a_third_of_the_full_parse(grid_csv):
 
 
 @pytest.mark.parametrize(
-    "rows", [0, 1, io.CSV_CHUNK_ROWS - 1, io.CSV_CHUNK_ROWS, io.CSV_CHUNK_ROWS + 1]
+    "rows",
+    [
+        *(0, 1, io.CSV_CHUNK_ROWS - 1, io.CSV_CHUNK_ROWS, io.CSV_CHUNK_ROWS + 1),
+        *(8 * io.CSV_CHUNK_ROWS - 1, 8 * io.CSV_CHUNK_ROWS, 8 * io.CSV_CHUNK_ROWS + 1),
+    ],
 )
 def test_chunked_csv_matches_one_writerows_call(calibrated_observations, tmp_path, rows):
     table = calibrated_observations[:rows]
@@ -187,7 +192,17 @@ def test_chunked_csv_matches_one_writerows_call(calibrated_observations, tmp_pat
     assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
-def test_csv_writer_adds_at_most_half_a_table(calibrated_observations, tmp_path):
+def test_csv_writer_adds_at_most_a_tenth_of_a_table(calibrated_observations, tmp_path):
     path = str(tmp_path / "grid.csv")
     peak = traced_peak(lambda: io.write_observations_csv(path, calibrated_observations))
-    assert peak <= 0.5 * calibrated_observations.nbytes
+    assert peak <= 0.1 * calibrated_observations.nbytes
+
+
+def test_failed_rename_is_an_input_error_that_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "out.csv"
+    with pytest.raises(InputError, match=re.escape(f"cannot write {target}: Is a directory")):
+        with io.atomic_write(str(target)) as handle:
+            handle.write("text")
+            target.mkdir()  # the target turns into a directory while it is written
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    assert not any(target.iterdir())

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camcurves import InputError, aggregate, confusion_matrix, one_vs_rest
+from camcurves import InputError, aggregate, confusion_matrix, observation_table, one_vs_rest
+from camcurves.metrics import METRIC_KINDS, OBSERVATION_COLUMNS
 
 from conftest import as_table, make_obs, observation_rows
 
@@ -193,3 +194,100 @@ class TestAggregate:
         obs = [make_obs(0.5, 10, dataset="AU"), make_obs(0.9, 10, dataset="WI")]
         rows = aggregate(as_table(obs), ["dataset"])
         assert [r.key for r in rows] == [("AU",), ("WI",)]
+
+
+def spread(columns, shape):
+    """`columns` with each broadcast to `shape` and flattened: one value per row."""
+    return {name: np.broadcast_to(column, shape).reshape(-1) for name, column in columns.items()}
+
+
+def table_or_error(columns):
+    """(rows, dtype) of the observation table of `columns`, or its InputError text."""
+    try:
+        table = observation_table(columns)
+    except InputError as exc:
+        return str(exc)
+    return table.tolist(), table.dtype
+
+
+@st.composite
+def broadcast_columns(draw):
+    """Observation columns whose `value` has 1-3 axes of length 2-3.
+
+    Every other column broadcasts to `value`: it keeps each axis or gives it
+    length 1, and may leave out leading axes.  Up to two entries of the
+    checked columns are made invalid: an unknown kind, a value 1.5 or a size 0.
+    """
+    shape = tuple(draw(st.lists(st.integers(2, 3), min_size=1, max_size=3)))
+
+    def column(elements, full=False):
+        axes = shape if full else tuple(n if draw(st.booleans()) else 1 for n in shape)
+        axes = axes if full else axes[draw(st.integers(0, len(axes))) :]
+        count = math.prod(axes)
+        return np.array(draw(st.lists(elements, min_size=count, max_size=count))).reshape(axes)
+
+    elements = {
+        "metric": st.sampled_from(METRIC_KINDS),
+        "value": st.floats(0.0, 1.0),
+        "num_tr_images": st.integers(1, 1000),
+    }
+    columns = {
+        name: column(elements.get(name, st.sampled_from(["a", "bb", "ccc"])), name == "value")
+        for name in OBSERVATION_COLUMNS
+    }
+    invalid = {"metric": "MAP", "value": 1.5, "num_tr_images": 0}
+    for name in draw(st.lists(st.sampled_from(sorted(invalid)), max_size=2)):
+        array = columns[name]
+        array.flat[draw(st.integers(0, array.size - 1))] = invalid[name]
+    return columns, shape
+
+
+class TestObservationTable:
+    # labels on a (size, metric, class) value array, each given once along its axis
+    SHAPE = (2, 3, 4)
+    COLUMNS = {
+        "metric": np.array(["ACC", "PRC", "FPR"])[:, None],
+        "value": np.linspace(0.0, 1.0, 24).reshape(SHAPE),
+        "dataset": "AU",
+        "class": np.array(["blank", "cat", "dog", "hippopotamus"]),
+        "num_tr_images": np.array([10, 20])[:, None, None],
+        "architecture": "resNet18",
+        "tuning": np.array(["deep", "shallow"])[:, None, None],
+        "augmentation": "none",
+    }
+
+    def test_broadcast_columns_give_the_table_of_their_spread_columns(self):
+        table = observation_table(self.COLUMNS)
+        assert table_or_error(self.COLUMNS) == table_or_error(spread(self.COLUMNS, self.SHAPE))
+        assert len(table) == 24 and table.flags.c_contiguous and not table.flags.writeable
+        # rows in C order of `value`: class fastest, then metric, then size
+        assert table[5].tolist() == ("PRC", 5 / 23, "AU", "cat", 10, "resNet18", "deep", "none")
+
+    @pytest.mark.parametrize(
+        "name, column, message",
+        [
+            ("metric", np.array(["ACC", "MAP", "FPR"])[:, None], "observation 4: unknown metric"),
+            ("num_tr_images", np.array([10, 0])[:, None, None], "observation 12: num_tr_images 0"),
+        ],
+        ids=["metric", "size"],
+    )
+    def test_bad_entry_of_a_broadcast_column_is_named_by_its_first_row(self, name, column, message):
+        with pytest.raises(InputError, match=message):
+            observation_table({**self.COLUMNS, name: column})
+
+    def test_first_bad_row_is_named_and_within_it_the_first_failed_check(self):
+        value = self.COLUMNS["value"].copy()
+        value[0, 2, 0] = 1.5  # row 8
+        for metric, expected in (
+            (["ACC", "ACC", "MAP"], "observation 8: unknown metric kind 'MAP'"),  # from row 8
+            (["ACC", "MAP", "ACC"], "observation 4: unknown metric kind 'MAP'"),  # from row 4
+            (["ACC", "PRC", "ACC"], "observation 8: metric value 1.5 outside [0, 1]"),
+        ):
+            columns = {**self.COLUMNS, "value": value, "metric": np.array(metric)[:, None]}
+            assert table_or_error(columns).startswith(expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(broadcast_columns())
+    def test_broadcasting_never_changes_the_table_or_its_error(self, drawn):
+        columns, shape = drawn
+        assert table_or_error(columns) == table_or_error(spread(columns, shape))
