@@ -45,6 +45,10 @@ distinct rows of the covariates the model uses, and every P-IRLS step,
 likelihood evaluation, covariance and EDF works on those rows with counts
 and summed logs.  Only the starting values and the fit statistics (the
 saturated likelihood and adjusted R^2) read the individual observations.
+The distinct rows are found and encoded a covariate column at a time, as
+arrays with no Python object per row, and a table that holds only the
+response's metric is used as given, so when every row is distinct the
+assembly holds the model matrix and little else.
 
 A `_Layout` declares how covariates become model-matrix rows, and its `rows`
 is the one encoding: the intercept, the treatment dummies and its `blocks`.
@@ -69,7 +73,6 @@ the standard library, so fitting runs without scipy.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -326,10 +329,11 @@ class _Layout:
         for factor, levels in self.factor_levels.items():
             if factor not in columns:
                 raise InputError(f"cell is missing a level for factor {factor!r}")
-            values[factor] = np.broadcast_to(np.asarray(columns[factor]), sizes.shape)
-            unknown = set(values[factor].tolist()).difference(levels)
+            given = np.asarray(columns[factor])  # checked before it is broadcast to the rows
+            unknown = given[~np.isin(given, levels)].tolist()
             if unknown:
                 raise InputError(f"unknown level {min(unknown, key=str)!r} for factor {factor!r}")
+            values[factor] = np.broadcast_to(given, sizes.shape)
             others = [level for level in levels if level != self.references[factor]]
             for level, j in zip(others, self.term_index[factor]):
                 X[:, j] = values[factor] == level
@@ -361,7 +365,8 @@ class _Design:
 
 
 def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
-    data = observations[observations.metric == spec.response]
+    is_response = observations.metric == spec.response
+    data = observations if is_response.all() else observations[is_response]
     if not len(data):
         raise InputError(f"no observations with metric {spec.response!r}")
     # the table holds values in [0, 1]; only the bounds themselves move
@@ -370,22 +375,28 @@ def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
     sizes = np.unique(data.num_tr_images)
 
     # one design row per distinct combination of the covariates the model uses,
-    # in sorted order so that the rows do not depend on the observation order
+    # in sorted order so that the rows do not depend on the observation order;
+    # each covariate is kept as an array of its values on those rows
     key_names = [t.name for t in spec.parametric_terms]
     key_names += sorted({t.covariate for t in spec.smooth_terms})
-    keys, inverse = _distinct(data, key_names)
-    m = len(keys)
+    firsts, inverse = _distinct(data, key_names)
+    m = len(firsts)
     counts = np.bincount(inverse, minlength=m).astype(float)
-    column = {name: [key[j] for key in keys] for j, name in enumerate(key_names)}
+    column = {name: data[name][firsts] for name in key_names}
 
     smooth_terms = []
     for term in spec.smooth_terms:
         # a smooth gets at most one knot per distinct size (mgcv's k <= the number of
         # unique covariate values), and each by-level block needs that many sizes of
         # its own; the design's spec, and so the model, records that k
-        levels = column[term.by_factor] if term.by_factor else [None] * m
-        per_level = Counter(level for level, _ in set(zip(levels, column[term.covariate])))
-        count, level = min((count, level) for level, count in per_level.items())
+        levels, codes = [None], np.zeros(m, dtype=np.intp)
+        if term.by_factor:
+            levels, codes = np.unique(column[term.by_factor], return_inverse=True)
+            levels = levels.tolist()
+        pairs = np.unique(np.stack([codes, column[term.covariate]]), axis=1)
+        per_level = np.bincount(pairs[0], minlength=len(levels))
+        fewest = int(np.argmin(per_level))  # the first in level order among ties
+        count, level = int(per_level[fewest]), levels[fewest]
         if count < 3:
             where = "" if level is None else f" for {term.by_factor} {level!r}"
             raise InputError(
@@ -399,7 +410,7 @@ def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
     names = [INTERCEPT]
     term_index: dict = {INTERCEPT: (0,)}
     for term in spec.parametric_terms:
-        levels = sorted(set(column[term.name]))
+        levels = np.unique(column[term.name]).tolist()
         if term.reference not in levels:
             raise InputError(
                 f"reference level {term.reference!r} of factor {term.name!r} absent from data"
@@ -413,11 +424,11 @@ def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
     knot_vector = None
     constraints: dict = {}
     for term in spec.smooth_terms:
-        x = np.log(np.array(column[term.covariate], dtype=float))
+        x = np.log(column[term.covariate].astype(float))
         knot_vector = place_knots(np.unique(x), k=term.k)
         rows, S = basis_rows(x, knot_vector), penalty_matrix(knot_vector)
         for level, label in _smooth_blocks(term, factor_levels):
-            mask = np.ones(m) if level is None else np.array(column[term.by_factor]) == level
+            mask = np.ones(m) if level is None else column[term.by_factor] == level
             # count-weighted, so the constraint sums over the observations
             constraints[label], _ = centring(rows, S, mask * counts)
             term_index[label] = tuple(range(len(names), len(names) + term.k - 1))
@@ -452,7 +463,7 @@ def _check_rank(X: np.ndarray, names: Sequence[str]):
     m, p = X.shape
     if m < p:  # zero rows give R one diagonal entry per column
         X = np.vstack([X, np.zeros((p - m, p))])
-    _, R = np.linalg.qr(X)
+    R = np.linalg.qr(X, mode="r")
     diag = np.abs(np.diag(R))
     bad = diag < diag.max() * 1e-10
     if bad.any():

@@ -25,6 +25,7 @@ import csv
 import dataclasses
 import errno
 import functools
+import itertools
 import json
 import math
 import os
@@ -48,8 +49,9 @@ MANIFEST_SCHEMA = "camcurves-manifest/1"
 PREDICTION_COLUMNS = ("image_id", "true_class", "predicted_class")
 PREDICTION_OPTIONAL = ("location_id", "timestamp")
 
-# rows of an observation table converted to Python objects at a time when written,
-# so that what the writer adds stays under a tenth of the simulated grid's table
+# records held as Python objects at a time when a CSV file is read or an observation
+# table written, so that what the writer adds stays under a tenth of the simulated
+# grid's table and the reader never holds a whole file's records as objects
 CSV_CHUNK_ROWS = 512
 
 
@@ -106,21 +108,55 @@ def canonical_json(obj) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _read_csv(path: str, required: Sequence[str], optional: Sequence[str], drop=None):
-    """(columns, line) of a CSV file.
-
-    columns maps each name of the header to its column, a tuple of strings
-    with one per record kept; line(i) is the line on which kept record i
-    starts, found by reading the file again.  Blank lines are skipped; a
-    record may span lines inside a quoted field.  `drop`, a pair (name,
-    values), skips each record whose field `name` holds one of `values` as
-    it is read.
-    """
+def _open_csv(path: str):
     try:
-        handle = open(path, "r", encoding="utf-8", newline="")
+        return open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    with handle:
+
+
+def _keeps(header: Sequence[str], drop):
+    """A test of whether a record under `header` is kept, skipping those that `drop`
+    names; a record with the wrong field count is kept, to be reported."""
+    width = len(header)
+    name, dropped = drop or (header[0], ())  # without `drop`, no record is skipped
+    column = header.index(name)
+
+    def kept(record):
+        if len(record) == width:
+            return record[column] not in dropped
+        return bool(record)
+
+    return kept
+
+
+def _line(path: str, index: int, drop=None) -> int:
+    """The line on which kept record `index` of a CSV file starts, found by reading it again."""
+    with _open_csv(path) as handle:
+        reader = csv.reader(handle)
+        kept = _keeps(next(reader), drop)
+        start = reader.line_num + 1
+        for record in reader:
+            if kept(record):
+                if not index:
+                    return start
+                index -= 1
+            start = reader.line_num + 1
+
+
+def _read_csv(path: str, required: Sequence[str], optional: Sequence[str], drop=None):
+    """Yield the records of a CSV file, CSV_CHUNK_ROWS at a time.
+
+    Each chunk maps every name of the header to its column in the chunk, a
+    tuple of strings with one per record kept; _line(path, i, drop) is the
+    line on which kept record i starts.  Blank lines are skipped; a record
+    may span lines inside a quoted field.  `drop`, a pair (name, values),
+    skips each record whose field `name` holds one of `values` as it is
+    read.  A bad header, a record with the wrong field count, a decode or
+    CSV error, or a file with no records raises InputError when the reading
+    reaches it, so a caller that reads every chunk meets these first.
+    """
+    with _open_csv(path) as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)
@@ -132,42 +168,32 @@ def _read_csv(path: str, required: Sequence[str], optional: Sequence[str], drop=
             unknown = [c for c in header if c not in (*required, *optional)]
             if unknown:
                 raise InputError(f"{path}: unrecognized columns {unknown}")
-            width = len(header)
-            name, dropped = drop or (header[0], ())  # without `drop`, no record is skipped
-            column = header.index(name)
-
-            def kept(record):
-                """Whether `record` is kept; one with the wrong field count is, to be reported."""
-                if len(record) == width:
-                    return record[column] not in dropped
-                return bool(record)
-
-            def line(index):
-                with open(path, "r", encoding="utf-8", newline="") as again:
-                    reader = csv.reader(again)
-                    next(reader)
-                    start = reader.line_num + 1
-                    for record in reader:
-                        if kept(record):
-                            if not index:
-                                return start
-                            index -= 1
-                        start = reader.line_num + 1
-
-            records, skipped = [], 0
+            width, kept = len(header), _keeps(header, drop)
+            records, count, skipped = [], 0, 0
             for record in reader:
                 if kept(record):
                     if len(record) != width:
                         many = "many" if len(record) > width else "few"
-                        raise InputError(f"{path}:{line(len(records))}: too {many} fields")
+                        raise InputError(f"{path}:{_line(path, count, drop)}: too {many} fields")
                     records.append(record)
+                    count += 1
+                    if len(records) == CSV_CHUNK_ROWS:
+                        yield dict(zip(header, zip(*records)))
+                        records = []
                 elif record:
                     skipped += 1
         except (UnicodeDecodeError, csv.Error) as exc:
             raise InputError(f"{path}: unreadable as UTF-8 CSV ({exc})") from None
-    if not records and not skipped:
+    if records:
+        yield dict(zip(header, zip(*records)))
+    elif not count and not skipped:
         raise InputError(f"{path}: no records")
-    return dict(zip(header, zip(*records) if records else [()] * width)), line
+
+
+def _read_columns(path: str, required: Sequence[str], optional: Sequence[str]) -> dict:
+    """Each name of a CSV file's header -> its column, a tuple of strings with one per record."""
+    chunks = list(_read_csv(path, required, optional))
+    return {name: tuple(itertools.chain(*(c[name] for c in chunks))) for name in chunks[0]}
 
 
 def _is_timestamp(text: str) -> bool:
@@ -186,7 +212,7 @@ def parse_predictions(path: str) -> dict:
     location_id and timestamp are optional, and a timestamp that is given
     must be ISO-8601.  An InputError names the line of the first bad record.
     """
-    columns, line = _read_csv(path, PREDICTION_COLUMNS, PREDICTION_OPTIONAL)
+    columns = _read_columns(path, PREDICTION_COLUMNS, PREDICTION_OPTIONAL)
     # (row, message) of the first failure of each check, in the order a record is checked
     failures = [
         (columns[name].index(""), f"empty {name}")
@@ -199,8 +225,20 @@ def parse_predictions(path: str) -> dict:
         failures.append((bad, f"bad ISO-8601 timestamp {stamps[bad]!r}"))
     if failures:
         row, message = min(failures, key=lambda failure: failure[0])
-        raise InputError(f"{path}:{line(row)}: {message}")
+        raise InputError(f"{path}:{_line(path, row)}: {message}")
     return columns
+
+
+def _converted(texts: Sequence[str], convert) -> np.ndarray:
+    """`convert` of each text, as an array of dtype `convert`, up to the first that
+    raises ValueError or OverflowError; the array is shorter than `texts` when one does."""
+    values = []
+    for text in texts:
+        try:
+            values.append(convert(text))
+        except (ValueError, OverflowError):
+            break
+    return np.array(values, dtype=convert)
 
 
 def parse_observations(path: str, metric: str | None = None) -> np.recarray:
@@ -208,30 +246,42 @@ def parse_observations(path: str, metric: str | None = None) -> np.recarray:
 
     With a `metric`, only the records of that metric and of unknown metric
     kinds are converted and checked; those of the other known kinds are
-    skipped as they are read, so the table holds that metric's rows.  An
-    InputError names the line of the first bad record checked.
+    skipped as they are read, so the table holds that metric's rows.  The
+    records are converted CSV_CHUNK_ROWS at a time into typed column arrays,
+    which are joined per column and make the table in one observation_table
+    call, so the records of the whole file are never held as Python objects.
+    An InputError names the line of the first bad record checked; a record
+    with the wrong field count, a decode or CSV error anywhere in the file is
+    reported before a bad value.
     """
     drop = None if metric is None else ("metric", frozenset(METRIC_KINDS) - {metric})
-    columns, line = _read_csv(path, OBSERVATION_COLUMNS, (), drop)
-    typed = dict(columns)
-    for name, convert in (("value", float), ("num_tr_images", np.int64)):
-        typed[name] = []
-        try:
-            for text in columns[name]:
-                typed[name].append(convert(text))
-        except (ValueError, OverflowError):
-            pass
+    numbers = {"value": float, "num_tr_images": np.int64}
+    parts: dict = {name: [] for name in OBSERVATION_COLUMNS}
+    bad = None  # (kept index, message) of the first text that does not convert
+    count = 0
+    for chunk in _read_csv(path, OBSERVATION_COLUMNS, (), drop):
+        if bad is None:  # after one, the file is read on only for the errors that come first
+            typed = {name: _converted(chunk[name], convert) for name, convert in numbers.items()}
+            n = min(len(array) for array in typed.values())
+            for name in OBSERVATION_COLUMNS:
+                column = typed[name][:n] if name in typed else np.array(chunk[name][:n], dtype=str)
+                parts[name].append(column)
+            if n < len(chunk["value"]):
+                name = "value" if len(typed["value"]) == n else "num_tr_images"
+                bad = (count + n, f"bad {name} {chunk[name][n]!r}")
+        count += len(chunk["value"])
+    # a column's chunks are let go as it is joined
+    columns = {
+        name: np.concatenate(parts.pop(name)) if count else () for name in OBSERVATION_COLUMNS
+    }
 
     def where(i):
-        return f"{path}:{line(i)}"
+        return f"{path}:{_line(path, i, drop)}"
 
-    n = min(len(typed["value"]), len(typed["num_tr_images"]))
-    if n < len(columns["value"]):
-        # the records before the first unconvertible one are checked first
-        observation_table({name: values[:n] for name, values in typed.items()}, where)
-        name = "value" if len(typed["value"]) == n else "num_tr_images"
-        raise InputError(f"{where(n)}: bad {name} {columns[name][n]!r}")
-    return observation_table(typed, where)
+    table = observation_table(columns, where)  # the records before a bad text are checked first
+    if bad is not None:
+        raise InputError(f"{where(bad[0])}: {bad[1]}")
+    return table
 
 
 def parse_image_index(path: str) -> tuple:
@@ -240,11 +290,11 @@ def parse_image_index(path: str) -> tuple:
     Returns (pools, locations): pools maps class -> ids in file order,
     locations maps image id -> location id (empty when the column is absent).
     """
-    columns, line = _read_csv(path, ("image_id", "class"), ("location_id", "timestamp"))
+    columns = _read_columns(path, ("image_id", "class"), ("location_id", "timestamp"))
     ids, labels = columns["image_id"], columns["class"]
     empty = [column.index("") for column in (ids, labels) if "" in column]
     if empty:
-        raise InputError(f"{path}:{line(min(empty))}: empty image_id or class")
+        raise InputError(f"{path}:{_line(path, min(empty))}: empty image_id or class")
     pools: dict = {}
     for image_id, label in zip(ids, labels):
         pools.setdefault(label, []).append(image_id)

@@ -151,9 +151,15 @@ class AggregateRow:
 
 
 def _distinct(table: np.recarray, names: Sequence[str]) -> tuple:
-    """The distinct tuples of the fields `names`, sorted, and each row's index among them."""
+    """(firsts, inverse) of the distinct tuples of the fields `names`, in sorted order.
+
+    firsts holds the row of each tuple's first occurrence and inverse each
+    row's index among the tuples, so `table[name][firsts]` is a field's
+    column of distinct tuples; no tuple is built as a Python object.  With
+    no `names`, every row is the one empty tuple.
+    """
     columns = [table[name] for name in names]
-    # np.lexsort sorts by its last key first
+    # np.lexsort sorts by its last key first; a stable sort keeps equal tuples in row order
     order = np.lexsort(columns[::-1]) if columns else np.arange(len(table))
     starts = np.zeros(len(table), dtype=bool)  # where a new tuple begins in sorted order
     starts[:1] = True
@@ -162,9 +168,7 @@ def _distinct(table: np.recarray, names: Sequence[str]) -> tuple:
         starts[1:] |= ordered[1:] != ordered[:-1]
     inverse = np.empty(len(table), dtype=np.intp)
     inverse[order] = np.cumsum(starts) - 1
-    firsts = order[starts]
-    keys = list(zip(*(column[firsts].tolist() for column in columns))) if columns else [()]
-    return keys, inverse
+    return order[starts], inverse
 
 
 def aggregate(table: np.recarray, group_by: Sequence[str]) -> list[AggregateRow]:
@@ -177,7 +181,8 @@ def aggregate(table: np.recarray, group_by: Sequence[str]) -> list[AggregateRow]
             raise InputError(f"cannot group by {f!r}; valid fields: {groupable}")
         if f in group_by[:i]:
             raise InputError(f"field {f!r} is named more than once in the grouping")
-    keys, inverse = _distinct(table, group_by)
+    firsts, inverse = _distinct(table, group_by)
+    keys = zip(*(table[name][firsts].tolist() for name in group_by)) if group_by else [()]
     counts = np.bincount(inverse)
     # each group's values in table order
     values = np.split(table.value[np.argsort(inverse, kind="stable")], np.cumsum(counts)[:-1])

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from camcurves import betagam, design, observation_table
+from camcurves import betagam, design, io, observation_table
 from camcurves.metrics import OBSERVATION_COLUMNS
 
 # master seed for the calibrated-grid fixtures; several structural checks
@@ -57,6 +57,14 @@ def traced_peak(run):
 @pytest.fixture(scope="session")
 def calibrated_observations():
     return design.simulate_grid(CALIBRATION_SEED)
+
+
+@pytest.fixture(scope="session")
+def grid_csv(calibrated_observations, tmp_path_factory):
+    """The calibrated grid written as an observation CSV, as `simulate` writes it."""
+    path = str(tmp_path_factory.mktemp("grid") / "grid.csv")
+    io.write_observations_csv(path, calibrated_observations)
+    return path
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from camcurves import InputError, betagam, curves, io
+from camcurves import InputError, betagam, curves, io, observation_table
 from camcurves.metrics import METRIC_KINDS, OBSERVATION_COLUMNS
 
 from conftest import as_table, make_obs, observation_rows, traced_peak
@@ -154,13 +154,6 @@ def test_parsed_observation_table_is_read_only(tmp_path):
     assert acc.value[0] == 0.5 and table.value[0] == 0.9
 
 
-@pytest.fixture(scope="module")
-def grid_csv(calibrated_observations, tmp_path_factory):
-    path = str(tmp_path_factory.mktemp("grid") / "grid.csv")
-    io.write_observations_csv(path, calibrated_observations)
-    return path
-
-
 @pytest.mark.parametrize("metric", METRIC_KINDS)
 def test_metric_parse_holds_the_rows_of_that_metric(grid_csv, metric):
     table = io.parse_observations(grid_csv)
@@ -172,6 +165,77 @@ def test_metric_parse_holds_the_rows_of_that_metric(grid_csv, metric):
 def test_metric_parse_peaks_below_a_third_of_the_full_parse(grid_csv):
     full = traced_peak(lambda: io.parse_observations(grid_csv))
     assert traced_peak(lambda: io.parse_observations(grid_csv, "ACC")) < full / 3
+
+
+def test_metric_parse_peaks_within_two_and_a_half_tables(grid_csv):
+    # the records are converted a chunk at a time into column arrays, which are
+    # joined into the table; the parse holds about the columns and the table
+    table = io.parse_observations(grid_csv, "ACC")
+    assert traced_peak(lambda: io.parse_observations(grid_csv, "ACC")) <= 2.5 * table.nbytes
+
+
+def kept_records(count):
+    """`count` ACC records with labels of growing width, as observation columns and CSV
+    lines; a PRC record, which an ACC parse skips, follows each and leads the file."""
+    columns = {
+        "metric": ["ACC"] * count,
+        "value": [i / (count + 1) for i in range(count)],
+        "dataset": [("AU", "SE", "WI")[i % 3] for i in range(count)],
+        "class": [f"c{i}" for i in range(count)],
+        "num_tr_images": [10 + i for i in range(count)],
+        "architecture": ["dnsNet121"] * count,
+        "tuning": [("deep", "feature")[i % 2] for i in range(count)],
+        "augmentation": ["none"] * count,
+    }
+    other = "PRC,0.5,AU,c0,10,dnsNet121,deep,none"
+    lines = [",".join(io.OBSERVATION_COLUMNS), other]
+    for record in zip(*(columns[name] for name in io.OBSERVATION_COLUMNS)):
+        lines += [",".join(map(str, record)), other]
+    return columns, lines
+
+
+@pytest.mark.parametrize(
+    "count",
+    [0, 1, io.CSV_CHUNK_ROWS - 1, io.CSV_CHUNK_ROWS, io.CSV_CHUNK_ROWS + 1, 8 * io.CSV_CHUNK_ROWS],
+)
+def test_chunked_metric_parse_matches_one_table_call(tmp_path, count):
+    columns, lines = kept_records(count)
+    path = tmp_path / "obs.csv"
+    path.write_text("\n".join(lines) + "\n")
+    table = io.parse_observations(str(path), "ACC")
+    expected = observation_table(columns)
+    assert table.dtype == expected.dtype
+    assert table.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("index", [io.CSV_CHUNK_ROWS - 1, io.CSV_CHUNK_ROWS])
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ("ACC,x,AU,c0,10,dnsNet121,deep,none", "bad value 'x'"),
+        ("ACC,0.5,AU,c0,1.5,dnsNet121,deep,none", "bad num_tr_images '1.5'"),
+        ("ACC,1.5,AU,c0,10,dnsNet121,deep,none", "metric value 1.5 outside [0, 1]"),
+    ],
+)
+def test_bad_value_at_a_chunk_boundary_names_its_line(tmp_path, index, record, message):
+    _, lines = kept_records(2 * io.CSV_CHUNK_ROWS)
+    lines[2 + 2 * index] = record  # kept record i is on line 2i + 3
+    path = tmp_path / "obs.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputError) as raised:
+        io.parse_observations(str(path), "ACC")
+    assert str(raised.value) == f"{path}:{2 * index + 3}: {message}"
+
+
+def test_a_later_wrong_field_count_is_reported_before_an_earlier_bad_value(tmp_path):
+    _, lines = kept_records(3 * io.CSV_CHUNK_ROWS)
+    lines[2 + 2 * 3] = "ACC,x,AU,c0,10,dnsNet121,deep,none"
+    lines[2 + 2 * (2 * io.CSV_CHUNK_ROWS + 5)] = "ACC,0.5,AU"
+    path = tmp_path / "obs.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputError) as raised:
+        io.parse_observations(str(path), "ACC")
+    assert str(raised.value) == f"{path}:{2 * (2 * io.CSV_CHUNK_ROWS + 5) + 3}: too few fields"
 
 
 @pytest.mark.parametrize(

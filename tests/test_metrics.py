@@ -1,12 +1,13 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from camcurves import InputError, aggregate, confusion_matrix, observation_table, one_vs_rest
-from camcurves.metrics import METRIC_KINDS, OBSERVATION_COLUMNS
+from camcurves.metrics import METRIC_KINDS, OBSERVATION_COLUMNS, _distinct
 
 from conftest import as_table, make_obs, observation_rows
 
@@ -194,6 +195,66 @@ class TestAggregate:
         obs = [make_obs(0.5, 10, dataset="AU"), make_obs(0.9, 10, dataset="WI")]
         rows = aggregate(as_table(obs), ["dataset"])
         assert [r.key for r in rows] == [("AU",), ("WI",)]
+
+
+labels = st.sampled_from(["a", "b", "Z", "é", "ab", "ba"])
+
+
+def table_row(values):
+    """Rows of an observation table, in OBSERVATION_COLUMNS order, with their value
+    drawn from `values` and the rest from few values, one-character labels among
+    them, so that tuples repeat."""
+    kinds, sizes = st.sampled_from(METRIC_KINDS), st.integers(1, 3)
+    return st.tuples(kinds, values, labels, labels, sizes, labels, labels, labels)
+
+
+table_rows = st.one_of(
+    st.lists(table_row(st.sampled_from([0.0, 0.25, 1.0])), min_size=1, max_size=30),
+    st.builds(lambda row, n: [row] * n, table_row(st.just(0.5)), st.integers(1, 8)),  # all equal
+)
+# an ordered selection of the columns, possibly none
+column_names = st.permutations(OBSERVATION_COLUMNS).flatmap(
+    lambda names: st.integers(0, len(names)).map(lambda k: list(names[:k]))
+)
+
+
+class TestDistinct:
+    @settings(max_examples=200, deadline=None)
+    @given(table_rows, column_names)
+    @example([("ACC", 0.25, "a", "b", 1, "a", "a", "a")], ["class", "dataset"])  # a single row
+    @example([("ACC", 0.25, "a", "b", 1, "a", "a", "a")] * 3, ["dataset"])  # all rows equal
+    def test_matches_a_python_oracle(self, rows, names):
+        # the sorted set of the rows' tuples, and each row's position in it
+        tuples = [tuple(row[OBSERVATION_COLUMNS.index(name)] for name in names) for row in rows]
+        keys = sorted(set(tuples))
+        table = as_table(rows)
+        firsts, inverse = _distinct(table, names)
+        assert [tuple(table[name][i].item() for name in names) for i in firsts] == keys
+        assert firsts.tolist() == [tuples.index(key) for key in keys]
+        assert inverse.tolist() == [keys.index(t) for t in tuples]
+
+
+groupable = [name for name in OBSERVATION_COLUMNS if name != "value"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(table_row(st.floats(0.0, 1.0)), min_size=1, max_size=30),
+    st.permutations(groupable).flatmap(lambda names: st.integers(1, 3).map(lambda k: names[:k])),
+)
+def test_aggregate_matches_a_python_oracle(rows, group_by):
+    # each group's values in row order, by key; its mean and sample standard deviation
+    groups: dict = {}
+    for row in rows:
+        key = tuple(row[OBSERVATION_COLUMNS.index(name)] for name in group_by)
+        groups.setdefault(key, []).append(row[1])
+    result = aggregate(as_table(rows), group_by)
+    assert [(r.key, r.count) for r in result] == [(k, len(groups[k])) for k in sorted(groups)]
+    for r in result:
+        values = groups[r.key]
+        assert r.mean == pytest.approx(statistics.fmean(values), rel=1e-12)
+        std = statistics.stdev(values) if len(values) > 1 else None
+        assert r.std == (None if std is None else pytest.approx(std, rel=1e-9, abs=1e-15))
 
 
 def spread(columns, shape):
