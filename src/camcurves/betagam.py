@@ -10,26 +10,35 @@ Fitting maximizes the penalized log-likelihood
 
     sum_i loglik(y_i; mu_i, phi) - 1/2 * sum_s lambda_s * gamma_s' S_s gamma_s
 
-by Fisher-scoring steps for the coefficients and one-dimensional Newton
-steps for log(phi), with step halving so the objective never decreases.
-A step is taken only when its gain predicted by the quadratic model that
-produced it (1/2 grad'step for the Fisher step, 1/2 d1*step for the log(phi)
-step) exceeds 256 machine epsilons of |objective|: a smaller gain is below
-the rounding noise of the summed objective, so its line search would accept
-or reject on noise.
+by Fisher scoring in (beta, log(phi)) jointly: each iteration solves the
+expected information of both, [[X'WX + P, X'c], [c'X, k]] (Ferrari &
+Cribari-Neto 2004), against the gradient, and halves the step until the
+objective does not decrease.  A fit stops when the gain 1/2 grad'step that
+this quadratic model predicts for the next step (the Newton decrement; Boyd
+& Vandenberghe 2004, sec. 9.5) is below its tolerance, so a warm start that
+close takes no step, or when a step changes the objective by less than the
+tolerance.  A step is tried only when its predicted gain exceeds 256 machine
+epsilons of |objective|: a smaller gain is below the rounding noise of the
+summed objective, so its line search would accept or reject on noise.
 Smoothing parameters are chosen by AIC = -2*loglik + 2*(EDF + 1) over a
-log-spaced grid, searched coordinate-wise with warm starts.
+log-spaced grid, searched coordinate-wise with warm starts.  A screened fit
+stops short of its optimum, where its gradient is P beta rather than 0, so
+its loglik is first order in the step it did not take; the search ranks it
+by its AIC with the loglik at the Newton point, loglik + score'step -
+1/2 step'F step with F the unpenalized information.  A model reports the
+loglik and AIC of its own coefficients.
 
 A `_State` is one (beta, phi) of a fit.  It computes its means, its
 log-likelihood, the digamma and trigamma at mu*phi and (1-mu)*phi, and the
-score and Fisher information X'WX in beta each on first use, and keeps them.
-None of these depends on the penalty.  So a step that is not taken leaves
-the state and all it carries as they were, the final covariance reads the
-X'WX of the last state, and the next warm-started fit of the lambda search
-starts from that state with only its penalty term to compute.  The search
-holds two states: the last of its warm chain and that of the best lambdas so
-far.  A fit read back from its cache, or a new best, restarts from its (beta,
-phi); only these restarts evaluate a (mu, phi) state a second time.
+score and expected information in (beta, log(phi)) each on first use, and
+keeps them.  None of these depends on the penalty.  So a step that is not
+taken leaves the state and all it carries as they were, the final covariance
+reads the X'WX block of the last state's information, and the next
+warm-started fit of the lambda search starts from that state with only its
+penalty term to compute.  The search holds two states: the last of its warm
+chain and that of the best lambdas so far.  A fit read back from its cache,
+or a new best, restarts from its (beta, phi); only these restarts evaluate a
+(mu, phi) state a second time.
 
 Deviance is measured against the saturated fit (one mean per observation)
 and the null deviance against the intercept-only fit, both at the fitted
@@ -63,11 +72,12 @@ agree wherever it is built, from a file or not.
 
 The Beta likelihood is written once, on design rows: `_ll_sum` is the
 log-likelihood, `_score_weight` its score in logit(mu) with the Fisher weight,
-and `_log_phi_derivatives` its first two derivatives in log(phi).  These three,
-`_beta_mean` (the saturated and null means) and `_joint_term_p` (the Wald
-test) take their special functions from `_numeric`: `gammaln`, `polygamma01`
-(digamma and trigamma from one recurrence) and `chi2_sf`, written in numpy and
-the standard library, so fitting runs without scipy.
+and `_log_phi_score` its score in log(phi) with the other two entries of the
+expected information.  These three, `_beta_mean` (the saturated and null
+means) and `_joint_term_p` (the Wald test) take their special functions from
+`_numeric`: `gammaln`, `polygamma01` (digamma and trigamma from one
+recurrence) and `chi2_sf`, written in numpy and the standard library, so
+fitting runs without scipy.
 """
 
 from __future__ import annotations
@@ -79,15 +89,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._numeric import chi2_sf, gammaln, inv_logit, logit, polygamma01
+from ._numeric import chi2_sf, distinct, gammaln, inv_logit, logit, polygamma01
 from .errors import ConvergenceError, InputError
 from .metrics import METRIC_KINDS, _distinct
 from .splines import KnotVector, basis_rows, centred_penalty, centring, penalty_matrix, place_knots
 
 DEFAULT_LAMBDA_GRID = tuple(10.0 ** np.linspace(-4.0, 6.0, 21))
 
-# tolerance on the penalized log-likelihood change of a final fit and of a
-# screened grid candidate, and the outer iteration budget of every fit
+# tolerance on the predicted gain and on the penalized log-likelihood change of
+# a final fit and of a screened grid candidate, and the iteration budget of every fit
 _TOL, _SCREEN_TOL, _MAX_ITER = 1e-8, 1e-5, 200
 
 # smallest predicted gain, relative to |objective|, that a line search runs for
@@ -210,20 +220,16 @@ def _score_weight(mu, phi, n, sum_ylog, sum_y1log, polygammas=None):
     return u, w
 
 
-def _log_phi_derivatives(mu, phi, n, sum_ylog, sum_y1log, polygammas=None):
-    """First and second derivatives of _ll_sum in log(phi); `polygammas` as in _score_weight."""
+def _log_phi_score(mu, phi, n, sum_ylog, sum_y1log, polygammas=None):
+    """Per-row score in log(phi) of the rows of _ll_sum, and the rows' expected
+    information c between logit(mu) and log(phi) and k of log(phi) with itself
+    (Ferrari & Cribari-Neto 2004); `polygammas` as in _score_weight."""
     psi, tri = polygamma01(phi)
     psi_a, tri_a, psi_b, tri_b = polygammas or _polygammas(mu, phi)
-    d1 = phi * float(
-        np.sum(
-            n * (psi - mu * psi_a - (1.0 - mu) * psi_b)
-            + mu * sum_ylog + (1.0 - mu) * sum_y1log
-        )
-    )
-    d2 = d1 + phi * phi * float(
-        np.sum(n * (tri - mu * mu * tri_a - (1.0 - mu) ** 2 * tri_b))
-    )
-    return d1, d2
+    s = phi * (n * (psi - mu * psi_a - (1.0 - mu) * psi_b) + mu * sum_ylog + (1.0 - mu) * sum_y1log)
+    c = n * phi * phi * mu * (1.0 - mu) * (mu * tri_a - (1.0 - mu) * tri_b)
+    k = n * phi * phi * (mu * mu * tri_a + (1.0 - mu) ** 2 * tri_b - tri)
+    return s, c, k
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +378,7 @@ def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
     # the table holds values in [0, 1]; only the bounds themselves move
     eps = spec.squeeze_eps
     y = np.where(data.value == 0.0, eps, np.where(data.value == 1.0, 1.0 - eps, data.value))
-    sizes = np.unique(data.num_tr_images)
+    sizes = data.num_tr_images[distinct(data.num_tr_images)[0]]
 
     # one design row per distinct combination of the covariates the model uses,
     # in sorted order so that the rows do not depend on the observation order;
@@ -391,10 +397,10 @@ def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
         # its own; the design's spec, and so the model, records that k
         levels, codes = [None], np.zeros(m, dtype=np.intp)
         if term.by_factor:
-            levels, codes = np.unique(column[term.by_factor], return_inverse=True)
-            levels = levels.tolist()
-        pairs = np.unique(np.stack([codes, column[term.covariate]]), axis=1)
-        per_level = np.bincount(pairs[0], minlength=len(levels))
+            firsts, codes = distinct(column[term.by_factor])
+            levels = column[term.by_factor][firsts].tolist()
+        pairs, _ = distinct(codes, column[term.covariate])
+        per_level = np.bincount(codes[pairs], minlength=len(levels))
         fewest = int(np.argmin(per_level))  # the first in level order among ties
         count, level = int(per_level[fewest]), levels[fewest]
         if count < 3:
@@ -410,7 +416,7 @@ def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
     names = [INTERCEPT]
     term_index: dict = {INTERCEPT: (0,)}
     for term in spec.parametric_terms:
-        levels = np.unique(column[term.name]).tolist()
+        levels = column[term.name][distinct(column[term.name])[0]].tolist()
         if term.reference not in levels:
             raise InputError(
                 f"reference level {term.reference!r} of factor {term.name!r} absent from data"
@@ -425,7 +431,7 @@ def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
     constraints: dict = {}
     for term in spec.smooth_terms:
         x = np.log(column[term.covariate].astype(float))
-        knot_vector = place_knots(np.unique(x), k=term.k)
+        knot_vector = place_knots(x, k=term.k)
         rows, S = basis_rows(x, knot_vector), penalty_matrix(knot_vector)
         for level, label in _smooth_blocks(term, factor_levels):
             mask = np.ones(m) if level is None else column[term.by_factor] == level
@@ -493,14 +499,14 @@ def _resolvable(gain: float, value: float) -> bool:
 class _State:
     """One (beta, phi) of a penalized fit, with what the fit derives from it.
 
-    Each derived quantity is computed on first use and kept; none depends on
-    the penalty (see the module docstring).
+    Its means, log-likelihood and polygammas, and the score and expected
+    information in (beta, log(phi)) that a joint Fisher step and the Newton
+    point read, are each computed on first use and kept; none depends on the
+    penalty (see the module docstring).
     """
 
-    def __init__(self, design: _Design, beta: np.ndarray, phi: float, mu=None):
+    def __init__(self, design: _Design, beta: np.ndarray, phi: float):
         self.design, self.beta, self.phi = design, beta, float(phi)
-        if mu is not None:  # a log(phi) step keeps the means
-            self.mu = mu
 
     @cached_property
     def mu(self) -> np.ndarray:
@@ -516,43 +522,47 @@ class _State:
 
     @cached_property
     def score_information(self) -> tuple:
-        """(X'u, X'WX): the score of the log-likelihood in beta and its Fisher information."""
-        X = self.design.X
-        u, w = _score_weight(self.mu, self.phi, *self.design.row_stats, self.polygammas)
-        return X.T @ u, (X.T * w) @ X
+        """The score of the log-likelihood in (beta, log(phi)) and its expected
+        information [[X'WX, X'c], [c'X, k]]."""
+        X, row_stats = self.design.X, self.design.row_stats
+        u, w = _score_weight(self.mu, self.phi, *row_stats, self.polygammas)
+        s, c, k = _log_phi_score(self.mu, self.phi, *row_stats, self.polygammas)
+        Xc = X.T @ c
+        information = np.block([[(X.T * w) @ X, Xc[:, None]], [Xc, k.sum()]])
+        return np.append(X.T @ u, s.sum()), information
 
-    def log_phi_derivatives(self) -> tuple:
-        return _log_phi_derivatives(self.mu, self.phi, *self.design.row_stats, self.polygammas)
+
+def _newton_step(state: _State, P) -> tuple:
+    """The gradient of the penalized objective in (beta, log(phi)) at `state`, and
+    its Fisher-scoring step; log(phi) is not penalized."""
+    score, information = state.score_information
+    grad = score - np.append(P @ state.beta, 0.0)
+    A = information.copy()
+    A[:-1, :-1] += P
+    return grad, np.linalg.solve(A, grad)
 
 
 def _fit_penalized(start: _State, P, tol):
-    """Alternate coefficient Fisher scoring and log-phi Newton with step halving.
+    """Fisher scoring in (beta, log(phi)) with step halving.
 
     Works on the distinct design rows through _ll_sum, _score_weight and
-    _log_phi_derivatives, which sum each row's observations in closed form.
-    Each step that is taken gives a new _State, and a step whose predicted
-    gain is not _resolvable is not tried.
+    _log_phi_score, which sum each row's observations in closed form.  Each
+    iteration takes one joint step (_newton_step), and a step that is taken
+    gives a new _State.  The fit stops before a step whose predicted gain
+    1/2 grad'step is below `tol`, so a start that close to the optimum takes
+    none, and after a step that changes the objective by less than `tol`, as
+    one with phi held at a bound does.  A step whose predicted gain is not
+    _resolvable is not tried.
     Returns (the last accepted state, history of accepted objective values).
     Raises ConvergenceError when the objective change stays above `tol` for
-    _MAX_ITER outer iterations, or at once when the objective or the
-    coefficient step is not finite, since step halving can then accept nothing.
+    _MAX_ITER iterations, or at once when the objective or the step is not
+    finite, since step halving can then accept nothing.
     """
     design = start.design
+    low, high = math.log(_PHI_MIN), math.log(_PHI_MAX)
 
     def objective(state):
         return state.loglik - 0.5 * float(state.beta @ P @ state.beta)
-
-    def line_search(state, cur, candidate, gain, tries):
-        """The first of candidate(1), candidate(1/2), ... that loses at most 1e-12,
-        with its objective; (state, cur) if none does or gain is not resolvable."""
-        t = 1.0
-        for _ in range(tries if _resolvable(gain, cur) else 0):
-            cand = candidate(t)
-            val = objective(cand)
-            if val >= cur - 1e-12:
-                return cand, val
-            t *= 0.5
-        return state, cur
 
     def check_finite(what, value, it):
         if not np.all(np.isfinite(value)):
@@ -564,32 +574,23 @@ def _fit_penalized(start: _State, P, tol):
     state = start
     cur = objective(state)
     history = [cur]
-    for it in range(1, _MAX_ITER + 1):
-        check_finite("objective", cur, it - 1)
-        base = cur
-        score, information = state.score_information
-        grad = score - P @ state.beta
-        step = np.linalg.solve(information + P, grad)
-        check_finite("coefficient step", step, it - 1)
-        beta, phi = state.beta, state.phi
-        state, cur = line_search(
-            state, cur, lambda t: _State(design, beta + t * step, phi),
-            0.5 * float(grad @ step), 40,
-        )
-
-        d1, d2 = state.log_phi_derivatives()
-        if d2 >= 0.0:  # not locally concave; fall back to a gradient step
-            d2 = -abs(d1) - 1e-6
-        log_step = float(np.clip(-d1 / d2, -2.0, 2.0))
-        beta, phi, mu = state.beta, state.phi, state.mu
-        state, cur = line_search(
-            state, cur,
-            lambda t: _State(
-                design, beta, np.clip(np.exp(np.log(phi) + t * log_step), _PHI_MIN, _PHI_MAX), mu
-            ),
-            0.5 * d1 * log_step, 30,
-        )
-
+    for it in range(_MAX_ITER):
+        check_finite("objective", cur, it)
+        grad, step = _newton_step(state, P)
+        check_finite("step", step, it)
+        gain = 0.5 * float(grad @ step)
+        if gain < tol:
+            return state, history
+        base, beta, log_phi = cur, state.beta, math.log(state.phi)
+        t = 1.0
+        for _ in range(40 if _resolvable(gain, cur) else 0):  # the first that loses at most 1e-12
+            phi = math.exp(min(max(log_phi + t * step[-1], low), high))
+            cand = _State(design, beta + t * step[:-1], phi)
+            val = objective(cand)
+            if val >= cur - 1e-12:
+                state, cur = cand, val
+                break
+            t *= 0.5
         history.append(cur)
         if abs(cur - base) < tol:
             return state, history
@@ -622,6 +623,7 @@ class _FitResult:
     phi: float
     loglik: float
     aic: float
+    search_aic: float  # the AIC with the loglik at the Newton point, which the search ranks by
     edf_by_coef: np.ndarray
     covariance: np.ndarray
     iterations: int
@@ -633,15 +635,21 @@ def _fit_at_lambda(design: _Design, lambdas, warm: _State | None, tol):
     if warm is None:
         warm = _State(design, *_initial_values(design, P))
     state, history = _fit_penalized(warm, P, tol)
-    _, XtWX = state.score_information
+    score, information = state.score_information
+    XtWX = information[:-1, :-1]
     covariance = np.linalg.inv(XtWX + P)
     edf_by_coef = np.einsum("ij,ji->i", covariance, XtWX)
     aic = -2.0 * state.loglik + 2.0 * (float(edf_by_coef.sum()) + 1.0)
+    # the loglik is first order in the step the fit stopped short of, so the search
+    # compares fits by the loglik its quadratic model predicts at the Newton point
+    _, step = _newton_step(state, P)
+    newton_gain = float(score @ step) - 0.5 * float(step @ information @ step)
     result = _FitResult(
         beta=state.beta,
         phi=state.phi,
         loglik=state.loglik,
         aic=aic,
+        search_aic=aic - 2.0 * newton_gain,
         edf_by_coef=edf_by_coef,
         covariance=covariance,
         iterations=len(history) - 1,
@@ -875,7 +883,7 @@ def _search_lambdas(design):
                     res, chain = cache[trial], warm
                 else:
                     res, chain = evaluate(trial, chain)
-                candidates.append((res.aic, trial, res))
+                candidates.append((res.search_aic, trial, res))
             _, trial, res = min(candidates, key=lambda c: (c[0], c[1]))
             if list(trial) != lam:
                 lam = list(trial)

@@ -62,7 +62,7 @@ def fit_log_curve(observations: np.recarray, metric: str) -> LearningCurveModel:
     if len(data) < 3:
         raise InputError(f"need at least 3 points to fit a curve, got {len(data)}")
     sizes = data.num_tr_images
-    if np.unique(sizes).size < 2:
+    if sizes.min() == sizes.max():
         raise InputError("all sizes equal: the log-size regressor is degenerate")
     y = data.value
     x = np.log(sizes)

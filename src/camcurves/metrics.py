@@ -18,6 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._numeric import distinct
 from .errors import InputError
 
 METRIC_KINDS = ("ACC", "PRC", "TPR", "FPR")
@@ -158,17 +159,7 @@ def _distinct(table: np.recarray, names: Sequence[str]) -> tuple:
     column of distinct tuples; no tuple is built as a Python object.  With
     no `names`, every row is the one empty tuple.
     """
-    columns = [table[name] for name in names]
-    # np.lexsort sorts by its last key first; a stable sort keeps equal tuples in row order
-    order = np.lexsort(columns[::-1]) if columns else np.arange(len(table))
-    starts = np.zeros(len(table), dtype=bool)  # where a new tuple begins in sorted order
-    starts[:1] = True
-    for column in columns:
-        ordered = column[order]
-        starts[1:] |= ordered[1:] != ordered[:-1]
-    inverse = np.empty(len(table), dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    return order[starts], inverse
+    return distinct(*([table[name] for name in names] or [np.zeros(len(table))]))
 
 
 def aggregate(table: np.recarray, group_by: Sequence[str]) -> list[AggregateRow]:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numeric import distinct
 from .errors import InputError
 
 DEFAULT_KNOT_COUNT = 5
@@ -46,7 +47,8 @@ def place_knots(distinct_covariate_values, k: int = DEFAULT_KNOT_COUNT) -> KnotV
     The first and last knots coincide with the extreme values; interior knots
     interpolate linearly between adjacent distinct values.
     """
-    vals = np.unique(np.asarray(distinct_covariate_values, dtype=float))
+    values = np.asarray(distinct_covariate_values, dtype=float)
+    vals = values[distinct(values)[0]]
     if vals.size < 2:
         raise InputError("need at least 2 distinct covariate values to place knots")
     if k < 3:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import optimize, stats
+from scipy import optimize, special, stats
 
 from camcurves import ConvergenceError, InputError, betagam, io, observation_table
 from camcurves._numeric import inv_logit
@@ -27,13 +27,13 @@ from camcurves.betagam import (
 from camcurves.betagam import (
     _assemble,
     _ll_sum,
-    _log_phi_derivatives,
+    _log_phi_score,
     _null_loglik,
     _penalty_matrix,
     _saturated_loglik,
     _score_weight,
 )
-from camcurves.design import ARCHITECTURES, DATASETS, TUNINGS
+from camcurves.design import ARCHITECTURES, DATASETS, TUNINGS, simulate_grid
 
 from conftest import CALIBRATION_SEED, as_table, make_obs, observation_rows
 
@@ -157,21 +157,38 @@ class TestBetaLoglik:
                 up = _ll_sum(inv_logit(eta[r] + step), phi, *row)
                 down = _ll_sum(inv_logit(eta[r] - step), phi, *row)
                 assert u[r] == pytest.approx((up - down) / (2 * step), rel=1e-6, abs=1e-6)
-            d1, _ = _log_phi_derivatives(inv_logit(eta), phi, *row_stats)
+            d1 = _log_phi_score(inv_logit(eta), phi, *row_stats)[0].sum()
             up = _ll_sum(inv_logit(eta), phi * math.exp(step), *row_stats)
             down = _ll_sum(inv_logit(eta), phi * math.exp(-step), *row_stats)
             assert d1 == pytest.approx((up - down) / (2 * step), rel=1e-6, abs=1e-6)
 
-    def test_log_phi_curvature_matches_differences_of_d1(self):
+    def test_information_is_the_expected_outer_product_of_the_score(self):
+        # a row's score in (beta, log phi) is g (log y - E log y) + h (log(1-y) - E log(1-y)),
+        # with g = phi (mu(1-mu) x, mu) and h = phi (-mu(1-mu) x, 1-mu), so E[score score']
+        # follows from the Beta log-moments: Var log Y = psi'(a) - psi'(a+b),
+        # Var log(1-Y) = psi'(b) - psi'(a+b) and Cov = -psi'(a+b), from scipy
         rng = np.random.default_rng(43)
-        step = 1e-5
+        design = _assemble(single_smooth_spec(), simulate_rows(rng, n_per_size=2))
+        X = design.X
         for _ in range(10):
-            eta, phi, row_stats = self.random_rows(rng)
-            mu = inv_logit(eta)
-            _, d2 = _log_phi_derivatives(mu, phi, *row_stats)
-            up, _ = _log_phi_derivatives(mu, phi * math.exp(step), *row_stats)
-            down, _ = _log_phi_derivatives(mu, phi * math.exp(-step), *row_stats)
-            assert d2 == pytest.approx((up - down) / (2 * step), rel=1e-6, abs=1e-8)
+            rows = dataclasses.replace(design, n=rng.integers(1, 30, X.shape[0]).astype(float))
+            beta = rng.normal(0.0, 1.0, X.shape[1])
+            phi = math.exp(rng.uniform(math.log(0.5), math.log(1e3)))
+            mu = inv_logit(X @ beta)
+            cov = -special.polygamma(1, phi)
+            var_log_y = special.polygamma(1, mu * phi) + cov
+            var_log_1y = special.polygamma(1, (1.0 - mu) * phi) + cov
+            g = phi * np.column_stack([(mu * (1.0 - mu))[:, None] * X, mu])
+            h = phi * np.column_stack([-(mu * (1.0 - mu))[:, None] * X, 1.0 - mu])
+            n = rows.n
+            oracle = (
+                (g.T * n * var_log_y) @ g
+                + (h.T * n * var_log_1y) @ h
+                + (g.T * n * cov) @ h
+                + (h.T * n * cov) @ g
+            )
+            _, information = betagam._State(rows, beta, phi).score_information
+            np.testing.assert_allclose(information, oracle, rtol=1e-10)
 
     def test_weight_is_the_variance_of_logit_y(self):
         # Fisher weight in logit(mu) = phi^2 (mu(1-mu))^2 Var[logit Y] per observation
@@ -238,7 +255,7 @@ class TestPenalizedObjectiveGradient:
             logphi = float(rng.normal(math.log(40), 0.4))
             mu = inv_logit(design.X @ beta)
             u, _ = _score_weight(mu, math.exp(logphi), *row_stats)
-            d1, _ = _log_phi_derivatives(mu, math.exp(logphi), *row_stats)
+            d1 = _log_phi_score(mu, math.exp(logphi), *row_stats)[0].sum()
             grad = np.append(design.X.T @ u - P @ beta, d1)
             fd = np.empty_like(grad)
             for j in range(p):
@@ -414,8 +431,8 @@ class TestFit:
     def test_restart_at_the_optimum_evaluates_the_likelihood_once(
         self, calibrated_observations, calibrated_acc_model, monkeypatch
     ):
-        # at its own optimum no step's predicted gain is above the objective's
-        # rounding noise, so the fit takes no step and makes no line search
+        # at its own optimum the next step's predicted gain is below the
+        # tolerance, so the fit takes no step and evaluates only its start
         model = calibrated_acc_model
         design = _assemble(model.spec, calibrated_observations)
         P = _penalty_matrix(design, list(model.lambdas.values()))
@@ -424,7 +441,7 @@ class TestFit:
         monkeypatch.setattr(betagam, "_ll_sum", lambda *args: calls.append(1) or ll_sum(*args))
         start = betagam._State(design, model.coef, model.phi)
         state, history = betagam._fit_penalized(start, P, betagam._TOL)
-        assert len(history) - 1 == 1
+        assert len(history) - 1 == 0
         assert len(calls) == 1
         assert state is start
 
@@ -819,6 +836,22 @@ class TestReferenceAnswers:
         assert [step.dropped for step in trace] == expected["dropped"]
         assert model.lambdas == expected["lambdas"]
 
+    # the lambda the AIC search chooses for each block (AU, SE, WI) on the grids
+    # of three more seeds, as indices into DEFAULT_LAMBDA_GRID (index 8 is 1.0)
+    CHOSEN = {
+        1: {"ACC": (9, 8, 9), "PRC": (12, 10, 8), "TPR": (13, 10, 9), "FPR": (12, 9, 10)},
+        2: {"ACC": (9, 8, 9), "PRC": (12, 10, 9), "TPR": (12, 10, 9), "FPR": (12, 9, 9)},
+        3: {"ACC": (9, 8, 9), "PRC": (12, 10, 9), "TPR": (13, 9, 9), "FPR": (12, 9, 9)},
+    }
+
+    @pytest.mark.parametrize("seed", sorted(CHOSEN))
+    def test_chosen_lambdas_are_pinned(self, seed):
+        observations = simulate_grid(seed)
+        for metric, indices in self.CHOSEN[seed].items():
+            model = betagam.fit(ModelSpec(metric), observations)
+            expected = [betagam.DEFAULT_LAMBDA_GRID[i] for i in indices]
+            assert model.lambdas == dict(zip(model.lambdas, expected)), metric
+
     def test_model_json_bytes_are_pinned(
         self, calibrated_acc_model, calibrated_fpr_elimination, calibrated_acc_fixed_lambdas
     ):
@@ -830,9 +863,9 @@ class TestReferenceAnswers:
             for model in models
         ]
         assert digests == [
-            "53e8db45ad876f9533fe143bf7e91d04e4d98e38d04a0e6a3dc28d1c6426e62f",
-            "9ee101efbe8e1ac31f80b1e1e74c0bf07fee9e7e49a08d6a97cd06f7e5228f89",
-            "4bf01ab2ea16f6d841a701291a2b59266496c4ca80bbc576018ed8add4a3d393",
+            "69c6f9587d8f847b8fa55fa4c09913707cd3a17f4d02c64d52c71198c0872c5a",
+            "cba4936a748fcbe99a0896f70a8797081ab28ef64236d17f127029d7536b4b7e",
+            "2f107f510c233fbd455f5b23ee297a150b9cf8bab01c6a90e84e78ad180e044a",
         ]
 
 
@@ -842,13 +875,21 @@ class TestSearchCost:
     def test_each_state_is_evaluated_once(self, calibrated_observations, monkeypatch):
         # a state carries its likelihood and special functions across steps not
         # taken, into its final covariance and into the next warm-started fit; a
-        # repeat is a polygamma01 call on an array argument it was called on before
-        ll_calls, polygamma_calls, seen = [], [], set()
-        ll_sum, polygamma01 = betagam._ll_sum, betagam.polygamma01
+        # repeat is a polygamma01 call on an array argument it was called on before.
+        # One joint step per iteration, and no step once the predicted gain is
+        # below the tolerance, keep the likelihood evaluations and the X'WX builds
+        # (_score_weight calls) of the 102 inner fits near two per fit
+        ll_calls, weight_calls, polygamma_calls, seen = [], [], [], set()
+        ll_sum, score_weight = betagam._ll_sum, betagam._score_weight
+        polygamma01 = betagam.polygamma01
 
         def counted_ll_sum(*args):
             ll_calls.append(1)
             return ll_sum(*args)
+
+        def counted_score_weight(*args):
+            weight_calls.append(1)
+            return score_weight(*args)
 
         def counted_polygamma01(x):
             if np.ndim(x):
@@ -858,9 +899,11 @@ class TestSearchCost:
             return polygamma01(x)
 
         monkeypatch.setattr(betagam, "_ll_sum", counted_ll_sum)
+        monkeypatch.setattr(betagam, "_score_weight", counted_score_weight)
         monkeypatch.setattr(betagam, "polygamma01", counted_polygamma01)
         betagam.fit(ModelSpec("ACC"), calibrated_observations)
-        assert len(ll_calls) <= 480
+        assert len(ll_calls) <= 200
+        assert len(weight_calls) <= 200
         assert sum(polygamma_calls) <= 20
 
     def test_blocks_are_built_once_per_design(self, calibrated_observations, monkeypatch):

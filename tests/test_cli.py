@@ -698,6 +698,30 @@ def test_cli_import_leaves_scipy_stats_unloaded(calibrated_acc_model, observatio
     assert [names for _, _, names in report] == [[]] * len(report)
 
 
+def test_fits_leave_numpy_ma_unloaded(grid_csv, tmp_path):
+    """A fit finds distinct values by one sort (`_numeric.distinct`), not np.unique,
+    whose first call imports numpy.ma (~12 ms) though no fit uses masked arrays."""
+    commands = [
+        ["fit-gam", "--observations", grid_csv, "--metric", "ACC", "--out", "m.json"],
+        ["fit-gam", "--observations", grid_csv, "--metric", "FPR", "--eliminate",
+         "--out", "e.json"],
+        ["fit-ols", "--observations", grid_csv, "--metric", "ACC", "--out", "o.json"],
+    ]
+    src = str(Path(camcurves.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", LOADED_AFTER_EACH_COMMAND, json.dumps(["numpy.ma"]),
+         json.dumps(commands)],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert [step[1] for step in report] == [None] + [cli.EXIT_OK] * len(commands)
+    assert [names for _, _, names in report] == [[]] * len(report)
+
+
 def test_plan_with_a_huge_ceiling_stays_bounded(calibrated_acc_model, tmp_path, capsys):
     model = str(tmp_path / "acc.json")
     io.save_model(calibrated_acc_model, model)
