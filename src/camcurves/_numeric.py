@@ -1,21 +1,22 @@
 """Small numeric helpers used by the model-fitting modules.
 
 The special functions of the Beta likelihood and the Wald test are written
-here in numpy and the standard library, so that fitting needs no scipy, and
-`distinct` finds distinct values without np.unique, so that it needs no
-numpy.ma either.
+here in numpy and the standard library, so that fitting needs no scipy:
+`gammaln_psi` gives log Gamma, digamma and trigamma from one shift recurrence
+and one asymptotic step, and `chi2_sf` the chi-square tail.  `distinct` finds
+distinct values without np.unique, so that fitting needs no numpy.ma either.
 """
 
 import math
 
 import numpy as np
 
-# the recurrences shift their argument to at least _ASYMPTOTIC, where the
+# the recurrence shifts its argument to at least _ASYMPTOTIC, where the
 # asymptotic series below are exact to ~1e-14 relative
 _ASYMPTOTIC = 8.0
 
 # Bernoulli numbers B_2, B_4, ..., B_12, the coefficients of the asymptotic
-# series of digamma, trigamma and log Gamma in 1/z^2
+# series of log Gamma, digamma and trigamma in 1/z^2
 _BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0, -691.0 / 2730.0)
 _DIGAMMA_SERIES = tuple(b / (2 * k) for k, b in enumerate(_BERNOULLI, 1))
 _STIRLING_SERIES = tuple(b / (2 * k * (2 * k - 1)) for k, b in enumerate(_BERNOULLI, 1))
@@ -75,53 +76,42 @@ def _horner(w, coefficients):
     return out + coefficients[0]
 
 
-def polygamma01(x):
-    """(digamma(x), trigamma(x)) for x > 0, from one recurrence.
+def gammaln_psi(x):
+    """(log Gamma(x), digamma(x), trigamma(x)) for 0 < x < 1e38, from one recurrence.
 
-    Every element is shifted by the same number of unit steps (_steps), each
-    1/(x+j) entering both psi(x) = psi(x+1) - 1/x and psi'(x) = psi'(x+1) +
-    1/x^2, and the asymptotic series finish both at z = x + steps (Bernardo
-    1976, AS 103; Abramowitz & Stegun 6.3.18 and 6.4.12):
+    Every element is shifted by the same number of unit steps (_steps).  Each
+    x + j enters the product whose log is subtracted from log Gamma, and its
+    reciprocal enters both psi(x) = psi(x+1) - 1/x and psi'(x) = psi'(x+1) +
+    1/x^2.  The asymptotic series finish all three at z = x + steps (Bernardo
+    1976, AS 103; Abramowitz & Stegun 6.1.40-41, 6.3.18 and 6.4.12):
+    log Gamma(z) ~ (z - 1/2) log z - z + log(2 pi)/2 + sum_k B_2k / (2k (2k-1) z^(2k-1)),
     psi(z) ~ log z - 1/(2z) - sum_k B_2k / (2k z^2k) and
     psi'(z) ~ 1/z + 1/(2z^2) + sum_k B_2k / z^(2k+1).
+    The product of the shifted arguments stays finite while x < 1e38.
     """
     x = np.asarray(x, dtype=float)
     steps = _steps(x)
+    shifted = 1.0
     psi = np.zeros_like(x)
     tri = np.zeros_like(x)
     for j in range(steps):
-        r = 1.0 / (x + j)
+        xj = x + j
+        shifted = shifted * xj
+        r = 1.0 / xj
         psi -= r
         r *= r
         tri += r
     z = x + steps
     zi = 1.0 / z
     zi2 = zi * zi
-    psi += np.log(z) - 0.5 * zi - zi2 * _horner(zi2, _DIGAMMA_SERIES)
+    log_z = np.log(z)
+    lgamma = (z - 0.5) * log_z - z + _HALF_LOG_2PI - np.log(shifted)
+    lgamma += zi * _horner(zi2, _STIRLING_SERIES)
+    psi += log_z - 0.5 * zi - zi2 * _horner(zi2, _DIGAMMA_SERIES)
     tri += zi * (1.0 + 0.5 * zi + zi2 * _horner(zi2, _BERNOULLI))
     if x.ndim == 0:
-        return float(psi), float(tri)
-    return psi, tri
-
-
-def gammaln(x):
-    """log Gamma(x) for 0 < x < 1e38.
-
-    The shifts of polygamma01, then the Stirling series at z = x + steps,
-    log Gamma(z) ~ (z - 1/2) log z - z + log(2 pi)/2 + sum_k B_2k / (2k (2k-1)
-    z^(2k-1)) (Abramowitz & Stegun 6.1.40-41), minus the log of the product of
-    the shifted arguments, which stays finite while x < 1e38.
-    """
-    x = np.asarray(x, dtype=float)
-    steps = _steps(x)
-    shifted = 1.0
-    for j in range(steps):
-        shifted = shifted * (x + j)
-    z = x + steps
-    zi = 1.0 / z
-    out = (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI - np.log(shifted)
-    out += zi * _horner(zi * zi, _STIRLING_SERIES)
-    return float(out) if out.ndim == 0 else out
+        return float(lgamma), float(psi), float(tri)
+    return lgamma, psi, tri
 
 
 def chi2_sf(df: int, x: float) -> float:

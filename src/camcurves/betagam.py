@@ -29,16 +29,16 @@ by its AIC with the loglik at the Newton point, loglik + score'step -
 loglik and AIC of its own coefficients.
 
 A `_State` is one (beta, phi) of a fit.  It computes its means, its
-log-likelihood, the digamma and trigamma at mu*phi and (1-mu)*phi, and the
-score and expected information in (beta, log(phi)) each on first use, and
-keeps them.  None of these depends on the penalty.  So a step that is not
-taken leaves the state and all it carries as they were, the final covariance
-reads the X'WX block of the last state's information, and the next
-warm-started fit of the lambda search starts from that state with only its
-penalty term to compute.  The search holds two states: the last of its warm
-chain and that of the best lambdas so far.  A fit read back from its cache,
-or a new best, restarts from its (beta, phi); only these restarts evaluate a
-(mu, phi) state a second time.
+log-likelihood with the per-row terms of its derivatives, and the score and
+expected information in (beta, log(phi)) each on first use, and keeps them.
+None of these depends on the penalty.  So a step that is not taken leaves
+the state and all it carries as they were, the final covariance reads the
+X'WX block of the last state's information, and the next warm-started fit of
+the lambda search starts from that state with only its penalty term to
+compute.  The search holds two states: the last of its warm chain and that
+of the best lambdas so far.  A fit read back from its cache, or a new best,
+restarts from its (beta, phi); only these restarts evaluate a (mu, phi)
+state a second time.
 
 Deviance is measured against the saturated fit (one mean per observation)
 and the null deviance against the intercept-only fit, both at the fitted
@@ -59,24 +59,27 @@ arrays with no Python object per row, and a table that holds only the
 response's metric is used as given, so when every row is distinct the
 assembly holds the model matrix and little else.
 
-A `_Layout` declares how covariates become model-matrix rows, and its `rows`
-is the one encoding: the intercept, the treatment dummies and its `blocks`.
-A `_Block` is a smooth, or its part on one by-factor level: its label, term,
-level, coefficient columns, centring constraint, knots and (on first use)
-penalty.  The blocks are built from the layout's stored fields and checked as
-they are built; the rows, every inner fit's penalty, the fitted lambdas (keyed
-by block label) and the Wald test read them.  The fit's `_Design` holds a
-layout and its blocks, and `AdditiveModel` is a layout with the fit's fields
-added, so a cell cannot be encoded two ways.  A layout checks that its parts
-agree wherever it is built, from a file or not.
+A `_Layout` declares how covariates become model-matrix rows, and its
+`_encode` is the one encoding: the intercept, the treatment dummies and its
+`blocks`.  `rows` evaluates the smooth's basis at the given sizes and encodes
+them; the assembly encodes the design rows with the basis it has already
+evaluated for the centring constraints.  A `_Block` is a smooth, or its part
+on one by-factor level: its label, term, level, coefficient columns, centring
+constraint, knots and (on first use) penalty.  A layout builds its blocks from
+its stored fields once, checking them as they are built; the rows, every inner
+fit's penalty, the fitted lambdas (keyed by block label) and the Wald test
+read them.  The fit's `_Design` holds a layout, and `AdditiveModel` is a
+layout with the fit's fields added, so a cell cannot be encoded two ways.  A
+layout checks that its parts agree wherever it is built, from a file or not.
 
-The Beta likelihood is written once, on design rows: `_ll_sum` is the
-log-likelihood, `_score_weight` its score in logit(mu) with the Fisher weight,
-and `_log_phi_score` its score in log(phi) with the other two entries of the
-expected information.  These three, `_beta_mean` (the saturated and null
-means) and `_joint_term_p` (the Wald test) take their special functions from
-`_numeric`: `gammaln`, `polygamma01` (digamma and trigamma from one
-recurrence) and `chi2_sf`, written in numpy and the standard library, so
+The Beta likelihood is written once, on design rows: `_loglik_rows` gives the
+summed log-likelihood and, per row, the score in logit(mu) with its Fisher
+weight and the score in log(phi) with the other two entries of the expected
+information.  It takes log Gamma, digamma and trigamma at mu*phi, (1-mu)*phi
+and phi from one `_numeric.gammaln_psi` pass each.  A `_State` evaluates it
+once; `_beta_mean` (the saturated and null means) calls `gammaln_psi` and the
+fit statistics call `_loglik_rows`.  `_joint_term_p` (the Wald test) takes
+`_numeric.chi2_sf`.  These are written in numpy and the standard library, so
 fitting runs without scipy.
 """
 
@@ -89,7 +92,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._numeric import chi2_sf, distinct, gammaln, inv_logit, logit, polygamma01
+from ._numeric import chi2_sf, distinct, gammaln_psi, inv_logit, logit
 from .errors import ConvergenceError, InputError
 from .metrics import METRIC_KINDS, _distinct
 from .splines import KnotVector, basis_rows, centred_penalty, centring, penalty_matrix, place_knots
@@ -184,52 +187,33 @@ class ModelSpec:
 # ---------------------------------------------------------------------------
 
 
-def _ll_sum(mu, phi, n, sum_ylog, sum_y1log):
-    """Summed Beta log density of design rows at means mu.
+def _loglik_rows(mu, phi, n, sum_ylog, sum_y1log) -> tuple:
+    """(loglik, u, w, s, c, k): the Beta likelihood of design rows at means mu.
 
     Row r holds n[r] observations whose log(y) and log(1-y) sum to
-    sum_ylog[r] and sum_y1log[r]; n = 1 gives the per-observation density.
+    sum_ylog[r] and sum_y1log[r]; n = 1 gives the per-observation terms.
+    loglik is the summed log density.  Per row, u is the score in logit(mu)
+    and w its Fisher weight, n * phi^2 * (mu(1-mu))^2 * Var[logit Y] with
+    Var[logit Y] = trigamma(a) + trigamma(b) under Beta(a, b); s is the score
+    in log(phi), and c and k are the expected information between logit(mu)
+    and log(phi) and of log(phi) with itself (Ferrari & Cribari-Neto 2004).
+    One gammaln_psi pass at each of a = mu*phi, b = (1-mu)*phi and phi.
     """
     a = mu * phi
     b = (1.0 - mu) * phi
-    return float(
-        np.sum(
-            n * (gammaln(phi) - gammaln(a) - gammaln(b))
-            + (a - 1.0) * sum_ylog
-            + (b - 1.0) * sum_y1log
-        )
+    lg_a, psi_a, tri_a = gammaln_psi(a)
+    lg_b, psi_b, tri_b = gammaln_psi(b)
+    lg, psi, tri = gammaln_psi(phi)
+    loglik = float(
+        np.sum(n * (lg - lg_a - lg_b) + (a - 1.0) * sum_ylog + (b - 1.0) * sum_y1log)
     )
-
-
-def _polygammas(mu, phi):
-    """(digamma(a), trigamma(a), digamma(b), trigamma(b)) at a = mu*phi, b = (1-mu)*phi."""
-    return (*polygamma01(mu * phi), *polygamma01((1.0 - mu) * phi))
-
-
-def _score_weight(mu, phi, n, sum_ylog, sum_y1log, polygammas=None):
-    """Per-row score in logit(mu) and Fisher weight of the rows of _ll_sum.
-
-    The weight is n * phi^2 * (mu(1-mu))^2 * Var[logit Y], with
-    Var[logit Y] = trigamma(a) + trigamma(b) under Beta(a, b).  `polygammas`
-    is _polygammas(mu, phi), computed here when not given.
-    """
-    psi_a, tri_a, psi_b, tri_b = polygammas or _polygammas(mu, phi)
     mm = mu * (1.0 - mu)
     u = phi * (sum_ylog - sum_y1log - n * (psi_a - psi_b)) * mm
     w = n * phi * phi * (tri_a + tri_b) * mm * mm
-    return u, w
-
-
-def _log_phi_score(mu, phi, n, sum_ylog, sum_y1log, polygammas=None):
-    """Per-row score in log(phi) of the rows of _ll_sum, and the rows' expected
-    information c between logit(mu) and log(phi) and k of log(phi) with itself
-    (Ferrari & Cribari-Neto 2004); `polygammas` as in _score_weight."""
-    psi, tri = polygamma01(phi)
-    psi_a, tri_a, psi_b, tri_b = polygammas or _polygammas(mu, phi)
     s = phi * (n * (psi - mu * psi_a - (1.0 - mu) * psi_b) + mu * sum_ylog + (1.0 - mu) * sum_y1log)
     c = n * phi * phi * mu * (1.0 - mu) * (mu * tri_a - (1.0 - mu) * tri_b)
     k = n * phi * phi * (mu * mu * tri_a + (1.0 - mu) ** 2 * tri_b - tri)
-    return s, c, k
+    return loglik, u, w, s, c, k
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +258,11 @@ class _Layout:
     smooth_constraints: dict[str, np.ndarray]  # smooth block label -> k x (k-1) centring
     observed_sizes: tuple[int, ...]
 
-    @property
+    @cached_property
     def blocks(self) -> tuple:
-        """The penalized blocks in coefficient order, built anew from the stored fields
-        on each access; InputError when a block's k, label or constraint disagrees."""
+        """The penalized blocks in coefficient order, built from the stored fields on
+        first use; InputError, on every access, when a block's k, label or constraint
+        disagrees."""
         knots = self.knot_vector.count if self.knot_vector else 0
         blocks = []
         for term in self.spec.smooth_terms:
@@ -319,17 +304,22 @@ class _Layout:
             raise InputError(f"model term_index has unknown key {min(unknown, key=str)!r}")
 
     def rows(self, columns: Mapping, sizes) -> np.ndarray:
-        """Model-matrix rows at covariate values: the one encoding of covariates.
-
-        `columns` maps each factor of the model to its level per row, or to one
-        level for every row; `sizes` holds num_tr_images per row.  A row holds
-        the intercept, the treatment dummies and, for each by-level smooth, the
-        centred basis at log(size) on the rows of its level and 0 elsewhere.
-        """
+        """Model-matrix rows at covariate values: `columns` maps each factor of
+        the model to its level per row, or to one level for every row; `sizes`
+        holds num_tr_images per row."""
         sizes = np.atleast_1d(np.asarray(sizes, dtype=float))
         if np.any(sizes <= 0.0):
             raise InputError("num_tr_images must be positive")
-        X = np.zeros((sizes.size, len(self.coef_names)))
+        raw = basis_rows(np.log(sizes), self.knot_vector) if self.spec.smooth_terms else None
+        return self._encode(columns, sizes.size, raw)
+
+    def _encode(self, columns: Mapping, m: int, raw) -> np.ndarray:
+        """The one encoding of covariates: m model-matrix rows from the factor
+        `columns` and `raw`, the smooth's uncentred basis on the rows (None
+        without a smooth).  A row holds the intercept, the treatment dummies
+        and, for each by-level smooth, the centred basis on the rows of its
+        level and 0 elsewhere."""
+        X = np.zeros((m, len(self.coef_names)))
         X[:, self.term_index[INTERCEPT][0]] = 1.0
         values = {}
         for factor, levels in self.factor_levels.items():
@@ -339,12 +329,10 @@ class _Layout:
             unknown = given[~np.isin(given, levels)].tolist()
             if unknown:
                 raise InputError(f"unknown level {min(unknown, key=str)!r} for factor {factor!r}")
-            values[factor] = np.broadcast_to(given, sizes.shape)
+            values[factor] = np.broadcast_to(given, (m,))
             others = [level for level in levels if level != self.references[factor]]
             for level, j in zip(others, self.term_index[factor]):
                 X[:, j] = values[factor] == level
-        if self.spec.smooth_terms:
-            raw = basis_rows(np.log(sizes), self.knot_vector)
         for b in self.blocks:  # 0 off the block's level
             on = 1.0 if b.level is None else (values[b.term.by_factor] == b.level)[:, None]
             X[:, list(b.columns)] = (raw @ b.constraint) * on
@@ -362,11 +350,10 @@ class _Design:
     sum_y1log: np.ndarray  # per-row sum of log(1-y)
     y: np.ndarray  # per-observation response
     inverse: np.ndarray  # observation -> row index into X
-    blocks: tuple  # layout.blocks, built once for every inner fit of the design
 
     @property
     def row_stats(self) -> tuple:
-        """(n, sum_ylog, sum_y1log): the row arguments of _ll_sum and its derivatives."""
+        """(n, sum_ylog, sum_y1log): the row arguments of _loglik_rows."""
         return self.n, self.sum_ylog, self.sum_y1log
 
 
@@ -427,16 +414,16 @@ def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
         term_index[term.name] = tuple(range(len(names), len(names) + len(others)))
         names.extend(f"{term.name}[{level}]" for level in others)
 
-    knot_vector = None
+    knot_vector, raw = None, None
     constraints: dict = {}
     for term in spec.smooth_terms:
         x = np.log(column[term.covariate].astype(float))
         knot_vector = place_knots(x, k=term.k)
-        rows, S = basis_rows(x, knot_vector), penalty_matrix(knot_vector)
+        raw, S = basis_rows(x, knot_vector), penalty_matrix(knot_vector)
         for level, label in _smooth_blocks(term, factor_levels):
             mask = np.ones(m) if level is None else column[term.by_factor] == level
             # count-weighted, so the constraint sums over the observations
-            constraints[label], _ = centring(rows, S, mask * counts)
+            constraints[label], _ = centring(raw, S, mask * counts)
             term_index[label] = tuple(range(len(names), len(names) + term.k - 1))
             names.extend(f"{label}.{j}" for j in range(term.k - 1))
 
@@ -450,8 +437,8 @@ def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
         smooth_constraints=constraints,
         observed_sizes=tuple(sizes.tolist()),
     )
-    # a model without a smooth term reads no size
-    X = layout.rows(column, column.get("num_tr_images", np.ones(m)))
+    # the basis the constraints were computed on is the one encoded
+    X = layout._encode(column, m, raw)
     _check_rank(X, names)
     return _Design(
         layout=layout,
@@ -461,7 +448,6 @@ def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
         sum_y1log=np.bincount(inverse, np.log1p(-y), m),
         y=y,
         inverse=inverse,
-        blocks=layout.blocks,
     )
 
 
@@ -480,7 +466,7 @@ def _check_rank(X: np.ndarray, names: Sequence[str]):
 def _penalty_matrix(design: _Design, lambdas: Sequence[float]) -> np.ndarray:
     p = design.X.shape[1]
     P = np.zeros((p, p))
-    for lam, block in zip(lambdas, design.blocks):
+    for lam, block in zip(lambdas, design.layout.blocks):
         i0, i1 = block.columns[0], block.columns[-1] + 1  # _assemble keeps a block contiguous
         P[i0:i1, i0:i1] = lam * block.penalty
     return P
@@ -499,10 +485,10 @@ def _resolvable(gain: float, value: float) -> bool:
 class _State:
     """One (beta, phi) of a penalized fit, with what the fit derives from it.
 
-    Its means, log-likelihood and polygammas, and the score and expected
-    information in (beta, log(phi)) that a joint Fisher step and the Newton
-    point read, are each computed on first use and kept; none depends on the
-    penalty (see the module docstring).
+    Its means, its _loglik_rows and the score and expected information in
+    (beta, log(phi)) that a joint Fisher step and the Newton point read are
+    each computed on first use and kept; none depends on the penalty (see the
+    module docstring).
     """
 
     def __init__(self, design: _Design, beta: np.ndarray, phi: float):
@@ -513,20 +499,20 @@ class _State:
         return inv_logit(self.design.X @ self.beta)
 
     @cached_property
-    def loglik(self) -> float:
-        return _ll_sum(self.mu, self.phi, *self.design.row_stats)
+    def terms(self) -> tuple:
+        """_loglik_rows at this state: (loglik, u, w, s, c, k)."""
+        return _loglik_rows(self.mu, self.phi, *self.design.row_stats)
 
-    @cached_property
-    def polygammas(self) -> tuple:
-        return _polygammas(self.mu, self.phi)
+    @property
+    def loglik(self) -> float:
+        return self.terms[0]
 
     @cached_property
     def score_information(self) -> tuple:
         """The score of the log-likelihood in (beta, log(phi)) and its expected
         information [[X'WX, X'c], [c'X, k]]."""
-        X, row_stats = self.design.X, self.design.row_stats
-        u, w = _score_weight(self.mu, self.phi, *row_stats, self.polygammas)
-        s, c, k = _log_phi_score(self.mu, self.phi, *row_stats, self.polygammas)
+        X = self.design.X
+        _, u, w, s, c, k = self.terms
         Xc = X.T @ c
         information = np.block([[(X.T * w) @ X, Xc[:, None]], [Xc, k.sum()]])
         return np.append(X.T @ u, s.sum()), information
@@ -545,8 +531,8 @@ def _newton_step(state: _State, P) -> tuple:
 def _fit_penalized(start: _State, P, tol):
     """Fisher scoring in (beta, log(phi)) with step halving.
 
-    Works on the distinct design rows through _ll_sum, _score_weight and
-    _log_phi_score, which sum each row's observations in closed form.  Each
+    Works on the distinct design rows through _loglik_rows, which sums each
+    row's observations in closed form.  Each
     iteration takes one joint step (_newton_step), and a step that is taken
     gives a new _State.  The fit stops before a step whose predicted gain
     1/2 grad'step is below `tol`, so a start that close to the optimum takes
@@ -758,8 +744,8 @@ def _beta_mean(t, phi) -> np.ndarray:
     t = np.atleast_1d(np.asarray(t, dtype=float))
     mu = np.clip(inv_logit(t), 1e-9, 1.0 - 1e-9)
     for _ in range(100):
-        psi_a, tri_a = polygamma01(mu * phi)
-        psi_b, tri_b = polygamma01((1.0 - mu) * phi)
+        _, psi_a, tri_a = gammaln_psi(mu * phi)
+        _, psi_b, tri_b = gammaln_psi((1.0 - mu) * phi)
         step = -(psi_a - psi_b - t) / (phi * (tri_a + tri_b))
         nxt = mu + step
         bad = (nxt <= 0.0) | (nxt >= 1.0)
@@ -773,18 +759,19 @@ def _beta_mean(t, phi) -> np.ndarray:
 def _saturated_loglik(y, phi):
     """Beta log-likelihood with each observation at its own best mean."""
     ylog, y1log = np.log(y), np.log1p(-y)
-    return _ll_sum(_beta_mean(ylog - y1log, phi), phi, 1.0, ylog, y1log)
+    return _loglik_rows(_beta_mean(ylog - y1log, phi), phi, 1.0, ylog, y1log)[0]
 
 
 def _null_loglik(y, phi):
     """Intercept-only Beta log-likelihood at fixed phi."""
     ylog, y1log = np.log(y), np.log1p(-y)
-    return _ll_sum(_beta_mean(np.mean(ylog - y1log), phi), phi, y.size, ylog.sum(), y1log.sum())
+    mu = _beta_mean(np.mean(ylog - y1log), phi)
+    return _loglik_rows(mu, phi, y.size, ylog.sum(), y1log.sum())[0]
 
 
 def _fit_statistics(y, mu, phi, edf_total: float) -> dict:
     """Deviance, null deviance, deviance explained and adjusted R^2 of means mu."""
-    ll = _ll_sum(mu, phi, 1.0, np.log(y), np.log1p(-y))
+    ll = _loglik_rows(mu, phi, 1.0, np.log(y), np.log1p(-y))[0]
     ll_sat = _saturated_loglik(y, phi)
     # the saturated likelihood is the supremum, and a fit with an intercept is
     # no worse than the intercept alone; tiny negatives are float noise
@@ -833,13 +820,13 @@ def fit(
         to bypass the AIC search over DEFAULT_LAMBDA_GRID.
     """
     design = _assemble(spec, observations)
-    n_smooth = len(design.blocks)
+    n_smooth = len(design.layout.blocks)
     if lambdas is not None:
         if len(lambdas) != n_smooth:
             raise InputError(f"need {n_smooth} smoothing parameters, got {len(lambdas)}")
         if any(l < 0 for l in lambdas):
             raise InputError("smoothing parameters must be >= 0")
-        scales = [float(np.abs(block.penalty).max()) for block in design.blocks]
+        scales = [float(np.abs(block.penalty).max()) for block in design.layout.blocks]
         if not all(np.isfinite(float(l) * s) for l, s in zip(lambdas, scales)):
             raise InputError(f"smoothing parameters {list(lambdas)} give a non-finite penalty")
         if any(l > _MAX_FIXED_LAMBDA for l in lambdas):
@@ -856,7 +843,7 @@ def fit(
 
 def _search_lambdas(design):
     grid = [float(g) for g in DEFAULT_LAMBDA_GRID]
-    n_smooth = len(design.blocks)
+    n_smooth = len(design.layout.blocks)
     start = min(grid, key=lambda g: abs(np.log10(g)))
     lam = [start] * n_smooth
     cache = {}  # lambdas -> _FitResult; it keeps no _State
@@ -900,7 +887,7 @@ def _package_model(design, chosen, result) -> AdditiveModel:
     return AdditiveModel(
         **{f.name: getattr(design.layout, f.name) for f in fields(_Layout)},
         coef=result.beta,
-        lambdas={block.label: float(lam) for block, lam in zip(design.blocks, chosen)},
+        lambdas={block.label: float(lam) for block, lam in zip(design.layout.blocks, chosen)},
         phi=result.phi,
         covariance=result.covariance,
         edf_by_coef=result.edf_by_coef,
@@ -934,7 +921,8 @@ def _candidate_terms(spec: ModelSpec, model: AdditiveModel):
     protected = {t.by_factor for t in spec.smooth_terms if t.by_factor is not None}
     out = {}
     for t in spec.parametric_terms:
-        if t.name in protected:
+        # a factor with one level has no coefficients to test
+        if t.name in protected or not model.term_index[t.name]:
             continue
         out[t.name] = list(model.term_index[t.name])
     for t in spec.smooth_terms:

@@ -26,12 +26,10 @@ from camcurves.betagam import (
 )
 from camcurves.betagam import (
     _assemble,
-    _ll_sum,
-    _log_phi_score,
+    _loglik_rows,
     _null_loglik,
     _penalty_matrix,
     _saturated_loglik,
-    _score_weight,
 )
 from camcurves.design import ARCHITECTURES, DATASETS, TUNINGS, simulate_grid
 
@@ -115,7 +113,8 @@ def beta_rows(rng, counts, mu, phi):
 
 
 class TestBetaLoglik:
-    """_ll_sum and the fit's derivatives of it, against scipy and each other."""
+    """_loglik_rows: the likelihood and the fit's derivatives of it, against scipy and
+    each other."""
 
     COUNTS = (1, 4, 25, 2, 9)
 
@@ -127,11 +126,11 @@ class TestBetaLoglik:
 
     def test_uniform_density_is_zero(self):
         y = np.array([0.1, 0.5, 0.9])
-        ll = _ll_sum(0.5, 2.0, 1.0, np.log(y), np.log1p(-y))  # shapes (1, 1)
+        ll, *_ = _loglik_rows(0.5, 2.0, 1.0, np.log(y), np.log1p(-y))  # shapes (1, 1)
         assert ll == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetric_beta22_at_center(self):
-        ll = _ll_sum(0.5, 4.0, 1.0, math.log(0.5), math.log(0.5))  # density 6 y (1-y)
+        ll, *_ = _loglik_rows(0.5, 4.0, 1.0, math.log(0.5), math.log(0.5))  # density 6 y (1-y)
         assert ll == pytest.approx(math.log(1.5), abs=1e-12)
 
     def test_collapsed_rows_match_scipy_logpdf(self):
@@ -143,7 +142,8 @@ class TestBetaLoglik:
                 float(stats.beta.logpdf(y, m * phi, (1.0 - m) * phi).sum())
                 for y, m in zip(draws, mu)
             )
-            assert _ll_sum(mu, phi, *row_stats) == pytest.approx(oracle, rel=1e-12, abs=1e-9)
+            ll = _loglik_rows(mu, phi, *row_stats)[0]
+            assert ll == pytest.approx(oracle, rel=1e-12, abs=1e-9)
 
     def test_gradient_matches_finite_differences(self):
         # a row's terms reach n * gammaln(phi) ~ 1e3, so the differences carry
@@ -152,14 +152,14 @@ class TestBetaLoglik:
         step = 1e-5
         for _ in range(10):
             eta, phi, row_stats = self.random_rows(rng)
-            u, _ = _score_weight(inv_logit(eta), phi, *row_stats)
+            _, u, _, s, _, _ = _loglik_rows(inv_logit(eta), phi, *row_stats)
             for r, row in enumerate(zip(*row_stats)):
-                up = _ll_sum(inv_logit(eta[r] + step), phi, *row)
-                down = _ll_sum(inv_logit(eta[r] - step), phi, *row)
+                up = _loglik_rows(inv_logit(eta[r] + step), phi, *row)[0]
+                down = _loglik_rows(inv_logit(eta[r] - step), phi, *row)[0]
                 assert u[r] == pytest.approx((up - down) / (2 * step), rel=1e-6, abs=1e-6)
-            d1 = _log_phi_score(inv_logit(eta), phi, *row_stats)[0].sum()
-            up = _ll_sum(inv_logit(eta), phi * math.exp(step), *row_stats)
-            down = _ll_sum(inv_logit(eta), phi * math.exp(-step), *row_stats)
+            d1 = s.sum()
+            up = _loglik_rows(inv_logit(eta), phi * math.exp(step), *row_stats)[0]
+            down = _loglik_rows(inv_logit(eta), phi * math.exp(-step), *row_stats)[0]
             assert d1 == pytest.approx((up - down) / (2 * step), rel=1e-6, abs=1e-6)
 
     def test_information_is_the_expected_outer_product_of_the_score(self):
@@ -199,7 +199,7 @@ class TestBetaLoglik:
             law = stats.beta(mu * phi, (1.0 - mu) * phi)
             mean = law.expect(logit_y)
             var = law.expect(lambda y: (logit_y(y) - mean) ** 2)
-            _, w = _score_weight(mu, phi, n, 0.0, 0.0)
+            w = _loglik_rows(mu, phi, n, 0.0, 0.0)[2]
             assert w == pytest.approx(n * phi**2 * (mu * (1.0 - mu)) ** 2 * var, rel=1e-7)
 
 
@@ -247,16 +247,16 @@ class TestPenalizedObjectiveGradient:
 
         def objective(beta, logphi):
             mu = inv_logit(design.X @ beta)
-            return _ll_sum(mu, math.exp(logphi), *row_stats) - 0.5 * float(beta @ P @ beta)
+            loglik = _loglik_rows(mu, math.exp(logphi), *row_stats)[0]
+            return loglik - 0.5 * float(beta @ P @ beta)
 
         step = 1e-6
         for _ in range(10):
             beta = rng.normal(0, 0.4, p)
             logphi = float(rng.normal(math.log(40), 0.4))
             mu = inv_logit(design.X @ beta)
-            u, _ = _score_weight(mu, math.exp(logphi), *row_stats)
-            d1 = _log_phi_score(mu, math.exp(logphi), *row_stats)[0].sum()
-            grad = np.append(design.X.T @ u - P @ beta, d1)
+            _, u, _, s, _, _ = _loglik_rows(mu, math.exp(logphi), *row_stats)
+            grad = np.append(design.X.T @ u - P @ beta, s.sum())
             fd = np.empty_like(grad)
             for j in range(p):
                 e = np.zeros(p)
@@ -437,8 +437,10 @@ class TestFit:
         design = _assemble(model.spec, calibrated_observations)
         P = _penalty_matrix(design, list(model.lambdas.values()))
         calls = []
-        ll_sum = betagam._ll_sum
-        monkeypatch.setattr(betagam, "_ll_sum", lambda *args: calls.append(1) or ll_sum(*args))
+        loglik_rows = betagam._loglik_rows
+        monkeypatch.setattr(
+            betagam, "_loglik_rows", lambda *args: calls.append(1) or loglik_rows(*args)
+        )
         start = betagam._State(design, model.coef, model.phi)
         state, history = betagam._fit_penalized(start, P, betagam._TOL)
         assert len(history) - 1 == 0
@@ -615,7 +617,7 @@ def test_inconsistent_gam_fails_where_it_is_built(build, field, value, message):
     # the same fault fails the constructor and the loader with the same message
     model = build()
     with pytest.raises(InputError) as built:
-        AdditiveModel(**{**vars(model), field: value})
+        dataclasses.replace(model, **{field: value})
     document = io.model_to_dict(model)
     document[field] = json.loads(json.dumps(value, default=np.ndarray.tolist))
     with pytest.raises(InputError) as loaded:
@@ -875,36 +877,42 @@ class TestSearchCost:
     def test_each_state_is_evaluated_once(self, calibrated_observations, monkeypatch):
         # a state carries its likelihood and special functions across steps not
         # taken, into its final covariance and into the next warm-started fit; a
-        # repeat is a polygamma01 call on an array argument it was called on before.
+        # repeat is a gammaln_psi call on an array argument it was called on before.
         # One joint step per iteration, and no step once the predicted gain is
-        # below the tolerance, keep the likelihood evaluations and the X'WX builds
-        # (_score_weight calls) of the 102 inner fits near two per fit
-        ll_calls, weight_calls, polygamma_calls, seen = [], [], [], set()
-        ll_sum, score_weight = betagam._ll_sum, betagam._score_weight
-        polygamma01 = betagam.polygamma01
+        # below the tolerance, keep the likelihood evaluations (_loglik_rows calls)
+        # and the X'WX builds (score_information evaluations) of the 102 inner fits
+        # near two per fit.  Each state makes one gammaln_psi pass at mu*phi and
+        # one at (1-mu)*phi, so the array passes stay near two per likelihood
+        # evaluation
+        ll_calls, builds, array_calls, seen = [], [], [], set()
+        loglik_rows, gammaln_psi = betagam._loglik_rows, betagam.gammaln_psi
+        score_information = betagam._State.score_information
 
-        def counted_ll_sum(*args):
+        def counted_loglik_rows(*args):
             ll_calls.append(1)
-            return ll_sum(*args)
+            return loglik_rows(*args)
 
-        def counted_score_weight(*args):
-            weight_calls.append(1)
-            return score_weight(*args)
+        def counted_score_information(state):
+            if "score_information" not in vars(state):
+                builds.append(1)
+            return score_information.__get__(state)
 
-        def counted_polygamma01(x):
+        def counted_gammaln_psi(x):
             if np.ndim(x):
                 digest = hashlib.sha256(np.ascontiguousarray(x).tobytes()).digest()
-                polygamma_calls.append(digest in seen)
+                array_calls.append(digest in seen)  # True for a repeat
                 seen.add(digest)
-            return polygamma01(x)
+            return gammaln_psi(x)
 
-        monkeypatch.setattr(betagam, "_ll_sum", counted_ll_sum)
-        monkeypatch.setattr(betagam, "_score_weight", counted_score_weight)
-        monkeypatch.setattr(betagam, "polygamma01", counted_polygamma01)
+        monkeypatch.setattr(betagam, "_loglik_rows", counted_loglik_rows)
+        counted = property(counted_score_information)
+        monkeypatch.setattr(betagam._State, "score_information", counted)
+        monkeypatch.setattr(betagam, "gammaln_psi", counted_gammaln_psi)
         betagam.fit(ModelSpec("ACC"), calibrated_observations)
         assert len(ll_calls) <= 200
-        assert len(weight_calls) <= 200
-        assert sum(polygamma_calls) <= 20
+        assert len(builds) <= 200
+        assert sum(array_calls) <= 20
+        assert len(array_calls) <= 400
 
     def test_blocks_are_built_once_per_design(self, calibrated_observations, monkeypatch):
         # a block computes its penalty from penalty_matrix on first use; the 102
@@ -922,6 +930,35 @@ class TestSearchCost:
         fixed = len(calls)
         betagam.fit(ModelSpec("ACC"), calibrated_observations)
         assert 0 < len(calls) - fixed <= fixed
+
+    def test_assembly_evaluates_the_basis_once(self, calibrated_observations, monkeypatch):
+        # the basis the centring constraints are computed on is the one encoded,
+        # and the design rows are those that rows() gives each observation
+        calls = []
+        basis_rows = betagam.basis_rows
+        monkeypatch.setattr(
+            betagam, "basis_rows", lambda *args: calls.append(1) or basis_rows(*args)
+        )
+        design = _assemble(ModelSpec("ACC"), calibrated_observations)
+        assert len(calls) == 1
+        acc = calibrated_observations[calibrated_observations.metric == "ACC"]
+        factors = {name: acc[name] for name in design.layout.factor_levels}
+        X = design.layout.rows(factors, acc.num_tr_images)
+        assert np.array_equal(X, design.X[design.inverse])
+
+    def test_predictions_reuse_the_layouts_blocks(self, calibrated_acc_model, monkeypatch):
+        # a layout builds and checks its blocks once, when it is built
+        model = io.model_from_dict(io.model_to_dict(calibrated_acc_model))
+        calls = []
+        smooth_blocks = betagam._smooth_blocks
+        monkeypatch.setattr(
+            betagam, "_smooth_blocks", lambda *args: calls.append(1) or smooth_blocks(*args)
+        )
+        cell = {"dataset": "AU", "tuning": "deep", "architecture": "dnsNet121"}
+        for sizes in ([10], [10, 100, 1000], np.arange(1, 2001)):
+            model.predict_sizes(cell, sizes)
+        assert calls == []
+        assert model.blocks is model.blocks
 
     def test_fit_on_distinct_rows_keeps_its_traced_peak_bounded(self):
         # 7,776 rows, each with its own size in its (dataset, architecture,

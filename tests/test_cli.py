@@ -128,6 +128,29 @@ def test_intercept_only_model_explains_no_negative_deviance(tmp_path, capsys):
     assert "deviance explained 0.000" in capsys.readouterr().out
 
 
+def test_eliminate_on_one_cell_offers_no_single_level_factor(calibrated_observations, tmp_path):
+    # tuning and architecture have one level in one cell, so no coefficient to test
+    grid = calibrated_observations
+    cell = (
+        (grid.metric == "ACC") & (grid.dataset == "AU") & (grid.tuning == "deep")
+        & (grid.architecture == "dnsNet121")
+    )
+    path, out = tmp_path / "cell.csv", tmp_path / "m.json"
+    io.write_observations_csv(str(path), grid[cell])
+    argv = ["fit-gam", "--observations", str(path), "--metric", "ACC", "--eliminate"]
+    src = str(Path(camcurves.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "camcurves.cli", *argv, "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert int(cell.sum()) == 216
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    assert "Traceback" not in done.stderr
+    assert io.load_model(str(out)).metric == "ACC"
+
+
 def test_fit_gam_without_records_of_its_metric_is_an_input_error(tmp_path, capsys):
     path = str(tmp_path / "prc.csv")
     io.write_observations_csv(path, observation_rows([0.8, 0.9], [10, 20], metric="PRC"))
