@@ -109,52 +109,25 @@ def canonical_json(obj) -> str:
 
 
 def _open_csv(path: str):
+    """`path` opened for reading as UTF-8 text, with a leading byte-order mark dropped."""
     try:
-        return open(path, "r", encoding="utf-8", newline="")
+        return open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _keeps(header: Sequence[str], drop):
-    """A test of whether a record under `header` is kept, skipping those that `drop`
-    names; a record with the wrong field count is kept, to be reported."""
-    width = len(header)
-    name, dropped = drop or (header[0], ())  # without `drop`, no record is skipped
-    column = header.index(name)
-
-    def kept(record):
-        if len(record) == width:
-            return record[column] not in dropped
-        return bool(record)
-
-    return kept
-
-
-def _line(path: str, index: int, drop=None) -> int:
-    """The line on which kept record `index` of a CSV file starts, found by reading it again."""
-    with _open_csv(path) as handle:
-        reader = csv.reader(handle)
-        kept = _keeps(next(reader), drop)
-        start = reader.line_num + 1
-        for record in reader:
-            if kept(record):
-                if not index:
-                    return start
-                index -= 1
-            start = reader.line_num + 1
-
-
 def _read_csv(path: str, required: Sequence[str], optional: Sequence[str], drop=None):
-    """Yield the records of a CSV file, CSV_CHUNK_ROWS at a time.
+    """Yield the records of a CSV file, CSV_CHUNK_ROWS at a time, in one reading.
 
-    Each chunk maps every name of the header to its column in the chunk, a
-    tuple of strings with one per record kept; _line(path, i, drop) is the
-    line on which kept record i starts.  Blank lines are skipped; a record
-    may span lines inside a quoted field.  `drop`, a pair (name, values),
-    skips each record whose field `name` holds one of `values` as it is
-    read.  A bad header, a record with the wrong field count, a decode or
-    CSV error, or a file with no records raises InputError when the reading
-    reaches it, so a caller that reads every chunk meets these first.
+    Each chunk is a pair (columns, lines): columns maps every name of the
+    header to its column in the chunk, a tuple of strings with one per
+    record kept, and lines[i] is the line on which kept record i of the
+    chunk starts.  Blank lines are skipped; a record may span lines inside a
+    quoted field.  `drop`, a pair (name, values), skips each record whose
+    field `name` holds one of `values` as it is read.  A bad header, a record
+    with the wrong field count, a decode or CSV error, or a file with no
+    records raises InputError when the reading reaches it, so a caller that
+    reads every chunk meets these first.
     """
     with _open_csv(path) as handle:
         reader = csv.reader(handle)
@@ -168,32 +141,39 @@ def _read_csv(path: str, required: Sequence[str], optional: Sequence[str], drop=
             unknown = [c for c in header if c not in (*required, *optional)]
             if unknown:
                 raise InputError(f"{path}: unrecognized columns {unknown}")
-            width, kept = len(header), _keeps(header, drop)
-            records, count, skipped = [], 0, 0
+            width = len(header)
+            name, dropped = drop or (header[0], ())  # without `drop`, no record is skipped
+            column = header.index(name)
+            records, lines, count, skipped = [], [], 0, False
+            start = reader.line_num + 1
             for record in reader:
-                if kept(record):
-                    if len(record) != width:
+                if len(record) != width:
+                    if record:  # not a blank line
                         many = "many" if len(record) > width else "few"
-                        raise InputError(f"{path}:{_line(path, count, drop)}: too {many} fields")
+                        raise InputError(f"{path}:{start}: too {many} fields")
+                elif record[column] in dropped:
+                    skipped = True
+                else:
                     records.append(record)
-                    count += 1
+                    lines.append(start)
                     if len(records) == CSV_CHUNK_ROWS:
-                        yield dict(zip(header, zip(*records)))
-                        records = []
-                elif record:
-                    skipped += 1
+                        yield dict(zip(header, zip(*records))), lines
+                        records, lines, count = [], [], count + CSV_CHUNK_ROWS
+                start = reader.line_num + 1
         except (UnicodeDecodeError, csv.Error) as exc:
             raise InputError(f"{path}: unreadable as UTF-8 CSV ({exc})") from None
     if records:
-        yield dict(zip(header, zip(*records)))
+        yield dict(zip(header, zip(*records))), lines
     elif not count and not skipped:
         raise InputError(f"{path}: no records")
 
 
-def _read_columns(path: str, required: Sequence[str], optional: Sequence[str]) -> dict:
-    """Each name of a CSV file's header -> its column, a tuple of strings with one per record."""
+def _read_columns(path: str, required: Sequence[str], optional: Sequence[str]) -> tuple:
+    """(columns, lines) of a CSV file: each name of its header -> its column, a tuple
+    of strings with one per record, and the line on which each record starts."""
     chunks = list(_read_csv(path, required, optional))
-    return {name: tuple(itertools.chain(*(c[name] for c in chunks))) for name in chunks[0]}
+    columns = {name: tuple(itertools.chain(*(c[name] for c, _ in chunks))) for name in chunks[0][0]}
+    return columns, [line for _, lines in chunks for line in lines]
 
 
 def _is_timestamp(text: str) -> bool:
@@ -212,7 +192,7 @@ def parse_predictions(path: str) -> dict:
     location_id and timestamp are optional, and a timestamp that is given
     must be ISO-8601.  An InputError names the line of the first bad record.
     """
-    columns = _read_columns(path, PREDICTION_COLUMNS, PREDICTION_OPTIONAL)
+    columns, lines = _read_columns(path, PREDICTION_COLUMNS, PREDICTION_OPTIONAL)
     # (row, message) of the first failure of each check, in the order a record is checked
     failures = [
         (columns[name].index(""), f"empty {name}")
@@ -225,7 +205,7 @@ def parse_predictions(path: str) -> dict:
         failures.append((bad, f"bad ISO-8601 timestamp {stamps[bad]!r}"))
     if failures:
         row, message = min(failures, key=lambda failure: failure[0])
-        raise InputError(f"{path}:{_line(path, row)}: {message}")
+        raise InputError(f"{path}:{lines[row]}: {message}")
     return columns
 
 
@@ -250,37 +230,36 @@ def parse_observations(path: str, metric: str | None = None) -> np.recarray:
     records are converted CSV_CHUNK_ROWS at a time into typed column arrays,
     which are joined per column and make the table in one observation_table
     call, so the records of the whole file are never held as Python objects.
-    An InputError names the line of the first bad record checked; a record
-    with the wrong field count, a decode or CSV error anywhere in the file is
+    The line on which each converted record starts is kept beside them, an
+    int64 array per chunk, so the file is read once, errors included.  An
+    InputError names the line of the first bad record checked; a record with
+    the wrong field count, a decode or CSV error anywhere in the file is
     reported before a bad value.
     """
     drop = None if metric is None else ("metric", frozenset(METRIC_KINDS) - {metric})
     numbers = {"value": float, "num_tr_images": np.int64}
     parts: dict = {name: [] for name in OBSERVATION_COLUMNS}
-    bad = None  # (kept index, message) of the first text that does not convert
-    count = 0
-    for chunk in _read_csv(path, OBSERVATION_COLUMNS, (), drop):
+    starts = []  # the line of each converted record, an int64 array per chunk
+    bad = None  # (line, message) of the first text that does not convert
+    for chunk, lines in _read_csv(path, OBSERVATION_COLUMNS, (), drop):
         if bad is None:  # after one, the file is read on only for the errors that come first
             typed = {name: _converted(chunk[name], convert) for name, convert in numbers.items()}
             n = min(len(array) for array in typed.values())
             for name in OBSERVATION_COLUMNS:
                 column = typed[name][:n] if name in typed else np.array(chunk[name][:n], dtype=str)
                 parts[name].append(column)
-            if n < len(chunk["value"]):
+            starts.append(np.array(lines[:n], dtype=np.int64))
+            if n < len(lines):
                 name = "value" if len(typed["value"]) == n else "num_tr_images"
-                bad = (count + n, f"bad {name} {chunk[name][n]!r}")
-        count += len(chunk["value"])
+                bad = (lines[n], f"bad {name} {chunk[name][n]!r}")
     # a column's chunks are let go as it is joined
     columns = {
-        name: np.concatenate(parts.pop(name)) if count else () for name in OBSERVATION_COLUMNS
+        name: np.concatenate(parts.pop(name)) if starts else () for name in OBSERVATION_COLUMNS
     }
-
-    def where(i):
-        return f"{path}:{_line(path, i, drop)}"
-
-    table = observation_table(columns, where)  # the records before a bad text are checked first
+    # the records before a bad text are checked first
+    table = observation_table(columns, where=lambda i: f"{path}:{np.concatenate(starts)[i]}")
     if bad is not None:
-        raise InputError(f"{where(bad[0])}: {bad[1]}")
+        raise InputError(f"{path}:{bad[0]}: {bad[1]}")
     return table
 
 
@@ -290,11 +269,11 @@ def parse_image_index(path: str) -> tuple:
     Returns (pools, locations): pools maps class -> ids in file order,
     locations maps image id -> location id (empty when the column is absent).
     """
-    columns = _read_columns(path, ("image_id", "class"), ("location_id", "timestamp"))
+    columns, lines = _read_columns(path, ("image_id", "class"), ("location_id", "timestamp"))
     ids, labels = columns["image_id"], columns["class"]
     empty = [column.index("") for column in (ids, labels) if "" in column]
     if empty:
-        raise InputError(f"{path}:{_line(path, min(empty))}: empty image_id or class")
+        raise InputError(f"{path}:{lines[min(empty)]}: empty image_id or class")
     pools: dict = {}
     for image_id, label in zip(ids, labels):
         pools.setdefault(label, []).append(image_id)

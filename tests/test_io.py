@@ -4,6 +4,7 @@ import hashlib
 import io as textio
 import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -80,19 +81,108 @@ CSV_KINDS = {
 }
 
 
+@pytest.fixture
+def opened(monkeypatch):
+    """The paths io opens as CSV files, in order."""
+    paths = []
+
+    def open_csv(path, open_csv=io._open_csv):
+        paths.append(path)
+        return open_csv(path)
+
+    monkeypatch.setattr(io, "_open_csv", open_csv)
+    return paths
+
+
 @pytest.mark.parametrize("layout", ["blank-line", "multi-line-field"])
 @pytest.mark.parametrize("kind", sorted(CSV_KINDS))
-def test_csv_error_names_the_line_its_record_starts_on(tmp_path, kind, layout):
+def test_csv_error_names_the_line_its_record_starts_on(tmp_path, opened, kind, layout):
     parse, header, good, bad, message = CSV_KINDS[kind]
     if layout == "blank-line":
         lines = [header, good.format(label="c0"), "", bad]
     else:  # the quoted label spans lines 2 and 3
         lines = [header, good.format(label='"c\n0"'), bad]
     path = tmp_path / "records.csv"
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    parse(str(path))
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(InputError) as raised:
         parse(str(path))
     assert str(raised.value) == f"{path}:4: {message}"
+    assert opened == [str(path)] * 2  # each parse reads its file once, an error's included
+
+
+def _plain(parsed):
+    return parsed.tolist() if isinstance(parsed, np.ndarray) else parsed
+
+
+@pytest.mark.parametrize("kind", sorted(CSV_KINDS))
+def test_a_leading_byte_order_mark_is_not_part_of_the_header(tmp_path, kind):
+    # Excel's "CSV UTF-8" starts the file with U+FEFF
+    parse, header, good, bad, message = CSV_KINDS[kind]
+    lines = [header, good.format(label="c0"), "", good.format(label='"c\n1"')]
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    marked.write_text("\n".join(lines) + "\n", encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    assert _plain(parse(str(marked))) == _plain(parse(str(plain)))
+    marked.write_text("\n".join([*lines, bad]) + "\n", encoding="utf-8-sig")
+    with pytest.raises(InputError) as raised:
+        parse(str(marked))
+    assert str(raised.value) == f"{marked}:6: {message}"
+
+
+# a kept record's fault: the field it replaces (or None for the field count), the
+# text, and the message naming it
+FAULTS = [
+    ("value", "x", "bad value 'x'"),
+    ("num_tr_images", "1.5", "bad num_tr_images '1.5'"),
+    ("value", "1.5", "metric value 1.5 outside [0, 1]"),
+    (None, -1, "too few fields"),
+    (None, +1, "too many fields"),
+]
+
+
+@st.composite
+def faulty_layouts(draw):
+    """(CSV text, line of the fault, message): ACC records, one of them faulty, among
+    blank lines, quoted labels that span lines and PRC records, which an ACC parse drops."""
+    chunk = io.CSV_CHUNK_ROWS
+    bad = draw(st.sampled_from([0, chunk - 1, chunk, chunk + 1]) | st.integers(0, 2 * chunk))
+    count = draw(st.integers(bad + 1, bad + 1 + chunk))
+    # each kept record is preceded by the gap of its slot and has a label that spans
+    # lines or not; the slots repeat over the records
+    dropped = ["PRC,0.5,AU,c0,10,a,deep,none", 'PRC,0.5,AU,"c\n0",10,a,deep,none']
+    gap = st.lists(st.sampled_from(["", *dropped]))
+    slots = draw(st.lists(st.tuples(gap, st.booleans()), min_size=1, max_size=6))
+    field, text, message = draw(st.sampled_from(FAULTS))
+    lines = [",".join(io.OBSERVATION_COLUMNS)]
+    for i in range(count):
+        before, spans = slots[i % len(slots)]
+        lines += before
+        label = f'"c\n{i}"' if spans else f"c{i}"
+        fields = ["ACC", "0.5", "AU", label, "10", "a", "deep", "none"]  # OBSERVATION_COLUMNS
+        if i == bad:  # a quoted label spans two lines
+            line = len(lines) + sum(entry.count("\n") for entry in lines) + 1
+            if field is None:
+                fields = fields[:text] if text < 0 else fields + ["extra"]
+            else:
+                fields[io.OBSERVATION_COLUMNS.index(field)] = text
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n", line, message
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(faulty_layouts())
+def test_any_fault_names_the_line_its_record_starts_on(tmp_path, layout):
+    text, line, message = layout
+    path = tmp_path / "obs.csv"
+    path.write_text(text)
+    with pytest.raises(InputError) as raised:
+        io.parse_observations(str(path), "ACC")
+    assert str(raised.value) == f"{path}:{line}: {message}"
 
 
 def _json_round_trip_is_stable(model):
