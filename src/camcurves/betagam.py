@@ -21,7 +21,12 @@ tolerance.  A step is tried only when its predicted gain exceeds 256 machine
 epsilons of |objective|: a smaller gain is below the rounding noise of the
 summed objective, so its line search would accept or reject on noise.
 Smoothing parameters are chosen by AIC = -2*loglik + 2*(EDF + 1) over a
-log-spaced grid, searched coordinate-wise with warm starts.  A screened fit
+log-spaced grid, searched coordinate-wise with warm starts.  A step fits
+each grid value of one smooth's lambda, the others held, and moves to the
+lowest AIC.  A step that moves settles its own coordinate, and one that
+does not move settles one more.  Once every coordinate is settled at the
+current lambdas a further step would only repeat fits already made, so the
+search stops there, or after 8 sweeps.  A screened fit
 stops short of its optimum, where its gradient is P beta rather than 0, so
 its loglik is first order in the step it did not take; the search ranks it
 by its AIC with the loglik at the Newton point, loglik + score'step -
@@ -36,9 +41,8 @@ the state and all it carries as they were, the final covariance reads the
 X'WX block of the last state's information, and the next warm-started fit of
 the lambda search starts from that state with only its penalty term to
 compute.  The search holds two states: the last of its warm chain and that
-of the best lambdas so far.  A fit read back from its cache, or a new best,
-restarts from its (beta, phi); only these restarts evaluate a (mu, phi)
-state a second time.
+of the best lambdas so far, kept with its fit.  A new best restarts from its
+(beta, phi); only this restart evaluates a (mu, phi) state a second time.
 
 Deviance is measured against the saturated fit (one mean per observation)
 and the null deviance against the intercept-only fit, both at the fitted
@@ -846,37 +850,28 @@ def _search_lambdas(design):
     n_smooth = len(design.layout.blocks)
     start = min(grid, key=lambda g: abs(np.log10(g)))
     lam = [start] * n_smooth
-    cache = {}  # lambdas -> _FitResult; it keeps no _State
-
-    def evaluate(lam_tuple, warm):
-        """The fit at lam_tuple and the state to warm-start the next fit from."""
-        if lam_tuple in cache:
-            res = cache[lam_tuple]
-            return res, _State(design, res.beta, res.phi)
-        res, state = _fit_at_lambda(design, list(lam_tuple), warm, _SCREEN_TOL)
-        cache[lam_tuple] = res
-        return res, state
-
-    # warm is the last state of the fit at lam, the best so far
-    _, warm = evaluate(tuple(lam), None)
-    for _ in range(8):
-        changed = False
-        for k in range(n_smooth):
-            candidates = []
-            chain = warm
-            for g in grid:
-                trial = tuple(lam[:k] + [g] + lam[k + 1 :])
-                if list(trial) == lam:
-                    res, chain = cache[trial], warm
-                else:
-                    res, chain = evaluate(trial, chain)
-                candidates.append((res.search_aic, trial, res))
-            _, trial, res = min(candidates, key=lambda c: (c[0], c[1]))
-            if list(trial) != lam:
-                lam = list(trial)
-                changed = True
-                warm = _State(design, res.beta, res.phi)
-        if not changed:
+    # best is the fit at lam, the best so far, and warm the state to restart from
+    best, warm = _fit_at_lambda(design, lam, None, _SCREEN_TOL)
+    # coordinate steps since lam last moved, that one included
+    settled = 0
+    for step in range(8 * n_smooth):
+        k = step % n_smooth
+        candidates = []
+        chain = warm
+        for g in grid:
+            trial = lam[:k] + [g] + lam[k + 1 :]
+            if trial == lam:
+                res, chain = best, warm
+            else:
+                res, chain = _fit_at_lambda(design, trial, chain, _SCREEN_TOL)
+            candidates.append((res.search_aic, trial, res))
+        _, trial, res = min(candidates, key=lambda c: (c[0], c[1]))
+        if trial == lam:
+            settled += 1
+        else:
+            lam, best, settled = trial, res, 1
+            warm = _State(design, res.beta, res.phi)
+        if settled == n_smooth:
             break
     final, _ = _fit_at_lambda(design, lam, warm, _TOL)
     return lam, final

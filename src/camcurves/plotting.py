@@ -44,7 +44,8 @@ def curve_plot_svg(
     sizes = [n for n, _ in scatter] + [n for n, _ in curve]
     if not sizes:
         raise InputError("nothing to plot")
-    axes = _LogAxes(min(sizes), max(sizes))
+    lo, hi = min(sizes), max(sizes)
+    axes = _LogAxes(lo, hi)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
@@ -74,9 +75,10 @@ def curve_plot_svg(
             f'<text x="{plot_box[0] - 8}" y="{y + 4:.1f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{_fmt(tick)}</text>'
         )
-    # x ticks at the distinct scatter sizes (or curve endpoints)
-    tick_sizes = sorted({int(n) for n, _ in scatter}) or [int(min(sizes)), int(max(sizes))]
-    for n in tick_sizes:
+    # x ticks at the distinct scatter sizes (or the curve's ends), at integers
+    # inside the frame: a non-integer end truncated outward would lie outside it
+    ticks = {int(n) for n, _ in scatter} or {math.ceil(lo), math.floor(hi)}
+    for n in sorted(n for n in ticks if lo <= n <= hi):
         x = axes.x(n)
         parts.append(
             f'<line x1="{x:.1f}" y1="{plot_box[3]}" x2="{x:.1f}" y2="{plot_box[3] + 5}" '

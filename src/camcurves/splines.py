@@ -19,8 +19,6 @@ import numpy as np
 from ._numeric import distinct
 from .errors import InputError
 
-DEFAULT_KNOT_COUNT = 5
-
 
 @dataclass(frozen=True)
 class KnotVector:
@@ -41,7 +39,7 @@ class KnotVector:
         return self.knots.size
 
 
-def place_knots(distinct_covariate_values, k: int = DEFAULT_KNOT_COUNT) -> KnotVector:
+def place_knots(distinct_covariate_values, k: int) -> KnotVector:
     """Knots at even quantiles of rank space over the distinct sorted values.
 
     The first and last knots coincide with the extreme values; interior knots

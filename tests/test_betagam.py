@@ -914,6 +914,37 @@ class TestSearchCost:
         assert sum(array_calls) <= 20
         assert len(array_calls) <= 400
 
+    @pytest.mark.parametrize(
+        "spec, screened",
+        [
+            (ModelSpec("ACC"), 101),
+            (single_smooth_spec(), 21),
+            (ModelSpec("ACC", smooth_terms=()), 0),
+        ],
+        ids=["three-smooths", "one-smooth", "no-smooth"],
+    )
+    def test_search_fits_each_lambda_once(
+        self, calibrated_observations, monkeypatch, spec, screened
+    ):
+        # the search screens the start and each lambda tuple along one coordinate
+        # at a time, and stops once every coordinate is settled at the chosen
+        # lambdas, so it screens no tuple twice; one fit at the final tolerance follows
+        fits = []
+        fit_at_lambda = betagam._fit_at_lambda
+
+        def counted_fit_at_lambda(design, lambdas, warm, tol):
+            fits.append((tuple(lambdas), tol))
+            return fit_at_lambda(design, lambdas, warm, tol)
+
+        monkeypatch.setattr(betagam, "_fit_at_lambda", counted_fit_at_lambda)
+        model = betagam.fit(spec, calibrated_observations)
+        screen = [lam for lam, tol in fits if tol == betagam._SCREEN_TOL]
+        final = [lam for lam, tol in fits if tol == betagam._TOL]
+        assert len(screen) == screened
+        assert len(set(screen)) == screened
+        assert final == [tuple(model.lambdas.values())]
+        assert len(fits) == screened + 1
+
     def test_blocks_are_built_once_per_design(self, calibrated_observations, monkeypatch):
         # a block computes its penalty from penalty_matrix on first use; the 102
         # inner fits of the search read the design's blocks, so the search calls

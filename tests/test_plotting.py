@@ -1,7 +1,8 @@
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from camcurves.plotting import curve_plot_svg
@@ -29,6 +30,13 @@ scatters = st.lists(
 ).filter(lambda scatter: len({n for n, _ in scatter}) > 1)
 
 
+def frame_of(root):
+    """The plot frame's left, top, right and bottom."""
+    frame = next(r for r in root.iter(f"{SVG}rect") if r.get("fill") == "none")
+    left, top = float(frame.get("x")), float(frame.get("y"))
+    return left, top, left + float(frame.get("width")), top + float(frame.get("height"))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     scatters,
@@ -44,9 +52,7 @@ def test_every_mark_lies_in_the_frame_and_equal_inputs_give_equal_bytes(scatter,
     svg = curve_plot_svg(scatter, curve, title, "ACC")
     assert curve_plot_svg(list(scatter), list(curve), title, "ACC") == svg
     root = ET.fromstring(svg)
-    frame = next(r for r in root.iter(f"{SVG}rect") if r.get("fill") == "none")
-    left, top = float(frame.get("x")), float(frame.get("y"))
-    right, bottom = left + float(frame.get("width")), top + float(frame.get("height"))
+    left, top, right, bottom = frame_of(root)
 
     def inside(x, y):
         return left <= float(x) <= right and top <= float(y) <= bottom
@@ -60,4 +66,21 @@ def test_every_mark_lies_in_the_frame_and_equal_inputs_give_equal_bytes(scatter,
     assert all(inside(x, y) for x, y in vertices)
     ticks = [t for t in root.iter(f"{SVG}line") if float(t.get("y2")) > bottom]
     assert len(ticks) == len(set(sizes))
+    assert all(left <= float(t.get("x1")) == float(t.get("x2")) <= right for t in ticks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(1.0, 1e7), min_size=2, max_size=20).filter(
+        lambda sizes: math.log(max(sizes)) > math.log(min(sizes))
+    )
+)
+@example([1.5, 10.7])
+def test_a_curve_alone_is_ticked_inside_the_frame(sizes):
+    # with no scatter the axis is ticked at the integers nearest inside the
+    # curve's ends, which need not be integers
+    svg = curve_plot_svg([], [(n, 0.5) for n in sorted(sizes)], "t", "ACC")
+    root = ET.fromstring(svg)
+    left, _, right, bottom = frame_of(root)
+    ticks = [t for t in root.iter(f"{SVG}line") if float(t.get("y2")) > bottom]
     assert all(left <= float(t.get("x1")) == float(t.get("x2")) <= right for t in ticks)
