@@ -3,7 +3,10 @@
 The special functions of the Beta likelihood and the Wald test are written
 here in numpy and the standard library, so that fitting needs no scipy:
 `gammaln_psi` gives log Gamma, digamma and trigamma from one shift recurrence
-and one asymptotic step, and `chi2_sf` the chi-square tail.  `distinct` finds
+and one asymptotic step, and `chi2_sf` the chi-square tail.  The recurrence
+is elementwise: it shifts only the arguments below `_ASYMPTOTIC`, each by its
+own count, so every output depends on its own argument alone and one call on
+a stacked array gives what a call per part would.  `distinct` finds
 distinct values without np.unique, so that fitting needs no numpy.ma either.
 """
 
@@ -62,7 +65,8 @@ def distinct(*columns) -> tuple:
 
 
 def _steps(x) -> int:
-    """The fewest unit shifts, at most 8, that bring min(x) to _ASYMPTOTIC."""
+    """The fewest unit shifts, at most 8, that bring min(x) to _ASYMPTOTIC: the
+    shift count of an argument alone, and the passes the recurrence makes over x."""
     low = float(np.min(x, initial=np.inf))
     return math.ceil(min(_ASYMPTOTIC, _ASYMPTOTIC - low)) if low < _ASYMPTOTIC else 0
 
@@ -73,45 +77,80 @@ def _horner(w, coefficients):
     for c in coefficients[-2:0:-1]:
         out += c
         out *= w
-    return out + coefficients[0]
+    out += coefficients[0]
+    return out
 
 
 def gammaln_psi(x):
-    """(log Gamma(x), digamma(x), trigamma(x)) for 0 < x < 1e38, from one recurrence.
+    """(log Gamma(x), digamma(x), trigamma(x)) for 0 < x < 1e38, elementwise.
 
-    Every element is shifted by the same number of unit steps (_steps).  Each
-    x + j enters the product whose log is subtracted from log Gamma, and its
-    reciprocal enters both psi(x) = psi(x+1) - 1/x and psi'(x) = psi'(x+1) +
-    1/x^2.  The asymptotic series finish all three at z = x + steps (Bernardo
-    1976, AS 103; Abramowitz & Stegun 6.1.40-41, 6.3.18 and 6.4.12):
+    An argument below _ASYMPTOTIC is shifted by its own count of unit steps,
+    _steps of it alone; one at or above it is not shifted.  Each x + j enters
+    the product whose log is subtracted from log Gamma, and its reciprocal
+    enters both psi(x) = psi(x+1) - 1/x and psi'(x) = psi'(x+1) + 1/x^2.  The
+    asymptotic series finish all three at z = x + steps (Bernardo 1976, AS 103;
+    Abramowitz & Stegun 6.1.40-41, 6.3.18 and 6.4.12):
     log Gamma(z) ~ (z - 1/2) log z - z + log(2 pi)/2 + sum_k B_2k / (2k (2k-1) z^(2k-1)),
     psi(z) ~ log z - 1/(2z) - sum_k B_2k / (2k z^2k) and
     psi'(z) ~ 1/z + 1/(2z^2) + sum_k B_2k / z^(2k+1).
-    The product of the shifted arguments stays finite while x < 1e38.
+    Every output is the same, bit for bit, as that of a call on its argument
+    alone.  The product of the shifted arguments stays finite while x < 1e38.
     """
     x = np.asarray(x, dtype=float)
-    steps = _steps(x)
-    shifted = 1.0
-    psi = np.zeros_like(x)
-    tri = np.zeros_like(x)
-    for j in range(steps):
-        xj = x + j
-        shifted = shifted * xj
+    v = x.ravel()
+    low = np.flatnonzero(v < _ASYMPTOTIC)
+    # each argument's own count, the most first, so that the arguments still
+    # shifting at step j are a prefix (a stable sort of small integers is a
+    # radix sort)
+    steps = np.minimum(np.ceil(_ASYMPTOTIC - v[low]), _ASYMPTOTIC).astype(np.int8)
+    order = np.argsort(-steps, kind="stable")
+    low, steps = low[order], steps[order]
+    xs = v[low]
+    shifted = np.ones_like(xs)
+    psi_low = np.zeros_like(xs)
+    tri_low = np.zeros_like(xs)
+    # how many arguments take step j
+    shifting = np.searchsorted(-steps, -np.arange(_steps(xs)))
+    for j, n in enumerate(shifting.tolist()):
+        xj = xs[:n] + j
+        shifted[:n] *= xj
         r = 1.0 / xj
-        psi -= r
+        psi_low[:n] -= r
         r *= r
-        tri += r
-    z = x + steps
+        tri_low[:n] += r
+    z = v
+    if low.size:
+        z = v.copy()
+        z[low] = xs + steps
+    # in place where it can be: on a stacked (a, b, phi) of a large design, a
+    # new array costs about as much as the operation that fills it
     zi = 1.0 / z
     zi2 = zi * zi
     log_z = np.log(z)
-    lgamma = (z - 0.5) * log_z - z + _HALF_LOG_2PI - np.log(shifted)
-    lgamma += zi * _horner(zi2, _STIRLING_SERIES)
-    psi += log_z - 0.5 * zi - zi2 * _horner(zi2, _DIGAMMA_SERIES)
-    tri += zi * (1.0 + 0.5 * zi + zi2 * _horner(zi2, _BERNOULLI))
+    lgamma = z - 0.5
+    lgamma *= log_z
+    lgamma -= z
+    lgamma += _HALF_LOG_2PI
+    lgamma[low] -= np.log(shifted)
+    series = _horner(zi2, _STIRLING_SERIES)
+    series *= zi
+    lgamma += series
+    psi = zi * -0.5
+    psi += log_z
+    series = _horner(zi2, _DIGAMMA_SERIES)
+    series *= zi2
+    psi -= series
+    psi[low] += psi_low
+    tri = zi * 0.5
+    tri += 1.0
+    series = _horner(zi2, _BERNOULLI)
+    series *= zi2
+    tri += series
+    tri *= zi
+    tri[low] += tri_low
     if x.ndim == 0:
-        return float(lgamma), float(psi), float(tri)
-    return lgamma, psi, tri
+        return float(lgamma[0]), float(psi[0]), float(tri[0])
+    return lgamma.reshape(x.shape), psi.reshape(x.shape), tri.reshape(x.shape)
 
 
 def chi2_sf(df: int, x: float) -> float:

@@ -8,9 +8,12 @@ global precision phi.
 
 Fitting maximizes the penalized log-likelihood
 
-    sum_i loglik(y_i; mu_i, phi) - 1/2 * sum_s lambda_s * gamma_s' S_s gamma_s
+    sum_i loglik(y_i; mu_i, phi) - 1/2 * sum_s lambda_s * |D_s gamma_s|^2
 
-by Fisher scoring in (beta, log(phi)) jointly: each iteration solves the
+with D_s'D_s = S_s: a sum of squares is not negative and stays exact to
+rounding at any lambda, where gamma_s' S_s gamma_s would cancel terms far
+larger than itself.  It is maximized by Fisher scoring in (beta, log(phi))
+jointly: each iteration solves the
 expected information of both, [[X'WX + P, X'c], [c'X, k]] (Ferrari &
 Cribari-Neto 2004), against the gradient, and halves the step until the
 objective does not decrease.  A fit stops when the gain 1/2 grad'step that
@@ -38,11 +41,12 @@ log-likelihood with the per-row terms of its derivatives, and the score and
 expected information in (beta, log(phi)) each on first use, and keeps them.
 None of these depends on the penalty.  So a step that is not taken leaves
 the state and all it carries as they were, the final covariance reads the
-X'WX block of the last state's information, and the next warm-started fit of
-the lambda search starts from that state with only its penalty term to
-compute.  The search holds two states: the last of its warm chain and that
-of the best lambdas so far, kept with its fit.  A new best restarts from its
-(beta, phi); only this restart evaluates a (mu, phi) state a second time.
+X'WX block of the last state's information, the Newton point reads the step
+the fit ended on, and the next warm-started fit of the lambda search starts
+from that state with only its penalty term to compute.  The search holds
+two states: the last of its warm chain and that of the best lambdas so far,
+kept with its fit.  A new best restarts from its (beta, phi); only this
+restart evaluates a (mu, phi) state a second time.
 
 Deviance is measured against the saturated fit (one mean per observation)
 and the null deviance against the intercept-only fit, both at the fitted
@@ -58,6 +62,10 @@ distinct rows of the covariates the model uses, and every P-IRLS step,
 likelihood evaluation, covariance and EDF works on those rows with counts
 and summed logs.  Only the starting values and the fit statistics (the
 saturated likelihood and adjusted R^2) read the individual observations.
+The rows are ordered by the smooth's by-factor first.  A by-level smooth's
+columns are 0 off its level's rows, so X'WX is summed a level at a time:
+each of the design's parts is the slice of one level's rows on the columns
+not 0 there, and adds its product into the information.
 The distinct rows are found and encoded a covariate column at a time, as
 arrays with no Python object per row, and a table that holds only the
 response's metric is used as given, so when every row is distinct the
@@ -69,20 +77,23 @@ A `_Layout` declares how covariates become model-matrix rows, and its
 them; the assembly encodes the design rows with the basis it has already
 evaluated for the centring constraints.  A `_Block` is a smooth, or its part
 on one by-factor level: its label, term, level, coefficient columns, centring
-constraint, knots and (on first use) penalty.  A layout builds its blocks from
-its stored fields once, checking them as they are built; the rows, every inner
-fit's penalty, the fitted lambdas (keyed by block label) and the Wald test
-read them.  The fit's `_Design` holds a layout, and `AdditiveModel` is a
-layout with the fit's fields added, so a cell cannot be encoded two ways.  A
-layout checks that its parts agree wherever it is built, from a file or not.
+constraint, knots and (on first use) penalty and its root.  A layout builds
+its blocks from its stored fields once, checking them as they are built; the
+rows, every inner fit's penalty, the fitted lambdas (keyed by block label)
+and the Wald test read them.  The fit's `_Design` holds a layout, and
+`AdditiveModel` is a layout with the fit's fields added, so a cell cannot be
+encoded two ways.  A layout checks that its parts agree wherever it is
+built, from a file or not.
 
 The Beta likelihood is written once, on design rows: `_loglik_rows` gives the
 summed log-likelihood and, per row, the score in logit(mu) with its Fisher
 weight and the score in log(phi) with the other two entries of the expected
 information.  It takes log Gamma, digamma and trigamma at mu*phi, (1-mu)*phi
-and phi from one `_numeric.gammaln_psi` pass each.  A `_State` evaluates it
-once; `_beta_mean` (the saturated and null means) calls `gammaln_psi` and the
-fit statistics call `_loglik_rows`.  `_joint_term_p` (the Wald test) takes
+and phi from one `_numeric.gammaln_psi` pass on the three stacked, which is
+elementwise, so no argument takes the shifts another needs.  A `_State`
+evaluates it once; `_beta_mean` (the saturated and null means) calls
+`gammaln_psi` once per Newton step and the fit statistics call
+`_loglik_rows`.  `_joint_term_p` (the Wald test) takes
 `_numeric.chi2_sf`.  These are written in numpy and the standard library, so
 fitting runs without scipy.
 """
@@ -201,22 +212,26 @@ def _loglik_rows(mu, phi, n, sum_ylog, sum_y1log) -> tuple:
     Var[logit Y] = trigamma(a) + trigamma(b) under Beta(a, b); s is the score
     in log(phi), and c and k are the expected information between logit(mu)
     and log(phi) and of log(phi) with itself (Ferrari & Cribari-Neto 2004).
-    One gammaln_psi pass at each of a = mu*phi, b = (1-mu)*phi and phi.
+    One gammaln_psi pass on a = mu*phi, b = (1-mu)*phi and phi, stacked.
     """
-    a = mu * phi
-    b = (1.0 - mu) * phi
-    lg_a, psi_a, tri_a = gammaln_psi(a)
-    lg_b, psi_b, tri_b = gammaln_psi(b)
-    lg, psi, tri = gammaln_psi(phi)
+    mu = np.atleast_1d(mu)
+    m, nu = mu.size, 1.0 - mu
+    ab = np.concatenate((mu * phi, nu * phi, [phi]))
+    a, b = ab[:m], ab[m:-1]
+    (lg_a, lg_b, lg), (psi_a, psi_b, psi), (tri_a, tri_b, tri) = (
+        (f[:m], f[m:-1], f[-1]) for f in gammaln_psi(ab)
+    )
     loglik = float(
         np.sum(n * (lg - lg_a - lg_b) + (a - 1.0) * sum_ylog + (b - 1.0) * sum_y1log)
     )
-    mm = mu * (1.0 - mu)
+    mm = mu * nu
+    n_phi2 = n * (phi * phi)
+    tri_mu, tri_nu = mu * tri_a, nu * tri_b
     u = phi * (sum_ylog - sum_y1log - n * (psi_a - psi_b)) * mm
-    w = n * phi * phi * (tri_a + tri_b) * mm * mm
-    s = phi * (n * (psi - mu * psi_a - (1.0 - mu) * psi_b) + mu * sum_ylog + (1.0 - mu) * sum_y1log)
-    c = n * phi * phi * mu * (1.0 - mu) * (mu * tri_a - (1.0 - mu) * tri_b)
-    k = n * phi * phi * (mu * mu * tri_a + (1.0 - mu) ** 2 * tri_b - tri)
+    w = n_phi2 * (tri_a + tri_b) * mm * mm
+    s = phi * (n * (psi - mu * psi_a - nu * psi_b) + mu * sum_ylog + nu * sum_y1log)
+    c = n_phi2 * mm * (tri_mu - tri_nu)
+    k = n_phi2 * (mu * tri_mu + nu * tri_nu - tri)
     return loglik, u, w, s, c, k
 
 
@@ -247,6 +262,13 @@ class _Block:
     def penalty(self) -> np.ndarray:
         """(k-1) x (k-1) curvature penalty in the centred coordinates, on first use."""
         return centred_penalty(penalty_matrix(self.knot_vector), self.constraint)
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        """D with D'D = penalty, from its eigendecomposition, so that the penalty
+        of gamma is the sum of squares |D gamma|^2, on first use."""
+        values, vectors = np.linalg.eigh(self.penalty)
+        return np.sqrt(np.clip(values, 0.0, None))[:, None] * vectors.T
 
 
 @dataclass(frozen=True)
@@ -354,11 +376,31 @@ class _Design:
     sum_y1log: np.ndarray  # per-row sum of log(1-y)
     y: np.ndarray  # per-observation response
     inverse: np.ndarray  # observation -> row index into X
+    parts: tuple  # (rows, index, part) per by-factor level; see _parts
 
     @property
     def row_stats(self) -> tuple:
         """(n, sum_ylog, sum_y1log): the row arguments of _loglik_rows."""
         return self.n, self.sum_ylog, self.sum_y1log
+
+
+def _parts(X: np.ndarray, levels) -> tuple:
+    """X by the by-factor level of its rows, `levels` (None: one part of every row).
+
+    A part is a slice of rows, since the rows are ordered by level, and the
+    columns not 0 on them: a by-level smooth's columns are 0 off its level.
+    It is (rows, index, X[rows] on those columns), index the flat positions of
+    its columns' X'WX in the (p + 1) x (p + 1) information."""
+    m, p = X.shape
+    changes = [] if levels is None else (np.flatnonzero(levels[1:] != levels[:-1]) + 1).tolist()
+    bounds = [0, *changes, m]
+    parts = []
+    for i0, i1 in zip(bounds, bounds[1:]):
+        rows = slice(i0, i1)
+        columns = np.flatnonzero(np.any(X[rows] != 0.0, axis=0))
+        part = X[rows] if columns.size == p else X[rows][:, columns]
+        parts.append((rows, (columns[:, None] * (p + 1) + columns).ravel(), part))
+    return tuple(parts)
 
 
 def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
@@ -372,9 +414,11 @@ def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
     sizes = data.num_tr_images[distinct(data.num_tr_images)[0]]
 
     # one design row per distinct combination of the covariates the model uses,
-    # in sorted order so that the rows do not depend on the observation order;
+    # in sorted order so that the rows do not depend on the observation order,
+    # and by the smooth's by-factor first, so that each level's rows are a slice;
     # each covariate is kept as an array of its values on those rows
-    key_names = [t.name for t in spec.parametric_terms]
+    by = [t.by_factor for t in spec.smooth_terms if t.by_factor is not None]
+    key_names = by + [t.name for t in spec.parametric_terms if t.name not in by]
     key_names += sorted({t.covariate for t in spec.smooth_terms})
     firsts, inverse = _distinct(data, key_names)
     m = len(firsts)
@@ -452,6 +496,7 @@ def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
         sum_y1log=np.bincount(inverse, np.log1p(-y), m),
         y=y,
         inverse=inverse,
+        parts=_parts(X, column[by[0]] if by else None),
     )
 
 
@@ -467,13 +512,31 @@ def _check_rank(X: np.ndarray, names: Sequence[str]):
         raise InputError(f"rank-deficient design; offending columns: {offenders}")
 
 
-def _penalty_matrix(design: _Design, lambdas: Sequence[float]) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class _Penalty:
+    """The penalty of one lambda per block, each block on its own columns."""
+
+    matrix: np.ndarray  # P: lambda_b S_b
+    roots: np.ndarray  # D_b, with D_b'D_b = S_b (_Block.root)
+    lambdas: np.ndarray  # lambda_b on each row of roots
+
+    def value(self, beta: np.ndarray) -> float:
+        """1/2 sum_b lambda_b |D_b gamma_b|^2: beta'P beta/2 as a sum of squares, so
+        it is not negative and is exact to rounding at any lambda, where the
+        quadratic form cancels terms of lambda S gamma^2 far larger than itself."""
+        v = self.roots @ beta
+        return 0.5 * float(self.lambdas @ (v * v))
+
+
+def _penalty(design: _Design, lambdas: Sequence[float]) -> _Penalty:
     p = design.X.shape[1]
-    P = np.zeros((p, p))
+    P, roots, row_lambdas = np.zeros((p, p)), np.zeros((p, p)), np.zeros(p)
     for lam, block in zip(lambdas, design.layout.blocks):
         i0, i1 = block.columns[0], block.columns[-1] + 1  # _assemble keeps a block contiguous
         P[i0:i1, i0:i1] = lam * block.penalty
-    return P
+        roots[i0:i1, i0:i1] = block.root
+        row_lambdas[i0:i1] = lam
+    return _Penalty(P, roots, row_lambdas)
 
 
 # ---------------------------------------------------------------------------
@@ -514,12 +577,18 @@ class _State:
     @cached_property
     def score_information(self) -> tuple:
         """The score of the log-likelihood in (beta, log(phi)) and its expected
-        information [[X'WX, X'c], [c'X, k]]."""
+        information [[X'WX, X'c], [c'X, k]], X'WX from the design's parts."""
         X = self.design.X
         _, u, w, s, c, k = self.terms
-        Xc = X.T @ c
-        information = np.block([[(X.T * w) @ X, Xc[:, None]], [Xc, k.sum()]])
-        return np.append(X.T @ u, s.sum()), information
+        p = X.shape[1]
+        information = np.zeros((p + 1, p + 1))
+        flat = information.ravel()  # a view
+        for rows, index, part in self.design.parts:
+            flat[index] += ((part.T * w[rows]) @ part).ravel()
+        Xu, Xc = (X.T @ np.column_stack((u, c))).T
+        information[p, :p] = information[:p, p] = Xc
+        information[p, p] = k.sum()
+        return np.append(Xu, s.sum()), information
 
 
 def _newton_step(state: _State, P) -> tuple:
@@ -532,7 +601,7 @@ def _newton_step(state: _State, P) -> tuple:
     return grad, np.linalg.solve(A, grad)
 
 
-def _fit_penalized(start: _State, P, tol):
+def _fit_penalized(start: _State, penalty: _Penalty, tol):
     """Fisher scoring in (beta, log(phi)) with step halving.
 
     Works on the distinct design rows through _loglik_rows, which sums each
@@ -543,16 +612,17 @@ def _fit_penalized(start: _State, P, tol):
     none, and after a step that changes the objective by less than `tol`, as
     one with phi held at a bound does.  A step whose predicted gain is not
     _resolvable is not tried.
-    Returns (the last accepted state, history of accepted objective values).
+    Returns (the last accepted state, history of accepted objective values,
+    the (gradient, step) of _newton_step at that state).
     Raises ConvergenceError when the objective change stays above `tol` for
     _MAX_ITER iterations, or at once when the objective or the step is not
     finite, since step halving can then accept nothing.
     """
-    design = start.design
+    design, P = start.design, penalty.matrix
     low, high = math.log(_PHI_MIN), math.log(_PHI_MAX)
 
     def objective(state):
-        return state.loglik - 0.5 * float(state.beta @ P @ state.beta)
+        return state.loglik - penalty.value(state.beta)
 
     def check_finite(what, value, it):
         if not np.all(np.isfinite(value)):
@@ -570,7 +640,7 @@ def _fit_penalized(start: _State, P, tol):
         check_finite("step", step, it)
         gain = 0.5 * float(grad @ step)
         if gain < tol:
-            return state, history
+            return state, history, (grad, step)
         base, beta, log_phi = cur, state.beta, math.log(state.phi)
         t = 1.0
         for _ in range(40 if _resolvable(gain, cur) else 0):  # the first that loses at most 1e-12
@@ -583,7 +653,7 @@ def _fit_penalized(start: _State, P, tol):
             t *= 0.5
         history.append(cur)
         if abs(cur - base) < tol:
-            return state, history
+            return state, history, _newton_step(state, P)
     raise ConvergenceError(
         f"penalized fit did not converge in {_MAX_ITER} iterations "
         f"(last objective change {abs(cur - base):.3e})",
@@ -621,18 +691,17 @@ class _FitResult:
 
 def _fit_at_lambda(design: _Design, lambdas, warm: _State | None, tol):
     """The fit at `lambdas` from `warm` (None: from _initial_values), and its last state."""
-    P = _penalty_matrix(design, lambdas)
+    penalty = _penalty(design, lambdas)
     if warm is None:
-        warm = _State(design, *_initial_values(design, P))
-    state, history = _fit_penalized(warm, P, tol)
+        warm = _State(design, *_initial_values(design, penalty.matrix))
+    state, history, (_, step) = _fit_penalized(warm, penalty, tol)
     score, information = state.score_information
     XtWX = information[:-1, :-1]
-    covariance = np.linalg.inv(XtWX + P)
+    covariance = np.linalg.inv(XtWX + penalty.matrix)
     edf_by_coef = np.einsum("ij,ji->i", covariance, XtWX)
     aic = -2.0 * state.loglik + 2.0 * (float(edf_by_coef.sum()) + 1.0)
     # the loglik is first order in the step the fit stopped short of, so the search
     # compares fits by the loglik its quadratic model predicts at the Newton point
-    _, step = _newton_step(state, P)
     newton_gain = float(score @ step) - 0.5 * float(step @ information @ step)
     result = _FitResult(
         beta=state.beta,
@@ -747,10 +816,10 @@ def _beta_mean(t, phi) -> np.ndarray:
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     mu = np.clip(inv_logit(t), 1e-9, 1.0 - 1e-9)
+    m = mu.size
     for _ in range(100):
-        _, psi_a, tri_a = gammaln_psi(mu * phi)
-        _, psi_b, tri_b = gammaln_psi((1.0 - mu) * phi)
-        step = -(psi_a - psi_b - t) / (phi * (tri_a + tri_b))
+        _, psi, tri = gammaln_psi(np.concatenate((mu * phi, (1.0 - mu) * phi)))
+        step = -(psi[:m] - psi[m:] - t) / (phi * (tri[:m] + tri[m:]))
         nxt = mu + step
         bad = (nxt <= 0.0) | (nxt >= 1.0)
         nxt[bad] = 0.5 * (mu[bad] + np.where(step[bad] > 0.0, 1.0, 0.0))

@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
+import importlib.util
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -28,7 +30,7 @@ from camcurves.betagam import (
     _assemble,
     _loglik_rows,
     _null_loglik,
-    _penalty_matrix,
+    _penalty,
     _saturated_loglik,
 )
 from camcurves.design import ARCHITECTURES, DATASETS, TUNINGS, simulate_grid
@@ -37,6 +39,17 @@ from conftest import CALIBRATION_SEED, as_table, make_obs, observation_rows
 
 # the benchmark's answers for the calibrated grid, written by bench/run.py
 REFERENCE = json.loads((Path(__file__).parents[1] / "bench" / "reference.json").read_text())
+
+
+def bench_run():
+    """bench/run.py as a module, for the benchmark's own inputs."""
+    path = Path(__file__).parents[1] / "bench" / "run.py"
+    spec = importlib.util.spec_from_file_location("bench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
 
 SIZES = (10, 20, 50, 150, 500, 1000)
 
@@ -242,7 +255,7 @@ class TestPenalizedObjectiveGradient:
         obs = simulate_rows(rng, n_per_size=20)
         design = _assemble(single_smooth_spec(), obs)
         row_stats = design.n, design.sum_ylog, design.sum_y1log
-        P = _penalty_matrix(design, [0.7])
+        P = _penalty(design, [0.7]).matrix
         p = design.X.shape[1]
 
         def objective(beta, logphi):
@@ -402,10 +415,10 @@ class TestFit:
     def test_non_finite_objective_stops_at_once(self):
         design = _assemble(single_smooth_spec(), simulate_rows(np.random.default_rng(1)))
         design.sum_ylog[0] = np.nan
-        P = _penalty_matrix(design, [1.0])
-        start = betagam._State(design, *betagam._initial_values(design, P))
+        penalty = _penalty(design, [1.0])
+        start = betagam._State(design, *betagam._initial_values(design, penalty.matrix))
         with pytest.raises(ConvergenceError, match="non-finite objective") as err:
-            betagam._fit_penalized(start, P, betagam._TOL)
+            betagam._fit_penalized(start, penalty, betagam._TOL)
         assert err.value.iterations == 0
 
     @pytest.mark.parametrize("lam", [1e308, float("inf"), float("nan")])
@@ -422,9 +435,9 @@ class TestFit:
     @given(st.integers(0, 2**32 - 1), st.sampled_from(betagam.DEFAULT_LAMBDA_GRID))
     def test_objective_never_decreases_across_iterations(self, seed, lam):
         design = _assemble(single_smooth_spec(), simulate_rows(np.random.default_rng(seed)))
-        P = _penalty_matrix(design, [lam])
-        start = betagam._State(design, *betagam._initial_values(design, P))
-        _, history = betagam._fit_penalized(start, P, betagam._TOL)
+        penalty = _penalty(design, [lam])
+        start = betagam._State(design, *betagam._initial_values(design, penalty.matrix))
+        _, history, _ = betagam._fit_penalized(start, penalty, betagam._TOL)
         # the ascent test accepts a step that loses at most 1e-12
         assert np.all(np.diff(history) >= -1e-12)
 
@@ -435,14 +448,14 @@ class TestFit:
         # tolerance, so the fit takes no step and evaluates only its start
         model = calibrated_acc_model
         design = _assemble(model.spec, calibrated_observations)
-        P = _penalty_matrix(design, list(model.lambdas.values()))
+        penalty = _penalty(design, list(model.lambdas.values()))
         calls = []
         loglik_rows = betagam._loglik_rows
         monkeypatch.setattr(
             betagam, "_loglik_rows", lambda *args: calls.append(1) or loglik_rows(*args)
         )
         start = betagam._State(design, model.coef, model.phi)
-        state, history = betagam._fit_penalized(start, P, betagam._TOL)
+        state, history, _ = betagam._fit_penalized(start, penalty, betagam._TOL)
         assert len(history) - 1 == 0
         assert len(calls) == 1
         assert state is start
@@ -816,6 +829,31 @@ class TestFixedLambdas:
         assert edf[labels[0]] > 3.0
         assert [edf[label] for label in labels[1:]] == pytest.approx([1.0, 1.0], abs=1e-3)
 
+    def test_a_penalty_of_1e12_converges_on_its_predicted_gain(
+        self, calibrated_observations, monkeypatch
+    ):
+        # at lambda 1e12, beta'P beta cancels terms near 1e13 down to a value near
+        # 0, and read as a negative number its rounding noise swamped every step
+        # the line search probed; as a sum of squares the penalty is not
+        # negative, and the fit runs until the gain it predicts is below _TOL
+        penalties, gains = [], []
+        value, fit_penalized = betagam._Penalty.value, betagam._fit_penalized
+
+        def recorded_value(penalty, beta):
+            penalties.append(value(penalty, beta))
+            return penalties[-1]
+
+        def recorded_fit(start, penalty, tol):
+            state, history, (grad, step) = fit_penalized(start, penalty, tol)
+            gains.append(0.5 * float(grad @ step))
+            return state, history, (grad, step)
+
+        monkeypatch.setattr(betagam._Penalty, "value", recorded_value)
+        monkeypatch.setattr(betagam, "_fit_penalized", recorded_fit)
+        betagam.fit(ModelSpec("ACC"), calibrated_observations, lambdas=[1e-4, 1e12, 1e12])
+        assert penalties and min(penalties) >= 0.0
+        assert len(gains) == 1 and gains[0] < betagam._TOL
+
 
 class TestReferenceAnswers:
     """The calibrated fits give the benchmark's reference answers."""
@@ -865,9 +903,9 @@ class TestReferenceAnswers:
             for model in models
         ]
         assert digests == [
-            "69c6f9587d8f847b8fa55fa4c09913707cd3a17f4d02c64d52c71198c0872c5a",
-            "cba4936a748fcbe99a0896f70a8797081ab28ef64236d17f127029d7536b4b7e",
-            "2f107f510c233fbd455f5b23ee297a150b9cf8bab01c6a90e84e78ad180e044a",
+            "39867b510e4f3e4c2345c5f16e126a7dda884ad786033ce0fe3f9920813cab9d",
+            "40548dc5a0ebba5e3ce7f5992d76339a6e88a919bcd1431b30183d54ff72cb5f",
+            "909e8d714890650039e3265539a93b7738f0050c7ff695cc462b30744dbe81d4",
         ]
 
 
@@ -881,10 +919,10 @@ class TestSearchCost:
         # One joint step per iteration, and no step once the predicted gain is
         # below the tolerance, keep the likelihood evaluations (_loglik_rows calls)
         # and the X'WX builds (score_information evaluations) of the 102 inner fits
-        # near two per fit.  Each state makes one gammaln_psi pass at mu*phi and
-        # one at (1-mu)*phi, so the array passes stay near two per likelihood
-        # evaluation
-        ll_calls, builds, array_calls, seen = [], [], [], set()
+        # near two per fit.  Each state makes one gammaln_psi pass on mu*phi,
+        # (1-mu)*phi and phi stacked, so the array passes stay near one per
+        # likelihood evaluation, and none is made on a scalar
+        ll_calls, builds, array_calls, scalar_calls, seen = [], [], [], [], set()
         loglik_rows, gammaln_psi = betagam._loglik_rows, betagam.gammaln_psi
         score_information = betagam._State.score_information
 
@@ -902,6 +940,8 @@ class TestSearchCost:
                 digest = hashlib.sha256(np.ascontiguousarray(x).tobytes()).digest()
                 array_calls.append(digest in seen)  # True for a repeat
                 seen.add(digest)
+            else:
+                scalar_calls.append(x)
             return gammaln_psi(x)
 
         monkeypatch.setattr(betagam, "_loglik_rows", counted_loglik_rows)
@@ -912,7 +952,38 @@ class TestSearchCost:
         assert len(ll_calls) <= 200
         assert len(builds) <= 200
         assert sum(array_calls) <= 20
-        assert len(array_calls) <= 400
+        assert len(array_calls) <= 200
+        assert scalar_calls == []
+
+    @pytest.mark.parametrize("design_of", ["grid", "distinct-fit-csv", "one-smooth", "no-smooth"])
+    def test_information_from_parts_is_the_dense_product(
+        self, calibrated_observations, tmp_path, design_of
+    ):
+        # X'WX is summed a by-factor level at a time, on the rows of the level
+        # and the columns not 0 there; it is the product over every row and column
+        if design_of == "distinct-fit-csv":
+            path = tmp_path / "distinct.csv"
+            bench_run().write_distinct_csv(path, CALIBRATION_SEED)
+            design = _assemble(ModelSpec("ACC"), io.parse_observations(path))
+            assert design.X.shape[0] == 7776
+        else:
+            spec = {
+                "grid": ModelSpec("ACC"),
+                "one-smooth": single_smooth_spec(),
+                "no-smooth": ModelSpec("ACC", smooth_terms=()),
+            }[design_of]
+            design = _assemble(spec, calibrated_observations)
+        X = design.X
+        rows = [np.arange(X.shape[0])[part_rows] for part_rows, _, _ in design.parts]
+        assert np.array_equal(np.concatenate(rows), np.arange(X.shape[0]))
+        assert len(rows) == (3 if design_of in ("grid", "distinct-fit-csv") else 1)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            beta = rng.normal(0.0, 0.3, X.shape[1])
+            state = betagam._State(design, beta, float(rng.uniform(5.0, 500.0)))
+            w = state.terms[2]
+            _, information = state.score_information
+            np.testing.assert_allclose(information[:-1, :-1], (X.T * w) @ X, rtol=1e-12)
 
     @pytest.mark.parametrize(
         "spec, screened",

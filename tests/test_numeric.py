@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from camcurves._numeric import _steps, chi2_sf, gammaln_psi
@@ -24,6 +26,30 @@ def assert_matches_scipy(x):
 
 def test_gammaln_psi_matches_scipy_over_the_likelihood_range():
     assert_matches_scipy(LIKELIHOOD_RANGE)
+
+
+def test_stacked_likelihood_arguments_match_scipy():
+    # _loglik_rows evaluates a = mu*phi, b = (1-mu)*phi and phi in one call
+    mu = np.linspace(1e-9, 1.0 - 1e-9, 1001)
+    for phi in (1e-2, 0.7, 30.0, 250.0, 1e5, 1e8):
+        assert_matches_scipy(np.concatenate((mu * phi, (1.0 - mu) * phi, [phi])))
+
+
+ARGUMENTS = st.floats(1e-11, 7.999999) | st.floats(8.0, 1e8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(ARGUMENTS, min_size=2, max_size=40))
+def test_each_output_is_that_of_its_argument_alone(values):
+    # an argument below 8 takes its own shifts and one at or above 8 none, so
+    # stacking arguments into one call changes no bit of any output
+    assume(min(values) < 8.0 <= max(values))
+    outputs = gammaln_psi(np.array(values))
+    for i, value in enumerate(values):
+        alone = gammaln_psi(value)
+        assert alone == tuple(float(f[i]) for f in outputs)
+        assert gammaln_psi(np.array(value)) == alone
+        assert tuple(float(f[0]) for f in gammaln_psi(np.array([value]))) == alone
 
 
 @pytest.mark.parametrize("low, steps", [(1e-11, 8), (0.5, 8), (1.4616, 7), (3.0, 5), (7.9, 1),
