@@ -4,8 +4,8 @@ The special functions of the Beta likelihood and the Wald test are written
 here in numpy and the standard library, so that fitting needs no scipy:
 `gammaln_psi` gives log Gamma, digamma and trigamma from one shift recurrence
 and one asymptotic step, and `chi2_sf` the chi-square tail.  The recurrence
-is elementwise: it shifts only the arguments below `_ASYMPTOTIC`, each by its
-own count, so every output depends on its own argument alone and one call on
+is elementwise: it shifts only the arguments below `_ASYMPTOTIC`, each by the
+same count, so every output depends on its own argument alone and one call on
 a stacked array gives what a call per part would.  `distinct` finds
 distinct values without np.unique, so that fitting needs no numpy.ma either.
 """
@@ -14,9 +14,9 @@ import math
 
 import numpy as np
 
-# the recurrence shifts its argument to at least _ASYMPTOTIC, where the
-# asymptotic series below are exact to ~1e-14 relative
-_ASYMPTOTIC = 8.0
+# the recurrence shifts an argument below _ASYMPTOTIC by _ASYMPTOTIC unit steps, to
+# at least _ASYMPTOTIC, where the asymptotic series below are exact to ~1e-14 relative
+_ASYMPTOTIC = 8
 
 # Bernoulli numbers B_2, B_4, ..., B_12, the coefficients of the asymptotic
 # series of log Gamma, digamma and trigamma in 1/z^2
@@ -64,13 +64,6 @@ def distinct(*columns) -> tuple:
     return order[starts], inverse
 
 
-def _steps(x) -> int:
-    """The fewest unit shifts, at most 8, that bring min(x) to _ASYMPTOTIC: the
-    shift count of an argument alone, and the passes the recurrence makes over x."""
-    low = float(np.min(x, initial=np.inf))
-    return math.ceil(min(_ASYMPTOTIC, _ASYMPTOTIC - low)) if low < _ASYMPTOTIC else 0
-
-
 def _horner(w, coefficients):
     """sum_k coefficients[k] * w**k, with one array updated in place."""
     out = coefficients[-1] * w
@@ -84,12 +77,12 @@ def _horner(w, coefficients):
 def gammaln_psi(x):
     """(log Gamma(x), digamma(x), trigamma(x)) for 0 < x < 1e38, elementwise.
 
-    An argument below _ASYMPTOTIC is shifted by its own count of unit steps,
-    _steps of it alone; one at or above it is not shifted.  Each x + j enters
-    the product whose log is subtracted from log Gamma, and its reciprocal
-    enters both psi(x) = psi(x+1) - 1/x and psi'(x) = psi'(x+1) + 1/x^2.  The
-    asymptotic series finish all three at z = x + steps (Bernardo 1976, AS 103;
-    Abramowitz & Stegun 6.1.40-41, 6.3.18 and 6.4.12):
+    An argument below _ASYMPTOTIC is shifted by exactly _ASYMPTOTIC unit
+    steps, to z = x + _ASYMPTOTIC; one at or above it is not shifted.  Each
+    x + j, j < _ASYMPTOTIC, enters the product whose log is subtracted from
+    log Gamma, and its reciprocal enters both psi(x) = psi(x+1) - 1/x and
+    psi'(x) = psi'(x+1) + 1/x^2.  The asymptotic series finish all three at z
+    (Bernardo 1976, AS 103; Abramowitz & Stegun 6.1.40-41, 6.3.18 and 6.4.12):
     log Gamma(z) ~ (z - 1/2) log z - z + log(2 pi)/2 + sum_k B_2k / (2k (2k-1) z^(2k-1)),
     psi(z) ~ log z - 1/(2z) - sum_k B_2k / (2k z^2k) and
     psi'(z) ~ 1/z + 1/(2z^2) + sum_k B_2k / z^(2k+1).
@@ -99,29 +92,21 @@ def gammaln_psi(x):
     x = np.asarray(x, dtype=float)
     v = x.ravel()
     low = np.flatnonzero(v < _ASYMPTOTIC)
-    # each argument's own count, the most first, so that the arguments still
-    # shifting at step j are a prefix (a stable sort of small integers is a
-    # radix sort)
-    steps = np.minimum(np.ceil(_ASYMPTOTIC - v[low]), _ASYMPTOTIC).astype(np.int8)
-    order = np.argsort(-steps, kind="stable")
-    low, steps = low[order], steps[order]
     xs = v[low]
     shifted = np.ones_like(xs)
     psi_low = np.zeros_like(xs)
     tri_low = np.zeros_like(xs)
-    # how many arguments take step j
-    shifting = np.searchsorted(-steps, -np.arange(_steps(xs)))
-    for j, n in enumerate(shifting.tolist()):
-        xj = xs[:n] + j
-        shifted[:n] *= xj
+    for j in range(_ASYMPTOTIC):
+        xj = xs + j
+        shifted *= xj
         r = 1.0 / xj
-        psi_low[:n] -= r
+        psi_low -= r
         r *= r
-        tri_low[:n] += r
+        tri_low += r
     z = v
     if low.size:
         z = v.copy()
-        z[low] = xs + steps
+        z[low] = xs + _ASYMPTOTIC
     # in place where it can be: on a stacked (a, b, phi) of a large design, a
     # new array costs about as much as the operation that fills it
     zi = 1.0 / z

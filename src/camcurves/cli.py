@@ -25,7 +25,9 @@ import sys
 
 import numpy as np
 
-from . import betagam, curves, design, io, metrics, planner, plotting
+# at module level, because bench/tracer.py reads these modules from sys.modules right
+# after `import camcurves.cli`; plotting is imported by the one command that draws
+from . import betagam, curves, design, io, metrics, planner
 from .errors import CamcurvesError, ConvergenceError, InfeasiblePlanError, InputError
 
 EXIT_OK = 0
@@ -320,15 +322,23 @@ def _cmd_design(args) -> int:
     return EXIT_OK
 
 
+def _grid_blocks(seed: int):
+    """The simulated grid's table, one (dataset, size) rung of cells at a time."""
+    rung = math.prod(len(axis) for axis in design.GRID_AXES[2:])
+    for start in range(0, design.GRID_CELLS, rung):
+        yield design.simulate_grid(seed, range(start, start + rung))
+
+
 def _cmd_simulate(args) -> int:
-    table = design.simulate_grid(args.seed)
-    io.write_observations_csv(args.out, table)
-    cells = math.prod(len(axis) for axis in design.GRID_AXES)
-    print(f"wrote {len(table)} observations ({cells} cells) to {args.out}")
+    # written as it is drawn, so the process holds one rung's table, never the grid's
+    rows = io.write_observations_csv(args.out, _grid_blocks(args.seed))
+    print(f"wrote {rows} observations ({design.GRID_CELLS} cells) to {args.out}")
     return EXIT_OK
 
 
 def _cmd_curve_plot(args) -> int:
+    from . import plotting  # here, so that no other command imports it, or html
+
     model = io.load_model(args.model)
     gam = isinstance(model, betagam.AdditiveModel)
     if gam != (args.cell is not None):

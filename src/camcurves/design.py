@@ -11,7 +11,8 @@ block: `status`, `violations` as `{class, split, distinct_locations}`, and a
 
 Simulation side: `simulate_grid(seed)` draws the one calibrated 864-cell
 experiment grid (3 datasets x 6 training sizes x 6 architectures x 2 tuning
-schemes x 4 augmentation schemes) from the module constants below, emitting
+schemes x 4 augmentation schemes) from the module constants below, or any
+run of its cells with the same values the whole grid gives them, emitting
 per-class Beta-distributed metric values whose logit-scale means follow a
 log-size law plus per-dataset adjustments, calibrated so the simulated
 dataset-average trajectories reproduce REFERENCE_TRAJECTORIES.  The cells
@@ -22,7 +23,10 @@ substream, and the label columns spread from the axis levels.
 
 from __future__ import annotations
 
+import functools
+import math
 from itertools import product
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -41,6 +45,8 @@ TUNINGS = ("deep", "shallow")
 AUGMENTATIONS = ("trainOnly", "trainAndTest", "testOnly", "none")
 # the axes of the simulated grid, in the order its cells are drawn and written
 GRID_AXES = (DATASETS, DEFAULT_SIZE_LADDER, ARCHITECTURES, TUNINGS, AUGMENTATIONS)
+# the cells of the grid, indexed in product(*GRID_AXES) order
+GRID_CELLS = math.prod(len(axis) for axis in GRID_AXES)
 # the observation column of each axis
 _AXIS_COLUMNS = ("dataset", "num_tr_images", "architecture", "tuning", "augmentation")
 
@@ -263,8 +269,10 @@ def _calibrate_bases(metric: str) -> dict:
     return out
 
 
-def _base_logits() -> dict:
-    """Calibrated base logit of every (metric, dataset, size).
+@functools.cache
+def _base_logits() -> Mapping:
+    """Calibrated base logit of every (metric, dataset, size), solved once per process
+    and read-only.
 
     The solved bases are split into intercept + dataset offset + slope*ln(n)
     + a per-(dataset, size) adjustment (adjustments average to zero per
@@ -293,43 +301,56 @@ def _base_logits() -> dict:
             trend = slope * float(np.log(s))
             adjustment = bases[(d, s)] - intercept - offset - trend
             out[(metric, d, s)] = intercept + offset + trend + adjustment
-    return out
+    return MappingProxyType(out)
 
 
-def _cell_values(seed: int, cells: list, classes: np.ndarray) -> np.ndarray:
-    """The Beta draws of `cells` (axis-index keys), as a (cell, metric, class) array."""
-    class_offsets = np.empty((len(METRIC_KINDS), *classes.shape))  # (metric, dataset, class)
+@functools.lru_cache(maxsize=1)
+def _class_offsets(seed: int) -> np.ndarray:
+    """The centred class offsets of `seed`, as a read-only (metric, dataset, class)
+    array; kept for the last seed, since a grid drawn a run of cells at a time
+    draws each run with them."""
+    shape = (len(METRIC_KINDS), len(DATASETS), len(DEFAULT_CLASSES[DATASETS[0]]))
+    class_offsets = np.empty(shape)
     for mi, di in product(range(len(METRIC_KINDS)), range(len(DATASETS))):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(_CLASS_OFFSET_KEY, mi, di))
         )
-        offs = rng.normal(0.0, DEFAULT_CLASS_OFFSET_SD, classes.shape[1])
+        offs = rng.normal(0.0, DEFAULT_CLASS_OFFSET_SD, shape[2])
         class_offsets[mi, di] = offs - offs.mean()
+    class_offsets.flags.writeable = False
+    return class_offsets
 
+
+def _cell_values(seed: int, levels: np.ndarray) -> np.ndarray:
+    """The Beta draws of the cells whose axis indices are the rows of `levels`, as a
+    (cell, metric, class) array."""
+    class_offsets = _class_offsets(seed)
     logits = _base_logits()
     base = np.array(  # (metric, dataset, size)
         [[[logits[(m, d, n)] for n in DEFAULT_SIZE_LADDER] for d in DATASETS] for m in METRIC_KINDS]
     )
     arch = np.array([[DEFAULT_ARCH_OFFSETS[m][a] for a in ARCHITECTURES] for m in METRIC_KINDS])
     tuning = np.array([[0.0, DEFAULT_TUNING_OFFSETS[m]] for m in METRIC_KINDS])  # deep, shallow
-    d, s, a, t, _ = np.array(cells).T
+    d, s, a, t, _ = levels.T
     cell_logit = (base[:, d, s] + arch[:, a] + tuning[:, t]).T  # (cell, metric)
     eta = cell_logit[:, :, None] + class_offsets[:, d].swapaxes(0, 1)
     mu = inv_logit(eta)
     alpha, beta = mu * DEFAULT_PHI_SIM, (1.0 - mu) * DEFAULT_PHI_SIM
     values = np.empty_like(mu)
-    for i, key in enumerate(cells):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    for i, key in enumerate(levels.tolist()):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
         values[i] = rng.beta(alpha[i], beta[i])
     return values
 
 
-def simulate_grid(seed: int) -> np.recarray:
-    """Draw the calibrated experiment grid: the observation table with one row per
-    cell, class and metric.
+def simulate_grid(seed: int, cells: Sequence[int] = range(GRID_CELLS)) -> np.recarray:
+    """Draw the calibrated experiment grid, or a run of its cells: the observation
+    table with one row per cell, class and metric.
 
     The cells are the product of GRID_AXES, each with the classes of
-    DEFAULT_CLASSES.  A value is Beta with precision DEFAULT_PHI_SIM and a
+    DEFAULT_CLASSES, and `cells` names the ones drawn by their index in that
+    order, all of them by default; an index outside 0 to GRID_CELLS - 1 is
+    an InputError.  A value is Beta with precision DEFAULT_PHI_SIM and a
     mean whose logit is the base logit of its (metric, dataset, size) +
     architecture offset + tuning offset + class offset.  Class offsets are
     drawn once per (metric, dataset) and centred, so realized dataset means
@@ -338,14 +359,19 @@ def simulate_grid(seed: int) -> np.recarray:
     Each cell draws its metrics and classes in one Beta call on its own
     substream of `seed`, keyed by its axis indices, and the class offsets
     from substreams keyed by (metric, dataset), so the values of a cell do
-    not depend on the other cells.  The values are one (cell, metric, class)
-    array and each label column is given unspread, by cell, by metric or by
-    (cell, class), so the table is the only array with one entry per row.
+    not depend on the other cells: a run of cells draws the same rows as the
+    whole grid does for them, and the tables of consecutive runs, joined, are
+    the grid's table.  The values are one (cell, metric, class) array and
+    each label column is given unspread, by cell, by metric or by (cell,
+    class), so the table is the only array with one entry per row.
     """
     _check_seed(seed)
-    cells = list(product(*(range(len(axis)) for axis in GRID_AXES)))
+    outside = [i for i in cells if not 0 <= i < GRID_CELLS]
+    if outside:
+        raise InputError(f"cell {outside[0]} is outside the grid's 0 to {GRID_CELLS - 1}")
+    grid = list(product(*(range(len(axis)) for axis in GRID_AXES)))
+    levels = np.array([grid[i] for i in cells], dtype=np.intp).reshape(-1, len(GRID_AXES))
     classes = np.array([DEFAULT_CLASSES[d] for d in DATASETS])  # (dataset, class)
-    levels = np.array(cells)
     columns = {  # each broadcasts over (cell, metric, class)
         name: np.asarray(axis)[levels[:, k], None, None]
         for k, (name, axis) in enumerate(zip(_AXIS_COLUMNS, GRID_AXES))
@@ -355,6 +381,6 @@ def simulate_grid(seed: int) -> np.recarray:
             **columns,
             "metric": np.array(METRIC_KINDS)[:, None],
             "class": classes[levels[:, 0], None, :],
-            "value": _cell_values(seed, cells, classes),
+            "value": _cell_values(seed, levels),
         }
     )

@@ -34,7 +34,7 @@ import types
 import typing
 from contextlib import contextmanager
 from datetime import datetime
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -286,18 +286,25 @@ def parse_image_index(path: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def write_observations_csv(path: str, table: np.recarray):
-    """Write an observation table as CSV; a value is written as its shortest repr.
+def write_observations_csv(path: str, tables: Iterable[np.recarray]) -> int:
+    """Write observation tables as one CSV, in order under one header; the rows written.
 
-    The rows are converted to Python objects CSV_CHUNK_ROWS at a time, so
-    the memory the writer adds does not grow with the table.
+    A value is written as its shortest repr.  The rows are converted to
+    Python objects CSV_CHUNK_ROWS at a time, so the memory the writer adds
+    does not grow with a table, and each table is taken from `tables` only
+    when the one before it is written, so a generator of tables is never
+    held whole.
     """
+    rows = 0
     with atomic_write(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(OBSERVATION_COLUMNS)
-        for start in range(0, len(table), CSV_CHUNK_ROWS):
-            chunk = table[start : start + CSV_CHUNK_ROWS]
-            writer.writerows(zip(*(chunk[name].tolist() for name in OBSERVATION_COLUMNS)))
+        for table in tables:
+            for start in range(0, len(table), CSV_CHUNK_ROWS):
+                chunk = table[start : start + CSV_CHUNK_ROWS]
+                writer.writerows(zip(*(chunk[name].tolist() for name in OBSERVATION_COLUMNS)))
+            rows += len(table)
+    return rows
 
 
 # ---------------------------------------------------------------------------

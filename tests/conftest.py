@@ -63,7 +63,7 @@ def calibrated_observations():
 def grid_csv(calibrated_observations, tmp_path_factory):
     """The calibrated grid written as an observation CSV, as `simulate` writes it."""
     path = str(tmp_path_factory.mktemp("grid") / "grid.csv")
-    io.write_observations_csv(path, calibrated_observations)
+    io.write_observations_csv(path, [calibrated_observations])
     return path
 
 

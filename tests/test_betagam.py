@@ -903,9 +903,9 @@ class TestReferenceAnswers:
             for model in models
         ]
         assert digests == [
-            "39867b510e4f3e4c2345c5f16e126a7dda884ad786033ce0fe3f9920813cab9d",
-            "40548dc5a0ebba5e3ce7f5992d76339a6e88a919bcd1431b30183d54ff72cb5f",
-            "909e8d714890650039e3265539a93b7738f0050c7ff695cc462b30744dbe81d4",
+            "acf0fcf918ca86eacbe7642f310e0a818b2185e5163d9c778a26fab06db2e3aa",
+            "1f61212cab393c3a4481fc3dc029b172bc461e1633ccc36d40769cc60b26ac5a",
+            "78ab4e42361ba46f8e7ee1c34862ba76157bffdbdd55cce95386f190fbecc3a2",
         ]
 
 

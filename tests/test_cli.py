@@ -47,7 +47,7 @@ def observations_csv(tmp_path):
     sizes = np.tile(SIZES, 8)
     values = rng.beta(80 * 0.8, 80 * 0.2, sizes.size)
     path = tmp_path / "obs.csv"
-    io.write_observations_csv(str(path), observation_rows(values, sizes))
+    io.write_observations_csv(str(path), [observation_rows(values, sizes)])
     return str(path)
 
 
@@ -119,7 +119,7 @@ def test_intercept_only_model_explains_no_negative_deviance(tmp_path, capsys):
     acc = grid[grid.metric == "ACC"]
     acc.value = np.random.default_rng(0).beta(180, 20, acc.size)
     path, out = str(tmp_path / "acc.csv"), str(tmp_path / "m.json")
-    io.write_observations_csv(path, acc)
+    io.write_observations_csv(path, [acc])
     argv = ["fit-gam", "--observations", path, "--metric", "ACC", "--eliminate"]
     assert cli.main(argv + ["--lambdas", "1,1,1", "--out", out]) == cli.EXIT_OK
     model = io.load_model(out)
@@ -136,7 +136,7 @@ def test_eliminate_on_one_cell_offers_no_single_level_factor(calibrated_observat
         & (grid.architecture == "dnsNet121")
     )
     path, out = tmp_path / "cell.csv", tmp_path / "m.json"
-    io.write_observations_csv(str(path), grid[cell])
+    io.write_observations_csv(str(path), [grid[cell]])
     argv = ["fit-gam", "--observations", str(path), "--metric", "ACC", "--eliminate"]
     src = str(Path(camcurves.__file__).resolve().parent.parent)
     done = subprocess.run(
@@ -153,7 +153,7 @@ def test_eliminate_on_one_cell_offers_no_single_level_factor(calibrated_observat
 
 def test_fit_gam_without_records_of_its_metric_is_an_input_error(tmp_path, capsys):
     path = str(tmp_path / "prc.csv")
-    io.write_observations_csv(path, observation_rows([0.8, 0.9], [10, 20], metric="PRC"))
+    io.write_observations_csv(path, [observation_rows([0.8, 0.9], [10, 20], metric="PRC")])
     code = cli.main(["fit-gam", "--observations", path, "--metric", "ACC", "--out", path + ".json"])
     assert_one_input_error(code, capsys, "no observations with metric 'ACC'")
 
@@ -161,7 +161,7 @@ def test_fit_gam_without_records_of_its_metric_is_an_input_error(tmp_path, capsy
 @pytest.mark.parametrize("count", [1, 2])
 def test_fit_gam_on_fewer_than_three_sizes_is_an_input_error(tmp_path, capsys, count):
     path = str(tmp_path / "obs.csv")
-    io.write_observations_csv(path, observation_rows([0.8, 0.9] * count, SIZES[:count] * 2))
+    io.write_observations_csv(path, [observation_rows([0.8, 0.9] * count, SIZES[:count] * 2)])
     code = cli.main(["fit-gam", "--observations", path, "--metric", "ACC", "--out", path + ".json"])
     assert_one_input_error(code, capsys, f"needs 3 distinct sizes, got {count}")
 
@@ -180,7 +180,7 @@ def test_fit_gam_on_fewer_than_three_sizes_is_an_input_error(tmp_path, capsys, c
 )
 def test_bad_observation_row_names_its_line(tmp_path, capsys, field, raw, fragment):
     path = tmp_path / "obs.csv"
-    io.write_observations_csv(str(path), observation_rows([0.8, 0.9], [10, 20]))
+    io.write_observations_csv(str(path), [observation_rows([0.8, 0.9], [10, 20])])
     header, first, second = path.read_text().splitlines()
     cells = second.split(",")
     cells[header.split(",").index(field)] = raw
@@ -215,7 +215,7 @@ def test_unreadable_csv_is_an_input_error(tmp_path, capsys, record, fragment):
 )
 def test_first_bad_observation_line_is_named(tmp_path, capsys, second, third, expected):
     path = tmp_path / "obs.csv"
-    io.write_observations_csv(str(path), observation_rows([0.8, 0.9], [10, 20]))
+    io.write_observations_csv(str(path), [observation_rows([0.8, 0.9], [10, 20])])
     header, *records = path.read_text().splitlines()
     for i, (field, raw) in enumerate((second, third)):
         cells = records[i].split(",")
@@ -229,7 +229,7 @@ def test_first_bad_observation_line_is_named(tmp_path, capsys, second, third, ex
 def test_aggregate_by_class_names_the_csv_column(tmp_path, capsys):
     path = tmp_path / "obs.csv"
     rows = [make_obs(0.8, 10, class_label="fox"), make_obs(0.6, 10, class_label="cat")]
-    io.write_observations_csv(str(path), as_table(rows + [make_obs(0.7, 10, class_label="fox")]))
+    io.write_observations_csv(str(path), [as_table(rows + [make_obs(0.7, 10, class_label="fox")])])
     argv = ["aggregate", "--observations", str(path), "--by"]
     assert cli.main(argv + ["class"]) == cli.EXIT_OK
     assert capsys.readouterr().out.splitlines() == [
@@ -278,7 +278,7 @@ def test_aggregate_prints_a_small_mean_with_the_digits_of_its_std(tmp_path, caps
     path = tmp_path / "obs.csv"
     values = [0.012, 0.056, 0.020, 0.030]
     rows = [make_obs(v, 10, metric="FPR", dataset=d) for v, d in zip(values, "AAWW")]
-    io.write_observations_csv(str(path), as_table(rows))
+    io.write_observations_csv(str(path), [as_table(rows)])
     assert cli.main(["aggregate", "--observations", str(path), "--by", "dataset"]) == cli.EXIT_OK
     assert capsys.readouterr().out.splitlines() == [
         "metric,dataset,mean,std,count",
@@ -297,7 +297,7 @@ BY_ITEMS = [*GROUPABLE, "value", "class_label", "Dataset", "", " ", " tuning "]
 @given(st.lists(st.sampled_from(BY_ITEMS), max_size=5))
 def test_aggregate_exits_0_or_2_with_one_row_per_group(tmp_path, capsys, items):
     path = tmp_path / "obs.csv"
-    io.write_observations_csv(str(path), as_table(AGGREGATE_RECORDS))
+    io.write_observations_csv(str(path), [as_table(AGGREGATE_RECORDS)])
     code = cli.main(["aggregate", "--observations", str(path), "--by", ",".join(items)])
     fields = [item.strip() for item in items if item.strip()]
     group_by = fields if "metric" in fields else ["metric", *fields]
@@ -552,7 +552,7 @@ def test_fit_gam_squeezes_only_values_at_the_bounds(tmp_path):
     def model_bytes(name, first_three):
         values[:3] = first_three
         path = str(tmp_path / f"{name}.csv")
-        io.write_observations_csv(path, observation_rows(values, np.tile(SIZES, 8)))
+        io.write_observations_csv(path, [observation_rows(values, np.tile(SIZES, 8))])
         out = tmp_path / f"{name}.json"
         argv = ["fit-gam", "--observations", path, "--metric", "ACC", "--lambdas", "1"]
         assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK
@@ -1180,7 +1180,7 @@ def test_plan_out_writes_the_pinned_report(tmp_path, capsys):
 def test_curve_plot_of_one_size_is_an_input_error(ols_file, tmp_path, capsys):
     # the curve grid's exp(log 10) is 10.000000000000002, a range of zero width on a log axis
     path, out = tmp_path / "one.csv", tmp_path / "ols.svg"
-    io.write_observations_csv(str(path), observation_rows([0.8], [10]))
+    io.write_observations_csv(str(path), [observation_rows([0.8], [10])])
     argv = ["curve-plot", "--model", ols_file, "--observations", str(path)]
     code = cli.main(argv + ["--out", str(out)])
     assert_one_input_error(code, capsys, "need a positive size range spanning more than one value")
@@ -1190,7 +1190,7 @@ def test_curve_plot_of_one_size_is_an_input_error(ols_file, tmp_path, capsys):
 def test_fit_ols_and_curve_plot_read_only_their_metric(ols_file, tmp_path, capsys):
     # a bad value in a record of another metric no longer fails either command
     path = tmp_path / "obs.csv"
-    io.write_observations_csv(str(path), observation_rows([0.6, 0.7, 0.8], [10, 50, 150]))
+    io.write_observations_csv(str(path), [observation_rows([0.6, 0.7, 0.8], [10, 50, 150])])
     path.write_text(path.read_text() + "FPR,1.5,AU,c0,10,dnsNet121,deep,none\n")
     out = tmp_path / "ols.json"
     argv = ["fit-ols", "--observations", str(path), "--metric", "ACC", "--out", str(out)]
@@ -1498,7 +1498,7 @@ def test_curve_plot_exits_0_with_one_200_point_curve_or_2(
     kind = data.draw(mostly(st.just(metric), sorted(set(METRIC_KINDS) - {metric}), 0.2))
     sizes = data.draw(st.lists(st.sampled_from(SIZES), min_size=1, max_size=6, unique=True))
     values = data.draw(st.lists(st.floats(0.01, 0.99), min_size=len(sizes), max_size=len(sizes)))
-    io.write_observations_csv(str(csv), observation_rows(values, sizes, metric=kind))
+    io.write_observations_csv(str(csv), [observation_rows(values, sizes, metric=kind)])
     svg.unlink(missing_ok=True)
     argv = ["curve-plot", "--model", str(model), "--observations", str(csv), "--out", str(svg)]
     code = cli.main(argv + ([f"--cell={cell}"] if cell is not None else []))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camcurves import design, io
+from camcurves import cli, design, io
 from camcurves._numeric import inv_logit
 from camcurves.errors import InputError
 from camcurves.metrics import METRIC_KINDS
@@ -74,7 +74,7 @@ class TestSimulateGrid:
 
     def test_calibrated_grid_csv_is_pinned(self, calibrated_observations, tmp_path):
         path = tmp_path / "grid.csv"
-        io.write_observations_csv(str(path), calibrated_observations)
+        io.write_observations_csv(str(path), [calibrated_observations])
         assert hashlib.sha256(path.read_bytes()).hexdigest() == CALIBRATED_GRID_SHA256
 
     def test_every_cell_class_and_metric_appears_once(self, calibrated_observations):
@@ -105,6 +105,19 @@ class TestSimulateGrid:
         assert reversed_walk.tolist() != calibrated_observations.tolist()  # the order did change
         assert by_cell(reversed_walk) == by_cell(calibrated_observations)
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(0, design.GRID_CELLS), min_size=2, max_size=2))
+    def test_a_run_of_cells_draws_the_grid_rows_of_its_cells(self, calibrated_observations, ends):
+        start, stop = sorted(ends)
+        per_cell = len(calibrated_observations) // design.GRID_CELLS
+        run = design.simulate_grid(CALIBRATION_SEED, range(start, stop))
+        assert run.tolist() == calibrated_observations[start * per_cell : stop * per_cell].tolist()
+
+    @pytest.mark.parametrize("cell", [-1, design.GRID_CELLS])
+    def test_a_cell_outside_the_grid_is_an_input_error(self, cell):
+        with pytest.raises(InputError, match=f"cell {cell} is outside the grid's 0 to 863"):
+            design.simulate_grid(CALIBRATION_SEED, [0, cell])
+
     def test_dataset_means_track_the_reference_trajectories(self, calibrated_observations):
         values = defaultdict(list)
         keys = row_keys(calibrated_observations, ("metric", "dataset", "num_tr_images"))
@@ -115,6 +128,57 @@ class TestSimulateGrid:
                 for size, target in zip(design.DEFAULT_SIZE_LADDER, trajectory):
                     mean = np.mean(values[(metric, dataset, size)])
                     assert abs(mean - target) < 0.01, (metric, dataset, size)
+
+
+def simulate(seed, path):
+    """Run `camcurves simulate` in this process, writing to `path`."""
+    assert cli.main(["simulate", "--seed", str(seed), "--out", str(path)]) == cli.EXIT_OK
+
+
+def forget_calibration():
+    """Drop the simulator's cached values, as a new process starts without them."""
+    design._base_logits.cache_clear()
+    design._class_offsets.cache_clear()
+
+
+class TestSimulateCommand:
+    def test_writes_the_pinned_grid(self, tmp_path):
+        simulate(CALIBRATION_SEED, tmp_path / "grid.csv")
+        digest = hashlib.sha256((tmp_path / "grid.csv").read_bytes()).hexdigest()
+        assert digest == CALIBRATED_GRID_SHA256
+
+    @pytest.mark.parametrize("seed", [0, 515151])
+    def test_writes_the_bytes_of_the_whole_table(self, tmp_path, seed):
+        io.write_observations_csv(str(tmp_path / "table.csv"), [design.simulate_grid(seed)])
+        simulate(seed, tmp_path / "grid.csv")
+        assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "table.csv").read_bytes()
+
+    def test_blocks_joined_are_the_grid(self, calibrated_observations):
+        blocks = list(cli._grid_blocks(CALIBRATION_SEED))
+        assert len(blocks) == len(design.DATASETS) * len(design.DEFAULT_SIZE_LADDER)
+        joined = [row for block in blocks for row in block.tolist()]
+        assert joined == calibrated_observations.tolist()
+
+    def test_peak_memory_stays_within_three_tenths_of_a_table(
+        self, calibrated_observations, tmp_path
+    ):
+        # one (dataset, size) rung's table at a time, an 18th of the grid's
+        forget_calibration()
+        peak = traced_peak(lambda: simulate(CALIBRATION_SEED, tmp_path / "grid.csv"))
+        assert peak <= 0.3 * calibrated_observations.nbytes
+
+    def test_calibrates_each_metric_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(metric):
+            calls.append(metric)
+            return calibrate(metric)
+
+        calibrate = design._calibrate_bases
+        monkeypatch.setattr(design, "_calibrate_bases", counted)
+        forget_calibration()
+        simulate(CALIBRATION_SEED, tmp_path / "grid.csv")
+        assert calls == list(METRIC_KINDS)
 
 
 @st.composite
