@@ -467,11 +467,11 @@ def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
     for term in spec.smooth_terms:
         x = np.log(column[term.covariate].astype(float))
         knot_vector = place_knots(x, k=term.k)
-        raw, S = basis_rows(x, knot_vector), penalty_matrix(knot_vector)
+        raw = basis_rows(x, knot_vector)
         for level, label in _smooth_blocks(term, factor_levels):
             mask = np.ones(m) if level is None else column[term.by_factor] == level
             # count-weighted, so the constraint sums over the observations
-            constraints[label], _ = centring(raw, S, mask * counts)
+            constraints[label] = centring(raw, mask * counts)
             term_index[label] = tuple(range(len(names), len(names) + term.k - 1))
             names.extend(f"{label}.{j}" for j in range(term.k - 1))
 

@@ -15,18 +15,18 @@ schemes x 4 augmentation schemes) from the module constants below, or any
 run of its cells with the same values the whole grid gives them, emitting
 per-class Beta-distributed metric values whose logit-scale means follow a
 log-size law plus per-dataset adjustments, calibrated so the simulated
-dataset-average trajectories reproduce REFERENCE_TRAJECTORIES.  The cells
-are drawn as arrays: the means of every (cell, metric, class) in one array,
-then one Beta draw of a cell's metrics and classes on that cell's own
-substream, and the label columns spread from the axis levels.
+dataset-average trajectories reproduce REFERENCE_TRAJECTORIES.  The
+simulator's truth, the Beta mean of every (metric, dataset, size,
+architecture, tuning, class), is one read-only array built once for the
+last seed (`_grid_means`); a run of cells indexes it, draws each cell's
+metrics and classes in one Beta call on that cell's own substream, and
+spreads the label columns from the axis levels.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from itertools import product
-from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -244,17 +244,17 @@ def _gauss_hermite_mean(eta0: float, offsets: np.ndarray, sd: float, nodes, weig
     return float((weights * p).sum() / scale), float((weights * p * (1.0 - p)).sum() / scale)
 
 
-def _calibrate_bases(metric: str) -> dict:
-    """Solve the base logit per (dataset, size) so the simulated grid mean
-    over architectures, tunings and class offsets matches the reference
-    trajectory value."""
+def _calibrate_bases(metric: str) -> np.ndarray:
+    """Solve the base logit per (dataset, size), as an array in that order, so
+    the simulated grid mean over architectures, tunings and class offsets
+    matches the reference trajectory value."""
     nodes, weights = np.polynomial.hermite.hermgauss(20)
     arch = np.array([DEFAULT_ARCH_OFFSETS[metric][a] for a in ARCHITECTURES])
     tun = np.array([0.0, DEFAULT_TUNING_OFFSETS[metric]])
     combo = (arch[:, None] + tun[None, :]).ravel()
-    out = {}
-    for dataset in DATASETS:
-        for size, target in zip(DEFAULT_SIZE_LADDER, REFERENCE_TRAJECTORIES[metric][dataset]):
+    out = np.empty((len(DATASETS), len(DEFAULT_SIZE_LADDER)))
+    for di, dataset in enumerate(DATASETS):
+        for si, target in enumerate(REFERENCE_TRAJECTORIES[metric][dataset]):
             t = float(np.clip(target, _ANCHOR_CLAMP, 1.0 - _ANCHOR_CLAMP))
             eta = float(logit(t))
             for _ in range(60):
@@ -265,14 +265,12 @@ def _calibrate_bases(metric: str) -> dict:
                 eta += step
                 if abs(step) < 1e-13:
                     break
-            out[(dataset, size)] = eta
+            out[di, si] = eta
     return out
 
 
-@functools.cache
-def _base_logits() -> Mapping:
-    """Calibrated base logit of every (metric, dataset, size), solved once per process
-    and read-only.
+def _base_logits() -> np.ndarray:
+    """Calibrated base logit of every (metric, dataset, size), as an array in that order.
 
     The solved bases are split into intercept + dataset offset + slope*ln(n)
     + a per-(dataset, size) adjustment (adjustments average to zero per
@@ -283,62 +281,57 @@ def _base_logits() -> Mapping:
     """
     lnn = np.log(np.array(DEFAULT_SIZE_LADDER, dtype=float))
     xc = lnn - lnn.mean()
-    out = {}
-    for metric in METRIC_KINDS:
+    # the trend takes the log of each size alone, as the recorded bits were made
+    log_sizes = np.array([np.log(s) for s in DEFAULT_SIZE_LADDER])
+    out = np.empty((len(METRIC_KINDS), len(DATASETS), len(DEFAULT_SIZE_LADDER)))
+    for metric, logits in zip(METRIC_KINDS, out):
         bases = _calibrate_bases(metric)
         num = 0.0
-        for d in DATASETS:
-            e = np.array([bases[(d, s)] for s in DEFAULT_SIZE_LADDER])
+        for e in bases:
             num += float(xc @ (e - e.mean()))
         slope = num / (len(DATASETS) * float(xc @ xc))
-        level = {
-            d: float(np.mean([bases[(d, s)] for s in DEFAULT_SIZE_LADDER]) - slope * lnn.mean())
-            for d in DATASETS
-        }
-        intercept = level[DATASETS[0]]
-        for d, s in product(DATASETS, DEFAULT_SIZE_LADDER):
-            offset = level[d] - intercept
-            trend = slope * float(np.log(s))
-            adjustment = bases[(d, s)] - intercept - offset - trend
-            out[(metric, d, s)] = intercept + offset + trend + adjustment
-    return MappingProxyType(out)
+        level = np.array([np.mean(e) - slope * lnn.mean() for e in bases])
+        intercept = level[0]
+        offset = (level - intercept)[:, None]
+        trend = slope * log_sizes
+        adjustment = bases - intercept - offset - trend
+        logits[:] = intercept + offset + trend + adjustment
+    return out
 
 
 @functools.lru_cache(maxsize=1)
-def _class_offsets(seed: int) -> np.ndarray:
-    """The centred class offsets of `seed`, as a read-only (metric, dataset, class)
-    array; kept for the last seed, since a grid drawn a run of cells at a time
-    draws each run with them."""
-    shape = (len(METRIC_KINDS), len(DATASETS), len(DEFAULT_CLASSES[DATASETS[0]]))
-    class_offsets = np.empty(shape)
-    for mi, di in product(range(len(METRIC_KINDS)), range(len(DATASETS))):
+def _grid_means(seed: int) -> np.ndarray:
+    """The simulator's truth: the Beta mean of every (metric, dataset, size,
+    architecture, tuning, class) at `seed`, as a read-only array in that order,
+    kept for the last seed, since a grid drawn a run of cells at a time reads
+    each run from it.  A mean's logit is the base logit + architecture offset
+    + tuning offset + class offset, added in this order; the class offsets of
+    a (metric, dataset) are drawn on their own substream of `seed` and centred.
+    """
+    class_offsets = np.empty((len(METRIC_KINDS), len(DATASETS), len(DEFAULT_CLASSES[DATASETS[0]])))
+    for mi, di in np.ndindex(class_offsets.shape[:2]):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(_CLASS_OFFSET_KEY, mi, di))
         )
-        offs = rng.normal(0.0, DEFAULT_CLASS_OFFSET_SD, shape[2])
+        offs = rng.normal(0.0, DEFAULT_CLASS_OFFSET_SD, class_offsets.shape[2])
         class_offsets[mi, di] = offs - offs.mean()
-    class_offsets.flags.writeable = False
-    return class_offsets
-
-
-def _cell_values(seed: int, levels: np.ndarray) -> np.ndarray:
-    """The Beta draws of the cells whose axis indices are the rows of `levels`, as a
-    (cell, metric, class) array."""
-    class_offsets = _class_offsets(seed)
-    logits = _base_logits()
-    base = np.array(  # (metric, dataset, size)
-        [[[logits[(m, d, n)] for n in DEFAULT_SIZE_LADDER] for d in DATASETS] for m in METRIC_KINDS]
-    )
     arch = np.array([[DEFAULT_ARCH_OFFSETS[m][a] for a in ARCHITECTURES] for m in METRIC_KINDS])
-    tuning = np.array([[0.0, DEFAULT_TUNING_OFFSETS[m]] for m in METRIC_KINDS])  # deep, shallow
-    d, s, a, t, _ = levels.T
-    cell_logit = (base[:, d, s] + arch[:, a] + tuning[:, t]).T  # (cell, metric)
-    eta = cell_logit[:, :, None] + class_offsets[:, d].swapaxes(0, 1)
-    mu = inv_logit(eta)
+    tun = np.array([[0.0, DEFAULT_TUNING_OFFSETS[m]] for m in METRIC_KINDS])  # deep, shallow
+    eta = _base_logits()[..., None, None] + arch[:, None, None, :, None] + tun[:, None, None, None]
+    means = inv_logit(eta[..., None] + class_offsets[:, :, None, None, None])
+    means.flags.writeable = False
+    return means
+
+
+def _cell_values(seed: int, levels: tuple) -> np.ndarray:
+    """The Beta draws of the cells whose axis indices are `levels`, one array per
+    axis, as a (cell, metric, class) array."""
+    d, s, a, t, _ = levels
+    mu = _grid_means(seed)[:, d, s, a, t].swapaxes(0, 1)
     alpha, beta = mu * DEFAULT_PHI_SIM, (1.0 - mu) * DEFAULT_PHI_SIM
-    values = np.empty_like(mu)
-    for i, key in enumerate(levels.tolist()):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
+    values = np.empty(mu.shape)
+    for i, key in enumerate(zip(*(axis.tolist() for axis in levels))):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
         values[i] = rng.beta(alpha[i], beta[i])
     return values
 
@@ -366,21 +359,21 @@ def simulate_grid(seed: int, cells: Sequence[int] = range(GRID_CELLS)) -> np.rec
     class), so the table is the only array with one entry per row.
     """
     _check_seed(seed)
-    outside = [i for i in cells if not 0 <= i < GRID_CELLS]
-    if outside:
+    index = np.asarray(cells, dtype=np.intp)
+    outside = index[(index < 0) | (index >= GRID_CELLS)]
+    if outside.size:
         raise InputError(f"cell {outside[0]} is outside the grid's 0 to {GRID_CELLS - 1}")
-    grid = list(product(*(range(len(axis)) for axis in GRID_AXES)))
-    levels = np.array([grid[i] for i in cells], dtype=np.intp).reshape(-1, len(GRID_AXES))
+    levels = np.unravel_index(index, [len(axis) for axis in GRID_AXES])
     classes = np.array([DEFAULT_CLASSES[d] for d in DATASETS])  # (dataset, class)
     columns = {  # each broadcasts over (cell, metric, class)
-        name: np.asarray(axis)[levels[:, k], None, None]
+        name: np.asarray(axis)[levels[k], None, None]
         for k, (name, axis) in enumerate(zip(_AXIS_COLUMNS, GRID_AXES))
     }
     return observation_table(
         {
             **columns,
             "metric": np.array(METRIC_KINDS)[:, None],
-            "class": classes[levels[:, 0], None, :],
+            "class": classes[levels[0], None, :],
             "value": _cell_values(seed, levels),
         }
     )

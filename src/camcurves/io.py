@@ -292,8 +292,8 @@ def write_observations_csv(path: str, tables: Iterable[np.recarray]) -> int:
     A value is written as its shortest repr.  The rows are converted to
     Python objects CSV_CHUNK_ROWS at a time, so the memory the writer adds
     does not grow with a table, and each table is taken from `tables` only
-    when the one before it is written, so a generator of tables is never
-    held whole.
+    when the one before it is written and released, so a generator of tables
+    is never held whole, nor two of its tables at once.
     """
     rows = 0
     with atomic_write(path) as handle:
@@ -304,6 +304,7 @@ def write_observations_csv(path: str, tables: Iterable[np.recarray]) -> int:
                 chunk = table[start : start + CSV_CHUNK_ROWS]
                 writer.writerows(zip(*(chunk[name].tolist() for name in OBSERVATION_COLUMNS)))
             rows += len(table)
+            table = chunk = None  # a chunk is a view that keeps its table
     return rows
 
 

@@ -5,8 +5,8 @@ function per knot, interpolating 1 at its own knot and 0 at the others, with
 natural boundary conditions and linear extrapolation beyond the boundary
 knots.  `basis_rows` evaluates it (every row sums to 1), `penalty_matrix` is
 its exact integrated squared second derivative (null space: the affine
-functions), and `centring` gives the sum-to-zero reparameterization Z and the
-penalty in its coordinates (`centred_penalty`); a centred smooth at x is
+functions), `centring` gives the sum-to-zero reparameterization Z and
+`centred_penalty` the penalty in its coordinates; a centred smooth at x is
 `basis_rows(x, knots) @ Z`.
 """
 
@@ -144,8 +144,8 @@ def penalty_matrix(knots: KnotVector) -> np.ndarray:
     return _natural_spline_system(knots.knots)[1]
 
 
-def centring(rows: np.ndarray, penalty: np.ndarray, weights) -> tuple:
-    """Sum-to-zero reparameterization over weighted rows: (Z, Z' S Z).
+def centring(rows: np.ndarray, weights) -> np.ndarray:
+    """Sum-to-zero reparameterization Z over weighted rows.
 
     Z is k x (k-1) with orthonormal columns and `weights @ rows @ Z` is zero,
     so the smooth carries no constant next to an intercept.  Raw rows sum to
@@ -156,8 +156,7 @@ def centring(rows: np.ndarray, penalty: np.ndarray, weights) -> tuple:
         raise InputError("centring weights must have a positive sum")
     col_sums = weights @ rows
     Q, _ = np.linalg.qr(col_sums.reshape(-1, 1) / np.linalg.norm(col_sums), mode="complete")
-    Z = Q[:, 1:]
-    return Z, centred_penalty(penalty, Z)
+    return Q[:, 1:]
 
 
 def centred_penalty(penalty: np.ndarray, Z: np.ndarray) -> np.ndarray:

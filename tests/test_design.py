@@ -32,9 +32,12 @@ def row_keys(table, names=CELL_CLASS_METRIC):
 
 def reference_grid(seed):
     """The grid's rows drawn one by one: a cell's classes in one Beta call per
-    metric, each row a tuple in OBSERVATION_COLUMNS order."""
+    metric, each row a tuple in OBSERVATION_COLUMNS order.  The class offsets
+    are drawn in the reverse of the simulator's (metric, dataset) order, so a
+    match also shows that they do not depend on their draw order."""
     class_offsets = {}
-    for (mi, metric), (di, dataset) in product(enumerate(METRIC_KINDS), enumerate(design.DATASETS)):
+    offset_keys = product(enumerate(METRIC_KINDS), enumerate(design.DATASETS))
+    for (mi, metric), (di, dataset) in reversed(list(offset_keys)):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(design._CLASS_OFFSET_KEY, mi, di))
         )
@@ -46,9 +49,9 @@ def reference_grid(seed):
     for key in product(*(range(len(axis)) for axis in design.GRID_AXES)):
         dataset, size, arch, tuning, aug = (axis[i] for axis, i in zip(design.GRID_AXES, key))
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-        for metric in METRIC_KINDS:
+        for mi, metric in enumerate(METRIC_KINDS):
             eta = (
-                logits[(metric, dataset, size)]
+                logits[mi, key[0], key[1]]
                 + design.DEFAULT_ARCH_OFFSETS[metric][arch]
                 + (design.DEFAULT_TUNING_OFFSETS[metric] if tuning == design.TUNINGS[1] else 0.0)
                 + class_offsets[(metric, dataset)]
@@ -94,10 +97,8 @@ class TestSimulateGrid:
         assert design.simulate_grid(CALIBRATION_SEED).tolist() == grid
         assert design.simulate_grid(CALIBRATION_SEED + 1).tolist() != grid
 
-    def test_each_cell_draws_from_its_own_substream(self, calibrated_observations, monkeypatch):
-        # walk the cells (and the class-offset keys) in reverse order
-        monkeypatch.setattr(design, "product", lambda *axes: reversed(list(product(*axes))))
-        reversed_walk = design.simulate_grid(CALIBRATION_SEED)
+    def test_each_cell_draws_from_its_own_substream(self, calibrated_observations):
+        reversed_walk = design.simulate_grid(CALIBRATION_SEED, range(design.GRID_CELLS)[::-1])
 
         def by_cell(table):
             return dict(zip(row_keys(table), table.value.tolist()))
@@ -137,8 +138,7 @@ def simulate(seed, path):
 
 def forget_calibration():
     """Drop the simulator's cached values, as a new process starts without them."""
-    design._base_logits.cache_clear()
-    design._class_offsets.cache_clear()
+    design._grid_means.cache_clear()
 
 
 class TestSimulateCommand:

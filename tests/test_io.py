@@ -3,6 +3,7 @@ import functools
 import hashlib
 import io as textio
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -345,6 +346,25 @@ def test_chunked_csv_matches_one_writerows_call(calibrated_observations, tmp_pat
     path = tmp_path / "obs.csv"
     io.write_observations_csv(str(path), [table])
     assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+def test_csv_writer_releases_each_table_before_drawing_the_next(calibrated_observations, tmp_path):
+    sizes = (io.CSV_CHUNK_ROWS + 7, 0, 2 * io.CSV_CHUNK_ROWS)
+
+    def tables():
+        # holds only a weak reference to each table it yields
+        start, previous = 0, lambda: None
+        for size in sizes:
+            assert previous() is None, "the writer still holds the table before"
+            held = [calibrated_observations[start : start + size].copy()]
+            start, previous = start + size, weakref.ref(held[0])
+            yield held.pop()
+        assert previous() is None, "the writer still holds the last table"
+
+    path, whole = tmp_path / "obs.csv", tmp_path / "whole.csv"
+    assert io.write_observations_csv(str(path), tables()) == sum(sizes)
+    io.write_observations_csv(str(whole), [calibrated_observations[: sum(sizes)]])
+    assert path.read_bytes() == whole.read_bytes()
 
 
 def test_csv_writer_adds_at_most_a_tenth_of_a_table(calibrated_observations, tmp_path):
