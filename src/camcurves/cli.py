@@ -9,10 +9,27 @@ and saves no time.  OpenBLAS reads OPENBLAS_NUM_THREADS once, as numpy loads,
 so this module sets it before its numpy import, and only where it is unset:
 to give BLAS more threads, run e.g. `OPENBLAS_NUM_THREADS=2 camcurves ...`.
 Importing the library (`import camcurves`) leaves the variable alone.
+
+Once this module has imported numpy and the camcurves modules, `gc.freeze()`
+moves every object the collector then tracks (~22,000, nearly all left by
+those imports) into the permanent generation.  Unfrozen, they would be walked
+again by each full collection and by the interpreter's last one at exit:
+~9 ms of every process on a 2-vCPU Xeon.  Frozen, they are never walked
+again; what the command allocates is collected as usual.  The collector stays
+on while the modules load: turning it off there saved ~3 ms more, but it kept
+the imports' cyclic garbage, and a command's own peak RSS rose by up to 0.3 MB.
+As with the BLAS setting, only this module, the program's own, freezes: the
+library modules leave the collector alone.
+
+Standard output is written through `_print`, which flushes each write.  An
+OSError there (a full disk, a closed pipe) is one input-error line with exit
+2, as for an unwritable --out, and standard output then points at os.devnull,
+so that the interpreter's last flush fails no more.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads: see above
@@ -30,6 +47,8 @@ import numpy as np
 from . import betagam, curves, design, io, metrics, planner
 from .errors import CamcurvesError, ConvergenceError, InfeasiblePlanError, InputError
 
+gc.freeze()  # after the imports: see above
+
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
@@ -41,6 +60,21 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise InputError(message)
+
+    def print_help(self, file=None):
+        _print(self.format_help().rstrip("\n"))  # argparse ends it with one newline
+
+
+def _print(text: str) -> None:
+    """Print to standard output and flush; an OSError there is an input error."""
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        # what is left in the buffer goes to os.devnull at the interpreter's last flush
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise InputError(f"cannot write standard output: {exc.strerror or exc}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -186,7 +220,7 @@ def _cmd_metrics(args) -> int:
         writer = csv.writer(handle)
         writer.writerow(["class", "tp", "fp", "tn", "fn", *metrics.METRIC_KINDS])
         writer.writerows(zip(classes, *counts, *ratios))
-    print(f"wrote per-class metrics for {len(classes)} classes to {args.out}")
+    _print(f"wrote per-class metrics for {len(classes)} classes to {args.out}")
     return EXIT_OK
 
 
@@ -203,10 +237,9 @@ def _cmd_aggregate(args) -> int:
     if args.out:
         with io.atomic_write(args.out) as handle:
             csv.writer(handle).writerows(lines)
-        print(f"wrote {len(rows)} groups to {args.out}")
+        _print(f"wrote {len(rows)} groups to {args.out}")
     else:
-        for line in lines:
-            print(",".join(str(v) for v in line))
+        _print("\n".join(",".join(str(v) for v in line) for line in lines))
     return EXIT_OK
 
 
@@ -214,7 +247,7 @@ def _cmd_fit_ols(args) -> int:
     table = io.parse_observations(args.observations, args.metric)
     model = curves.fit_log_curve(table, args.metric)
     io.save_model(model, args.out)
-    print(
+    _print(
         f"{args.metric}: intercept {model.intercept:.4f}, slope {model.slope:.4f}, "
         f"adj-R2 {model.adj_r_squared:.3f} ({model.n_obs} points) -> {args.out}"
     )
@@ -231,12 +264,12 @@ def _cmd_fit_gam(args) -> int:
     if args.eliminate:
         model, trace = betagam.backward_eliminate(spec, table, alpha=args.alpha, lambdas=lambdas)
         for step in trace:
-            print(f"dropped {step.dropped} (p = {step.p_value:.4g})")
+            _print(f"dropped {step.dropped} (p = {step.p_value:.4g})")
     else:
         model = betagam.fit(spec, table, lambdas=lambdas)
     io.save_model(model, args.out)
     stats = model.fit_stats
-    print(
+    _print(
         f"{args.metric}: deviance explained {stats.deviance_explained:.3f}, "
         f"adj-R2 {stats.adj_r_squared:.3f}, phi {model.phi:.1f} -> {args.out}"
     )
@@ -281,9 +314,9 @@ def _cmd_plan(args) -> int:
         io.check_writable(args.out)  # before any plan line is printed
     report = planner.plan_report(targets, models, cell=cell, search_ceiling=args.ceiling)
     for result in report.results:
-        print(_plan_line(result))
+        _print(_plan_line(result))
     if len(report.results) > 1:
-        print(f"binding required_n {report.binding_n}")
+        _print(f"binding required_n {report.binding_n}")
     if args.out:
         payload = {
             "schema": "camcurves-plan/1",
@@ -318,7 +351,7 @@ def _cmd_design(args) -> int:
             detail = f": {coverage['detail']}" if "detail" in coverage else ""
             print(f"location coverage: {coverage['status']}{detail}", file=sys.stderr)
     io.save_manifest(manifest, args.out)
-    print(f"wrote design for {len(manifest['classes'])} classes to {args.out}")
+    _print(f"wrote design for {len(manifest['classes'])} classes to {args.out}")
     return EXIT_OK
 
 
@@ -332,7 +365,7 @@ def _grid_blocks(seed: int):
 def _cmd_simulate(args) -> int:
     # written as it is drawn, so the process holds one rung's table, never the grid's
     rows = io.write_observations_csv(args.out, _grid_blocks(args.seed))
-    print(f"wrote {rows} observations ({design.GRID_CELLS} cells) to {args.out}")
+    _print(f"wrote {rows} observations ({design.GRID_CELLS} cells) to {args.out}")
     return EXIT_OK
 
 
@@ -364,7 +397,7 @@ def _cmd_curve_plot(args) -> int:
         title=title,
         y_label=model.metric,
     )
-    print(f"wrote {args.out}")
+    _print(f"wrote {args.out}")
     return EXIT_OK
 
 

@@ -530,6 +530,46 @@ def test_fit_gam_rejects_missing_out_directory_before_fitting(
     assert [p.name for p in work.iterdir()] == ["dir"]
 
 
+STDOUT_COMMANDS = {
+    "plan": OUT_COMMANDS["plan"],
+    "aggregate": OUT_COMMANDS["aggregate"],  # its table, on stdout without --out
+    "help": ["--help"],
+}
+
+
+@pytest.mark.parametrize("command", STDOUT_COMMANDS)
+@pytest.mark.parametrize("stdout", ["/dev/full", "closed pipe"])
+def test_failed_write_to_standard_output_is_one_input_error_line(
+    command, stdout, observations_csv
+):
+    if stdout == "closed pipe":
+        read_end, fd = os.pipe()
+        os.close(read_end)
+    elif os.path.exists(stdout):
+        fd = os.open(stdout, os.O_WRONLY)
+    else:
+        pytest.skip(f"no {stdout}")
+    argv = STDOUT_COMMANDS[command]
+    if command == "aggregate":
+        argv = argv + ["--observations", observations_csv]
+    src = str(Path(camcurves.__file__).resolve().parent.parent)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "camcurves.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=fd,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(fd)
+    assert done.returncode == cli.EXIT_INPUT
+    assert "Traceback" not in done.stderr
+    # one line: the interpreter's last flush reports no ignored exception
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input-error: cannot write standard output: ")
+
+
 @pytest.mark.parametrize("alpha", ["2", "0", "nan"])
 @pytest.mark.parametrize("extra", [[], ["--eliminate"]], ids=["fit", "eliminate"])
 def test_alpha_outside_the_unit_interval_is_an_input_error(

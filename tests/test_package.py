@@ -25,6 +25,25 @@ print(json.dumps(report))
 """
 
 
+LIBRARY_COLLECTOR = """
+import gc, json
+
+import camcurves
+from camcurves import betagam, design, io, planner
+
+print(json.dumps({"enabled": gc.isenabled(), "frozen": gc.get_freeze_count()}))
+"""
+
+
+CLI_COLLECTOR = """
+import gc, json
+
+import camcurves.cli
+
+print(json.dumps({"enabled": gc.isenabled(), "unfrozen": len(gc.get_objects())}))
+"""
+
+
 ONLY_CURVE_PLOT_IMPORTS_PLOTTING = """
 import json, sys
 
@@ -45,24 +64,24 @@ def test_every_exported_name_resolves_once():
     assert missing == []
 
 
-def fresh_imports(**env):
-    """Import the package, then the CLI, in a new interpreter with `env` as the BLAS setting."""
+def run_fresh(script, **env):
+    """Run `script` in a new interpreter with `env` as the BLAS setting; returns its JSON."""
     environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     environ.update(env, PYTHONPATH=SRC)
     done = subprocess.run(
-        [sys.executable, "-c", FRESH_IMPORTS], env=environ, capture_output=True, text=True
+        [sys.executable, "-c", script], env=environ, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
 
 
 def test_package_import_loads_no_numpy_and_cli_defaults_blas_to_one_thread():
-    report = fresh_imports()
+    report = run_fresh(FRESH_IMPORTS)
     assert report == {"numpy_after_package": False, "threads_after_cli": "1"}
 
 
 def test_cli_keeps_a_blas_thread_count_the_user_set():
-    assert fresh_imports(OPENBLAS_NUM_THREADS="2")["threads_after_cli"] == "2"
+    assert run_fresh(FRESH_IMPORTS, OPENBLAS_NUM_THREADS="2")["threads_after_cli"] == "2"
 
 
 def test_unknown_name_is_an_attribute_error_and_dir_lists_every_name():
@@ -91,3 +110,13 @@ def test_cli_import_leaves_plotting_to_curve_plot(tmp_path):
         "after_curve_plot": ["camcurves.plotting", "html"],
     }
     assert ElementTree.parse(svg).getroot().tag == "{http://www.w3.org/2000/svg}svg"
+
+
+def test_library_import_leaves_the_collector_alone():
+    assert run_fresh(LIBRARY_COLLECTOR) == {"enabled": True, "frozen": 0}
+
+
+def test_cli_import_freezes_its_heap_and_leaves_the_collector_on():
+    report = run_fresh(CLI_COLLECTOR)
+    assert report["enabled"] is True
+    assert report["unfrozen"] < 1000  # ~22,000 tracked objects unfrozen
