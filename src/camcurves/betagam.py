@@ -271,7 +271,7 @@ class _Block:
         return np.sqrt(np.clip(values, 0.0, None))[:, None] * vectors.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Layout:
     """How a cell and num_tr_images become a model-matrix row; checks its parts agree."""
 
@@ -365,7 +365,7 @@ class _Layout:
         return X
 
 
-@dataclass
+@dataclass(eq=False)
 class _Design:
     """The model matrix on the distinct design rows, with their sufficient statistics."""
 
@@ -677,7 +677,7 @@ def _initial_values(design: _Design, P):
     return beta0, phi0
 
 
-@dataclass
+@dataclass(eq=False)
 class _FitResult:
     beta: np.ndarray
     phi: float
@@ -733,9 +733,9 @@ class FitStats:
     iterations: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdditiveModel(_Layout):
-    """A fitted Beta additive model: its layout and its fit; immutable value object."""
+    """A fitted Beta additive model: its layout and its fit; immutable, equal only to itself."""
 
     coef: np.ndarray
     lambdas: dict[str, float]  # smooth label -> smoothing parameter

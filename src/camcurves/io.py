@@ -7,13 +7,14 @@ byte-identical.
 
 The keys of a model JSON document are the field names of its model
 dataclass, `LearningCurveModel` or `AdditiveModel` (with `FitStats` under
-fit_stats), with the schema and model_family beside them.  A GAM's layout
-keys are the exception: its spec is written as metric, squeeze_eps,
-parametric_terms and smooth_terms, its knot vector as knots, and smooth_by
-is kept for the layout.  `_plain` writes the fields and `_read`, the one
-reader, reads each through its annotation, so a string, a bool or a fraction
-where the file must hold a number or an integer is an input error that
-names its key, as is NaN, an infinity or a number beyond the float range.
+fit_stats), with the schema and model_family beside them.  A GAM's spec and
+knot vector are the exception: the fields of its `ModelSpec` are spread
+beside the model's, and only two keys are named by hand, metric for the
+spec's response and knots for the knot vector.  `_plain` writes the fields
+and `_read`, the one reader, reads each through its annotation, so a string,
+a bool or a fraction where the file must hold a number or an integer is an
+input error that names its key, as is NaN, an infinity or a number beyond
+the float range.
 This module holds only the file format: a model checks its own parts (sizes;
 a GAM's arrays, term indices, factors, knots and smooth constraints) when it
 is built, here or anywhere else.
@@ -325,7 +326,7 @@ def _plain(value):
 
 
 def model_to_dict(model) -> dict:
-    """The model JSON document of `model`: its fields by name, but for a GAM's layout keys."""
+    """The model JSON document of `model`: its fields by name, a GAM's spec spread beside them."""
     if isinstance(model, LearningCurveModel):
         return {"schema": MODEL_SCHEMA, "model_family": "ols_log", **_plain(model)}
     if isinstance(model, AdditiveModel):
@@ -338,8 +339,6 @@ def model_to_dict(model) -> dict:
             **spec,
             **document,
             "knots": knot_vector["knots"] if knot_vector else None,
-            # read by no loader; kept so the model JSON layout stays the same
-            "smooth_by": next((t["by_factor"] for t in spec["smooth_terms"]), None),
         }
     raise InputError(f"unsupported model type {type(model).__name__}")
 
@@ -354,8 +353,8 @@ def model_from_dict(payload: Mapping):
     try:
         if family == "ols_log":
             return _read(LearningCurveModel, payload, "model")
-        spec = {"response": payload["metric"]}  # the layout keys, as the writer spreads them
-        spec.update((k, payload[k]) for k in ("parametric_terms", "smooth_terms", "squeeze_eps"))
+        # the writer spreads the spec's fields, which _read takes from the document by name
+        spec = {**payload, "response": payload["metric"]}
         knots = payload["knots"]
         knot_vector = None if knots is None else {"knots": knots}
         return _read(AdditiveModel, {**payload, "spec": spec, "knot_vector": knot_vector}, "model")

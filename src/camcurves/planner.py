@@ -89,7 +89,8 @@ def _last_crossing(family, metric, query, predict, monotone_from, max_observed) 
     `predict` maps a sequence of sizes to metric values, monotone in n
     (either way) from the size `monotone_from` on.  Only the sizes up to
     there are all predicted, in chunks; past it the failing sizes form a
-    prefix of the tail, whose end is found by bisection.  Time follows
+    prefix of the tail: all of it if its last size fails, none if its two
+    ends meet, else a prefix whose end is found by bisection.  Time follows
     `monotone_from`, not the ceiling, and memory follows neither.
     `max_observed` (or None) is the largest size the model was built on.
     """
@@ -101,13 +102,12 @@ def _last_crossing(family, metric, query, predict, monotone_from, max_observed) 
     if scanned < ceiling:
         if not query.met_by(predict([ceiling])[0]):
             last = ceiling
-        else:  # lo fails or ends the scan, hi meets
-            lo, hi = scanned, ceiling
+        elif not query.met_by(predict([scanned + 1])[0]):
+            lo, hi = scanned + 1, ceiling  # lo fails, hi meets
             while hi - lo > 1:
                 mid = (lo + hi) // 2
                 lo, hi = (lo, mid) if query.met_by(predict([mid])[0]) else (mid, hi)
-            if lo > scanned:
-                last = lo
+            last = lo
     n = last + 1 if last < ceiling else None
     if n is None:
         value = None

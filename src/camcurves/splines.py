@@ -3,11 +3,11 @@
 The basis is the cardinal natural cubic spline family on a KnotVector: one
 function per knot, interpolating 1 at its own knot and 0 at the others, with
 natural boundary conditions and linear extrapolation beyond the boundary
-knots.  `basis_rows` evaluates it (every row sums to 1), `penalty_matrix` is
-its exact integrated squared second derivative (null space: the affine
-functions), `centring` gives the sum-to-zero reparameterization Z and
-`centred_penalty` the penalty in its coordinates; a centred smooth at x is
-`basis_rows(x, knots) @ Z`.
+knots, by one rule for both ends.  `basis_rows` evaluates it (every row sums
+to 1), `penalty_matrix` is its exact integrated squared second derivative
+(null space: the affine functions), `centring` gives the sum-to-zero
+reparameterization Z and `centred_penalty` the penalty in its coordinates; a
+centred smooth at x is `basis_rows(x, knots) @ Z`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from ._numeric import distinct
 from .errors import InputError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KnotVector:
     """Strictly increasing knot locations on the covariate axis."""
 
@@ -89,8 +89,10 @@ def basis_rows(x, knots: KnotVector) -> np.ndarray:
     """Rows of the raw cardinal basis at points x, one column per knot.
 
     Inside the knot range each row mixes the bracketing hat coordinates with
-    the second-derivative map; outside it extends linearly with the boundary
-    slope (natural spline behavior).
+    the second-derivative map.  Beyond an end knot t[end] the spline is linear
+    (natural spline behavior), one rule for both ends: the unit row of that
+    knot plus (x - t[end]) times the slope (e[nxt] - e[end]) / d - d/6 F[nxt]
+    at it, where nxt is the knot next to it and d = t[nxt] - t[end].
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(x)):
@@ -116,25 +118,12 @@ def basis_rows(x, knots: KnotVector) -> np.ndarray:
     rows[idx, j] += left
     rows[idx, j + 1] += right
 
-    lo = x < t[0]
-    if lo.any():
-        slope = np.zeros(k)
-        slope[0] = -1.0 / h[0]
-        slope[1] = 1.0 / h[0]
-        slope -= h[0] / 6.0 * F[1]
-        base = np.zeros(k)
-        base[0] = 1.0
-        rows[lo] = base + (x[lo] - t[0])[:, None] * slope
-
-    hi = x > t[-1]
-    if hi.any():
-        slope = np.zeros(k)
-        slope[-2] = -1.0 / h[-1]
-        slope[-1] = 1.0 / h[-1]
-        slope += h[-1] / 6.0 * F[-2]
-        base = np.zeros(k)
-        base[-1] = 1.0
-        rows[hi] = base + (x[hi] - t[-1])[:, None] * slope
+    unit = np.eye(k)
+    for outside, end, nxt in ((x < t[0], 0, 1), (x > t[-1], -1, -2)):
+        if outside.any():
+            d = t[nxt] - t[end]
+            slope = (unit[nxt] - unit[end]) / d - d / 6.0 * F[nxt]
+            rows[outside] = unit[end] + (x[outside] - t[end])[:, None] * slope
 
     return rows
 

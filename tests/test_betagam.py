@@ -903,9 +903,9 @@ class TestReferenceAnswers:
             for model in models
         ]
         assert digests == [
-            "acf0fcf918ca86eacbe7642f310e0a818b2185e5163d9c778a26fab06db2e3aa",
-            "1f61212cab393c3a4481fc3dc029b172bc461e1633ccc36d40769cc60b26ac5a",
-            "78ab4e42361ba46f8e7ee1c34862ba76157bffdbdd55cce95386f190fbecc3a2",
+            "696974a592d2693b6b7aa8b1bb66904b787fe41c2f741da5e1ebbf1ae7ecbef3",
+            "19bd6070613a00b88ef26ab46cb63ac2ab48b0c4f043685963ec93ed4e6726f0",
+            "499d6ee55ade742d34c1a1b66b1bea250b109dbc4f5f13ebaa60c62c1baa9ccb",
         ]
 
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -5,12 +6,15 @@ import sys
 from pathlib import Path
 from xml.etree import ElementTree
 
+import pytest
+
 import camcurves
 from camcurves import curves, io
 
 from conftest import observation_rows
 
 SRC = str(Path(camcurves.__file__).resolve().parent.parent)
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 FRESH_IMPORTS = """
 import json, os, sys
@@ -54,6 +58,15 @@ report = {"after_import": [name for name in lazy if name in sys.modules]}
 report["exit_code"] = camcurves.cli.main(sys.argv[1:])
 report["after_curve_plot"] = [name for name in lazy if name in sys.modules]
 print(json.dumps(report))
+"""
+
+
+CLI_MODULES = """
+import json, sys
+
+import camcurves.cli
+
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("camcurves."))))
 """
 
 
@@ -120,3 +133,17 @@ def test_cli_import_freezes_its_heap_and_leaves_the_collector_on():
     report = run_fresh(CLI_COLLECTOR)
     assert report["enabled"] is True
     assert report["unfrozen"] < 1000  # ~22,000 tracked objects unfrozen
+
+
+def test_cli_import_loads_every_module_the_benchmark_tracer_wraps():
+    # the tracer looks each of its MODULES up in sys.modules right after importing
+    # camcurves.cli, so a module the CLI imported lazily would break a traced run
+    if not TRACER.exists():
+        pytest.skip("the benchmark's tracer is not beside the tests")
+    modules = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(TRACER.read_text()).body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "MODULES"
+    )
+    loaded = run_fresh(CLI_MODULES)
+    assert modules and [m for m in modules if f"camcurves.{m}" not in loaded] == []

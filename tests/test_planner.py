@@ -233,6 +233,24 @@ class TestBoundedScan:
             gam_required_sample_size(model, cell, query)
             assert 0 < sum(seen) <= bound
 
+    def test_a_tail_that_meets_at_both_ends_is_not_bisected(self, calibrated_acc_model, monkeypatch):
+        model = calibrated_acc_model
+        calls = []
+        predict_sizes = type(model).predict_sizes
+
+        def spy(self, cell, sizes):
+            calls.append(np.size(sizes))
+            return predict_sizes(self, cell, sizes)
+
+        monkeypatch.setattr(type(model), "predict_sizes", spy)
+        last_knot = math.exp(model.knot_vector.knots[-1])
+        for cell in CELLS:
+            calls.clear()
+            result = gam_required_sample_size(model, cell, PlanQuery("ACC", 0.9, 2_000_000))
+            assert result.required_n < last_knot
+            # the scan below the last knot, the ceiling and the size after the scan
+            assert len(calls) <= 3
+
     def test_scan_in_small_chunks_gives_the_same_answers(self, calibrated_acc_model, monkeypatch):
         model = calibrated_acc_model
         queries = [PlanQuery("ACC", t, search_ceiling=20_000) for t in self.TARGETS["ACC"]]
