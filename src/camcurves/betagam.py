@@ -77,13 +77,16 @@ A `_Layout` declares how covariates become model-matrix rows, and its
 them; the assembly encodes the design rows with the basis it has already
 evaluated for the centring constraints.  A `_Block` is a smooth, or its part
 on one by-factor level: its label, term, level, coefficient columns, centring
-constraint, knots and (on first use) penalty and its root.  A layout builds
-its blocks from its stored fields once, checking them as they are built; the
-rows, every inner fit's penalty, the fitted lambdas (keyed by block label)
-and the Wald test read them.  The fit's `_Design` holds a layout, and
-`AdditiveModel` is a layout with the fit's fields added, so a cell cannot be
-encoded two ways.  A layout checks that its parts agree wherever it is
-built, from a file or not.
+constraint, knots and (on first use) penalty and its root.  A layout stores
+only what it cannot derive: the spec, coefficient names, factor levels, knots,
+centring constraints and observed sizes.  Its `term_index` (the intercept,
+each factor's levels other than its reference, then each block's k - 1
+columns) and its blocks are derived from these once; the rows, every inner
+fit's penalty, the fitted lambdas (keyed by block label) and the Wald test
+read them.  The fit's `_Design` holds a layout, and `AdditiveModel` is a
+layout with the fit's fields added, so a cell cannot be encoded two ways.  A
+layout checks each condition on its parts once, when it is built, from a
+file or not.
 
 The Beta likelihood is written once, on design rows: `_loglik_rows` gives the
 summed log-likelihood and, per row, the score in logit(mu) with its Fisher
@@ -277,17 +280,27 @@ class _Layout:
 
     spec: ModelSpec
     coef_names: tuple[str, ...]
-    term_index: dict[str, tuple[int, ...]]  # term or smooth block label -> its coefficient indices
     factor_levels: dict[str, tuple[str, ...]]
-    references: dict[str, str]
     knot_vector: KnotVector | None
     smooth_constraints: dict[str, np.ndarray]  # smooth block label -> k x (k-1) centring
     observed_sizes: tuple[int, ...]
 
     @cached_property
+    def term_index(self) -> dict:
+        """Term or smooth block label -> its coefficient indices, in order: the
+        intercept, each factor's levels but its reference, each block's k - 1."""
+        index, p = {INTERCEPT: (0,)}, 1
+        widths = [(t.name, len(self.factor_levels[t.name]) - 1) for t in self.spec.parametric_terms]
+        for term in self.spec.smooth_terms:
+            widths += [(label, term.k - 1) for _, label in _smooth_blocks(term, self.factor_levels)]
+        for label, width in widths:
+            index[label], p = tuple(range(p, p + width)), p + width
+        return index
+
+    @cached_property
     def blocks(self) -> tuple:
         """The penalized blocks in coefficient order, built from the stored fields on
-        first use; InputError, on every access, when a block's k, label or constraint
+        first use; InputError, on every access, when a block's k or constraint
         disagrees."""
         knots = self.knot_vector.count if self.knot_vector else 0
         blocks = []
@@ -295,13 +308,12 @@ class _Layout:
             if term.k != knots:
                 raise InputError(f"model smooth term k={term.k} disagrees with its {knots} knots")
             for level, label in _smooth_blocks(term, self.factor_levels):
-                columns, constraint = self.term_index.get(label), self.smooth_constraints.get(label)
-                if columns is None:
-                    raise InputError(f"model is missing key {label!r}")
-                if constraint is None or constraint.shape != (knots, len(columns)):
+                constraint = self.smooth_constraints.get(label)
+                if constraint is None or constraint.shape != (knots, knots - 1):
                     raise InputError(
-                        f"model has no {knots} x {len(columns)} smooth constraint for {label!r}"
+                        f"model has no {knots} x {knots - 1} smooth constraint for {label!r}"
                     )
+                columns = self.term_index[label]
                 blocks.append(_Block(label, term, level, columns, constraint, self.knot_vector))
         return tuple(blocks)
 
@@ -309,25 +321,18 @@ class _Layout:
         smallest = min(self.observed_sizes, default=1)
         if smallest < 1:
             raise InputError(f"model observed_sizes must be positive, got {smallest}")
-        p = len(self.coef_names)
-        indices = sorted(i for idx in self.term_index.values() for i in idx)
-        if indices != list(range(p)):
-            raise InputError(f"model term_index does not cover coefficients 0..{p - 1} once each")
-        factors = {t.name: t.reference for t in self.spec.parametric_terms}
-        if set(self.factor_levels) != set(factors) or self.references != factors:
-            raise InputError(
-                "model factor_levels and references disagree with its parametric terms"
-            )
-        for name, levels in self.factor_levels.items():
-            if factors[name] not in levels or len(self.term_index.get(name, ())) != len(levels) - 1:
-                raise InputError(f"model levels of factor {name!r} disagree with its coefficients")
-        # the term_index keys are the intercept, the factors and the block labels
-        expected = {INTERCEPT, *self.factor_levels, *(block.label for block in self.blocks)}
-        missing, unknown = expected - self.term_index.keys(), self.term_index.keys() - expected
-        if missing:
-            raise InputError(f"model is missing key {min(missing)!r}")
-        if unknown:
-            raise InputError(f"model term_index has unknown key {min(unknown, key=str)!r}")
+        if set(self.factor_levels) != {t.name for t in self.spec.parametric_terms}:
+            raise InputError("model factor_levels disagree with its parametric terms")
+        for term in self.spec.parametric_terms:
+            if term.reference not in self.factor_levels[term.name]:
+                raise InputError(
+                    f"reference level {term.reference!r} of factor {term.name!r} "
+                    "is not among its levels"
+                )
+        self.blocks  # built here, so each block's k and constraint is checked
+        count = sum(map(len, self.term_index.values()))
+        if len(self.coef_names) != count:
+            raise InputError(f"model has {len(self.coef_names)} coef_names, its terms need {count}")
 
     def rows(self, columns: Mapping, sizes) -> np.ndarray:
         """Model-matrix rows at covariate values: `columns` maps each factor of
@@ -346,7 +351,8 @@ class _Layout:
         and, for each by-level smooth, the centred basis on the rows of its
         level and 0 elsewhere."""
         X = np.zeros((m, len(self.coef_names)))
-        X[:, self.term_index[INTERCEPT][0]] = 1.0
+        X[:, 0] = 1.0
+        reference = {t.name: t.reference for t in self.spec.parametric_terms}
         values = {}
         for factor, levels in self.factor_levels.items():
             if factor not in columns:
@@ -356,7 +362,7 @@ class _Layout:
             if unknown:
                 raise InputError(f"unknown level {min(unknown, key=str)!r} for factor {factor!r}")
             values[factor] = np.broadcast_to(given, (m,))
-            others = [level for level in levels if level != self.references[factor]]
+            others = [level for level in levels if level != reference[factor]]
             for level, j in zip(others, self.term_index[factor]):
                 X[:, j] = values[factor] == level
         for b in self.blocks:  # 0 off the block's level
@@ -446,21 +452,13 @@ def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
         smooth_terms.append(replace(term, k=min(term.k, count)))
     spec = replace(spec, smooth_terms=tuple(smooth_terms))
 
-    factor_levels: dict = {}
-    references: dict = {}
+    factor_levels = {
+        t.name: tuple(column[t.name][distinct(column[t.name])[0]].tolist())
+        for t in spec.parametric_terms
+    }
     names = [INTERCEPT]
-    term_index: dict = {INTERCEPT: (0,)}
-    for term in spec.parametric_terms:
-        levels = column[term.name][distinct(column[term.name])[0]].tolist()
-        if term.reference not in levels:
-            raise InputError(
-                f"reference level {term.reference!r} of factor {term.name!r} absent from data"
-            )
-        factor_levels[term.name] = tuple(levels)
-        references[term.name] = term.reference
-        others = [level for level in levels if level != term.reference]
-        term_index[term.name] = tuple(range(len(names), len(names) + len(others)))
-        names.extend(f"{term.name}[{level}]" for level in others)
+    for t in spec.parametric_terms:
+        names += [f"{t.name}[{level}]" for level in factor_levels[t.name] if level != t.reference]
 
     knot_vector, raw = None, None
     constraints: dict = {}
@@ -472,15 +470,12 @@ def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
             mask = np.ones(m) if level is None else column[term.by_factor] == level
             # count-weighted, so the constraint sums over the observations
             constraints[label] = centring(raw, mask * counts)
-            term_index[label] = tuple(range(len(names), len(names) + term.k - 1))
             names.extend(f"{label}.{j}" for j in range(term.k - 1))
 
     layout = _Layout(
         spec=spec,
         coef_names=tuple(names),
-        term_index=term_index,
         factor_levels=factor_levels,
-        references=references,
         knot_vector=knot_vector,
         smooth_constraints=constraints,
         observed_sizes=tuple(sizes.tolist()),
@@ -532,7 +527,7 @@ def _penalty(design: _Design, lambdas: Sequence[float]) -> _Penalty:
     p = design.X.shape[1]
     P, roots, row_lambdas = np.zeros((p, p)), np.zeros((p, p)), np.zeros(p)
     for lam, block in zip(lambdas, design.layout.blocks):
-        i0, i1 = block.columns[0], block.columns[-1] + 1  # _assemble keeps a block contiguous
+        i0, i1 = block.columns[0], block.columns[-1] + 1  # term_index keeps a block contiguous
         P[i0:i1, i0:i1] = lam * block.penalty
         roots[i0:i1, i0:i1] = block.root
         row_lambdas[i0:i1] = lam
@@ -897,15 +892,9 @@ def fit(
     if lambdas is not None:
         if len(lambdas) != n_smooth:
             raise InputError(f"need {n_smooth} smoothing parameters, got {len(lambdas)}")
-        if any(l < 0 for l in lambdas):
-            raise InputError("smoothing parameters must be >= 0")
-        scales = [float(np.abs(block.penalty).max()) for block in design.layout.blocks]
-        if not all(np.isfinite(float(l) * s) for l, s in zip(lambdas, scales)):
-            raise InputError(f"smoothing parameters {list(lambdas)} give a non-finite penalty")
-        if any(l > _MAX_FIXED_LAMBDA for l in lambdas):
-            raise InputError(
-                f"smoothing parameters must be at most {_MAX_FIXED_LAMBDA:.0e}, got {list(lambdas)}"
-            )
+        if not all(0.0 <= l <= _MAX_FIXED_LAMBDA for l in lambdas):  # NaN included
+            bound = f"{_MAX_FIXED_LAMBDA:.0e}"
+            raise InputError(f"smoothing parameters must lie in [0, {bound}], got {list(lambdas)}")
     if lambdas is None and n_smooth > 0:
         chosen, result = _search_lambdas(design)
     else:

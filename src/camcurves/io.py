@@ -16,8 +16,9 @@ a bool or a fraction where the file must hold a number or an integer is an
 input error that names its key, as is NaN, an infinity or a number beyond
 the float range.
 This module holds only the file format: a model checks its own parts (sizes;
-a GAM's arrays, term indices, factors, knots and smooth constraints) when it
-is built, here or anywhere else.
+a GAM's arrays, factors, coefficient count, knots and smooth constraints) when
+it is built, here or anywhere else.  A key that names no field, such as one
+that older files hold, is not read.
 """
 
 from __future__ import annotations

@@ -428,7 +428,7 @@ class TestFit:
 
         monkeypatch.setattr(betagam, "_fit_penalized", no_iterations)
         obs = simulate_rows(np.random.default_rng(1))
-        with pytest.raises(InputError, match="non-finite penalty"):
+        with pytest.raises(InputError, match=r"smoothing parameters must lie in \[0, 1e\+12\]"):
             betagam.fit(single_smooth_spec(), obs, lambdas=[lam])
 
     @settings(max_examples=25, deadline=None)
@@ -586,9 +586,7 @@ def hand_built_model(coef_value=0.050, se=0.009):
         spec=spec,
         coef=np.array([3.322, coef_value]),
         coef_names=("(intercept)", "tuning[shallow]"),
-        term_index={"(intercept)": (0,), "tuning": (1,)},
         factor_levels={"tuning": ("deep", "shallow")},
-        references={"tuning": "deep"},
         knot_vector=None,
         smooth_constraints={},
         lambdas={},
@@ -607,23 +605,18 @@ def fitted_smooth_model():
 @pytest.mark.parametrize(
     "build, field, value, message",
     [
-        (hand_built_model, "term_index", {"(intercept)": (0,), "tuning": (2,)},
-         "model term_index does not cover coefficients 0..1 once each"),
-        (hand_built_model, "references", {"tuning": "shallow"},
-         "model factor_levels and references disagree with its parametric terms"),
         (fitted_smooth_model, "smooth_constraints", {"s(num_tr_images)": np.eye(5, 3)},
          "model has no 5 x 4 smooth constraint for 's(num_tr_images)'"),
         (hand_built_model, "coef", np.array([3.322]),
          "model coef has shape (1,), coef_names needs (2,)"),
-        (fitted_smooth_model, "term_index", {"(intercept)": (0,), "s(x)": (1, 2, 3, 4)},
-         "model is missing key 's(num_tr_images)'"),
-        (hand_built_model, "term_index", {"(intercept)": (0,), "tuning": (1,), "junk": ()},
-         "model term_index has unknown key 'junk'"),
+        (hand_built_model, "factor_levels", {"tuning": ("deep", "shallow", "medium")},
+         "model has 2 coef_names, its terms need 3"),
+        (hand_built_model, "factor_levels", {"tuning": ("medium", "shallow")},
+         "reference level 'deep' of factor 'tuning' is not among its levels"),
         (fitted_smooth_model, "lambdas", {"s(x)": 1.0},
          "model lambdas name ['s(x)'], not its blocks ['s(num_tr_images)']"),
     ],
-    ids=["term-index-skips-a-coefficient", "references-disagree", "constraint-shape",
-         "coef-length", "term-index-lacks-a-block", "term-index-extra-key",
+    ids=["constraint-shape", "coef-length", "coef-names-count", "reference-not-a-level",
          "lambdas-name-no-block"],
 )
 def test_inconsistent_gam_fails_where_it_is_built(build, field, value, message):
@@ -636,6 +629,41 @@ def test_inconsistent_gam_fails_where_it_is_built(build, field, value, message):
     with pytest.raises(InputError) as loaded:
         io.model_from_dict(document)
     assert str(built.value) == str(loaded.value) == message
+
+
+
+@st.composite
+def random_layouts(draw):
+    """(spec, observations, blocks): 1-3 factors of 1-4 levels, each with a drawn
+    reference, crossed with 6 sizes, and a smooth with or without a by-factor."""
+    names = draw(st.permutations(["tuning", "dataset", "architecture"]))[: draw(st.integers(1, 3))]
+    levels = {name: [f"L{i}" for i in range(draw(st.integers(1, 4)))] for name in names}
+    terms = tuple(FactorTerm(name, draw(st.sampled_from(levels[name]))) for name in names)
+    by = draw(st.sampled_from([None, *names]))
+    smooth = SmoothTerm(by_factor=by, k=draw(st.integers(3, 5)))
+    cells = list(itertools.product(*levels.values(), SIZES))
+    values = np.random.default_rng(len(cells)).beta(40.0, 10.0, len(cells))
+    observations = as_table(
+        [make_obs(v, cell[-1], **dict(zip(names, cell))) for v, cell in zip(values, cells)]
+    )
+    spec = ModelSpec("ACC", parametric_terms=terms, smooth_terms=(smooth,))
+    return spec, observations, len(levels[by]) if by else 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_layouts())
+def test_a_layout_derives_its_term_index_and_round_trips(layout):
+    spec, observations, blocks = layout
+    model = betagam.fit(spec, observations, lambdas=[1.0] * blocks)
+    # the terms' columns follow one another in coef_names order, each named for its term
+    index = model.term_index
+    assert list(itertools.chain(*index.values())) == list(range(len(model.coef_names)))
+    assert all(model.coef_names[j].startswith(label) for label, idx in index.items() for j in idx)
+    loaded = io.model_from_dict(json.loads(io.canonical_json(io.model_to_dict(model))))
+    assert loaded.term_index == index
+    cells = {t.name: observations[t.name] for t in spec.parametric_terms}
+    sizes = observations.num_tr_images
+    assert np.array_equal(loaded.predict_sizes(cells, sizes), model.predict_sizes(cells, sizes))
 
 
 class TestPredict:
@@ -854,6 +882,21 @@ class TestFixedLambdas:
         assert penalties and min(penalties) >= 0.0
         assert len(gains) == 1 and gains[0] < betagam._TOL
 
+    def test_an_extreme_ladder_at_the_largest_lambda_has_a_finite_penalty(self):
+        # sizes 64 apart near 1e15 put the knots a few ulps apart in log n, and the
+        # penalty's entries grow like 1/h^3 in the knot gap h; even so lambda * S
+        # stays far inside the float range at the largest lambda a fit takes
+        sizes = np.tile(10**15 + np.array([0, 64, 128, 192]), 20)
+        obs = observation_rows(np.random.default_rng(0).beta(56.0, 24.0, sizes.size), sizes)
+        lam = betagam._MAX_FIXED_LAMBDA
+        design = _assemble(single_smooth_spec(), obs)
+        knots = design.layout.knot_vector.knots
+        assert np.all(np.diff(knots) > 0.0) and np.all(np.diff(knots) < 20 * np.spacing(knots[0]))
+        assert np.all(np.isfinite(_penalty(design, [lam]).matrix))
+        model = betagam.fit(single_smooth_spec(), obs, lambdas=[lam])
+        assert model.lambdas == {"s(num_tr_images)": lam}
+        assert np.all(np.isfinite(model.coef)) and math.isfinite(model.fit_stats.loglik)
+
 
 class TestReferenceAnswers:
     """The calibrated fits give the benchmark's reference answers."""
@@ -903,9 +946,9 @@ class TestReferenceAnswers:
             for model in models
         ]
         assert digests == [
-            "696974a592d2693b6b7aa8b1bb66904b787fe41c2f741da5e1ebbf1ae7ecbef3",
-            "19bd6070613a00b88ef26ab46cb63ac2ab48b0c4f043685963ec93ed4e6726f0",
-            "499d6ee55ade742d34c1a1b66b1bea250b109dbc4f5f13ebaa60c62c1baa9ccb",
+            "904a25531d9a472fccad6eecbe8b7e17450c5178076383eb8bc22e1737f38124",
+            "c87045cf9f993d6c2670a9c14648b866494993aaeb79ec2d0d6706a3afed5bfc",
+            "73cc32305b8551cb8885cf0615116bb6decbe81d6de0773e552f74aab4e1f4f2",
         ]
 
 

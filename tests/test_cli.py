@@ -98,7 +98,8 @@ def test_huge_lambda_is_an_input_error(observations_csv, tmp_path, capsys):
     out = tmp_path / "m.json"
     argv = ["fit-gam", "--observations", observations_csv, "--metric", "ACC"]
     code = cli.main(argv + ["--lambdas", "1e308", "--out", str(out)])
-    assert_one_input_error(code, capsys, "non-finite penalty")
+    message = "smoothing parameters must lie in [0, 1e+12], got [1e+308]"
+    assert_one_input_error(code, capsys, message)
     assert not out.exists()
 
 
@@ -110,7 +111,7 @@ def test_lambda_above_1e12_is_an_input_error(observations_csv, tmp_path, capsys,
     out = tmp_path / "m.json"
     argv = ["fit-gam", "--observations", observations_csv, "--metric", "ACC"]
     argv += ["--eliminate"] * eliminate + ["--lambdas", lam, "--out", str(out)]
-    assert_one_input_error(cli.main(argv), capsys, "smoothing parameters must be at most 1e+12")
+    assert_one_input_error(cli.main(argv), capsys, "smoothing parameters must lie in [0, 1e+12]")
     assert not out.exists()
 
 
@@ -827,16 +828,8 @@ def _drop_wi_constraint(d):
 
 
 def _rename_wi_block(d):
-    for key in ("term_index", "smooth_constraints", "lambdas"):
+    for key in ("smooth_constraints", "lambdas"):
         d[key]["s(num_tr_images):dataset[XX]"] = d[key].pop("s(num_tr_images):dataset[WI]")
-
-
-def _rename_intercept(d):
-    d["term_index"]["intercept"] = d["term_index"].pop("(intercept)")
-
-
-def _extra_term_index_key(d):
-    d["term_index"]["junk"] = []
 
 
 def _rename_wi_lambda(d):
@@ -853,14 +846,6 @@ def _drop_last_edf(d):
 
 def _drop_covariance_row(d):
     d["covariance"].pop()
-
-
-def _shift_tuning_index(d):
-    d["term_index"]["tuning"] = [i + 1 for i in d["term_index"]["tuning"]]
-
-
-def _drop_tuning_reference(d):
-    del d["references"]["tuning"]
 
 
 def _drop_tuning_levels(d):
@@ -927,14 +912,6 @@ def _text_lambdas(d):
     d["lambdas"] = {label: str(value) for label, value in d["lambdas"].items()}
 
 
-def _float_intercept_index(d):
-    d["term_index"]["(intercept)"] = [0.0]
-
-
-def _boolean_tuning_index(d):
-    d["term_index"]["tuning"] = [True]
-
-
 def _integer_coef_name(d):
     d["coef_names"][0] = 1
 
@@ -960,15 +937,11 @@ def _text_covariance_entry(d):
     [
         (_drop_phi, "missing key 'phi'"),
         (_drop_wi_constraint, "s(num_tr_images):dataset[WI]"),
-        (_rename_wi_block, "missing key 's(num_tr_images):dataset[WI]'"),
-        (_rename_intercept, "missing key '(intercept)'"),
-        (_extra_term_index_key, "term_index has unknown key 'junk'"),
+        (_rename_wi_block, "no 5 x 4 smooth constraint for 's(num_tr_images):dataset[WI]'"),
         (_rename_wi_lambda, "lambdas name ["),
         (_drop_last_coef, "coef has shape"),
         (_drop_last_edf, "edf_by_coef has shape"),
         (_drop_covariance_row, "covariance has shape"),
-        (_shift_tuning_index, "term_index does not cover"),
-        (_drop_tuning_reference, "disagree with its parametric terms"),
         (_drop_tuning_levels, "disagree with its parametric terms"),
         (_fractional_observed_size, "observed_sizes[5] must be an integer, got 1000.5"),
         (_text_observed_size, "observed_sizes[0] must be an integer, got '10'"),
@@ -985,8 +958,6 @@ def _text_covariance_entry(d):
         (_text_phi, "model phi must be a number, got 'nan'"),
         (_text_squeeze_eps, "squeeze_eps must be a number, got '1e-4'"),
         (_text_lambdas, "lambdas['s(num_tr_images):dataset[AU]'] must be a number, got '"),
-        (_float_intercept_index, "term_index['(intercept)'][0] must be an integer, got 0.0"),
-        (_boolean_tuning_index, "term_index['tuning'][0] must be an integer, got True"),
         (_integer_coef_name, "coef_names[0] must be a string, got 1"),
         (_integer_dataset_level, "factor_levels['dataset'][1] must be a string, got 7"),
         (_zero_observed_size, "observed_sizes must be positive, got 0"),

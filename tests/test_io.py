@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from camcurves import InputError, betagam, curves, io, observation_table
+from camcurves import InputError, betagam, cli, curves, io, observation_table
 from camcurves.metrics import METRIC_KINDS, OBSERVATION_COLUMNS
 
 from conftest import as_table, make_obs, observation_rows, traced_peak
@@ -205,6 +205,43 @@ def test_a_gam_file_with_the_dropped_smooth_by_key_loads_and_writes_back_without
     assert io.model_to_dict(io.model_from_dict({**document, "smooth_by": "dataset"})) == document
 
 
+
+def test_a_gam_file_in_the_older_form_loads_plans_alike_and_writes_back_without_its_keys(
+    calibrated_acc_model, tmp_path, capsys
+):
+    # files written before the layout dropped what it derives hold each term's
+    # coefficient indices, each factor's reference and the smooth's by-factor
+    document = io.model_to_dict(calibrated_acc_model)
+    blocks = {
+        f"s(num_tr_images):dataset[{level}]": list(range(9 + 4 * i, 13 + 4 * i))
+        for i, level in enumerate(("AU", "SE", "WI"))
+    }
+    older = {
+        **document,
+        "term_index": {
+            "(intercept)": [0], "tuning": [1], "dataset": [2, 3], "architecture": [4, 5, 6, 7, 8],
+            **blocks,
+        },
+        "references": {"tuning": "deep", "dataset": "AU", "architecture": "dnsNet121"},
+        "smooth_by": "dataset",
+    }
+    answers = []
+    for name, payload in (("current", document), ("older", older)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(io.canonical_json(payload))
+        argv = ["plan", "--model", str(path), "--target", "0.9", "--cell", "WI,deep,resNet18"]
+        assert cli.main(argv) == cli.EXIT_OK
+        answers.append(capsys.readouterr().out)
+    assert answers[0] == answers[1] and "required_n" in answers[1]
+    loaded = io.load_model(str(tmp_path / "older.json"))
+    cell, sizes = {"dataset": "WI", "tuning": "deep", "architecture": "resNet18"}, [10, 90, 4000]
+    expected = calibrated_acc_model.predict_sizes(cell, sizes)
+    assert np.array_equal(loaded.predict_sizes(cell, sizes), expected)
+    written = io.model_to_dict(loaded)
+    assert not {"term_index", "references", "smooth_by"} & written.keys()
+    assert written == document
+
+
 def test_models_that_hold_arrays_compare_and_hash_by_identity(calibrated_acc_model, tmp_path):
     path = str(tmp_path / "acc.json")
     io.save_model(calibrated_acc_model, path)
@@ -238,7 +275,7 @@ def test_model_json_bytes_of_an_ols_and_an_intercept_only_model_are_pinned(
     ]
     assert digests == [
         "1d5458004206511ddddc84863a2a90c65c98509738ccf2312bac9bd05c18a7ea",
-        "8bdfb10b38d4b259a9269595197f9463d1f0ad207f857b6470f9fe2837db38c0",
+        "3d06c3704b946974239e944cf976a66dbbe1169480197fe1d7a8d0eecf759e01",
     ]
 
 
@@ -248,7 +285,7 @@ def test_model_json_bytes_of_a_smooth_without_a_by_factor_are_pinned(calibrated_
     model = betagam.fit(spec, calibrated_observations)
     assert model.coef_names[-4:] == tuple(f"s(num_tr_images).{j}" for j in range(4))
     digest = hashlib.sha256(io.canonical_json(io.model_to_dict(model)).encode()).hexdigest()
-    assert digest == "0d78f183e651797d583795d53511f137b3db6096a25ddda284e43ee4f16837c1"
+    assert digest == "c0ab9a751f9a83de0c49b1040ac42ab0fc96802b0c32dd4f1a43fd774bff85ad"
 
 
 def test_parsed_observation_table_is_read_only(tmp_path):
