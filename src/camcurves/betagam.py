@@ -146,7 +146,7 @@ class FactorTerm:
 
 @dataclass(frozen=True)
 class SmoothTerm:
-    covariate: str = "num_tr_images"
+    covariate = "num_tr_images"  # the one covariate a smooth takes; not a field
     by_factor: str | None = "dataset"
     k: int = 5
 
@@ -164,14 +164,17 @@ DEFAULT_FACTORS = (
 )
 
 
+# how far fit() moves a response of exactly 0 or 1 inside, as mgcv's betar does
+SQUEEZE_EPS = 1e-4
+
+
 @dataclass(frozen=True)
 class ModelSpec:
-    """Which terms enter the model, and how far fit() moves a response at 0 or 1 inside."""
+    """Which terms enter the model; a response at 0 or 1 is fitted at SQUEEZE_EPS inside."""
 
     response: str
     parametric_terms: tuple[FactorTerm, ...] = DEFAULT_FACTORS
     smooth_terms: tuple[SmoothTerm, ...] = (SmoothTerm(),)
-    squeeze_eps: float = 1e-4
 
     def __post_init__(self):
         if self.response not in METRIC_KINDS:
@@ -182,14 +185,10 @@ class ModelSpec:
         if len(self.smooth_terms) > 1:  # a model carries one knot vector
             raise InputError("at most one smooth term is supported")
         for term in self.smooth_terms:
-            if term.covariate != "num_tr_images":
-                raise InputError(f"unsupported smooth covariate {term.covariate!r}")
             if term.by_factor is not None and term.by_factor not in names:
                 raise InputError(
                     f"smooth by-factor {term.by_factor!r} is not a parametric term of the model"
                 )
-        if not 0.0 < self.squeeze_eps < 0.5:
-            raise InputError(f"squeeze_eps must lie in (0, 0.5), got {self.squeeze_eps}")
 
     def without(self, term_label: str) -> "ModelSpec":
         """Copy of this spec with one term dropped."""
@@ -415,7 +414,7 @@ def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
     if not len(data):
         raise InputError(f"no observations with metric {spec.response!r}")
     # the table holds values in [0, 1]; only the bounds themselves move
-    eps = spec.squeeze_eps
+    eps = SQUEEZE_EPS
     y = np.where(data.value == 0.0, eps, np.where(data.value == 1.0, 1.0 - eps, data.value))
     sizes = data.num_tr_images[distinct(data.num_tr_images)[0]]
 
@@ -875,14 +874,14 @@ def fit(
     Parameters
     ----------
     spec : ModelSpec
-        Terms, reference levels and squeeze width.  A smooth's k is capped
-        at the number of distinct sizes; the model's spec holds the k fitted.
+        Terms and reference levels.  A smooth's k is capped at the number
+        of distinct sizes; the model's spec holds the k fitted.
     observations : np.recarray
         Observation table (see metrics.observation_table) of any metric;
         only the rows of spec.response are used.  A value of exactly 0 or 1
-        is moved inside to spec.squeeze_eps or 1 - spec.squeeze_eps, as mgcv's
-        betar family truncates to [eps, 1 - eps]; other values are fitted as
-        they are.
+        is moved inside to SQUEEZE_EPS or 1 - SQUEEZE_EPS, as mgcv's betar
+        family truncates to [eps, 1 - eps]; other values are fitted as they
+        are.
     lambdas : optional
         Fixed smoothing parameters, one per smooth block, each in [0, 1e12],
         to bypass the AIC search over DEFAULT_LAMBDA_GRID.

@@ -119,9 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "fit-gam",
         help="fit a Beta additive model",
         description="Fit a Beta additive model to one metric of an observation CSV. "
-        f"{one_metric} A value of exactly 0 or 1 is moved inside to squeeze_eps "
-        f"({betagam.ModelSpec.squeeze_eps}) or 1 - squeeze_eps; other values are fitted as "
-        "they are.",
+        f"{one_metric} A value of exactly 0 or 1 is moved inside to SQUEEZE_EPS "
+        f"({betagam.SQUEEZE_EPS}) or 1 - SQUEEZE_EPS; other values are fitted as they are.",
     )
     p.add_argument("--observations", required=True)
     p.add_argument("--metric", required=True, choices=metrics.METRIC_KINDS)

@@ -15,14 +15,6 @@ import numpy as np
 from .errors import InputError
 from .metrics import METRIC_KINDS
 
-LOG_N = "log_n"
-LOG_INVERSE_N = "log_inverse_n"
-
-
-def transform_for(metric: str) -> str:
-    return LOG_INVERSE_N if metric == "FPR" else LOG_N
-
-
 @dataclass(frozen=True)
 class LearningCurveModel:
     """value = intercept + slope * ln(n)  (or ln(1/n) for FPR), clamped to [0, 1]."""
@@ -30,7 +22,6 @@ class LearningCurveModel:
     metric: str
     intercept: float
     slope: float
-    transform: str
     adj_r_squared: float
     n_obs: int
     size_range: tuple[int, int] | None = None
@@ -38,13 +29,12 @@ class LearningCurveModel:
     def __post_init__(self):
         if self.metric not in METRIC_KINDS:
             raise InputError(f"unknown metric kind {self.metric!r}")
-        if self.size_range is not None and min(self.size_range) < 1:
-            raise InputError(f"model size_range must be positive, got {min(self.size_range)}")
-        if self.transform != transform_for(self.metric):
-            raise InputError(
-                f"{self.metric} uses the {transform_for(self.metric)!r} transform, "
-                f"got {self.transform!r}"
-            )
+        if self.size_range is not None:
+            low, high = self.size_range
+            if low < 1:
+                raise InputError(f"model size_range must be positive, got {low}")
+            if low > high:
+                raise InputError(f"model size_range must not be reversed, got [{low}, {high}]")
 
 
 def fit_log_curve(observations: np.recarray, metric: str) -> LearningCurveModel:
@@ -81,7 +71,6 @@ def fit_log_curve(observations: np.recarray, metric: str) -> LearningCurveModel:
         metric=metric,
         intercept=intercept,
         slope=slope,
-        transform=transform_for(metric),
         adj_r_squared=adj,
         n_obs=n,
         size_range=(int(sizes.min()), int(sizes.max())),
@@ -92,7 +81,7 @@ def predict_metric(model: LearningCurveModel, n: float) -> float:
     """Curve value at size n, clamped to [0, 1]."""
     if n < 1:
         raise InputError(f"training-set size must be >= 1, got {n}")
-    x = math.log(1.0 / n) if model.transform == LOG_INVERSE_N else math.log(n)
+    x = math.log(1.0 / n) if model.metric == "FPR" else math.log(n)
     return min(1.0, max(0.0, model.intercept + model.slope * x))
 
 
@@ -116,7 +105,6 @@ def table1_presets() -> dict[str, LearningCurveModel]:
             metric=metric,
             intercept=intercept,
             slope=slope,
-            transform=transform_for(metric),
             adj_r_squared=adj,
             n_obs=0,
             size_range=PRESET_SIZE_RANGE,

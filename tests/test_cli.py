@@ -880,14 +880,6 @@ def _fractional_iterations(d):
     d["fit_stats"]["iterations"] = 2.5
 
 
-def _squeeze_eps_beyond_half(d):
-    d["squeeze_eps"] = 0.7
-
-
-def _unsupported_covariate(d):
-    d["smooth_terms"][0]["covariate"] = "foo"
-
-
 def _by_factor_not_in_the_model(d):
     d["smooth_terms"][0]["by_factor"] = "class"
 
@@ -902,10 +894,6 @@ def _phi_beyond_the_float_range_as_an_integer(d):
 
 def _text_phi(d):
     d["phi"] = "nan"
-
-
-def _text_squeeze_eps(d):
-    d["squeeze_eps"] = "1e-4"
 
 
 def _text_lambdas(d):
@@ -950,13 +938,10 @@ def _text_covariance_entry(d):
         (_k_without_its_knots, "smooth term k=7 disagrees with its 5 knots"),
         (_fractional_n_obs, "fit_stats n_obs must be an integer, got 3.7"),
         (_fractional_iterations, "fit_stats iterations must be an integer, got 2.5"),
-        (_squeeze_eps_beyond_half, "squeeze_eps must lie in (0, 0.5), got 0.7"),
-        (_unsupported_covariate, "unsupported smooth covariate 'foo'"),
         (_by_factor_not_in_the_model, "smooth by-factor 'class' is not a parametric term"),
         (_second_smooth, "at most one smooth term is supported"),
         (_phi_beyond_the_float_range_as_an_integer, "malformed model: int too large"),
         (_text_phi, "model phi must be a number, got 'nan'"),
-        (_text_squeeze_eps, "squeeze_eps must be a number, got '1e-4'"),
         (_text_lambdas, "lambdas['s(num_tr_images):dataset[AU]'] must be a number, got '"),
         (_integer_coef_name, "coef_names[0] must be a string, got 1"),
         (_integer_dataset_level, "factor_levels['dataset'][1] must be a string, got 7"),
@@ -981,10 +966,10 @@ def test_malformed_gam_file_is_an_input_error(
     "edit, fragment",
     [
         (lambda d: d.pop("slope"), "missing key 'slope'"),
-        (lambda d: d.update(transform="log_inverse_n"), "uses the 'log_n' transform"),
         (lambda d: d.update(size_range=[10]), "size_range must be a list of 2 items, got [10]"),
         (lambda d: d.update(size_range=["a", "b"]), "size_range[0] must be an integer, got 'a'"),
         (lambda d: d.update(size_range=[0, 500]), "size_range must be positive, got 0"),
+        (lambda d: d.update(size_range=[1000, 10]), "size_range must not be reversed, got [1000"),
         (lambda d: d.update(n_obs=3.9), "n_obs must be an integer, got 3.9"),
         (lambda d: d.update(n_obs=True), "n_obs must be an integer, got True"),
         (lambda d: d.update(slope="inf"), "model slope must be a number, got 'inf'"),
@@ -992,10 +977,10 @@ def test_malformed_gam_file_is_an_input_error(
     ],
     ids=[
         "missing-slope",
-        "wrong-transform",
         "one-size",
         "text-sizes",
         "zero-size",
+        "reversed-sizes",
         "fractional-n-obs",
         "boolean-n-obs",
         "text-slope",
@@ -1353,7 +1338,7 @@ NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400]
 # a number of each kind of model document, by its path
 NUMBER_PATHS = {
     "gam": [["phi"], ["coef", 0], ["covariance", 1, 0], ["knots", -1], ["fit_stats", "aic"],
-            ["lambdas", "s(num_tr_images):dataset[AU]"], ["squeeze_eps"], ["edf_by_coef", -1]],
+            ["lambdas", "s(num_tr_images):dataset[AU]"], ["edf_by_coef", -1]],
     "ols": [["intercept"], ["slope"], ["adj_r_squared"]],
 }
 

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from camcurves import InputError, fit_log_curve, predict_metric, table1_presets
-from camcurves.curves import LOG_INVERSE_N, LOG_N
 
 from conftest import observation_rows
 
@@ -48,7 +50,6 @@ class TestFitLogCurve:
         assert model.intercept == pytest.approx(0.85, abs=1e-12)
         assert model.slope == pytest.approx(0.02, abs=1e-12)
         assert model.adj_r_squared == pytest.approx(1.0, abs=1e-12)
-        assert model.transform == LOG_N
 
     def test_refit_of_average_accuracy_trajectories(self):
         model = fit(average_points("ACC"), "ACC")
@@ -58,7 +59,6 @@ class TestFitLogCurve:
 
     def test_refit_of_average_fpr_trajectories(self):
         model = fit(average_points("FPR"), "FPR")
-        assert model.transform == LOG_INVERSE_N
         assert model.slope == pytest.approx(0.01, abs=0.005)
 
     def test_too_few_points_rejected(self):
@@ -100,6 +100,31 @@ class TestFitLogCurve:
         assert shuffled.slope == pytest.approx(model.slope, abs=1e-12)
         assert doubled.intercept == pytest.approx(model.intercept, abs=1e-12)
         assert doubled.slope == pytest.approx(model.slope, abs=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        metric=st.sampled_from(["ACC", "PRC", "TPR", "FPR"]),
+        points=st.lists(
+            st.tuples(st.integers(1, 10**5), st.integers(0, 1000).map(lambda v: v / 1000)),
+            min_size=3,
+            max_size=40,
+        ).filter(lambda p: len({n for n, _ in p}) > 1 and len({v for _, v in p}) > 1),
+    )
+    def test_agrees_with_scipy_linregress(self, metric, points):
+        # the oracle regresses on ln n, or on -ln n = ln(1/n) for FPR
+        model = fit(points, metric)
+        x = np.log([n for n, _ in points]) * (-1.0 if metric == "FPR" else 1.0)
+        y = np.array([v for _, v in points])
+        oracle = stats.linregress(x, y)
+        # a coefficient near 0 is held to 1e-12 of its own scale, not to 1e-9 of itself
+        slope_tol = 1e-12 * y.std() / x.std()
+        intercept_tol = 1e-12 * (abs(y.mean()) + abs(oracle.slope * x.mean()))
+        assert model.slope == pytest.approx(oracle.slope, rel=1e-9, abs=slope_tol)
+        assert model.intercept == pytest.approx(oracle.intercept, rel=1e-9, abs=intercept_tol)
+        n = len(points)
+        adjusted = 1.0 - (1.0 - oracle.rvalue**2) * (n - 1) / (n - 2)
+        assert model.adj_r_squared == pytest.approx(adjusted, rel=1e-9, abs=1e-9)
+        assert model.n_obs == n
 
     def test_roundtrip_through_noiseless_points(self):
         model = fit(average_points("ACC"), "ACC")
@@ -148,17 +173,3 @@ class TestPresets:
         assert presets["TPR"].intercept == 0.32
         assert presets["TPR"].adj_r_squared == 0.52
         assert (presets["FPR"].intercept, presets["FPR"].slope) == (0.09, 0.01)
-        assert presets["FPR"].transform == LOG_INVERSE_N
-
-    def test_transform_tied_to_metric(self):
-        from camcurves import LearningCurveModel
-
-        with pytest.raises(InputError):
-            LearningCurveModel(
-                metric="ACC",
-                intercept=0.5,
-                slope=0.1,
-                transform=LOG_INVERSE_N,
-                adj_r_squared=0.5,
-                n_obs=6,
-            )

@@ -210,7 +210,9 @@ def test_a_gam_file_in_the_older_form_loads_plans_alike_and_writes_back_without_
     calibrated_acc_model, tmp_path, capsys
 ):
     # files written before the layout dropped what it derives hold each term's
-    # coefficient indices, each factor's reference and the smooth's by-factor
+    # coefficient indices, each factor's reference and the smooth's by-factor;
+    # those written before squeeze_eps and the smooth's covariate became
+    # constants hold both
     document = io.model_to_dict(calibrated_acc_model)
     blocks = {
         f"s(num_tr_images):dataset[{level}]": list(range(9 + 4 * i, 13 + 4 * i))
@@ -224,6 +226,8 @@ def test_a_gam_file_in_the_older_form_loads_plans_alike_and_writes_back_without_
         },
         "references": {"tuning": "deep", "dataset": "AU", "architecture": "dnsNet121"},
         "smooth_by": "dataset",
+        "squeeze_eps": 0.0001,
+        "smooth_terms": [{**t, "covariate": "num_tr_images"} for t in document["smooth_terms"]],
     }
     answers = []
     for name, payload in (("current", document), ("older", older)):
@@ -238,8 +242,34 @@ def test_a_gam_file_in_the_older_form_loads_plans_alike_and_writes_back_without_
     expected = calibrated_acc_model.predict_sizes(cell, sizes)
     assert np.array_equal(loaded.predict_sizes(cell, sizes), expected)
     written = io.model_to_dict(loaded)
-    assert not {"term_index", "references", "smooth_by"} & written.keys()
+    assert not {"term_index", "references", "smooth_by", "squeeze_eps"} & written.keys()
+    assert all("covariate" not in t for t in written["smooth_terms"])
     assert written == document
+
+
+@pytest.mark.parametrize(
+    "metric, transform, target", [("ACC", "log_n", "0.95"), ("FPR", "log_inverse_n", "0.03")]
+)
+def test_an_ols_file_in_the_older_form_loads_plans_alike_and_writes_back_without_its_transform(
+    calibrated_observations, tmp_path, capsys, metric, transform, target
+):
+    # files written before the transform followed from the metric hold it
+    model = curves.fit_log_curve(calibrated_observations, metric)
+    document = io.model_to_dict(model)
+    answers = []
+    for name, payload in (("current", document), ("older", {**document, "transform": transform})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(io.canonical_json(payload))
+        assert cli.main(["plan", "--model", str(path), "--target", target]) == cli.EXIT_OK
+        answers.append(capsys.readouterr().out)
+    assert answers[0] == answers[1] and "required_n" in answers[1]
+    loaded = io.load_model(str(tmp_path / "older.json"))
+    sizes = [1, 10, 90, 1000, 12345]
+    assert [curves.predict_metric(loaded, n) for n in sizes] == [
+        curves.predict_metric(model, n) for n in sizes
+    ]
+    written = io.model_to_dict(loaded)
+    assert "transform" not in written and written == document
 
 
 def test_models_that_hold_arrays_compare_and_hash_by_identity(calibrated_acc_model, tmp_path):
@@ -274,8 +304,8 @@ def test_model_json_bytes_of_an_ols_and_an_intercept_only_model_are_pinned(
         for model in models
     ]
     assert digests == [
-        "1d5458004206511ddddc84863a2a90c65c98509738ccf2312bac9bd05c18a7ea",
-        "3d06c3704b946974239e944cf976a66dbbe1169480197fe1d7a8d0eecf759e01",
+        "3780a9c99416199a5de648f2ace66a0bf46f372f293573afc693f2427916745b",
+        "73065fba81995bba9abdbb84688a45dd552a13ce8a0f398c2a610f79d5f0954c",
     ]
 
 
@@ -285,7 +315,7 @@ def test_model_json_bytes_of_a_smooth_without_a_by_factor_are_pinned(calibrated_
     model = betagam.fit(spec, calibrated_observations)
     assert model.coef_names[-4:] == tuple(f"s(num_tr_images).{j}" for j in range(4))
     digest = hashlib.sha256(io.canonical_json(io.model_to_dict(model)).encode()).hexdigest()
-    assert digest == "c0ab9a751f9a83de0c49b1040ac42ab0fc96802b0c32dd4f1a43fd774bff85ad"
+    assert digest == "a462316ecf70be7c194a03989a7ba518bdd452061c097b699103241cc558a1f4"
 
 
 def test_parsed_observation_table_is_read_only(tmp_path):

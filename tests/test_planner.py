@@ -41,7 +41,7 @@ class TestLogCurveInversion:
 
     def test_wrong_slope_direction_unattainable(self):
         falling = LearningCurveModel(
-            metric="ACC", intercept=0.6, slope=-0.01, transform="log_n",
+            metric="ACC", intercept=0.6, slope=-0.01,
             adj_r_squared=0.5, n_obs=6,
         )
         result = required_sample_size(falling, PlanQuery("ACC", 0.9))
@@ -49,7 +49,7 @@ class TestLogCurveInversion:
 
     def test_worsening_curve_must_meet_target_up_to_ceiling(self):
         falling = LearningCurveModel(
-            metric="ACC", intercept=0.95, slope=-0.01, transform="log_n",
+            metric="ACC", intercept=0.95, slope=-0.01,
             adj_r_squared=0.5, n_obs=6,
         )
         assert predict_metric(falling, 1) >= 0.9 > predict_metric(falling, 1000)
@@ -61,7 +61,7 @@ class TestLogCurveInversion:
 
     def test_nearly_flat_curve_is_unattainable(self):
         flat = LearningCurveModel(
-            metric="PRC", intercept=0.27, slope=3e-4, transform="log_n",
+            metric="PRC", intercept=0.27, slope=3e-4,
             adj_r_squared=0.5, n_obs=6,
         )  # the target would need n = exp(2100)
         result = required_sample_size(flat, PlanQuery("PRC", 0.9, search_ceiling=10**12))
@@ -297,7 +297,7 @@ class TestPlanReport:
 
     def test_all_unattainable_is_explicit(self):
         falling = LearningCurveModel(
-            metric="ACC", intercept=0.6, slope=-0.01, transform="log_n",
+            metric="ACC", intercept=0.6, slope=-0.01,
             adj_r_squared=0.5, n_obs=6,
         )
         with pytest.raises(InfeasiblePlanError):
