@@ -21,7 +21,7 @@ _EXPORTS = {
     "metrics": ("aggregate", "confusion_matrix", "observation_table", "one_vs_rest"),
     "planner": ("PlanQuery", "PlanResult", "gam_required_sample_size", "plan_report",
                 "required_sample_size"),
-    "splines": ("KnotVector", "basis_rows", "centring", "penalty_matrix", "place_knots"),
+    "splines": ("basis_rows", "centring", "penalty_matrix", "place_knots"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -113,7 +113,7 @@ import numpy as np
 from ._numeric import chi2_sf, distinct, gammaln_psi, inv_logit, logit
 from .errors import ConvergenceError, InputError
 from .metrics import METRIC_KINDS, _distinct
-from .splines import KnotVector, basis_rows, centred_penalty, centring, penalty_matrix, place_knots
+from .splines import basis_rows, centred_penalty, centring, penalty_matrix, place_knots
 
 DEFAULT_LAMBDA_GRID = tuple(10.0 ** np.linspace(-4.0, 6.0, 21))
 
@@ -182,7 +182,7 @@ class ModelSpec:
         names = [t.name for t in self.parametric_terms]
         if len(names) != len(set(names)):
             raise InputError("duplicate parametric terms")
-        if len(self.smooth_terms) > 1:  # a model carries one knot vector
+        if len(self.smooth_terms) > 1:  # a model carries one knot array
             raise InputError("at most one smooth term is supported")
         for term in self.smooth_terms:
             if term.by_factor is not None and term.by_factor not in names:
@@ -258,12 +258,12 @@ class _Block:
     level: str | None  # None for an unsplit smooth
     columns: tuple  # its coefficient indices
     constraint: np.ndarray  # k x (k-1) centring of the raw basis
-    knot_vector: KnotVector
+    knots: np.ndarray
 
     @cached_property
     def penalty(self) -> np.ndarray:
         """(k-1) x (k-1) curvature penalty in the centred coordinates, on first use."""
-        return centred_penalty(penalty_matrix(self.knot_vector), self.constraint)
+        return centred_penalty(penalty_matrix(self.knots), self.constraint)
 
     @cached_property
     def root(self) -> np.ndarray:
@@ -280,7 +280,7 @@ class _Layout:
     spec: ModelSpec
     coef_names: tuple[str, ...]
     factor_levels: dict[str, tuple[str, ...]]
-    knot_vector: KnotVector | None
+    knots: np.ndarray | None  # the smooth's knots in log(num_tr_images)
     smooth_constraints: dict[str, np.ndarray]  # smooth block label -> k x (k-1) centring
     observed_sizes: tuple[int, ...]
 
@@ -299,21 +299,24 @@ class _Layout:
     @cached_property
     def blocks(self) -> tuple:
         """The penalized blocks in coefficient order, built from the stored fields on
-        first use; InputError, on every access, when a block's k or constraint
-        disagrees."""
-        knots = self.knot_vector.count if self.knot_vector else 0
+        first use; InputError, on every access, when the knots, a block's k or its
+        constraint is malformed or disagrees."""
+        t = self.knots
+        if t is not None and not (t.ndim == 1 and t.size >= 3 and np.all(np.diff(t) > 0.0)):
+            raise InputError("model knots must be 3 or more strictly increasing numbers")
+        count = 0 if t is None else t.size
         blocks = []
         for term in self.spec.smooth_terms:
-            if term.k != knots:
-                raise InputError(f"model smooth term k={term.k} disagrees with its {knots} knots")
+            if term.k != count:
+                raise InputError(f"model smooth term k={term.k} disagrees with its {count} knots")
             for level, label in _smooth_blocks(term, self.factor_levels):
                 constraint = self.smooth_constraints.get(label)
-                if constraint is None or constraint.shape != (knots, knots - 1):
+                if constraint is None or constraint.shape != (count, count - 1):
                     raise InputError(
-                        f"model has no {knots} x {knots - 1} smooth constraint for {label!r}"
+                        f"model has no {count} x {count - 1} smooth constraint for {label!r}"
                     )
                 columns = self.term_index[label]
-                blocks.append(_Block(label, term, level, columns, constraint, self.knot_vector))
+                blocks.append(_Block(label, term, level, columns, constraint, t))
         return tuple(blocks)
 
     def __post_init__(self):
@@ -328,7 +331,7 @@ class _Layout:
                     f"reference level {term.reference!r} of factor {term.name!r} "
                     "is not among its levels"
                 )
-        self.blocks  # built here, so each block's k and constraint is checked
+        self.blocks  # built here, so the knots and each block's k and constraint are checked
         count = sum(map(len, self.term_index.values()))
         if len(self.coef_names) != count:
             raise InputError(f"model has {len(self.coef_names)} coef_names, its terms need {count}")
@@ -340,7 +343,7 @@ class _Layout:
         sizes = np.atleast_1d(np.asarray(sizes, dtype=float))
         if np.any(sizes <= 0.0):
             raise InputError("num_tr_images must be positive")
-        raw = basis_rows(np.log(sizes), self.knot_vector) if self.spec.smooth_terms else None
+        raw = basis_rows(np.log(sizes), self.knots) if self.spec.smooth_terms else None
         return self._encode(columns, sizes.size, raw)
 
     def _encode(self, columns: Mapping, m: int, raw) -> np.ndarray:
@@ -430,16 +433,19 @@ def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
     counts = np.bincount(inverse, minlength=m).astype(float)
     column = {name: data[name][firsts] for name in key_names}
 
+    # the smooth's covariate, log(num_tr_images), on the design rows
+    x = np.log(column[SmoothTerm.covariate].astype(float)) if spec.smooth_terms else None
     smooth_terms = []
     for term in spec.smooth_terms:
-        # a smooth gets at most one knot per distinct size (mgcv's k <= the number of
-        # unique covariate values), and each by-level block needs that many sizes of
-        # its own; the design's spec, and so the model, records that k
+        # a smooth gets at most one knot per distinct value of x (mgcv's k <= the number
+        # of unique covariate values; sizes past ~1e14 may share one), and each by-level
+        # block needs that many of its own; the design's spec, and so the model,
+        # records that k, so the knots placed on x are strictly increasing
         levels, codes = [None], np.zeros(m, dtype=np.intp)
         if term.by_factor:
             firsts, codes = distinct(column[term.by_factor])
             levels = column[term.by_factor][firsts].tolist()
-        pairs, _ = distinct(codes, column[term.covariate])
+        pairs, _ = distinct(codes, x)
         per_level = np.bincount(codes[pairs], minlength=len(levels))
         fewest = int(np.argmin(per_level))  # the first in level order among ties
         count, level = int(per_level[fewest]), levels[fewest]
@@ -459,12 +465,11 @@ def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
     for t in spec.parametric_terms:
         names += [f"{t.name}[{level}]" for level in factor_levels[t.name] if level != t.reference]
 
-    knot_vector, raw = None, None
+    knots, raw = None, None
     constraints: dict = {}
     for term in spec.smooth_terms:
-        x = np.log(column[term.covariate].astype(float))
-        knot_vector = place_knots(x, k=term.k)
-        raw = basis_rows(x, knot_vector)
+        knots = place_knots(x, k=term.k)
+        raw = basis_rows(x, knots)
         for level, label in _smooth_blocks(term, factor_levels):
             mask = np.ones(m) if level is None else column[term.by_factor] == level
             # count-weighted, so the constraint sums over the observations
@@ -475,7 +480,7 @@ def _assemble(spec: ModelSpec, observations: np.recarray) -> _Design:
         spec=spec,
         coef_names=tuple(names),
         factor_levels=factor_levels,
-        knot_vector=knot_vector,
+        knots=knots,
         smooth_constraints=constraints,
         observed_sizes=tuple(sizes.tolist()),
     )
@@ -610,19 +615,22 @@ def _fit_penalized(start: _State, penalty: _Penalty, tol):
     the (gradient, step) of _newton_step at that state).
     Raises ConvergenceError when the objective change stays above `tol` for
     _MAX_ITER iterations, or at once when the objective or the step is not
-    finite, since step halving can then accept nothing.
+    finite, since step halving can then accept nothing.  A state with a mean
+    of exactly 0 or 1 has no Beta density there, so its objective is -inf:
+    a start state fails and a step to one is not taken.
     """
     design, P = start.design, penalty.matrix
     low, high = math.log(_PHI_MIN), math.log(_PHI_MAX)
 
     def objective(state):
+        if not (state.mu.min() > 0.0 and state.mu.max() < 1.0):  # a or b is 0: no density
+            return -math.inf
         return state.loglik - penalty.value(state.beta)
 
     def check_finite(what, value, it):
         if not np.all(np.isfinite(value)):
             raise ConvergenceError(
-                f"penalized fit reached a non-finite {what} after {it} iterations",
-                iterations=it,
+                f"penalized fit reached a non-finite {what} after {it} iterations"
             )
 
     state = start
@@ -650,9 +658,7 @@ def _fit_penalized(start: _State, penalty: _Penalty, tol):
             return state, history, _newton_step(state, P)
     raise ConvergenceError(
         f"penalized fit did not converge in {_MAX_ITER} iterations "
-        f"(last objective change {abs(cur - base):.3e})",
-        iterations=_MAX_ITER,
-        last_change=abs(cur - base),
+        f"(last objective change {abs(cur - base):.3e})"
     )
 
 
@@ -770,15 +776,22 @@ def term_edf(model: AdditiveModel) -> dict:
     return {t: float(model.edf_by_coef[list(idx)].sum()) for t, idx in model.term_index.items()}
 
 
-def wald_p(model: AdditiveModel, term: str) -> float:
-    """Wald p-value for a term or a single coefficient (see _joint_term_p)."""
+def _term_columns(model: AdditiveModel, term: str) -> list:
+    """The coefficient indices of `term`: a term_index key, a smooth term's label
+    (the columns of all its blocks) or a single coefficient name."""
     if term in model.term_index:
-        idx = list(model.term_index[term])
-    elif term in model.coef_names:
-        idx = [model.coef_names.index(term)]
-    else:
-        raise InputError(f"unknown term {term!r}")
-    return _joint_term_p(model, idx)
+        return list(model.term_index[term])
+    smooth = [j for b in model.blocks if b.term.label == term for j in b.columns]
+    if smooth:
+        return smooth
+    if term in model.coef_names:
+        return [model.coef_names.index(term)]
+    raise InputError(f"unknown term {term!r}")
+
+
+def wald_p(model: AdditiveModel, term: str) -> float:
+    """Wald p-value for a term, a smooth block or a single coefficient (see _joint_term_p)."""
+    return _joint_term_p(model, _term_columns(model, term))
 
 
 def _joint_term_p(model: AdditiveModel, idx) -> float:
@@ -971,15 +984,9 @@ def _candidate_terms(spec: ModelSpec, model: AdditiveModel):
     required and not a candidate.
     """
     protected = {t.by_factor for t in spec.smooth_terms if t.by_factor is not None}
-    out = {}
-    for t in spec.parametric_terms:
-        # a factor with one level has no coefficients to test
-        if t.name in protected or not model.term_index[t.name]:
-            continue
-        out[t.name] = list(model.term_index[t.name])
-    for t in spec.smooth_terms:
-        out[t.label] = [j for b in model.blocks if b.term.label == t.label for j in b.columns]
-    return out
+    labels = [t.name for t in spec.parametric_terms if t.name not in protected]
+    columns = {t: _term_columns(model, t) for t in labels + [t.label for t in spec.smooth_terms]}
+    return {t: idx for t, idx in columns.items() if idx}  # a factor with one level has none
 
 
 def backward_eliminate(

@@ -7,14 +7,13 @@ byte-identical.
 
 The keys of a model JSON document are the field names of its model
 dataclass, `LearningCurveModel` or `AdditiveModel` (with `FitStats` under
-fit_stats), with the schema and model_family beside them.  A GAM's spec and
-knot vector are the exception: the fields of its `ModelSpec` are spread
-beside the model's, and only two keys are named by hand, metric for the
-spec's response and knots for the knot vector.  `_plain` writes the fields
-and `_read`, the one reader, reads each through its annotation, so a string,
-a bool or a fraction where the file must hold a number or an integer is an
-input error that names its key, as is NaN, an infinity or a number beyond
-the float range.
+fit_stats), with the schema and model_family beside them.  A GAM's spec is
+the exception: the fields of its `ModelSpec` are spread beside the model's,
+and only one key is named by hand, metric for the spec's response.  `_plain`
+writes the fields and `_read`, the one reader, reads each through its
+annotation, so a string, a bool or a fraction where the file must hold a
+number or an integer is an input error that names its key, as is NaN, an
+infinity or a number beyond the float range.
 This module holds only the file format: a model checks its own parts (sizes;
 a GAM's arrays, factors, coefficient count, knots and smooth constraints) when
 it is built, here or anywhere else.  A key that names no field, such as one
@@ -332,14 +331,13 @@ def model_to_dict(model) -> dict:
         return {"schema": MODEL_SCHEMA, "model_family": "ols_log", **_plain(model)}
     if isinstance(model, AdditiveModel):
         document = _plain(model)
-        spec, knot_vector = document.pop("spec"), document.pop("knot_vector")
+        spec = document.pop("spec")
         return {
             "schema": MODEL_SCHEMA,
             "model_family": "beta_gam",
             "metric": spec.pop("response"),
             **spec,
             **document,
-            "knots": knot_vector["knots"] if knot_vector else None,
         }
     raise InputError(f"unsupported model type {type(model).__name__}")
 
@@ -356,9 +354,7 @@ def model_from_dict(payload: Mapping):
             return _read(LearningCurveModel, payload, "model")
         # the writer spreads the spec's fields, which _read takes from the document by name
         spec = {**payload, "response": payload["metric"]}
-        knots = payload["knots"]
-        knot_vector = None if knots is None else {"knots": knots}
-        return _read(AdditiveModel, {**payload, "spec": spec, "knot_vector": knot_vector}, "model")
+        return _read(AdditiveModel, {**payload, "spec": spec}, "model")
     except KeyError as exc:  # a key the file must hold
         raise InputError(f"model is missing key {exc.args[0]!r}") from None
     except OverflowError as exc:  # an integer beyond the float range

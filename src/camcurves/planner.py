@@ -147,8 +147,8 @@ def gam_required_sample_size(
     than MAX_SCANNED_SIZES.
     """
     monotone_from = 1
-    if model.knot_vector is not None:
-        last_knot = model.knot_vector.knots[-1]
+    if model.knots is not None:
+        last_knot = model.knots[-1]
         # any start past the largest ceiling scans up to the ceiling; exp could overflow
         if last_knot > math.log(MAX_SEARCH_CEILING):
             monotone_from = MAX_SEARCH_CEILING + 1

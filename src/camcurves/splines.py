@@ -1,18 +1,19 @@
 """Cubic regression spline smooths over log training-set size.
 
-The basis is the cardinal natural cubic spline family on a KnotVector: one
+The basis is the cardinal natural cubic spline family on a knot array: one
 function per knot, interpolating 1 at its own knot and 0 at the others, with
 natural boundary conditions and linear extrapolation beyond the boundary
 knots, by one rule for both ends.  `basis_rows` evaluates it (every row sums
 to 1), `penalty_matrix` is its exact integrated squared second derivative
 (null space: the affine functions), `centring` gives the sum-to-zero
 reparameterization Z and `centred_penalty` the penalty in its coordinates; a
-centred smooth at x is `basis_rows(x, knots) @ Z`.
+centred smooth at x is `basis_rows(x, knots) @ Z`.  The knots are a plain
+float array of at least 3 strictly increasing values, as `place_knots`
+returns them; these functions do not check it, a GAM's layout
+(`betagam._Layout`) does, once, when it is built from a fit or a file.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,26 +21,7 @@ from ._numeric import distinct
 from .errors import InputError
 
 
-@dataclass(frozen=True, eq=False)
-class KnotVector:
-    """Strictly increasing knot locations on the covariate axis."""
-
-    knots: np.ndarray
-
-    def __post_init__(self):
-        k = np.asarray(self.knots, dtype=float)
-        if k.ndim != 1 or k.size < 3:
-            raise InputError("need at least 3 knots")
-        if not np.all(np.diff(k) > 0):
-            raise InputError("knots must be strictly increasing")
-        object.__setattr__(self, "knots", k)
-
-    @property
-    def count(self) -> int:
-        return self.knots.size
-
-
-def place_knots(distinct_covariate_values, k: int) -> KnotVector:
+def place_knots(distinct_covariate_values, k: int) -> np.ndarray:
     """Knots at even quantiles of rank space over the distinct sorted values.
 
     The first and last knots coincide with the extreme values; interior knots
@@ -54,7 +36,7 @@ def place_knots(distinct_covariate_values, k: int) -> KnotVector:
     if not np.all(np.isfinite(vals)):
         raise InputError("covariate values must be finite")
     ranks = np.linspace(0.0, vals.size - 1.0, k)
-    return KnotVector(knots=np.interp(ranks, np.arange(vals.size), vals))
+    return np.interp(ranks, np.arange(vals.size), vals)
 
 
 def _natural_spline_system(knots: np.ndarray):
@@ -85,8 +67,9 @@ def _natural_spline_system(knots: np.ndarray):
     return F, 0.5 * (S + S.T)
 
 
-def basis_rows(x, knots: KnotVector) -> np.ndarray:
-    """Rows of the raw cardinal basis at points x, one column per knot.
+def basis_rows(x, knots: np.ndarray) -> np.ndarray:
+    """Rows of the raw cardinal basis at points x, one column per knot; `knots`
+    must be at least 3 strictly increasing floats, which is not checked here.
 
     Inside the knot range each row mixes the bracketing hat coordinates with
     the second-derivative map.  Beyond an end knot t[end] the spline is linear
@@ -97,7 +80,7 @@ def basis_rows(x, knots: KnotVector) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(x)):
         raise InputError("covariate values must be finite")
-    t = knots.knots
+    t = knots
     k = t.size
     h = np.diff(t)
     F, _ = _natural_spline_system(t)
@@ -128,9 +111,10 @@ def basis_rows(x, knots: KnotVector) -> np.ndarray:
     return rows
 
 
-def penalty_matrix(knots: KnotVector) -> np.ndarray:
-    """The k x k integrated squared second derivative in the raw basis."""
-    return _natural_spline_system(knots.knots)[1]
+def penalty_matrix(knots: np.ndarray) -> np.ndarray:
+    """The k x k integrated squared second derivative in the raw basis; `knots`
+    must be at least 3 strictly increasing floats, which is not checked here."""
+    return _natural_spline_system(knots)[1]
 
 
 def centring(rows: np.ndarray, weights) -> np.ndarray:

@@ -701,6 +701,24 @@ def test_linalg_failure_is_a_numerical_error(observations_csv, tmp_path, capsys,
     assert_one_error_line(code, capsys, cli.EXIT_NUMERICAL, "numerical-error: ", "Singular matrix")
 
 
+@pytest.mark.parametrize("flags", [[], ["--lambdas", "1e-4,1e-4"]], ids=["search", "fixed"])
+def test_a_fit_that_fails_on_an_extreme_ladder_prints_one_line(flags, tmp_path, capsys):
+    # sizes 64 apart near 1e15: a state whose mean rounds to 0 or 1 has no likelihood,
+    # and the fit fails with its one error line, not a numpy warning before it
+    sizes = 10**15 + np.arange(0, 256, 64)
+    cells = itertools.product(("AU", "SE"), ("deep", "shallow"), sizes, range(10))
+    rng = np.random.default_rng(0)
+    table = as_table([
+        make_obs(0.8 + rng.uniform(-0.03, 0.03), n, dataset=d, tuning=t, class_label=f"c{c}")
+        for d, t, n, c in cells
+    ])
+    path = tmp_path / "ladder.csv"
+    io.write_observations_csv(str(path), [table])
+    argv = ["fit-gam", "--observations", str(path), "--metric", "ACC", *flags]
+    code = cli.main(argv + ["--out", str(tmp_path / "m.json")])
+    assert_one_error_line(code, capsys, cli.EXIT_NUMERICAL, "numerical-error: ")
+
+
 # Modules that no command needs but that slow its start: scipy, which only the
 # tests use, as an oracle, and xml.sax, which pulls in urllib.request,
 # http.client and email; `site` may preload urllib.parse, so urllib itself is
@@ -920,6 +938,18 @@ def _text_covariance_entry(d):
     d["covariance"][3][4] = "1"
 
 
+def _two_knots(d):
+    d["knots"] = d["knots"][:2]
+
+
+def _reversed_knots(d):
+    d["knots"].reverse()
+
+
+def _nested_knots(d):
+    d["knots"] = [d["knots"]]
+
+
 @pytest.mark.parametrize(
     "edit, fragment",
     [
@@ -948,6 +978,9 @@ def _text_covariance_entry(d):
         (_zero_observed_size, "observed_sizes must be positive, got 0"),
         (_ragged_covariance, "covariance rows must be equally long, got lengths [20, 21]"),
         (_text_covariance_entry, "covariance[3][4] must be a number, got '1'"),
+        (_two_knots, "model knots must be 3 or more strictly increasing numbers"),
+        (_reversed_knots, "model knots must be 3 or more strictly increasing numbers"),
+        (_nested_knots, "model knots must be 3 or more strictly increasing numbers"),
     ],
     ids=lambda v: getattr(v, "__name__", None),
 )

@@ -277,8 +277,6 @@ def test_models_that_hold_arrays_compare_and_hash_by_identity(calibrated_acc_mod
     io.save_model(calibrated_acc_model, path)
     a, b = io.load_model(path), io.load_model(path)
     assert a == a and a != b and a not in [b] and a in [b, a] and len({a, b, a}) == 2
-    knots = a.knot_vector
-    assert knots != b.knot_vector and len({knots, b.knot_vector, knots}) == 2
     assert a.spec == b.spec and a.fit_stats == b.fit_stats  # records of values compare by value
 
 

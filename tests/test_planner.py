@@ -226,7 +226,7 @@ class TestBoundedScan:
             return predict_sizes(self, cell, sizes)
 
         monkeypatch.setattr(type(model), "predict_sizes", spy)
-        bound = math.ceil(math.exp(model.knot_vector.knots[-1])) + 64
+        bound = math.ceil(math.exp(model.knots[-1])) + 64
         for cell in CELLS:
             seen.clear()
             query = PlanQuery("ACC", 0.99, search_ceiling=10**12)
@@ -243,7 +243,7 @@ class TestBoundedScan:
             return predict_sizes(self, cell, sizes)
 
         monkeypatch.setattr(type(model), "predict_sizes", spy)
-        last_knot = math.exp(model.knot_vector.knots[-1])
+        last_knot = math.exp(model.knots[-1])
         for cell in CELLS:
             calls.clear()
             result = gam_required_sample_size(model, cell, PlanQuery("ACC", 0.9, 2_000_000))
