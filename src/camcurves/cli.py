@@ -87,8 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "metrics",
         help="per-class metric table from prediction records",
-        description="Score each class one-vs-rest on a predictions CSV (image_id, true_class, "
-        "predicted_class, optional location_id and ISO-8601 timestamp) and write one row per "
+        description="Score each class one-vs-rest on a predictions CSV of exactly the columns "
+        "image_id,true_class,predicted_class, one record per test image, and write one row per "
         "class: class,tp,fp,tn,fn,ACC,PRC,TPR,FPR, the metrics to 2 decimals. PRC reads NA "
         "for a class that is never predicted. A class absent from the test set (undefined "
         "TPR) or a test set of one class (undefined FPR) is an input error.",
@@ -148,11 +148,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the report as JSON")
 
     p = sub.add_parser("design", help="balanced sampling design from an image index")
-    p.add_argument("--manifest-in", required=True, help="CSV: image_id,class[,location_id]")
+    p.add_argument(
+        "--manifest-in", required=True, help="image index CSV: image_id,class[,location_id]"
+    )
     p.add_argument("--test", type=int, default=design.DEFAULT_TEST_SIZE)
     p.add_argument("--ladder", default=",".join(str(s) for s in design.DEFAULT_SIZE_LADDER))
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--select", type=int, help="equal-spacing pool size per class before splitting")
+    p.add_argument(
+        "--select", type=int, help="per class, this many rows equally spaced in file (time) order"
+    )
     p.add_argument("--independent", action="store_true", help="non-nested training subsets")
     p.add_argument("--out", required=True)
 
@@ -343,7 +347,7 @@ def _cmd_design(args) -> int:
         seed=args.seed,
         nested=not args.independent,
     )
-    if locations:
+    if locations is not None:
         coverage = design.validate_location_coverage(manifest, locations)
         manifest["location_coverage"] = coverage
         if coverage["status"] != "ok":

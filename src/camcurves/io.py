@@ -34,7 +34,6 @@ import tempfile
 import types
 import typing
 from contextlib import contextmanager
-from datetime import datetime
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -48,7 +47,6 @@ MODEL_SCHEMA = "camcurves-model/1"
 MANIFEST_SCHEMA = "camcurves-manifest/1"
 
 PREDICTION_COLUMNS = ("image_id", "true_class", "predicted_class")
-PREDICTION_OPTIONAL = ("location_id", "timestamp")
 
 # records held as Python objects at a time when a CSV file is read or an observation
 # table written, so that what the writer adds stays under a tenth of the simulated
@@ -169,45 +167,22 @@ def _read_csv(path: str, required: Sequence[str], optional: Sequence[str], drop=
         raise InputError(f"{path}: no records")
 
 
-def _read_columns(path: str, required: Sequence[str], optional: Sequence[str]) -> tuple:
-    """(columns, lines) of a CSV file: each name of its header -> its column, a tuple
-    of strings with one per record, and the line on which each record starts."""
+def _read_columns(path: str, required: Sequence[str], optional: Sequence[str] = ()) -> dict:
+    """Each name of a CSV file's header -> its column, a tuple of strings with one per
+    record; InputError `<path>:<line>: empty <name>` for the first empty required field."""
     chunks = list(_read_csv(path, required, optional))
     columns = {name: tuple(itertools.chain(*(c[name] for c, _ in chunks))) for name in chunks[0][0]}
-    return columns, [line for _, lines in chunks for line in lines]
-
-
-def _is_timestamp(text: str) -> bool:
-    """Whether `text` is an ISO-8601 date or time, with Z accepted for UTC."""
-    try:
-        datetime.fromisoformat(text[:-1] + "+00:00" if text.endswith("Z") else text)
-    except ValueError:
-        return False
-    return True
+    for row, fields in enumerate(zip(*(columns[name] for name in required))):
+        if "" in fields:
+            line = [line for _, lines in chunks for line in lines][row]
+            raise InputError(f"{path}:{line}: empty {required[fields.index('')]}")
+    return columns
 
 
 def parse_predictions(path: str) -> dict:
-    """The columns of a predictions CSV: each name of its header -> its values.
-
-    image_id, true_class and predicted_class are required and non-empty;
-    location_id and timestamp are optional, and a timestamp that is given
-    must be ISO-8601.  An InputError names the line of the first bad record.
-    """
-    columns, lines = _read_columns(path, PREDICTION_COLUMNS, PREDICTION_OPTIONAL)
-    # (row, message) of the first failure of each check, in the order a record is checked
-    failures = [
-        (columns[name].index(""), f"empty {name}")
-        for name in PREDICTION_COLUMNS
-        if "" in columns[name]
-    ]
-    stamps = columns.get("timestamp", ())
-    bad = next((i for i, text in enumerate(stamps) if text and not _is_timestamp(text)), None)
-    if bad is not None:
-        failures.append((bad, f"bad ISO-8601 timestamp {stamps[bad]!r}"))
-    if failures:
-        row, message = min(failures, key=lambda failure: failure[0])
-        raise InputError(f"{path}:{lines[row]}: {message}")
-    return columns
+    """The columns of a predictions CSV, image_id,true_class,predicted_class: each name
+    -> its values.  No other column is read, and no field may be empty."""
+    return _read_columns(path, PREDICTION_COLUMNS)
 
 
 def _converted(texts: Sequence[str], convert) -> np.ndarray:
@@ -265,21 +240,20 @@ def parse_observations(path: str, metric: str | None = None) -> np.recarray:
 
 
 def parse_image_index(path: str) -> tuple:
-    """Read a per-class time-ordered image index: image_id,class[,location_id,timestamp].
+    """Read an image index: image_id,class[,location_id], each class's rows in time order.
 
-    Returns (pools, locations): pools maps class -> ids in file order,
-    locations maps image id -> location id (empty when the column is absent).
+    Returns (pools, locations): pools maps class -> ids in file order, and
+    locations maps image id -> location id for each row that gives one, or is
+    None without a location_id column.  No image_id or class may be empty.
     """
-    columns, lines = _read_columns(path, ("image_id", "class"), ("location_id", "timestamp"))
-    ids, labels = columns["image_id"], columns["class"]
-    empty = [column.index("") for column in (ids, labels) if "" in column]
-    if empty:
-        raise InputError(f"{path}:{lines[min(empty)]}: empty image_id or class")
+    columns = _read_columns(path, ("image_id", "class"), ("location_id",))
+    ids = columns["image_id"]
     pools: dict = {}
-    for image_id, label in zip(ids, labels):
+    for image_id, label in zip(ids, columns["class"]):
         pools.setdefault(label, []).append(image_id)
-    locations = {i: place for i, place in zip(ids, columns.get("location_id", ())) if place}
-    return pools, locations
+    if "location_id" not in columns:
+        return pools, None
+    return pools, {i: place for i, place in zip(ids, columns["location_id"]) if place}
 
 
 # ---------------------------------------------------------------------------

@@ -93,25 +93,28 @@ def confusion_matrix(
     `predictions` maps image_id, true_class and predicted_class to their
     values, one per record.  Entry [i, j] counts the records of true class
     classes[i] predicted as classes[j], so the matrix sums to the record
-    count.  Raises InputError for no records, a class named twice, or the
-    first record with a label outside `classes`.
+    count.  Raises InputError for no records, an image id listed twice, a
+    class named twice, or the first record with a label outside `classes`.
     """
-    true, predicted = predictions["true_class"], predictions["predicted_class"]
+    ids, true = predictions["image_id"], predictions["true_class"]
+    predicted = predictions["predicted_class"]
     if not len(true):
         raise InputError("no prediction records to tally")
+    rows = {image_id: row for row, image_id in enumerate(ids)}
+    if len(rows) < len(ids):  # an image scored twice would unbalance the test set
+        image_id = next(image_id for row, image_id in enumerate(ids) if rows[image_id] != row)
+        raise InputError(f"image id {image_id!r} is listed twice")
     position = {label: i for i, label in enumerate(classes)}
     if len(position) < len(classes):
         label = next(label for i, label in enumerate(classes) if position[label] != i)
         raise InputError(f"class {label!r} is named more than once in the class set")
-    labels, codes = np.unique(np.array([*true, *predicted], dtype=object), return_inverse=True)
-    index = np.array([position.get(label, -1) for label in labels], dtype=np.intp)[codes]
+    index = np.array([position.get(label, -1) for label in (*true, *predicted)], dtype=np.intp)
     true_index, predicted_index = index.reshape(2, -1)
     unknown = (true_index < 0) | (predicted_index < 0)
     if unknown.any():
         row = int(np.argmax(unknown))
         label = true[row] if true_index[row] < 0 else predicted[row]
-        image_id = predictions["image_id"][row]
-        raise InputError(f"unknown class label {label!r} in record {image_id!r}")
+        raise InputError(f"unknown class label {label!r} in record {ids[row]!r}")
     k = len(position)
     return np.bincount(true_index * k + predicted_index, minlength=k * k).reshape(k, k)
 

@@ -318,15 +318,15 @@ def test_aggregate_exits_0_or_2_with_one_row_per_group(tmp_path, capsys, items):
 
 # eight test images of four classes; D is in the test set but never predicted
 PREDICTIONS = """\
-image_id,true_class,predicted_class,location_id,timestamp
-i0,A,A,L1,2020-01-01T00:00:00Z
-i1,A,B,L1,2020-01-01T01:00:00
-i2,B,B,,
-i3,B,A,L2,2020-01-02T00:00:00+02:00
-i4,C,C,L2,2020-01-03
-i5,C,A,L3,2020-01-03T12:00:00Z
-i6,A,A,L3,
-i7,D,C,L3,2020-01-04
+image_id,true_class,predicted_class
+i0,A,A
+i1,A,B
+i2,B,B
+i3,B,A
+i4,C,C
+i5,C,A
+i6,A,A
+i7,D,C
 """
 
 METRIC_ROWS = {
@@ -383,22 +383,48 @@ def test_metrics_names_the_class_without_negative_images(tmp_path, capsys):
     assert_one_input_error(cli.main(argv), capsys, "false positive rate undefined", "class 'A'")
 
 
+def test_metrics_rejects_an_image_listed_twice(tmp_path, capsys):
+    path, out = tmp_path / "predictions.csv", tmp_path / "metrics.csv"
+    path.write_text("image_id,true_class,predicted_class\na,x,x\na,y,x\nb,y,y\n")
+    argv = ["metrics", "--predictions", str(path), "--out", str(out)]
+    assert_one_input_error(cli.main(argv), capsys, "image id 'a' is listed twice")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, column",
+    [("metrics", "location_id"), ("metrics", "timestamp"), ("design", "timestamp")],
+)
+def test_a_dropped_column_is_an_unrecognized_column(
+    command, column, image_index, tmp_path, capsys
+):
+    # the file runs without the column and fails, with no output written, with it
+    if command == "metrics":
+        text, flags = PREDICTIONS, ["--predictions"]
+    else:
+        text = Path(image_index).read_text()
+        flags = ["--seed", "1", "--test", "5", "--ladder", "5,10", "--manifest-in"]
+    header, *rows = text.splitlines()
+    path, out = tmp_path / "input.csv", tmp_path / "out"
+    argv = [command, *flags, str(path), "--out", str(out)]
+    path.write_text(text)
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    out.unlink()
+    path.write_text("\n".join([f"{header},{column}", *(f"{row}," for row in rows)]) + "\n")
+    assert_one_input_error(cli.main(argv), capsys, f"{path}: unrecognized columns [{column!r}]")
+    assert not out.exists()
+
+
 @st.composite
 def prediction_records(draw):
-    """(true, predicted, timestamp) per record: a balanced test set over some of A-D,
-    predictions among its classes and D, and at most one bad timestamp."""
+    """(true, predicted) per record: a balanced test set over some of A-D, with
+    predictions among its classes and D."""
     truth = draw(st.lists(st.sampled_from("ABCD"), min_size=1, unique=True))
     per_class = draw(st.integers(1, 3))
-    stamps = st.sampled_from(["", "2020-01-01", "2020-01-01T12:00:00Z"])
-    records = [
-        [true, draw(st.sampled_from([*truth, "D"])), draw(stamps)]
-        for true in truth
-        for _ in range(per_class)
+    return [
+        (true, draw(st.sampled_from([*truth, "D"]))) for true in truth for _ in range(per_class)
     ]
-    bad = draw(st.sampled_from([None, None, None, "2020-13-01", "noon"]))
-    if bad is not None:
-        records[draw(st.integers(0, len(records) - 1))][2] = bad
-    return records
 
 
 # a --classes value: labels (an unknown one, repeats) with stray spaces and commas
@@ -413,8 +439,8 @@ class_flags = st.none() | st.lists(st.sampled_from(["A", "B", "C", "D", "E", " A
 @given(prediction_records(), class_flags)
 def test_metrics_exits_0_or_2_with_consistent_counts(tmp_path, capsys, records, classes):
     path = tmp_path / "predictions.csv"
-    lines = ["image_id,true_class,predicted_class,timestamp"]
-    lines += [f"i{j},{t},{p},{stamp}" for j, (t, p, stamp) in enumerate(records)]
+    lines = ["image_id,true_class,predicted_class"]
+    lines += [f"i{j},{t},{p}" for j, (t, p) in enumerate(records)]
     path.write_text("\n".join(lines) + "\n")
     out = tmp_path / "metrics.csv"
     out.unlink(missing_ok=True)
@@ -428,16 +454,16 @@ def test_metrics_exits_0_or_2_with_consistent_counts(tmp_path, capsys, records, 
     header, *rows = out.read_text().splitlines()
     assert header == "class,tp,fp,tn,fn,ACC,PRC,TPR,FPR"
     if classes is None:
-        expected = sorted({label for t, p, _ in records for label in (t, p)})
+        expected = sorted({label for t, p in records for label in (t, p)})
     else:
         expected = [c.strip() for c in classes.split(",") if c.strip()]
     assert [row.split(",")[0] for row in rows] == expected
     for row in rows:
         label, *counts = row.split(",")[:5]
-        tp = sum(1 for t, p, _ in records if t == label and p == label)
-        fn = sum(1 for t, p, _ in records if t == label and p != label)
-        fp = sum(1 for t, p, _ in records if t != label and p == label)
-        tn = sum(1 for t, p, _ in records if t != label and p != label)
+        tp = sum(1 for t, p in records if t == label and p == label)
+        fn = sum(1 for t, p in records if t == label and p != label)
+        fp = sum(1 for t, p in records if t != label and p == label)
+        tn = sum(1 for t, p in records if t != label and p != label)
         assert [int(c) for c in counts] == [tp, fp, tn, fn]
         assert tp + fp + tn + fn == len(records)
 
@@ -634,6 +660,19 @@ def test_design_reports_which_ids_lack_a_location(tmp_path, capsys):
     assert capsys.readouterr().err == f"location coverage: cannot_validate: {detail}\n"
     coverage = json.loads(out.read_text())["location_coverage"]
     assert coverage == {"status": "cannot_validate", "violations": [], "detail": detail}
+
+
+def test_design_with_an_empty_location_column_cannot_validate(tmp_path, capsys):
+    # a location_id column with no location in it is never a silent pass
+    index, out = tmp_path / "index.csv", tmp_path / "d.json"
+    rows = "".join(f"i{j},c{j % 2},\n" for j in range(40))
+    index.write_text("image_id,class,location_id\n" + rows)
+    argv = ["design", "--manifest-in", str(index), "--seed", "1", "--test", "5"]
+    assert cli.main(argv + ["--ladder", "5,10", "--out", str(out)]) == cli.EXIT_OK
+    err = capsys.readouterr().err
+    assert err.startswith("location coverage: cannot_validate: 40 image ids lack a location")
+    coverage = json.loads(out.read_text())["location_coverage"]
+    assert coverage["status"] == "cannot_validate" and coverage["detail"] in err
 
 
 # location of image i{j} (class c{j % 3}) per coverage case; None: no location column

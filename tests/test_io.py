@@ -67,17 +67,17 @@ CSV_KINDS = {
     ),
     "predictions": (
         io.parse_predictions,
-        "image_id,true_class,predicted_class,timestamp",
-        "i0,{label},c1,2020-01-01T00:00:00Z",
-        "i1,c1,c1,yesterday",
-        "bad ISO-8601 timestamp 'yesterday'",
+        "image_id,true_class,predicted_class",
+        "i0,{label},c1",
+        "i1,c1,",
+        "empty predicted_class",
     ),
     "image-index": (
         io.parse_image_index,
         "image_id,class",
         "i0,{label}",
         ",c1",
-        "empty image_id or class",
+        "empty image_id",
     ),
 }
 
@@ -131,6 +131,40 @@ def test_a_leading_byte_order_mark_is_not_part_of_the_header(tmp_path, kind):
     with pytest.raises(InputError) as raised:
         parse(str(marked))
     assert str(raised.value) == f"{marked}:6: {message}"
+
+
+@pytest.mark.parametrize(
+    "parse, header, record, message",
+    [
+        (io.parse_predictions, "image_id,true_class,predicted_class", ",c1,", "empty image_id"),
+        (io.parse_predictions, "image_id,true_class,predicted_class", "i1,,", "empty true_class"),
+        (io.parse_image_index, "image_id,class", "i1,", "empty class"),
+        (io.parse_image_index, "image_id,class,location_id", ",,L1", "empty image_id"),
+    ],
+    ids=["predictions-first-of-two", "predictions-true-class", "index-class", "index-both"],
+)
+def test_an_empty_required_field_is_named_by_its_column(tmp_path, parse, header, record, message):
+    # a record with two empty fields names the first; an empty location is not an error
+    path = tmp_path / "records.csv"
+    path.write_text(f"{header}\n{record}\n")
+    with pytest.raises(InputError) as raised:
+        parse(str(path))
+    assert str(raised.value) == f"{path}:2: {message}"
+
+
+@pytest.mark.parametrize(
+    "text, locations",
+    [
+        ("image_id,class\ni0,c0\ni1,c1\n", None),
+        ("image_id,class,location_id\ni0,c0,L0\ni1,c1,\n", {"i0": "L0"}),
+        ("image_id,class,location_id\ni0,c0,\ni1,c1,\n", {}),
+    ],
+    ids=["no-column", "one-empty", "all-empty"],
+)
+def test_an_image_index_has_locations_exactly_when_it_has_the_column(tmp_path, text, locations):
+    path = tmp_path / "index.csv"
+    path.write_text(text)
+    assert io.parse_image_index(str(path)) == ({"c0": ["i0"], "c1": ["i1"]}, locations)
 
 
 # a kept record's fault: the field it replaces (or None for the field count), the

@@ -59,6 +59,16 @@ class TestTallyConfusion:
         with pytest.raises(InputError, match="'Zebra' in record '1'"):
             confusion_matrix(predictions([("A", "A"), ("A", "Zebra")]), ["A", "B"])
 
+    def test_an_image_listed_twice_is_rejected(self):
+        # scored under both true classes, image a would unbalance the test set
+        records = {
+            "image_id": ("a", "a", "b"),
+            "true_class": ("x", "y", "y"),
+            "predicted_class": ("x", "x", "y"),
+        }
+        with pytest.raises(InputError, match="^image id 'a' is listed twice$"):
+            confusion_matrix(records, ["x", "y"])
+
     def test_empty_records_rejected(self):
         with pytest.raises(InputError):
             confusion_matrix(predictions([]), ["A"])
