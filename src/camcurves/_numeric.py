@@ -7,7 +7,8 @@ and one asymptotic step, and `chi2_sf` the chi-square tail.  The recurrence
 is elementwise: it shifts only the arguments below `_ASYMPTOTIC`, each by the
 same count, so every output depends on its own argument alone and one call on
 a stacked array gives what a call per part would.  `distinct` finds
-distinct values without np.unique, so that fitting needs no numpy.ma either.
+distinct values without np.unique, so that fitting needs no numpy.ma either;
+`rowwise_matmul` is a matrix product whose rows do not depend on each other.
 """
 
 import math
@@ -25,6 +26,15 @@ _DIGAMMA_SERIES = tuple(b / (2 * k) for k, b in enumerate(_BERNOULLI, 1))
 _STIRLING_SERIES = tuple(b / (2 * k * (2 * k - 1)) for k, b in enumerate(_BERNOULLI, 1))
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def rowwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a 2-d `a`, summed over the shared index in order, so that a row of it
+    depends on that row of `a` alone (a BLAS product's last bits follow the row count)."""
+    out = np.zeros((a.shape[0], *b.shape[1:]))
+    for column, row in zip(a.T, b):
+        out += np.multiply.outer(column, row)
+    return out
 
 
 def logit(p):

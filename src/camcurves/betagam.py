@@ -110,10 +110,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._numeric import chi2_sf, distinct, gammaln_psi, inv_logit, logit
+from ._numeric import chi2_sf, distinct, gammaln_psi, inv_logit, logit, rowwise_matmul
 from .errors import ConvergenceError, InputError
 from .metrics import METRIC_KINDS, _distinct
 from .splines import basis_rows, centred_penalty, centring, penalty_matrix, place_knots
+from .splines import turning_points
 
 DEFAULT_LAMBDA_GRID = tuple(10.0 ** np.linspace(-4.0, 6.0, 21))
 
@@ -369,7 +370,7 @@ class _Layout:
                 X[:, j] = values[factor] == level
         for b in self.blocks:  # 0 off the block's level
             on = 1.0 if b.level is None else (values[b.term.by_factor] == b.level)[:, None]
-            X[:, list(b.columns)] = (raw @ b.constraint) * on
+            X[:, list(b.columns)] = rowwise_matmul(raw, b.constraint) * on
         return X
 
 
@@ -761,14 +762,27 @@ class AdditiveModel(_Layout):
 
     def predict_sizes(self, cell: Mapping, num_tr_images) -> np.ndarray:
         """Mean response over sizes at a cell: one level, or a level per size, per factor.
-        InputError names the first size whose linear predictor is not finite."""
+        A size's value does not depend on the sizes asked with it.  InputError
+        names the first size whose linear predictor is not finite."""
         with np.errstate(over="ignore", invalid="ignore"):
-            eta = self.rows(cell, num_tr_images) @ self.coef
+            eta = rowwise_matmul(self.rows(cell, num_tr_images), self.coef)
         bad = np.flatnonzero(~np.isfinite(eta))
         if bad.size:
             size = float(np.atleast_1d(num_tr_images)[bad[0]])
             raise InputError(f"model linear predictor is not finite at num_tr_images {size:.10g}")
         return inv_logit(eta)
+
+    def turning_sizes(self, cell: Mapping, ceiling: float) -> np.ndarray:
+        """The sizes in [1, ceiling] at which the prediction at a cell may turn: those
+        of its smooth block, the spline whose knot values are the block's coefficients
+        in the raw basis; none without a smooth."""
+        on = [b for b in self.blocks if b.level is None or b.level == cell.get(b.term.by_factor)]
+        if not on:
+            return np.empty(0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = sum(b.constraint @ self.coef[list(b.columns)] for b in on)
+            x = turning_points(values, self.knots)
+        return np.exp(x[(x >= 0.0) & (x <= math.log(ceiling))])
 
 
 def term_edf(model: AdditiveModel) -> dict:

@@ -143,7 +143,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=planner.DEFAULT_SEARCH_CEILING,
         help="largest size searched: the answer is the smallest n from which every size up "
-        "to the ceiling meets the target; unattainable otherwise (default: %(default)s)",
+        "to the ceiling meets the target; unattainable otherwise. It is found on the runs "
+        "between the curve's turning points, by bisection, so a GAM query costs a few "
+        "model calls whatever the knots and the ceiling (default: %(default)s)",
     )
     p.add_argument("--out", help="write the report as JSON")
 

@@ -164,6 +164,8 @@ def split_design(
     for label in sorted(pools):
         pool = list(pools[label])
         for image_id in pool:
+            if owners.get(image_id) == label:
+                raise InputError(f"image id {image_id!r} is listed twice in class {label!r}")
             if image_id in owners:
                 raise InputError(
                     f"image id {image_id!r} is listed twice: in class {owners[image_id]!r} "

@@ -4,11 +4,13 @@ One rule serves the log-law curves and the Beta GAMs alike: the required
 size is the smallest n from which every size up to the search ceiling
 meets the target (>= for ACC/PRC/TPR, <= for FPR); if there is none, the
 target is unattainable.  So a size inside a local dip is never recommended.
+It is found on the runs of sizes between the curve's turning points, where
+the prediction is monotone: their ends in one model call, then a bisection of
+one run, so a query makes a few model calls whatever the knots and ceiling.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -23,11 +25,6 @@ DEFAULT_SEARCH_CEILING = 100_000
 
 # sizes are evaluated as float64, which holds every integer up to 2**53 exactly
 MAX_SEARCH_CEILING = 2**53
-
-# a GAM plan predicts every size below its last knot and the ceiling: at most
-# MAX_SCANNED_SIZES of them, SCAN_CHUNK at a time, which bounds its time and memory
-MAX_SCANNED_SIZES = 1_000_000
-SCAN_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -63,74 +60,54 @@ class PlanResult:
         return self.required_n is not None
 
 
-def _scan_prefix(query, predict, scanned) -> tuple:
-    """The last size in 1..scanned that fails `query` (0 for none), and the
-    prediction at the size after it (None if that is past `scanned`).
-
-    The sizes are predicted SCAN_CHUNK at a time from the top down, so the
-    memory does not depend on `scanned`, and the scan stops at the first
-    chunk with a failing size.
-    """
-    after = None  # the prediction at the size above the chunk
-    for stop in range(scanned, 0, -SCAN_CHUNK):
-        start = max(stop - SCAN_CHUNK, 0)
-        values = predict(np.arange(start + 1, stop + 1, dtype=float))
-        fail_idx = np.flatnonzero(~query.met_by(values))
-        if fail_idx.size:
-            last = start + int(fail_idx[-1]) + 1
-            return last, float(values[last - start]) if last < stop else after
-        after = float(values[0])
-    return 0, after
-
-
-def _last_crossing(family, metric, query, predict, monotone_from, max_observed) -> PlanResult:
+def _last_crossing(family, metric, query, predict, turning_sizes, max_observed) -> PlanResult:
     """The rule over the sizes 1..search_ceiling for a `family` model of `metric`.
 
-    `predict` maps a sequence of sizes to metric values, monotone in n
-    (either way) from the size `monotone_from` on.  Only the sizes up to
-    there are all predicted, in chunks; past it the failing sizes form a
-    prefix of the tail: all of it if its last size fails, none if its two
-    ends meet, else a prefix whose end is found by bisection.  Time follows
-    `monotone_from`, not the ceiling, and memory follows neither.
-    `max_observed` (or None) is the largest size the model was built on.
+    `predict` maps a sequence of sizes to metric values, monotone in n (either
+    way) between consecutive `turning_sizes` (in [1, ceiling]) and beyond the
+    outermost.  Cut at their floors, 1..ceiling falls into such runs, and every
+    run end is predicted in one call.  From the top run down: a failing top end
+    is the last failing size; else a failing bottom end has the last one above
+    it, found by bisection; else the walk goes on below.  So a query makes at
+    most log2(ceiling) + 2 model calls.  `max_observed` (or None) is the largest
+    size the model was built on.
     """
     if metric != query.metric:
         raise InputError(f"model is for {metric}, query is for {query.metric}")
     ceiling = query.search_ceiling
-    scanned = min(ceiling, monotone_from)
-    last, value = _scan_prefix(query, predict, scanned)  # value at last + 1 if scanned
-    if scanned < ceiling:
-        if not query.met_by(predict([ceiling])[0]):
-            last = ceiling
-        elif not query.met_by(predict([scanned + 1])[0]):
-            lo, hi = scanned + 1, ceiling  # lo fails, hi meets
-            while hi - lo > 1:
+    bounds = [0, *sorted({int(size) for size in turning_sizes if size < ceiling}), ceiling]
+    runs = [(lo + 1, hi) for lo, hi in zip(bounds, bounds[1:])]
+    ends_meet = query.met_by(predict([size for run in runs for size in run])).reshape(-1, 2)
+    last = 0  # the last failing size, 0 for none
+    for (lo, hi), (lo_meets, hi_meets) in reversed(list(zip(runs, ends_meet))):
+        if not hi_meets:
+            last = hi
+            break
+        if not lo_meets:
+            while hi - lo > 1:  # lo fails, hi meets
                 mid = (lo + hi) // 2
                 lo, hi = (lo, mid) if query.met_by(predict([mid])[0]) else (mid, hi)
             last = lo
+            break
     n = last + 1 if last < ceiling else None
-    if n is None:
-        value = None
-    elif n > scanned:
-        value = float(predict([n])[0])
     return PlanResult(
         metric=query.metric,
         target=query.target,
         required_n=n,
-        predicted_value=value,
+        predicted_value=None if n is None else float(predict([n])[0]),
         extrapolated=bool(n is not None and max_observed is not None and n > max_observed),
         source=f"{family}[{metric}]",
     )
 
 
 def required_sample_size(model: LearningCurveModel, query: PlanQuery) -> PlanResult:
-    """Required size under a fitted or preset log-law curve, monotone in n."""
+    """Required size under a fitted or preset log-law curve: monotone, so one run."""
     return _last_crossing(
         "log-curve",
         model.metric,
         query,
         lambda sizes: np.array([predict_metric(model, n) for n in sizes]),
-        monotone_from=1,
+        turning_sizes=(),
         max_observed=model.size_range[1] if model.size_range else None,
     )
 
@@ -140,32 +117,17 @@ def gam_required_sample_size(
 ) -> PlanResult:
     """Required size under a Beta GAM's prediction for one covariate cell.
 
-    Spline fits need not be monotone, but beyond the last knot the natural
-    spline is linear in log n, so the prediction is monotone from
-    ceil(exp(last knot)) on (a model without a smooth is constant in n).
-    InputError when the sizes below both that and the ceiling number more
-    than MAX_SCANNED_SIZES.
+    Spline fits need not be monotone, but the natural spline is a cubic in log n
+    on each knot interval and linear beyond the end knots, so the prediction
+    turns only at the roots of a quadratic on each interval (`turning_sizes`):
+    a query costs a few model calls whatever the knots and the ceiling.
     """
-    monotone_from = 1
-    if model.knots is not None:
-        last_knot = model.knots[-1]
-        # any start past the largest ceiling scans up to the ceiling; exp could overflow
-        if last_knot > math.log(MAX_SEARCH_CEILING):
-            monotone_from = MAX_SEARCH_CEILING + 1
-        else:
-            monotone_from = math.ceil(math.exp(last_knot))
-        if min(query.search_ceiling, monotone_from) > MAX_SCANNED_SIZES:
-            raise InputError(
-                f"the model's last knot, log n = {last_knot:.10g}, leaves more than "
-                f"{MAX_SCANNED_SIZES} sizes to scan below the search ceiling; "
-                f"lower the ceiling to at most {MAX_SCANNED_SIZES}"
-            )
     return _last_crossing(
         "beta-gam",
         model.metric,
         query,
         lambda sizes: model.predict_sizes(cell, sizes),
-        monotone_from=monotone_from,
+        turning_sizes=model.turning_sizes(cell, query.search_ceiling),
         max_observed=max(model.observed_sizes) if model.observed_sizes else None,
     )
 

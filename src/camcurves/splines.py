@@ -4,13 +4,14 @@ The basis is the cardinal natural cubic spline family on a knot array: one
 function per knot, interpolating 1 at its own knot and 0 at the others, with
 natural boundary conditions and linear extrapolation beyond the boundary
 knots, by one rule for both ends.  `basis_rows` evaluates it (every row sums
-to 1), `penalty_matrix` is its exact integrated squared second derivative
-(null space: the affine functions), `centring` gives the sum-to-zero
-reparameterization Z and `centred_penalty` the penalty in its coordinates; a
-centred smooth at x is `basis_rows(x, knots) @ Z`.  The knots are a plain
-float array of at least 3 strictly increasing values, as `place_knots`
-returns them; these functions do not check it, a GAM's layout
-(`betagam._Layout`) does, once, when it is built from a fit or a file.
+to 1), `turning_points` finds where a spline in it may turn, `penalty_matrix`
+is its exact integrated squared second derivative (null space: the affine
+functions), `centring` gives the sum-to-zero reparameterization Z and
+`centred_penalty` the penalty in its coordinates; a centred smooth at x is
+`basis_rows(x, knots) @ Z`.  The knots are a plain float array of at least 3
+strictly increasing values, as `place_knots` returns them; these functions do
+not check it, a GAM's layout (`betagam._Layout`) does, once, when it is built
+from a fit or a file.
 """
 
 from __future__ import annotations
@@ -47,24 +48,14 @@ def _natural_spline_system(knots: np.ndarray):
     second-difference D; the boundary second derivatives are zero.  The
     integrated squared second derivative is then f' D' B^-1 D f.
     """
-    t = knots
-    k = t.size
-    h = np.diff(t)
-    B = np.zeros((k - 2, k - 2))
-    D = np.zeros((k - 2, k))
-    for i in range(k - 2):
-        B[i, i] = (h[i] + h[i + 1]) / 3.0
-        if i + 1 < k - 2:
-            B[i, i + 1] = h[i + 1] / 6.0
-            B[i + 1, i] = h[i + 1] / 6.0
-        D[i, i] = 1.0 / h[i]
-        D[i, i + 1] = -1.0 / h[i] - 1.0 / h[i + 1]
-        D[i, i + 2] = 1.0 / h[i + 1]
+    h = np.diff(knots)
+    i = np.arange(h.size - 1)
+    B = np.diag((h[:-1] + h[1:]) / 3.0) + np.diag(h[1:-1] / 6.0, 1) + np.diag(h[1:-1] / 6.0, -1)
+    D = np.zeros((h.size - 1, h.size + 1))
+    D[i, i], D[i, i + 1], D[i, i + 2] = 1.0 / h[:-1], -1.0 / h[:-1] - 1.0 / h[1:], 1.0 / h[1:]
     binv_d = np.linalg.solve(B, D)
-    F = np.zeros((k, k))
-    F[1:-1, :] = binv_d
     S = D.T @ binv_d
-    return F, 0.5 * (S + S.T)
+    return np.pad(binv_d, ((1, 1), (0, 0))), 0.5 * (S + S.T)
 
 
 def basis_rows(x, knots: np.ndarray) -> np.ndarray:
@@ -109,6 +100,24 @@ def basis_rows(x, knots: np.ndarray) -> np.ndarray:
             rows[outside] = unit[end] + (x[outside] - t[end])[:, None] * slope
 
     return rows
+
+
+def turning_points(values, knots: np.ndarray) -> np.ndarray:
+    """The sorted x at which the natural cubic spline through (knots, values) may
+    turn; none on its linear tails.  On [t_j, t_j+1] its slope at t_j + u is the
+    quadratic a u^2 + m_j u + c in the values v and second derivatives m = F v.
+    Its real roots in the interval, widened by 1e-9 of its width (rounding can put
+    a root at a knot outside both of its intervals), are kept; an interval whose
+    quadratic overflows is skipped."""
+    h = np.diff(knots)
+    m = _natural_spline_system(knots)[0] @ values
+    a, c = (m[1:] - m[:-1]) / (2.0 * h), np.diff(values) / h - h * (2.0 * m[:-1] + m[1:]) / 6.0
+    return np.sort([
+        min(max(knots[j] + u.real, knots[j]), knots[j + 1])
+        for j in np.flatnonzero(np.isfinite([a, m[:-1], c]).all(axis=0))
+        for u in np.roots([a[j], m[j], c[j]])
+        if u.imag == 0.0 and -1e-9 * h[j] <= u.real <= (1.0 + 1e-9) * h[j]
+    ])
 
 
 def penalty_matrix(knots: np.ndarray) -> np.ndarray:

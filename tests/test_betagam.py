@@ -956,9 +956,9 @@ class TestReferenceAnswers:
             for model in models
         ]
         assert digests == [
-            "97d8a5bb1ef60af9ab36c5190719d971f39a26be9fc98a70baaa6e439f9921ce",
-            "ff9e1859c7adc855ea7d1b2d89314f56ca812c0079b1fada7ed3e627c24d1bf3",
-            "ff638539c966e30612c1e81fe052ba4324347ea03d5225069af13c162f2fc90e",
+            "73e71a668bcb1a144ab949037dc45b1b3773b71a349353156df8369f67a70756",
+            "768fba1efc5f631630a029b433a31f990cbea9f1124994b6099ba756db395b1d",
+            "e476fcca73459b3405949257b556fd0f9a2601f70e1b58bde65f4b5d6586bf5f",
         ]
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -648,6 +649,16 @@ def test_image_listed_under_two_classes_is_an_input_error(image_index, tmp_path,
     assert not out.exists()
 
 
+def test_image_listed_twice_in_one_class_is_an_input_error(image_index, tmp_path, capsys):
+    with open(image_index, "a") as handle:
+        handle.write("i0,c0\n")
+    out = tmp_path / "d.json"
+    argv = ["design", "--manifest-in", image_index, "--seed", "1", "--test", "5"]
+    code = cli.main(argv + ["--ladder", "5,10", "--out", str(out)])
+    assert_one_input_error(code, capsys, "image id 'i0' is listed twice in class 'c0'")
+    assert not out.exists()
+
+
 def test_design_reports_which_ids_lack_a_location(tmp_path, capsys):
     rows = [f"i{j},c{j % 2},{'' if j == 5 else f'L{j % 8}'}\n" for j in range(40)]
     index = tmp_path / "index.csv"
@@ -856,12 +867,13 @@ def test_plan_with_a_huge_ceiling_stays_bounded(calibrated_acc_model, tmp_path, 
 
 @pytest.mark.parametrize(
     "last_knot, ceiling, code",
-    [(800.0, None, cli.EXIT_OK), (800.0, 2**53, cli.EXIT_INPUT), (25.0, 2**53, cli.EXIT_INPUT)],
+    [(800.0, None, cli.EXIT_OK), (800.0, 2**53, cli.EXIT_OK), (25.0, 2**53, cli.EXIT_OK)],
 )
 def test_plan_past_a_far_last_knot_exits_with_one_line(
     calibrated_acc_model, tmp_path, capsys, last_knot, ceiling, code
 ):
-    # exp(800) overflows a float; e^25 sizes would need 536 GiB in one array
+    # exp(800) overflows a float, and e^25 sizes would need 536 GiB in one array; a
+    # plan predicts the ends of its monotone runs and a bisection, whatever the knots
     payload = io.model_to_dict(calibrated_acc_model)
     payload["knots"][-1] = last_knot
     model = tmp_path / "acc.json"
@@ -869,11 +881,27 @@ def test_plan_past_a_far_last_knot_exits_with_one_line(
     argv = ["plan", "--model", str(model), "--target", "0.9", "--cell", "WI,deep,resNet18"]
     if ceiling is not None:
         argv += ["--ceiling", str(ceiling)]
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("ACC >= 0.9: required_n ") and captured.out.count("\n") == 1
+
+
+@pytest.mark.parametrize("target", ["0.9", "0.97", "0.995"])
+@pytest.mark.parametrize("cell", ["AU,deep,dnsNet121", "SE,shallow,resNet152", "WI,deep,resNet18"])
+def test_plan_with_every_knot_far_plans_at_the_largest_ceiling(
+    calibrated_acc_model, tmp_path, capsys, cell, target
+):
+    # knots shifted by 20 in log n, from e^22.3 to e^26.9
+    model = tmp_path / "acc.json"
+    io.save_model(replace(calibrated_acc_model, knots=calibrated_acc_model.knots + 20.0), str(model))
+    argv = ["plan", "--model", str(model), "--target", target, "--cell", cell]
+    code = cli.main(argv + ["--ceiling", "9007199254740992"])
+    assert code in (cli.EXIT_OK, cli.EXIT_INFEASIBLE)
     if code == cli.EXIT_OK:
-        assert cli.main(argv) == code
         assert capsys.readouterr().err == ""
     else:
-        assert_one_input_error(cli.main(argv), capsys, f"last knot, log n = {last_knot:g},")
+        assert_one_error_line(code, capsys, code, "infeasible-plan: ")
 
 
 def _drop_phi(d):

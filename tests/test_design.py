@@ -231,7 +231,10 @@ class TestSplitDesign:
         # listed under two classes, i0 could test one class and train the other
         pools = {"a": [f"i{j}" for j in range(0, 40, 2)], "b": [f"i{j}" for j in range(1, 40, 2)]}
         pools[second].append("i0")
-        message = f"image id 'i0' is listed twice: in class 'a' and in class '{second}'"
+        if second == "a":
+            message = "^image id 'i0' is listed twice in class 'a'$"
+        else:
+            message = "^image id 'i0' is listed twice: in class 'a' and in class 'b'$"
         with pytest.raises(InputError, match=message):
             design.split_design(pools, test_size=5, size_ladder=(5, 10), seed=1)
 

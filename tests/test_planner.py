@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from camcurves import (
     InfeasiblePlanError,
@@ -12,11 +15,10 @@ from camcurves import (
     betagam,
     gam_required_sample_size,
     plan_report,
-    planner,
     required_sample_size,
     table1_presets,
 )
-from camcurves.betagam import ModelSpec, SmoothTerm
+from camcurves.betagam import AdditiveModel, ModelSpec, SmoothTerm
 from camcurves.curves import predict_metric
 
 from conftest import observation_rows
@@ -190,6 +192,38 @@ def last_crossing(model, cell, query):
 class TestBoundedScan:
     TARGETS = {"ACC": (0.93, 0.96, 0.97, 0.99, 0.995), "FPR": (0.05, 0.03, 0.02, 0.015, 0.002)}
 
+    # required_n per cell (rows, in CELLS order) and target (columns, in TARGETS
+    # order), recorded with the planner that predicted every size below the last knot.
+    # One answer there read 4734836532827: near 4.7e12 adjacent sizes differ by 2.3e-14
+    # in the FPR model's linear predictor, so the ~1e-14 relative change the fit took
+    # when design rows came to be summed row by row moved it by 7 sizes
+    PINNED = {
+        ("ACC", 20_000): ((42, 135, 191, 982, 3999), (19, 244, None, None, None),
+                          (105, 750, 1262, 8801, None), (61, 495, 872, 6082, None)),
+        ("ACC", 2_000_000): ((42, 135, 191, 982, 3999), (19, 244, None, None, None),
+                             (105, 750, 1262, 8801, 29573), (61, 495, 872, 6082, 20436)),
+        ("ACC", 2**53): ((42, 135, 191, 982, 3999), (19, 244, None, None, None),
+                         (105, 750, 1262, 8801, 29573), (61, 495, 872, 6082, 20436)),
+        ("FPR", 20_000): ((19, 79, 162, 252, 3885), (13, 128, 744, 12700, None),
+                          (67, 192, None, None, None), (37, 140, None, None, None)),
+        ("FPR", 2_000_000): ((19, 79, 162, 252, 3885), (13, 128, 744, 12700, None),
+                             (67, None, None, None, None), (37, None, None, None, None)),
+        ("FPR", 2**53): ((19, 79, 162, 252, 3885), (13, 128, 744, 12700, 4734836532834),
+                         (None,) * 5, (None,) * 5),
+    }
+
+    @pytest.mark.parametrize("metric, ceiling", sorted(PINNED))
+    def test_answers_are_pinned(self, calibrated_acc_model, calibrated_fpr_model, metric, ceiling):
+        model = calibrated_acc_model if metric == "ACC" else calibrated_fpr_model
+        got = tuple(
+            tuple(
+                gam_required_sample_size(model, cell, PlanQuery(metric, t, ceiling)).required_n
+                for t in self.TARGETS[metric]
+            )
+            for cell in CELLS
+        )
+        assert got == self.PINNED[metric, ceiling]
+
     def test_matches_full_last_crossing_scan(self, calibrated_acc_model, calibrated_fpr_model):
         tail_answers = 0
         for model in (calibrated_acc_model, calibrated_fpr_model):
@@ -216,66 +250,58 @@ class TestBoundedScan:
                     expected = predict_metric(model, result.required_n)
                     assert result.predicted_value == expected
 
-    def test_huge_ceiling_predicts_only_the_knot_range(self, calibrated_acc_model, monkeypatch):
-        model = calibrated_acc_model
-        seen = []
-        predict_sizes = type(model).predict_sizes
-
-        def spy(self, cell, sizes):
-            seen.append(np.size(sizes))
-            return predict_sizes(self, cell, sizes)
-
-        monkeypatch.setattr(type(model), "predict_sizes", spy)
-        bound = math.ceil(math.exp(model.knots[-1])) + 64
-        for cell in CELLS:
-            seen.clear()
-            query = PlanQuery("ACC", 0.99, search_ceiling=10**12)
-            gam_required_sample_size(model, cell, query)
-            assert 0 < sum(seen) <= bound
-
-    def test_a_tail_that_meets_at_both_ends_is_not_bisected(self, calibrated_acc_model, monkeypatch):
-        model = calibrated_acc_model
+    @pytest.mark.parametrize("shift", [0.0, 20.0])
+    def test_a_query_costs_the_same_whatever_the_knots(
+        self, calibrated_acc_model, calibrated_fpr_model, shift, monkeypatch
+    ):
+        # shifted by 20 in log n, the knots run from e^22.3 to e^26.9
         calls = []
-        predict_sizes = type(model).predict_sizes
+        predict_sizes = AdditiveModel.predict_sizes
 
         def spy(self, cell, sizes):
             calls.append(np.size(sizes))
             return predict_sizes(self, cell, sizes)
 
-        monkeypatch.setattr(type(model), "predict_sizes", spy)
-        last_knot = math.exp(model.knots[-1])
-        for cell in CELLS:
-            calls.clear()
-            result = gam_required_sample_size(model, cell, PlanQuery("ACC", 0.9, 2_000_000))
-            assert result.required_n < last_knot
-            # the scan below the last knot, the ceiling and the size after the scan
-            assert len(calls) <= 3
+        monkeypatch.setattr(AdditiveModel, "predict_sizes", spy)
+        turned = bisected = 0
+        for fitted in (calibrated_acc_model, calibrated_fpr_model):
+            model = replace(fitted, knots=fitted.knots + shift)
+            for cell, target, ceiling in product(
+                CELLS, self.TARGETS[model.metric], (20_000, 2_000_000, 2**53)
+            ):
+                calls.clear()
+                gam_required_sample_size(model, cell, PlanQuery(model.metric, target, ceiling))
+                turning = model.turning_sizes(cell, ceiling).size
+                steps = math.ceil(math.log2(ceiling))
+                assert len(calls) <= steps + 3
+                assert sum(calls) <= 2 * (turning + 1) + steps + 1
+                turned += turning > 0
+                bisected += len(calls) > 2
+        assert turned and bisected  # both bounds are exercised
 
-    def test_scan_in_small_chunks_gives_the_same_answers(self, calibrated_acc_model, monkeypatch):
-        model = calibrated_acc_model
-        queries = [PlanQuery("ACC", t, search_ceiling=20_000) for t in self.TARGETS["ACC"]]
-        whole = [gam_required_sample_size(model, cell, q) for cell in CELLS for q in queries]
-        sizes = []
-        predict_sizes = type(model).predict_sizes
-
-        def spy(self, cell, num_tr_images):
-            sizes.append(np.size(num_tr_images))
-            return predict_sizes(self, cell, num_tr_images)
-
-        monkeypatch.setattr(type(model), "predict_sizes", spy)
-        monkeypatch.setattr(planner, "SCAN_CHUNK", 7)
-        chunked = [gam_required_sample_size(model, cell, q) for cell in CELLS for q in queries]
-        assert max(sizes) == 7 and len(sizes) > 1000 // 7
-        for a, b in zip(chunked, whole):
-            assert a.required_n == b.required_n
-            assert a.predicted_value == pytest.approx(b.predicted_value, rel=1e-12)
-
-    def test_a_scan_past_the_limit_is_an_input_error(self, calibrated_acc_model, monkeypatch):
-        monkeypatch.setattr(planner, "MAX_SCANNED_SIZES", 500)  # the model's last knot is at 1000
-        cell = CELLS[0]
-        gam_required_sample_size(calibrated_acc_model, cell, PlanQuery("ACC", 0.9, 500))  # plans
-        with pytest.raises(InputError, match=r"last knot, log n = 6\.907755279, leaves more than 500"):
-            gam_required_sample_size(calibrated_acc_model, cell, PlanQuery("ACC", 0.9, 501))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_turns_match_full_last_crossing_scan(
+        self, calibrated_acc_model, calibrated_fpr_model, data
+    ):
+        """Targets at, and one ulp either side of, the prediction next to a turn."""
+        fitted = data.draw(st.sampled_from([calibrated_acc_model, calibrated_fpr_model]))
+        scale = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=fitted.coef.size,
+                                   max_size=fitted.coef.size))
+        model = replace(fitted, coef=fitted.coef * (1.0 + np.array(scale)))
+        cell = data.draw(st.sampled_from(CELLS))
+        ceiling = data.draw(st.integers(1, 2000) | st.integers(1, 10**5))
+        near = [n for s in model.turning_sizes(cell, ceiling) for n in (int(s), int(s) + 1)]
+        size = data.draw(st.sampled_from([n for n in near if n <= ceiling] or [ceiling]))
+        target = float(model.predict_sizes(cell, [size])[0])
+        target = np.nextafter(target, data.draw(st.sampled_from([0.0, target, 1.0])))
+        assume(0.0 < target < 1.0)
+        query = PlanQuery(model.metric, float(target), search_ceiling=ceiling)
+        result = gam_required_sample_size(model, cell, query)
+        assert result.required_n == last_crossing(model, cell, query)
+        if result.required_n is not None:
+            expected = model.predict_sizes(cell, [result.required_n])[0]
+            assert result.predicted_value == pytest.approx(expected, rel=1e-12)
 
 
 class TestPlanReport:

@@ -10,7 +10,7 @@ from camcurves import (
     penalty_matrix,
     place_knots,
 )
-from camcurves.splines import centred_penalty
+from camcurves.splines import centred_penalty, turning_points
 
 LOG_LADDER = np.log([10.0, 20.0, 50.0, 150.0, 500.0, 1000.0])
 
@@ -196,6 +196,14 @@ def knot_arrays(draw):
 covariates = st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=30)
 
 
+def test_a_turn_at_a_knot_is_found():
+    # the spline's minimum is at the middle knot, where rounding puts each
+    # interval's root just outside it
+    knots = np.array([0.0, 0.0546875, 0.109375])
+    points = turning_points([0.3125, 0.0, 0.3125], knots)
+    assert points.size and np.all(points == knots[1])
+
+
 class TestSplineProperties:
     @settings(max_examples=80, deadline=None)
     @given(knots=knot_arrays(), x=covariates)
@@ -214,3 +222,24 @@ class TestSplineProperties:
         scale = weights @ np.abs(rows).max(axis=1)
         assert np.all(np.abs(weights @ (rows @ Z)) <= 1e-9 * scale)
         np.testing.assert_allclose(Z.T @ Z, np.eye(knots.size - 1), atol=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(knots=knot_arrays(), data=st.data())
+    def test_turning_points_are_where_the_slope_changes_sign(self, knots, data):
+        values = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=knots.size,
+                                             max_size=knots.size)))
+        points = turning_points(values, knots)
+        assert np.all(np.diff(points) >= 0.0)
+        assert np.all((points >= knots[0]) & (points <= knots[-1]))
+        # the slope is 0 at each point, by central differences
+        step = 1e-6
+        slope = (basis_rows(points + step, knots) - basis_rows(points - step, knots)) @ values
+        curvature = np.abs(values).max() / np.diff(knots).min() ** 2
+        assert np.all(np.abs(slope) / (2 * step) <= 1e-6 * (curvature + 1.0))
+        # every sign change of the slope on a fine grid lies next to a point
+        x = np.linspace(knots[0] - 1.0, knots[-1] + 1.0, 20_001)
+        rise = np.diff(basis_rows(x, knots) @ values)
+        clear = np.abs(rise) > 1e-9 * (x[1] - x[0])
+        turns = x[1:-1][(rise[1:] * rise[:-1] < 0.0) & clear[1:] & clear[:-1]]
+        for turn in turns:
+            assert np.abs(points - turn).min() <= 2 * (x[1] - x[0])
